@@ -13,6 +13,7 @@ __all__ = [
     "source_batch",
     "source_parts",
     "max_wavespeed",
+    "spectral_radius_batch",
     "wavespeeds_batch",
     "equilibrium_residual",
 ]
@@ -164,6 +165,17 @@ def wavespeeds_batch(P: np.ndarray, eps: float, theta: float, basis: MomentBasis
             except np.linalg.LinAlgError:
                 out[i] = _gershgorin(A[i][None, :, :])[0]
         return out
+
+
+def spectral_radius_batch(P: np.ndarray, eps: float, theta: float) -> np.ndarray:
+    """Closed-form spectral radius |u_m| + sqrt(eps cos(theta) h + alpha_1^2) per row.
+
+    The regularized matrix has eigenvalues u_m +- sqrt(eps cos(theta) h + alpha_1^2)
+    and u_m + c_i alpha_1 with |c_i| < 1 (Koellermeier & Rominger, 2020), so the
+    outer pair bounds the spectrum. Agrees with wavespeeds_batch to round-off.
+    """
+    P = np.asarray(P, dtype=float)
+    return np.abs(P[:, 1]) + np.sqrt(eps * math.cos(theta) * P[:, 0] + P[:, 2] * P[:, 2])
 
 
 def max_wavespeed(P, eps: float, theta: float, basis: MomentBasis) -> float:

@@ -10,7 +10,9 @@ from swmoment.hswme import (
     max_wavespeed,
     source,
     source_parts,
+    spectral_radius_batch,
     system_matrix,
+    system_matrix_batch,
     wavespeeds_batch,
 )
 from tests.conftest import random_wet_primitive
@@ -56,8 +58,6 @@ def test_system_matrix_higher_moments_regularized(basis3):
 def test_first_row_is_momentum_selector(basis6):
     rng = np.random.default_rng(0)
     P = random_wet_primitive(rng, 6, 10)
-    from swmoment.hswme import system_matrix_batch
-
     A = system_matrix_batch(P, EPS, THETA, basis6)
     expected = np.zeros(8)
     expected[1] = 1.0
@@ -160,8 +160,6 @@ def test_eigenvalues_real_small_sweep():
     for N in (1, 2, 3):
         basis = build_basis(N)
         P = random_wet_primitive(rng, N, 200)
-        from swmoment.hswme import system_matrix_batch
-
         A = system_matrix_batch(P, EPS, THETA, basis)
         ev = np.linalg.eigvals(A)
         lam_max = np.max(np.abs(ev.real), axis=1)
@@ -174,3 +172,19 @@ def test_wavespeeds_batch_positive(basis2):
     lam = wavespeeds_batch(P, EPS, THETA, basis2)
     assert lam.shape == (32,)
     assert np.all(lam > 0.0)
+
+
+def test_spectral_radius_closed_form_matches_eigvals():
+    # cfl_dt screens rows with this closed form at a relative margin of 1e-8,
+    # which is safe only while it tracks the eigen-solve far more tightly
+    rng = np.random.default_rng(21)
+    for N in range(1, 13):
+        basis = build_basis(N)
+        P = random_wet_primitive(rng, N, 300, h_range=(1e-6, 0.1))
+        P[::4, 2] = 0.0
+        P[1::4, 1] = -np.abs(P[1::4, 1])
+        ev = np.linalg.eigvals(system_matrix_batch(P, EPS, THETA, basis))
+        lam = np.max(np.abs(ev), axis=1)
+        rho = spectral_radius_batch(P, EPS, THETA)
+        gap = np.max(np.abs(rho - lam) / lam)
+        assert gap < 1e-10, f"N={N}: relative gap {gap:.3e}"

@@ -5,10 +5,15 @@ import pytest
 
 from swmoment.basis import gauss_rule
 from swmoment.friction import NewtonianSlip
-from swmoment.hswme import source, system_matrix, system_matrix_batch
+from swmoment import scheme
+from swmoment.hswme import system_matrix, system_matrix_batch, wavespeeds_batch
 from swmoment.scheme import (
+    WETTING_HYSTERESIS,
     Grid,
     StepperConfig,
+    _path_matrices,
+    _stored_dry,
+    _transport,
     apply_transmissive_bc,
     cfl_dt,
     fluctuations,
@@ -265,3 +270,119 @@ def test_conservative_path_close_to_primitive_for_small_jumps(basis2):
     A_prim = roe_matrix(U_L, U_R, EPS, THETA, basis2, POLICY, path="primitive")
     A_cons = roe_matrix(U_L, U_R, EPS, THETA, basis2, POLICY, path="conservative")
     np.testing.assert_allclose(A_prim, A_cons, rtol=0.0, atol=1e-8)
+
+
+def _with_interior(grid, U_in):
+    U = grid.U.copy()
+    U[1:-1] = U_in
+    return apply_transmissive_bc(Grid(x=grid.x, dx=grid.dx, U=U, dbdx=grid.dbdx,
+                                      policy=grid.policy))
+
+
+def _cfl_dt_all_rows(grid, config, eps, theta, basis):
+    """cfl_dt as an eigen-solve over every wet row, with no screen."""
+    if config.dt_fixed is not None:
+        return config.dt_fixed
+    U = grid.interior()
+    wet = U[:, 0] > grid.policy.h_min
+    if not np.any(wet):
+        return config.dt_max
+    lam = np.max(wavespeeds_batch(to_primitive(U[wet], grid.policy), eps, theta, basis))
+    return config.cfl * grid.dx / float(lam)
+
+
+@pytest.mark.parametrize("N", [1, 2, 6])
+def test_cfl_dt_screen_equals_brute_force_max(N, basis1, basis2, basis6):
+    basis = {1: basis1, 2: basis2, 6: basis6}[N]
+    cfg = StepperConfig(mode="explicit", cfl=0.05)
+    rng = np.random.default_rng(30 + N)
+    grid = make_grid(0.0, 1.0, 60, N, POLICY)
+    grids = []
+    for _ in range(10):
+        # depths from below h_min upward, so some rows are dry
+        P = random_wet_primitive(rng, N, 60, h_range=(1e-7, 0.1))
+        grids.append(_with_interior(grid, to_conservative(P)))
+    # every row ties for the maximum
+    grids.append(_uniform_grid(60, N, h=0.05, u_m=0.2, alpha=0.5 ** np.arange(N) * 0.1))
+    # the fastest row moves left
+    P = random_wet_primitive(rng, N, 60, vel_scale=0.1)
+    P[17, 1] = -2.0
+    grids.append(_with_interior(grid, to_conservative(P)))
+    for g in grids:
+        assert cfl_dt(g, cfg, EPS, THETA, basis) == _cfl_dt_all_rows(g, cfg, EPS, THETA, basis)
+    assert cfl_dt(grids[-1], cfg, EPS, THETA, basis) == pytest.approx(
+        0.05 * grid.dx / (2.0 + math.sqrt(EPS * math.cos(THETA) * P[17, 0] + P[17, 2] ** 2)),
+        rel=1e-10)
+    dry = _uniform_grid(60, N, h=1e-7)
+    assert cfl_dt(dry, cfg, EPS, THETA, basis) == cfg.dt_max
+    fixed = StepperConfig(mode="explicit", dt_fixed=3.7e-4)
+    assert cfl_dt(grids[0], fixed, EPS, THETA, basis) == 3.7e-4
+
+
+def _transport_full_width(grid, dry, dt, eps, theta, basis, path):
+    """The transport predictor over every interface, inert ones zeroed after."""
+    U = grid.U
+    A, inert = _path_matrices(U, dry, grid.policy, eps, theta, basis, path)
+    Q = viscosity_matrix(A, grid.dx, dt)
+    dU = U[1:] - U[:-1]
+    D_minus = 0.5 * np.einsum("kij,kj->ki", A - Q, dU)
+    D_plus = 0.5 * np.einsum("kij,kj->ki", A + Q, dU)
+    D_minus[inert] = 0.0
+    D_plus[inert] = 0.0
+    return U[1:-1] - (dt / grid.dx) * (D_plus[:-1] + D_minus[1:])
+
+
+def _patch_grid(N, patches, stored=(), J=40, seed=0):
+    """Wet patches [lo, hi) of random flow on a dry grid (h below h_min, at
+    rest); stored cells hold velocity-free depth under the rewetting margin."""
+    rng = np.random.default_rng(seed)
+    P = np.zeros((J, N + 2))
+    P[:, 0] = rng.uniform(0.0, POLICY.h_min, J)
+    for lo, hi in patches:
+        P[lo:hi] = random_wet_primitive(rng, N, hi - lo, h_range=(1e-2, 0.1), vel_scale=0.5)
+    for j in stored:
+        P[j] = 0.0
+        P[j, 0] = 0.5 * WETTING_HYSTERESIS * POLICY.h_min
+    return _with_interior(make_grid(0.0, 1.0, J, N, POLICY), to_conservative(P))
+
+
+WINDOW_CASES = {
+    "one_patch": dict(patches=[(15, 24)]),
+    "two_patches_dry_gap": dict(patches=[(5, 11), (26, 33)]),
+    "touches_boundary": dict(patches=[(0, 7), (34, 40)]),
+    "stored_next_to_front": dict(patches=[(12, 22)], stored=(10, 11, 22, 23, 30)),
+    "all_dry": dict(patches=[]),
+}
+
+
+@pytest.mark.parametrize("path", ["primitive", "conservative"])
+@pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+def test_transport_window_bit_identical_to_full_width(case, path, basis2):
+    grid = _patch_grid(2, **WINDOW_CASES[case])
+    dry = _stored_dry(grid.U, POLICY)
+    for dt in (1e-4, 7.3e-4):
+        got = _transport(grid, dry, dt, EPS, THETA, basis2, path)
+        assert np.array_equal(got, _transport_full_width(grid, dry, dt, EPS, THETA, basis2, path))
+    if case == "all_dry":
+        assert np.array_equal(got, grid.U[1:-1])
+
+
+@pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+def test_steppers_with_window_bit_identical_to_full_width(case, basis2, monkeypatch):
+    grid = _patch_grid(2, **WINDOW_CASES[case])
+    cfgs = (StepperConfig(mode="explicit"), StepperConfig(mode="semi_implicit"))
+    steppers = (step_explicit, step_semi_implicit)
+    windowed = []
+    for stepper, cfg in zip(steppers, cfgs):
+        g = grid
+        for _ in range(5):
+            g = apply_transmissive_bc(g)
+            g, _ = stepper(g, cfl_dt(g, cfg, EPS, THETA, basis2), MODEL, EPS, THETA, basis2, cfg)
+        windowed.append(g.U)
+    monkeypatch.setattr(scheme, "_transport", _transport_full_width)
+    for stepper, cfg, U in zip(steppers, cfgs, windowed):
+        g = grid
+        for _ in range(5):
+            g = apply_transmissive_bc(g)
+            g, _ = stepper(g, cfl_dt(g, cfg, EPS, THETA, basis2), MODEL, EPS, THETA, basis2, cfg)
+        assert np.array_equal(U, g.U)
