@@ -40,7 +40,6 @@ class StepperConfig:
     cfl: float = 0.05
     newton_tol: float = 1e-6
     newton_max_iter: int = 50
-    fd_eps: float = 1e-7
     dt_max: float = 1e-3
     dt_fixed: float | None = None
     path_variable: str = "primitive"
@@ -336,78 +335,85 @@ def step_explicit(grid: Grid, dt: float, model, eps: float, theta: float,
     return replace(grid, U=U_full), info
 
 
+# relative central-difference step of the Newton Jacobian: the step for a
+# row's component v is FD_EPS * max(1, |v|)
+FD_EPS = 1e-7
+
+
+def _residual_and_jacobian(V: np.ndarray, target: np.ndarray, dt: float, model,
+                           eps: float, theta: float, dbdx: np.ndarray,
+                           basis: MomentBasis, policy: WetDryPolicy,
+                           flip_topography_sign: bool,
+                           jacobian: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Residual V - target - dt S(V) of the velocity rows and, if asked, its
+    central-difference Jacobian (None otherwise).
+
+    The depth row of the source is zero, so the depth is fixed and the
+    unknowns are the n = N+1 velocity components. For the Jacobian each of
+    the k rows of V is stacked with its n forward and n backward copies into
+    one (2n+1)k-row batch, so a single source evaluation gives the residual
+    (k, n) and the Jacobian (k, n, n).
+    """
+    n = V.shape[1] - 1
+    batch = np.repeat(V[None], 2 * n + 1 if jacobian else 1, axis=0)
+    if jacobian:
+        step = FD_EPS * np.maximum(1.0, np.abs(V[:, 1:]))
+        cols = np.arange(n)
+        batch[1 + cols, :, 1 + cols] += step.T
+        batch[1 + n + cols, :, 1 + cols] -= step.T
+    S = source_batch(to_primitive(batch.reshape(-1, n + 1), policy), model, theta, eps,
+                     np.tile(dbdx, batch.shape[0]), basis, flip_topography_sign)
+    R = (batch - target - dt * S.reshape(batch.shape))[:, :, 1:]
+    if not jacobian:
+        return R[0], None
+    jac = (R[1:n + 1] - R[n + 1:]) / (2.0 * step.T)[:, :, None]
+    return R[0], jac.transpose(1, 2, 0)
+
+
 def step_semi_implicit(grid: Grid, dt: float, model, eps: float, theta: float,
                        basis: MomentBasis, config: StepperConfig,
                        flip_topography_sign: bool = False) -> tuple[Grid, dict]:
     """Splitting step: explicit transport predictor, then a per-cell implicit
     source solve U = U_check + dt S(U) by Newton iteration with a
-    central-difference Jacobian. Cells dry after transport skip the solve."""
+    central-difference Jacobian. The depth keeps its transported value (the
+    source does not change it); cells dry after transport skip the solve."""
     _check_finite(grid.interior(), "input")
     dry = _stored_dry(grid.U, grid.policy)
     U_check = _transport(grid, dry, dt, eps, theta, basis, config.path_variable)
     _check_finite(U_check, "transport")
     was_dry = dry[1:-1]
     dry_after = _dry_after_transport(U_check, was_dry, grid.policy)
-    wet_after = ~dry_after
     U_new = U_check.copy()
     iters_total = 0
     iters_max = 0
-    if np.any(wet_after):
-        idx = np.flatnonzero(wet_after)
-        target = U_check[idx]
-        dbdx = grid.dbdx[idx]
-        policy = grid.policy
 
-        def residual(V: np.ndarray) -> np.ndarray:
-            P = to_primitive(V, policy)
-            S = source_batch(P, model, theta, eps, dbdx, basis, flip_topography_sign)
-            return V - target - dt * S
+    def residual(rows: np.ndarray, jacobian: bool):
+        return _residual_and_jacobian(U_new[rows], U_check[rows], dt, model, eps, theta,
+                                      grid.dbdx[rows], basis, grid.policy,
+                                      flip_topography_sign, jacobian)
 
-        V = target.copy()
-        R = residual(V)
+    rows = np.flatnonzero(~dry_after)
+    # the first Jacobian comes in the same source call as the residual at
+    # U_check; after an update most cells have converged, so the residual is
+    # evaluated alone and a Jacobian only for the cells still iterating
+    while rows.size:
+        R, jac = residual(rows, jacobian=iters_max == 0)
         active = np.max(np.abs(R), axis=1) >= config.newton_tol
-        m = V.shape[1]
-        iteration = 0
-        while np.any(active):
-            iteration += 1
-            if iteration > config.newton_max_iter:
-                j = int(idx[np.argmax(active)])
-                r = float(np.max(np.abs(R[active])))
-                raise RuntimeError(
-                    f"Newton solve did not converge in cell {j + 1}: residual {r:.3e}"
-                )
-            Va = V[active]
-            Ra = R[active]
-            sub_db = dbdx[active]
-            sub_target = target[active]
-
-            def residual_sub(W: np.ndarray) -> np.ndarray:
-                P = to_primitive(W, policy)
-                S = source_batch(P, model, theta, eps, sub_db, basis, flip_topography_sign)
-                return W - sub_target - dt * S
-
-            eps_fd = config.fd_eps * np.maximum(1.0, np.abs(Va))
-            Jm = np.empty((Va.shape[0], m, m))
-            for c in range(m):
-                Vp = Va.copy()
-                Vm = Va.copy()
-                Vp[:, c] += eps_fd[:, c]
-                Vm[:, c] -= eps_fd[:, c]
-                Jm[:, :, c] = (residual_sub(Vp) - residual_sub(Vm)) / (2.0 * eps_fd[:, c])[:, None]
-            try:
-                delta = np.linalg.solve(Jm, Ra[:, :, None])[:, :, 0]
-            except np.linalg.LinAlgError as exc:
-                j = int(idx[np.argmax(active)])
-                raise RuntimeError(f"singular Newton Jacobian in cell {j + 1}") from exc
-            Va = Va - delta
-            V[active] = Va
-            R[active] = residual_sub(Va)
-            iters_total += int(np.sum(active))
-            iters_max = max(iters_max, iteration)
-            still = np.max(np.abs(R[active]), axis=1) >= config.newton_tol
-            alive = np.flatnonzero(active)
-            active[alive[~still]] = False
-        U_new[idx] = V
+        rows, R = rows[active], R[active]
+        if not rows.size:
+            break
+        if iters_max >= config.newton_max_iter:
+            raise RuntimeError(
+                f"Newton solve did not converge in cell {rows[0] + 1}: "
+                f"residual {float(np.max(np.abs(R))):.3e}"
+            )
+        jac = residual(rows, jacobian=True)[1] if jac is None else jac[active]
+        try:
+            U_new[rows, 1:] -= np.linalg.solve(jac, R[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError(f"singular Newton Jacobian in cell {rows[0] + 1}") from exc
+        iters_total += rows.size
+        iters_max += 1
     _check_finite(U_new, "implicit source")
     U_out, info = _finalize(U_check, U_new, dry_after, grid.policy)
     info["newton_iters_total"] = iters_total

@@ -319,7 +319,10 @@ def run(config: SimConfig) -> RunResult:
     stepper = step_explicit if config.mode == "explicit" else step_semi_implicit
     eps, theta = config.eps, config.theta
     diag = {k: [] for k in ("time", "dt", "mass", "max_speed", "dry_cells",
-                            "sh_violations", "newton_iters", "clamped_mass")}
+                            "sh_violations", "newton_iters", "newton_iters_max",
+                            "clamped_mass")}
+    if not _coulomb_bottom(model):
+        del diag["sh_violations"]
     snapshots = []
     pending = list(config.snapshot_times)
     if pending[0] == 0.0:
@@ -352,6 +355,14 @@ def run(config: SimConfig) -> RunResult:
                      config=config)
 
 
+def _coulomb_bottom(model) -> bool:
+    """Whether the model has a Coulomb bottom, the setting of the Savage-Hutter
+    sliding-law assumptions that savage_hutter_violations checks."""
+    if isinstance(model, MuI):
+        return isinstance(model.bottom_law, CoulombBottom)
+    return isinstance(model, (SavageHutter, Coulomb))
+
+
 def _record(diag: dict, t: float, dt: float, grid, info: dict, basis,
             policy: WetDryPolicy) -> None:
     U = grid.interior()
@@ -362,8 +373,10 @@ def _record(diag: dict, t: float, dt: float, grid, info: dict, basis,
     diag["mass"].append(float(np.sum(U[:, 0]) * grid.dx))
     diag["max_speed"].append(float(np.max(np.abs(P[wet, 1]), initial=0.0)))
     diag["dry_cells"].append(info.get("dry_cells", 0))
-    diag["sh_violations"].append(savage_hutter_violations(P, basis, policy.h_min))
+    if "sh_violations" in diag:
+        diag["sh_violations"].append(savage_hutter_violations(P, basis, policy.h_min))
     diag["newton_iters"].append(info.get("newton_iters_total", 0))
+    diag["newton_iters_max"].append(info.get("newton_iters_max", 0))
     diag["clamped_mass"].append(info.get("clamped_mass", 0.0))
 
 
@@ -382,6 +395,9 @@ def write_snapshot(snapshot: Snapshot, path: str) -> None:
         raise OSError(f"cannot write snapshot to {path}: {exc}") from exc
 
 
+_PROFILE_CHUNK_ROWS = 1024
+
+
 def emit_profile(snapshot: Snapshot, basis, resolution: int, path: str | None = None) -> np.ndarray:
     """Vertical-velocity field u(x, zeta) as columnar (x, zeta, u) rows.
 
@@ -391,20 +407,20 @@ def emit_profile(snapshot: Snapshot, basis, resolution: int, path: str | None = 
     if resolution < 2:
         raise ValueError("profile resolution must be at least 2")
     zeta = np.linspace(0.0, 1.0, resolution)
-    J = len(snapshot.x)
-    rows = np.empty((J * resolution, 3))
-    for j in range(J):
-        u = reconstruct_velocity(basis, snapshot.u_m[j], snapshot.alpha[j], zeta)
-        block = slice(j * resolution, (j + 1) * resolution)
-        rows[block, 0] = snapshot.x[j]
-        rows[block, 1] = zeta
-        rows[block, 2] = u
+    rows = np.empty((len(snapshot.x), resolution, 3))
+    rows[:, :, 0] = snapshot.x[:, None]
+    rows[:, :, 1] = zeta
+    rows[:, :, 2] = reconstruct_velocity(basis, snapshot.u_m[:, None],
+                                         snapshot.alpha[:, None, :], zeta)
+    rows = rows.reshape(-1, 3)
     if path is not None:
         try:
             with open(path, "w", newline="") as f:
                 f.write("x,zeta,u\n")
-                for row in rows:
-                    f.write(",".join("%.17g" % v for v in row) + "\n")
+                # one format per chunk of rows bounds the text held in memory
+                for start in range(0, len(rows), _PROFILE_CHUNK_ROWS):
+                    chunk = rows[start:start + _PROFILE_CHUNK_ROWS]
+                    f.write(("%.17g,%.17g,%.17g\n" * len(chunk)) % tuple(chunk.ravel().tolist()))
         except OSError as exc:
             raise OSError(f"cannot write profile to {path}: {exc}") from exc
     return rows

@@ -3,14 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from swmoment.basis import gauss_rule
-from swmoment.friction import NewtonianSlip
+from swmoment.friction import Coulomb, MuI, MuIBottom, NewtonianSlip
 from swmoment import scheme
-from swmoment.hswme import system_matrix, system_matrix_batch, wavespeeds_batch
+from swmoment.hswme import source_batch, system_matrix, system_matrix_batch, wavespeeds_batch
 from swmoment.scheme import (
     WETTING_HYSTERESIS,
     Grid,
     StepperConfig,
+    _dry_after_transport,
+    _finalize,
     _path_matrices,
     _stored_dry,
     _transport,
@@ -23,6 +27,7 @@ from swmoment.scheme import (
     step_semi_implicit,
     viscosity_matrix,
 )
+from swmoment.sim import build_model, preset
 from swmoment.state import WetDryPolicy, to_conservative, to_primitive
 from swmoment.topography import RunoffBed
 from tests.conftest import random_wet_primitive
@@ -386,3 +391,104 @@ def test_steppers_with_window_bit_identical_to_full_width(case, basis2, monkeypa
             g = apply_transmissive_bc(g)
             g, _ = stepper(g, cfl_dt(g, cfg, EPS, THETA, basis2), MODEL, EPS, THETA, basis2, cfg)
         assert np.array_equal(U, g.U)
+
+
+def _semi_implicit_reference(grid, dt, model, eps, theta, basis, config):
+    """The semi-implicit step with the finite-difference Newton over all N+2
+    conservative rows, depth included, and one residual evaluation per
+    perturbed column."""
+    dry = _stored_dry(grid.U, grid.policy)
+    U_check = _transport(grid, dry, dt, eps, theta, basis, config.path_variable)
+    dry_after = _dry_after_transport(U_check, dry[1:-1], grid.policy)
+    idx = np.flatnonzero(~dry_after)
+    U_new = U_check.copy()
+    iters_total = iters_max = 0
+    target = U_check[idx]
+    dbdx = grid.dbdx[idx]
+
+    def residual(V, sub):
+        S = source_batch(to_primitive(V, grid.policy), model, theta, eps, dbdx[sub], basis)
+        return V - target[sub] - dt * S
+
+    V = target.copy()
+    R = residual(V, slice(None))
+    active = np.max(np.abs(R), axis=1) >= config.newton_tol
+    m = V.shape[1]
+    while np.any(active):
+        iters_max += 1
+        assert iters_max <= config.newton_max_iter
+        Va = V[active]
+        step = scheme.FD_EPS * np.maximum(1.0, np.abs(Va))
+        jac = np.empty((Va.shape[0], m, m))
+        for c in range(m):
+            Vp, Vm = Va.copy(), Va.copy()
+            Vp[:, c] += step[:, c]
+            Vm[:, c] -= step[:, c]
+            jac[:, :, c] = (residual(Vp, active) - residual(Vm, active)) / (2.0 * step[:, c])[:, None]
+        Va = Va - np.linalg.solve(jac, R[active][:, :, None])[:, :, 0]
+        V[active] = Va
+        R[active] = residual(Va, active)
+        iters_total += int(np.sum(active))
+        alive = np.flatnonzero(active)
+        active[alive[np.max(np.abs(R[active]), axis=1) < config.newton_tol]] = False
+    U_new[idx] = V
+    U_out, _ = _finalize(U_check, U_new, dry_after, grid.policy)
+    return U_check, U_out, iters_total, iters_max
+
+
+def _newton_models():
+    """name -> (model, N, step as a fraction of the CFL step)."""
+    granular = build_model(preset(4))
+    return {
+        "newtonian_slip": (MODEL, 2, 0.5),
+        "newtonian_manning": (build_model(preset(2, law="manning")), 2, 0.5),
+        "savage_hutter": (build_model(preset(3)), 2, 0.5),
+        "coulomb": (Coulomb(delta=math.radians(25.0), mu=0.4), 2, 0.5),
+        "muI_N1_muI_bottom": (replace(granular, bottom_law=MuIBottom()), 1, 0.5),
+        # the random profiles shear hard in thin cells, where the mu(I) bulk
+        # law is stiff enough that Newton needs a shorter step to converge
+        "muI_N3": (granular, 3, 0.1),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_newton_models()))
+def test_semi_implicit_newton_matches_full_jacobian_reference(name, basis1, basis2, basis3):
+    model, N, cfl_fraction = _newton_models()[name]
+    basis = {1: basis1, 2: basis2, 3: basis3}[N]
+    cfg = StepperConfig(mode="semi_implicit")
+    static = isinstance(model, MuI) and isinstance(model.bottom_law, MuIBottom)
+    for seed in range(3):
+        grid = _patch_grid(N, patches=[(2, 15), (22, 38)], J=40, seed=seed)
+        if static:
+            # a block with alpha = 0 slides at u_m = 0.3; where alpha_1 = 0 on
+            # both sides of an interface its moment fluctuations vanish, so the
+            # inner cells keep alpha = 0 exactly through transport and the
+            # residual is evaluated on the static-mobilization branch
+            U = grid.U.copy()
+            U[5:12, 1] = 0.3 * U[5:12, 0]
+            U[5:12, 2:] = 0.0
+            grid = _with_interior(grid, U[1:-1])
+        dt = cfl_fraction * cfl_dt(grid, cfg, EPS, THETA, basis)
+        U_check, U_ref, total_ref, max_ref = _semi_implicit_reference(
+            grid, dt, model, EPS, THETA, basis, cfg)
+        if static:
+            assert np.all(U_check[5:10, 2:] == 0.0)
+        got, info = step_semi_implicit(grid, dt, model, EPS, THETA, basis, cfg)
+        assert info["newton_iters_total"] == total_ref
+        assert info["newton_iters_max"] == max_ref >= 1
+        np.testing.assert_allclose(got.U[1:-1], U_ref, rtol=1e-10, atol=0.0)
+        wet = ~_dry_after_transport(U_check, _stored_dry(grid.U, POLICY)[1:-1], POLICY)
+        assert np.any(~wet)
+        assert np.array_equal(got.U[1:-1][wet, 0], U_check[wet, 0])
+
+
+def test_singular_newton_jacobian_reports_cell(basis2, monkeypatch):
+    grid = _uniform_grid(10, 2, h=0.08)
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(scheme.np.linalg, "solve", singular)
+    with pytest.raises(RuntimeError, match="singular Newton Jacobian in cell 1"):
+        step_semi_implicit(grid, 1e-3, MODEL, EPS, THETA, basis2,
+                           StepperConfig(mode="semi_implicit"))

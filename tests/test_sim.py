@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from swmoment import cli
+from swmoment.basis import reconstruct_velocity
 from swmoment.friction import (
     MuI,
     NewtonianManning,
@@ -25,6 +26,7 @@ from swmoment.sim import (
     read_config_file,
     run,
     write_snapshot,
+    write_summary,
 )
 
 PI4 = math.pi / 4
@@ -145,18 +147,33 @@ def test_run_lands_exactly_on_snapshot_times():
         assert np.any(recorded == t)
 
 
-def test_run_diagnostics_series():
+def test_run_diagnostics_series(tmp_path):
     cfg = preset(1, J=60, snapshot_times=(0.05,))
     res = run(cfg)
     d = res.diagnostics
     n = len(d["time"])
     assert n >= 1
-    for key in ("dt", "mass", "max_speed", "dry_cells", "sh_violations",
-                "newton_iters", "clamped_mass"):
+    for key in ("dt", "mass", "max_speed", "dry_cells", "newton_iters",
+                "newton_iters_max", "clamped_mass"):
         assert len(d[key]) == n
+    # the Savage-Hutter sliding-law check applies to Coulomb bottoms only
+    assert "sh_violations" not in d
+    # many wet cells iterate, each at most newton_iters_max times
+    assert np.all(d["newton_iters_max"] >= 1)
+    assert np.all(d["newton_iters_max"] < d["newton_iters"])
     assert np.all(d["dt"] > 0.0) and np.all(np.isfinite(d["mass"]))
     mass0 = 0.08 * (0.5 - 0.3)
     assert np.max(np.abs(d["mass"] - mass0)) / mass0 < 1e-8
+    write_summary(res, str(tmp_path / "summary.txt"))
+    header = (tmp_path / "summary.txt").read_text().split("# diagnostics\n")[1].split("\n")[0]
+    assert header.split(",") == list(d)
+    assert "newton_iters_max" in header and "sh_violations" not in header
+
+    explicit = run(preset(3, J=60, snapshot_times=(0.02,))).diagnostics
+    n = len(explicit["time"])
+    assert n >= 1
+    assert len(explicit["sh_violations"]) == n
+    assert np.array_equal(explicit["newton_iters_max"], np.zeros(n))
 
 
 def test_run_is_deterministic():
@@ -262,6 +279,29 @@ def test_profile_file_output(tmp_path, basis2):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "x,zeta,u"
     assert len(lines) == 1 + rows.shape[0]
+
+
+def test_profile_equals_per_cell_loop(tmp_path, basis2):
+    # 50 cells x 33 levels = 1650 rows, not a multiple of the write chunk
+    J, res = 50, 33
+    rng = np.random.default_rng(21)
+    h = rng.uniform(0.01, 0.1, J)
+    alpha = rng.uniform(-0.3, 0.3, (J, 2))
+    u_m = rng.uniform(-1.0, 1.0, J)
+    snap = Snapshot(time=0.0, x=np.sort(rng.uniform(0.0, 1.0, J)), h=h, u_m=u_m,
+                    alpha=alpha, u_bottom=u_m + alpha.sum(axis=1), h_s=h)
+    path = tmp_path / "field.csv"
+    rows = emit_profile(snap, basis2, res, str(path))
+    zeta = np.linspace(0.0, 1.0, res)
+    expected = np.empty((J * res, 3))
+    lines = ["x,zeta,u"]
+    for j in range(J):
+        u = reconstruct_velocity(basis2, u_m[j], alpha[j], zeta)
+        for i in range(res):
+            expected[j * res + i] = (snap.x[j], zeta[i], u[i])
+            lines.append(",".join("%.17g" % v for v in expected[j * res + i]))
+    assert np.array_equal(rows, expected)
+    assert path.read_text() == "\n".join(lines) + "\n"
 
 
 def test_front_position_threshold():
