@@ -262,8 +262,9 @@ def _stable_G(A: float, B: float, C: float) -> float:
     return 0.5 * math.log1p(2.0 * w / (b - w)) / (A * b)
 
 
-def _rational_integral(p: list[float], A: float, B: float, C: float) -> float:
-    """int_0^1 P(xi) / (A xi^2 - C xi + B) dxi by synthetic division."""
+def _rational_integral(p: list[float], A: float, B: float, C: float, G: float, L: float) -> float:
+    """int_0^1 P(xi) / (A xi^2 - C xi + B) dxi by synthetic division, given
+    G = _stable_G(A, B, C) and L = log|(A - C + B) / B|."""
     p = list(p)
     n = len(p) - 1
     quotient = [0.0] * max(n - 1, 0)
@@ -277,17 +278,24 @@ def _rational_integral(p: list[float], A: float, B: float, C: float) -> float:
     r1 = p[1] if len(p) > 1 else 0.0
     r0 = p[0]
     poly_part = sum(c / (k + 1.0) for k, c in enumerate(quotient))
-    log_part = (r1 / (2.0 * A)) * math.log(abs((A - C + B) / B))
-    return poly_part + log_part + (r0 + r1 * C / (2.0 * A)) * _stable_G(A, B, C)
+    log_part = (r1 / (2.0 * A)) * L
+    return poly_part + log_part + (r0 + r1 * C / (2.0 * A)) * G
 
 
-def _quad_interval(h: float, alpha: np.ndarray, params: "MuI", basis: MomentBasis,
-                   lo: float, hi: float, points: int) -> np.ndarray:
-    """Bulk quadrature on a xi-subinterval (used for interior shear sign changes)."""
-    xi, w = gauss_rule(points)
-    xi = lo + (hi - lo) * xi
-    w = (hi - lo) * w
-    return _bulk_quadrature_core(np.array([h]), alpha[None, :], params, basis, xi, w)[0]
+def _closed_form_conditioned(A, B, C):
+    """Where the case-one closed form is accurate, elementwise: below
+    |A| = 0.5 max(|B|, C) its division by A amplifies rounding up to ~1e11."""
+    return (np.abs(A) >= 0.5 * np.maximum(np.abs(B), C)) & (np.abs(B) >= 1e-8 * np.maximum(np.abs(A), C))
+
+
+def _case_one_closed_form(h: float, A: float, B: float, C: float, params: "MuI") -> tuple[float, float]:
+    """Rational closed form of (T_1, T_2) for a single-signed increasing profile."""
+    G = _stable_G(A, B, C)
+    L = math.log(abs((A - C + B) / B))
+    J1 = _rational_integral([0.0, 0.0, 0.0, B, 0.0, A], A, B, C, G, L)
+    J2 = _rational_integral([0.0, 0.0, 0.0, -B, 0.0, 2.0 * B - A, 0.0, 2.0 * A], A, B, C, G, L)
+    dmu = params.mu_2 - params.mu_s
+    return (-h * params.mu_s - 4.0 * h * dmu * J1, -h * params.mu_s - 12.0 * h * dmu * J2)
 
 
 def muI_bulk_analytic_N2(h: float, alpha_1: float, alpha_2: float, params: "MuI",
@@ -306,50 +314,95 @@ def muI_bulk_analytic_N2(h: float, alpha_1: float, alpha_2: float, params: "MuI"
     if alpha_2 == 0.0:
         return tuple(muI_bulk_quadrature(h, alpha, params, basis))
     zeta_star = 0.5 * (1.0 + alpha_1 / (3.0 * alpha_2))
-    A = 12.0 * alpha_2
-    B = 2.0 * alpha_1 - 6.0 * alpha_2
-    C = params.c_I * h**1.5
-    dmu = params.mu_2 - params.mu_s
     case_one = (alpha_2 > 0.0 and zeta_star <= 0.0) or (alpha_2 < 0.0 and zeta_star >= 1.0)
     if case_one:
-        well_conditioned = abs(A) >= 0.5 * max(abs(B), C) and abs(B) >= 1e-8 * max(abs(A), C)
-        if well_conditioned:
-            J1 = _rational_integral([0.0, 0.0, 0.0, B, 0.0, A], A, B, C)
-            J2 = _rational_integral([0.0, 0.0, 0.0, -B, 0.0, 2.0 * B - A, 0.0, 2.0 * A], A, B, C)
-            return (-h * params.mu_s - 4.0 * h * dmu * J1,
-                    -h * params.mu_s - 12.0 * h * dmu * J2)
+        A = 12.0 * alpha_2
+        B = 2.0 * alpha_1 - 6.0 * alpha_2
+        C = params.c_I * h**1.5
+        if _closed_form_conditioned(A, B, C):
+            return _case_one_closed_form(h, A, B, C, params)
         return tuple(muI_bulk_quadrature(h, alpha, params, basis, points=32))
     if 0.0 < zeta_star < 1.0:
-        xi_star = math.sqrt(1.0 - zeta_star)
-        points = max(params.quad_points, 16)
-        T = (_quad_interval(h, alpha, params, basis, 0.0, xi_star, points)
-             + _quad_interval(h, alpha, params, basis, xi_star, 1.0, points))
-        return (T[0], T[1])
+        T = _split_quadrature(np.array([h]), alpha[None, :], np.array([zeta_star]), params, basis)
+        return (T[0, 0], T[0, 1])
     return tuple(muI_bulk_quadrature(h, alpha, params, basis))
 
 
+def _split_quadrature(h: np.ndarray, alpha: np.ndarray, zeta_star: np.ndarray, params: "MuI",
+                      basis: MomentBasis) -> np.ndarray:
+    """N=2 bulk quadrature of rows whose shear changes sign at 0 < zeta_star < 1.
+
+    Each row is integrated on [0, xi*] and [xi*, 1] with xi* = sqrt(1 - zeta_star),
+    max(quad_points, 16) Gauss nodes per subinterval.
+    """
+    xi, w = gauss_rule(max(params.quad_points, 16))
+    xi_star = np.sqrt(1.0 - zeta_star)
+    lo = np.concatenate([np.zeros_like(xi_star), xi_star])[:, None]
+    hi = np.concatenate([xi_star, np.ones_like(xi_star)])[:, None]
+    T = _bulk_quadrature_core(np.concatenate([h, h]), np.concatenate([alpha, alpha]), params,
+                              basis, lo + (hi - lo) * xi, (hi - lo) * w)
+    return T[:len(h)] + T[len(h):]
+
+
+def _muI_bulk_N2(h: np.ndarray, alpha: np.ndarray, params: "MuI", basis: MomentBasis) -> np.ndarray:
+    """muI_bulk_analytic_N2 of rows h (M,), alpha (M, 2), with its bits in every row.
+
+    Rows are sorted into its regimes by array masks, and each quadrature
+    regime is integrated in one batch. Only the closed form runs per row, on
+    Python floats: it rests on scalar `** 1.5`, `math.atan` and `math.log1p`,
+    which can differ from numpy's array loops in the last bit.
+    """
+    a1, a2 = alpha[:, 0], alpha[:, 1]
+    flat = a2 == 0.0
+    zeta_star = 0.5 * (1.0 + a1 / (3.0 * np.where(flat, 1.0, a2)))
+    case_one = ~flat & (((a2 > 0.0) & (zeta_star <= 0.0)) | ((a2 < 0.0) & (zeta_star >= 1.0)))
+    split = ~flat & ~case_one & (0.0 < zeta_star) & (zeta_star < 1.0)
+    plain = ~(case_one | split)
+    T = np.empty((len(h), 2))
+    if np.any(split):
+        T[split] = _split_quadrature(h[split], alpha[split], zeta_star[split], params, basis)
+    if np.any(plain):
+        T[plain] = muI_bulk_quadrature(h[plain], alpha[plain], params, basis)
+    one = np.flatnonzero(case_one)
+    A = 12.0 * a2[one]
+    B = 2.0 * a1[one] - 6.0 * a2[one]
+    C = params.c_I * np.array([x**1.5 for x in h[one].tolist()])
+    closed = _closed_form_conditioned(A, B, C)
+    ill = one[~closed]
+    if ill.size:
+        T[ill] = muI_bulk_quadrature(h[ill], alpha[ill], params, basis, points=32)
+    if np.any(closed):
+        rows = zip(*(x[closed].tolist() for x in (h[one], A, B, C)))
+        T[one[closed]] = [_case_one_closed_form(*row, params) for row in rows]
+    return T
+
+
 def _dphi_at_xi(basis: MomentBasis, xi: np.ndarray) -> np.ndarray:
-    """phi_j' evaluated at zeta = 1 - xi^2, rows j = 1..N."""
-    z = 1.0 - xi * xi
-    out = np.zeros((basis.N, len(xi)))
-    for j in range(basis.N):
-        acc = np.zeros_like(z)
-        for c in basis.dphi[j, ::-1]:
-            acc = acc * z + c
-        out[j] = acc
+    """phi_j' at zeta = 1 - xi^2, rows j = 1..N: (N, k) for xi (k,), (M, N, k) for xi (M, k)."""
+    z = (1.0 - xi * xi)[..., None, :]
+    out = np.zeros(xi.shape[:-1] + (basis.N, xi.shape[-1]))
+    for c in basis.dphi[:, ::-1].T:
+        out = out * z + c[:, None]
     return out
 
 
 def _bulk_quadrature_core(h: np.ndarray, alpha: np.ndarray, params: "MuI",
                           basis: MomentBasis, xi: np.ndarray, w: np.ndarray) -> np.ndarray:
-    dphi = _dphi_at_xi(basis, xi)  # (N, k)
-    shear = alpha @ dphi  # (M, k)
-    denom = (params.c_I * h**1.5)[:, None] * xi[None, :] + np.abs(shear)
-    mu = params.mu_s + (params.mu_2 - params.mu_s) * np.abs(shear) / denom
+    """Bulk quadrature of rows h (M,), alpha (M, N) on nodes shared (k,) or per row (M, k).
+
+    Both contractions are stacked one-row matmuls, which run the same kernel
+    for every row whatever M is, so a row gets the same bits alone as in any
+    batch (a 2-D matmul over rows or einsum would not).
+    """
+    dphi = _dphi_at_xi(basis, xi)  # (N, k) or (M, N, k)
+    shear = (alpha[:, None, :] @ dphi)[:, 0, :]  # (M, k)
+    rate = np.abs(shear)
+    denom = (params.c_I * h**1.5)[:, None] * xi + rate
+    mu = params.mu_s + (params.mu_2 - params.mu_s) * rate / denom
     # d zeta = -2 xi d xi and (1 - zeta) = xi^2; orientation flip absorbed
     weight = w * 2.0 * xi**3
-    integrand = mu * np.sign(shear) * weight[None, :]
-    return h[:, None] * (integrand @ dphi.T)
+    integrand = mu * np.sign(shear) * weight
+    return h[:, None] * (integrand[:, None, :] @ np.swapaxes(dphi, -1, -2))[:, 0, :]
 
 
 def muI_bulk_quadrature(h, alpha, params: "MuI", basis: MomentBasis, points: int | None = None):
@@ -380,7 +433,10 @@ class MuI(_StressFree):
 
     The friction coefficient interpolates between mu_s and mu_2 with the local
     shear rate; c_I collects the dimensionless inertial scaling. The bottom law
-    is selectable; the bulk uses closed forms for N <= 2 and quadrature above.
+    is selectable. The bulk uses the closed form at N=1, the regimes of
+    muI_bulk_analytic_N2 at N=2 (quadrature rows batched, closed-form rows per
+    cell) and quad_points-node quadrature above. Each row of bulk_terms has
+    the bits it would have if evaluated alone.
     """
 
     mu_s: float
@@ -431,7 +487,7 @@ class MuI(_StressFree):
                 # decreasing profiles via the exact oddness of the bulk integral
                 T[~increasing, 0] = -muI_bulk_analytic_N1(h[~increasing], -a1[~increasing], self)
         elif basis.N == 2:
-            T = np.array([muI_bulk_analytic_N2(hr, a[0], a[1], self, basis) for hr, a in zip(h, alpha)])
+            T = _muI_bulk_N2(h, alpha, self, basis)
         else:
             T = muI_bulk_quadrature(h, alpha, self, basis)
         return T[0] if single else T

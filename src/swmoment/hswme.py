@@ -29,8 +29,7 @@ def system_matrix_batch(P: np.ndarray, eps: float, theta: float, basis: MomentBa
     """
     P = np.asarray(P, dtype=float)
     M = P.shape[0]
-    N = basis.N
-    m = N + 2
+    m = basis.N + 2
     h, u_m, a1 = P[:, 0], P[:, 1], P[:, 2]
     A = np.zeros((M, m, m))
     A[:, 0, 1] = 1.0
@@ -38,16 +37,14 @@ def system_matrix_batch(P: np.ndarray, eps: float, theta: float, basis: MomentBa
     A[:, 1, 1] = 2.0 * u_m
     A[:, 1, 2] = (2.0 / 3.0) * a1
     coup = 2.0 * basis.A[:, :, 0] + basis.B[:, :, 0]  # (N, N), couples alpha_1
-    for i in range(N):
-        row = i + 2
-        A[:, row, 0] = -basis.A[i, 0, 0] * a1 * a1
-        if i == 0:
-            A[:, row, 0] -= 2.0 * u_m * a1
-            A[:, row, 1] = 2.0 * a1
-        for l in range(N):
-            A[:, row, l + 2] = coup[i, l] * a1
-            if l == i:
-                A[:, row, l + 2] += u_m
+    # whole-block assignments with each entry's operation order kept, so
+    # every entry has the bits of an entry-by-entry build
+    A[:, 2:, 0] = -basis.A[:, 0, 0] * a1[:, None] * a1[:, None]
+    A[:, 2, 0] -= 2.0 * u_m * a1
+    A[:, 2, 1] = 2.0 * a1
+    A[:, 2:, 2:] = coup * a1[:, None, None]
+    diag = np.arange(2, m)
+    A[:, diag, diag] += u_m[:, None]
     return A
 
 

@@ -135,25 +135,23 @@ def _path_matrices(U: np.ndarray, dry: np.ndarray, policy: WetDryPolicy, eps: fl
     state's matrix (constant path); dry-dry interfaces are flagged inert (no
     fluctuations). Returns (A, inert).
     """
-    P = to_primitive(U, policy)
     wet = ~dry
     wet_l, wet_r = wet[:-1], wet[1:]
     inert = ~(wet_l | wet_r)
-    if path == "primitive":
-        left = np.where(wet_l[:, None], P[:-1], P[1:])
-        right = np.where(wet_r[:, None], P[1:], P[:-1])
-        nodes, weights = _PATH_RULE
-        A = np.zeros((U.shape[0] - 1, U.shape[1], U.shape[1]))
-        for s, w in zip(nodes, weights):
-            A += w * system_matrix_batch(left + s * (right - left), eps, theta, basis)
-    else:
-        left = np.where(wet_l[:, None], U[:-1], U[1:])
-        right = np.where(wet_r[:, None], U[1:], U[:-1])
-        nodes, weights = _PATH_RULE
-        A = np.zeros((U.shape[0] - 1, U.shape[1], U.shape[1]))
-        for s, w in zip(nodes, weights):
-            P_s = to_primitive(left + s * (right - left), policy)
-            A += w * system_matrix_batch(P_s, eps, theta, basis)
+    X = to_primitive(U, policy) if path == "primitive" else U
+    left = np.where(wet_l[:, None], X[:-1], X[1:])
+    right = np.where(wet_r[:, None], X[1:], X[:-1])
+    nodes, weights = _PATH_RULE
+    # one call for all Gauss-node states; summing them in node order keeps
+    # the bits of one call per node
+    states = np.concatenate([left + s * (right - left) for s in nodes])
+    if path != "primitive":
+        states = to_primitive(states, policy)
+    m = U.shape[1]
+    A_nodes = system_matrix_batch(states, eps, theta, basis).reshape(len(nodes), len(left), m, m)
+    A = np.zeros(A_nodes.shape[1:])
+    for w, A_s in zip(weights, A_nodes):
+        A += w * A_s
     return A, inert
 
 

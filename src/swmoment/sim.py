@@ -485,7 +485,8 @@ def config_to_mapping(config: SimConfig) -> dict:
                     "newton_tol": config.newton_tol,
                     "newton_max_iter": config.newton_max_iter,
                     "dt_max": config.dt_max, "path_variable": config.path_variable,
-                    "h_min": config.h_min, "quad_points": config.quad_points},
+                    "h_min": config.h_min, "quad_points": config.quad_points,
+                    "max_steps": config.max_steps},
         "output": {"times": " ".join("%.17g" % t for t in config.snapshot_times),
                    "flip_topography_sign": config.flip_topography_sign},
     }
@@ -560,7 +561,7 @@ def config_from_mapping(mapping: dict) -> SimConfig:
     for key, cast in (("mode", str), ("cfl", float), ("newton_tol", float),
                       ("newton_max_iter", int), ("dt_max", float),
                       ("dt_fixed", float), ("path_variable", str),
-                      ("h_min", float), ("quad_points", int)):
+                      ("h_min", float), ("quad_points", int), ("max_steps", int)):
         if key in stepper:
             kw[key] = cast(stepper[key])
     if "times" in output:
@@ -572,8 +573,6 @@ def config_from_mapping(mapping: dict) -> SimConfig:
         kw["profile_resolution"] = int(output["profile_resolution"])
     if "flip_topography_sign" in output:
         kw["flip_topography_sign"] = output["flip_topography_sign"].strip().lower() in ("true", "1", "yes")
-    if "max_steps" in stepper:
-        kw["max_steps"] = int(stepper["max_steps"])
     return SimConfig(**kw)
 
 

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swmoment.basis import build_basis
+from swmoment.basis import build_basis, gauss_rule
 from swmoment.friction import (
     Coulomb,
     CoulombBottom,
@@ -245,6 +246,105 @@ def test_muI_conditioning_guard_fallback_agrees(basis2):
         q1, q2 = muI_bulk_quadrature(h, np.array([a1, a2]), GRAN, basis2, points=64)
         assert t1 == pytest.approx(q1, rel=1e-9)
         assert t2 == pytest.approx(q2, rel=1e-9)
+
+
+def _N2_regime_rows(rng, per_regime=500):
+    """Primitive N=2 rows covering every branch of muI_bulk_analytic_N2.
+
+    With zeta* = (1 + a1/(3 a2))/2: a2 = 0 (plain quadrature), |a1| < 3|a2|
+    (interior sign change, split quadrature), a1 <= -3|a2| (case one, closed
+    form or its ill-conditioned quadrature fallback), a1 >= 3|a2| (plain
+    quadrature); heights down to 1e-6 and moments over ten decades.
+    """
+    M = 4 * per_regime
+    h = 10.0 ** rng.uniform(-6, -1, M)
+    a2 = rng.choice([-1.0, 1.0], M) * 10.0 ** rng.uniform(-10, 0, M)
+    u = rng.uniform(0.0, 1.0, M)
+    a1 = np.empty(M)
+    flat, split, case_one, rest = np.split(np.arange(M), 4)
+    a1[flat] = rng.choice([-1.0, 1.0], per_regime) * 10.0 ** rng.uniform(-8, 0, per_regime)
+    a2[flat] = 0.0
+    a1[split] = 3.0 * np.abs(a2[split]) * (2.0 * u[split] - 1.0)
+    a1[case_one] = -3.0 * np.abs(a2[case_one]) * (1.0 + 10.0 ** rng.uniform(-3, 3, per_regime))
+    a1[rest] = 3.0 * np.abs(a2[rest]) * (1.0 + 10.0 ** rng.uniform(-3, 3, per_regime))
+    P = np.column_stack([h, rng.uniform(-1.0, 1.0, M), a1, a2])
+    # zeta* = 0 and zeta* = 1 exactly, from either sign of a2
+    edges = np.array([[0.05, 0.1, -0.75, 0.25], [0.05, 0.1, 0.75, 0.25],
+                      [0.01, 0.1, -0.75, -0.25], [0.01, 0.1, 0.75, -0.25]])
+    return np.vstack([P, edges])
+
+
+@pytest.mark.parametrize("quad_points", [8, 32])
+def test_muI_N2_batch_equals_scalar_law_in_every_regime(basis2, quad_points):
+    model = MuI(mu_s=0.48, mu_2=0.73, c_I=C_I, bottom_law=MuIBottom(), quad_points=quad_points)
+    P = _N2_regime_rows(np.random.default_rng(17))
+    h, a1, a2 = P[:, 0], P[:, 2], P[:, 3]
+    A, B, C = 12.0 * np.abs(a2), np.abs(2.0 * a1 - 6.0 * a2), C_I * h**1.5
+    case_one = a1 <= -3.0 * np.abs(a2)
+    well = (A >= 0.5 * np.maximum(B, C)) & (B >= 1e-8 * np.maximum(A, C))
+    # the draw reaches both conditioning branches of case one
+    assert np.sum(case_one & (a2 != 0.0) & well) >= 10
+    assert np.sum(case_one & (a2 != 0.0) & ~well) >= 10
+    scalar = np.array([muI_bulk_analytic_N2(p[0], p[2], p[3], model, basis2) for p in P])
+    assert np.array_equal(bulk_terms(model, P, basis2), scalar)
+
+
+def _one_row_quadrature(h, alpha, params, basis, lo, hi, points):
+    """Bulk quadrature of one row on xi in [lo, hi], written with plain 2-D
+    products on a (1, N) row: the reference the batched forms must equal."""
+    xi, w = gauss_rule(points)
+    xi = lo + (hi - lo) * xi
+    w = (hi - lo) * w
+    z = 1.0 - xi * xi
+    dphi = np.zeros((basis.N, len(xi)))
+    for j in range(basis.N):
+        for c in basis.dphi[j, ::-1]:
+            dphi[j] = dphi[j] * z + c
+    h = np.array([h])
+    shear = np.asarray(alpha, dtype=float)[None, :] @ dphi
+    denom = (params.c_I * h**1.5)[:, None] * xi[None, :] + np.abs(shear)
+    mu = params.mu_s + (params.mu_2 - params.mu_s) * np.abs(shear) / denom
+    integrand = mu * np.sign(shear) * (w * 2.0 * xi**3)[None, :]
+    return (h[:, None] * (integrand @ dphi.T))[0]
+
+
+@pytest.mark.parametrize("quad_points", [8, 32])
+def test_muI_quadrature_matches_one_row_products(basis2, basis3, quad_points):
+    # einsum or a 2-D matmul over many rows rounds differently from these
+    # one-row products; the batched law must keep their bits
+    model = MuI(mu_s=0.48, mu_2=0.73, c_I=C_I, bottom_law=MuIBottom(), quad_points=quad_points)
+    P = _N2_regime_rows(np.random.default_rng(31), per_regime=15)
+    h, a1, a2 = P[:, 0], P[:, 2], P[:, 3]
+    zeta_star = 0.5 * (1.0 + a1 / (3.0 * np.where(a2 == 0.0, 1.0, a2)))
+    split = (a2 != 0.0) & (np.abs(a1) < 3.0 * np.abs(a2))
+    plain = (a2 == 0.0) | (~split & (a1 > -3.0 * np.abs(a2)))
+    ref = np.zeros((len(P), 2))
+    for i in np.flatnonzero(split):
+        xi_star = math.sqrt(1.0 - zeta_star[i])
+        points = max(quad_points, 16)
+        ref[i] = (_one_row_quadrature(h[i], P[i, 2:], model, basis2, 0.0, xi_star, points)
+                  + _one_row_quadrature(h[i], P[i, 2:], model, basis2, xi_star, 1.0, points))
+    for i in np.flatnonzero(plain):
+        ref[i] = _one_row_quadrature(h[i], P[i, 2:], model, basis2, 0.0, 1.0, quad_points)
+    rows = split | plain
+    assert np.sum(split) >= 10 and np.sum(plain & (a2 != 0.0)) >= 10
+    assert np.array_equal(bulk_terms(model, P[rows], basis2), ref[rows])
+    P3 = random_wet_primitive(np.random.default_rng(37), 3, 40, h_range=(1e-6, 0.1))
+    ref3 = [_one_row_quadrature(p[0], p[2:], model, basis3, 0.0, 1.0, quad_points) for p in P3]
+    assert np.array_equal(bulk_terms(model, P3, basis3), np.array(ref3))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 6])
+def test_muI_bulk_terms_row_independent(N, basis1, basis2, basis3, basis6):
+    # a cell's bulk friction must not depend on which cells share the call
+    basis = {1: basis1, 2: basis2, 3: basis3, 6: basis6}[N]
+    P = random_wet_primitive(np.random.default_rng(23 + N), N, 150, h_range=(1e-6, 0.1))
+    if N == 2:
+        P = np.vstack([P, _N2_regime_rows(np.random.default_rng(29), per_regime=15)])
+    P[::7, 2:] = -np.abs(P[::7, 2:])
+    for model in (GRAN, replace(GRAN, quad_points=8)):
+        single = np.array([bulk_terms(model, p, basis) for p in P])
+        assert np.array_equal(bulk_terms(model, P, basis), single)
 
 
 def test_muI_quadrature_needs_two_points(basis2):

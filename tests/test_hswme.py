@@ -1,4 +1,5 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from swmoment.hswme import (
 from tests.conftest import random_wet_primitive
 
 EPS, THETA = 0.01, math.pi / 4
+
+_basis = lru_cache(maxsize=None)(build_basis)
 
 
 def test_system_matrix_N1_structure(basis1):
@@ -179,7 +182,7 @@ def test_spectral_radius_closed_form_matches_eigvals():
     # which is safe only while it tracks the eigen-solve far more tightly
     rng = np.random.default_rng(21)
     for N in range(1, 13):
-        basis = build_basis(N)
+        basis = _basis(N)
         P = random_wet_primitive(rng, N, 300, h_range=(1e-6, 0.1))
         P[::4, 2] = 0.0
         P[1::4, 1] = -np.abs(P[1::4, 1])
@@ -188,3 +191,36 @@ def test_spectral_radius_closed_form_matches_eigvals():
         rho = spectral_radius_batch(P, EPS, THETA)
         gap = np.max(np.abs(rho - lam) / lam)
         assert gap < 1e-10, f"N={N}: relative gap {gap:.3e}"
+
+
+def _system_matrix_entrywise(P, eps, theta, basis):
+    """Transport matrices built entry by entry: the reference for the
+    whole-block assignments of system_matrix_batch."""
+    M, N = P.shape[0], basis.N
+    h, u_m, a1 = P[:, 0], P[:, 1], P[:, 2]
+    A = np.zeros((M, N + 2, N + 2))
+    A[:, 0, 1] = 1.0
+    A[:, 1, 0] = eps * math.cos(theta) * h - u_m * u_m - a1 * a1 / 3.0
+    A[:, 1, 1] = 2.0 * u_m
+    A[:, 1, 2] = (2.0 / 3.0) * a1
+    coup = 2.0 * basis.A[:, :, 0] + basis.B[:, :, 0]
+    for i in range(N):
+        row = i + 2
+        A[:, row, 0] = -basis.A[i, 0, 0] * a1 * a1
+        if i == 0:
+            A[:, row, 0] -= 2.0 * u_m * a1
+            A[:, row, 1] = 2.0 * a1
+        for l in range(N):
+            A[:, row, l + 2] = coup[i, l] * a1
+            if l == i:
+                A[:, row, l + 2] += u_m
+    return A
+
+
+def test_system_matrix_batch_equals_entrywise_build():
+    rng = np.random.default_rng(41)
+    for N in range(1, 13):
+        P = random_wet_primitive(rng, N, 100, h_range=(1e-6, 0.1))
+        P[::5, 2] = 0.0
+        expected = _system_matrix_entrywise(P, EPS, THETA, _basis(N))
+        assert np.array_equal(system_matrix_batch(P, EPS, THETA, _basis(N)), expected), f"N={N}"

@@ -360,6 +360,31 @@ WINDOW_CASES = {
 }
 
 
+def _path_matrices_per_node(U, dry, policy, eps, theta, basis, path):
+    """Path matrices with one system_matrix_batch call per Gauss node."""
+    wet = ~dry
+    X = to_primitive(U, policy) if path == "primitive" else U
+    left = np.where(wet[:-1, None], X[:-1], X[1:])
+    right = np.where(wet[1:, None], X[1:], X[:-1])
+    A = np.zeros((U.shape[0] - 1, U.shape[1], U.shape[1]))
+    for s, w in zip(*scheme._PATH_RULE):
+        state = left + s * (right - left)
+        if path != "primitive":
+            state = to_primitive(state, policy)
+        A += w * system_matrix_batch(state, eps, theta, basis)
+    return A
+
+
+@pytest.mark.parametrize("path", ["primitive", "conservative"])
+@pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+def test_path_matrices_stacked_call_equals_per_node_calls(case, path, basis2):
+    grid = _patch_grid(2, **WINDOW_CASES[case])
+    dry = _stored_dry(grid.U, POLICY)
+    A, inert = _path_matrices(grid.U, dry, POLICY, EPS, THETA, basis2, path)
+    assert np.array_equal(A, _path_matrices_per_node(grid.U, dry, POLICY, EPS, THETA, basis2, path))
+    assert np.array_equal(inert, dry[:-1] & dry[1:])
+
+
 @pytest.mark.parametrize("path", ["primitive", "conservative"])
 @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
 def test_transport_window_bit_identical_to_full_width(case, path, basis2):

@@ -13,6 +13,7 @@ from swmoment.friction import (
     NewtonianSlip,
     SavageHutter,
     SlipBottom,
+    muI_bulk_analytic_N2,
 )
 from swmoment.sim import (
     SimConfig,
@@ -185,6 +186,23 @@ def test_run_is_deterministic():
     assert np.array_equal(a.alpha, b.alpha)
 
 
+def test_run_muI_N2_batched_bulk_equals_per_cell_law(monkeypatch):
+    # the batched N=2 bulk keeps every cell's bits, so the whole run is
+    # unchanged; one ulp added to its split-interval rows changes this state
+    cfg = preset(4, N=2, J=40)
+    batched = run(cfg)
+
+    def per_cell_bulk(self, P, basis):
+        return np.array([muI_bulk_analytic_N2(p[0], p[2], p[3], self, basis) for p in P])
+
+    monkeypatch.setattr(MuI, "bulk_terms", per_cell_bulk)
+    per_cell = run(cfg)
+    assert len(batched.snapshots) == len(per_cell.snapshots) == len(cfg.snapshot_times)
+    for a, b in zip(batched.snapshots, per_cell.snapshots):
+        assert np.array_equal(a.h, b.h) and np.array_equal(a.u_m, b.u_m)
+        assert np.array_equal(a.alpha, b.alpha)
+
+
 def test_run_abort_reports_time_and_cell():
     cfg = preset(1, J=20, newton_max_iter=0, snapshot_times=(0.01,))
     with pytest.raises(RuntimeError, match=r"aborted at t=.*cell"):
@@ -321,6 +339,7 @@ def test_front_position_threshold():
     (2, {"law": "manning"}),
     (3, {"delta_deg": 18.0}),
     (4, {"bathymetry": "runoff"}),
+    (1, {"J": 40, "max_steps": 7}),
 ])
 def test_config_mapping_round_trip(example, kwargs):
     cfg = preset(example, **kwargs)
