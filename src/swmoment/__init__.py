@@ -7,26 +7,19 @@ Coulomb-type, and inertial-number-dependent granular friction closures.
 
 from .basis import MomentBasis, build_basis, eval_dphi, eval_phi, gauss_rule, reconstruct_velocity
 from .friction import (
-    Coulomb,
+    ConstantCoulomb,
     CoulombBottom,
     ManningBottom,
     MuI,
     MuIBottom,
-    NewtonianManning,
-    NewtonianSlip,
-    SavageHutter,
+    Newtonian,
     SlipBottom,
-    bottom_stress,
-    bulk_terms,
     derive_dimensionless,
     savage_hutter_violations,
-    surface_stress,
 )
 from .hswme import (
     equilibrium_residual,
-    max_wavespeed,
     source,
-    source_parts,
     system_matrix,
     wavespeeds_batch,
 )

@@ -1,9 +1,12 @@
-"""Friction models: bottom stress, surface stress, and bulk moment terms.
+"""Friction models: one bottom law composed with one bulk law.
 
-Every model consumes primitive rows (h, u_m, alpha_1..alpha_N) — a single row or
-a batch (M, N+2) — and produces the bottom stress, the (always zero) surface
-stress, and the bulk terms T_i = int_0^1 phi_i' tau dzeta. Callers must skip
-dry cells; heights must be positive here.
+A model is its bulk law (Newtonian, ConstantCoulomb, MuI) and carries a
+bottom law (SlipBottom, ManningBottom, CoulombBottom, MuIBottom) as its
+bottom_law field. Both consume primitive rows (h, u_m, alpha_1..alpha_N);
+the model's `stresses` returns the bottom stress tau_b and the bulk terms
+T_i = int_0^1 phi_i' tau dzeta, for a single row or a batch (M, N+2). The
+free surface carries no stress. Callers must skip dry cells; heights must be
+positive here.
 """
 
 import math
@@ -14,18 +17,13 @@ import numpy as np
 from .basis import MomentBasis, gauss_rule
 
 __all__ = [
-    "NewtonianSlip",
-    "NewtonianManning",
-    "SavageHutter",
-    "Coulomb",
+    "Newtonian",
+    "ConstantCoulomb",
     "MuI",
     "SlipBottom",
     "ManningBottom",
     "CoulombBottom",
     "MuIBottom",
-    "bottom_stress",
-    "surface_stress",
-    "bulk_terms",
     "muI_bulk_analytic_N1",
     "muI_bulk_analytic_N2",
     "muI_bulk_quadrature",
@@ -54,26 +52,9 @@ def _bottom_velocity(P: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bottom_shear(P: np.ndarray, basis: MomentBasis) -> np.ndarray:
-    """d/dzeta u at zeta = 0: sum_j alpha_j phi_j'(0)."""
-    dphi0 = basis.dphi[:, 0]
-    return P[:, 2:] @ dphi0
-
-
-class _StressFree:
-    """Shared stress-free-surface behavior."""
-
-    def surface_stress(self) -> float:
-        return 0.0
-
-    def stresses(self, P, basis: MomentBasis):
-        """(bottom, surface, bulk) triple used by the source assembly."""
-        return self.bottom_stress(P, basis), 0.0, self.bulk_terms(P, basis)
-
-
 @dataclass(frozen=True)
-class NewtonianSlip(_StressFree):
-    """Navier slip bottom with Newtonian interior: nu viscosity, lam slip length."""
+class SlipBottom:
+    """Navier slip: tau_b = (nu / lam) u_b, with viscosity nu and slip length lam."""
 
     nu: float
     lam: float
@@ -84,117 +65,95 @@ class NewtonianSlip(_StressFree):
         if self.nu < 0.0:
             raise ValueError("viscosity must be nonnegative")
 
-    def bottom_stress(self, P, basis: MomentBasis):
-        P, single = _as_rows(P)
-        _require_wet(P[:, 0])
-        out = (self.nu / self.lam) * _bottom_velocity(P)
-        return out[0] if single else out
-
-    def bulk_terms(self, P, basis: MomentBasis):
-        P, single = _as_rows(P)
-        _require_wet(P[:, 0])
-        T = (self.nu / P[:, 0])[:, None] * (P[:, 2:] @ basis.C.T)
-        return T[0] if single else T
+    def stress(self, P: np.ndarray, basis: MomentBasis, model) -> np.ndarray:
+        return (self.nu / self.lam) * _bottom_velocity(P)
 
 
 @dataclass(frozen=True)
-class NewtonianManning(_StressFree):
-    """Manning bottom friction with Newtonian interior: n2 Manning factor, nu viscosity."""
+class ManningBottom:
+    """Manning: tau_b = n2 h^(-1/3) u_b |u_b|."""
 
     n2: float
-    nu: float
 
     def __post_init__(self):
-        if self.n2 < 0.0 or self.nu < 0.0:
-            raise ValueError("Manning factor and viscosity must be nonnegative")
+        if self.n2 < 0.0:
+            raise ValueError("Manning factor must be nonnegative")
 
-    def bottom_stress(self, P, basis: MomentBasis):
-        P, single = _as_rows(P)
-        _require_wet(P[:, 0])
+    def stress(self, P: np.ndarray, basis: MomentBasis, model) -> np.ndarray:
         ub = _bottom_velocity(P)
-        out = (self.n2 / np.cbrt(P[:, 0])) * ub * np.abs(ub)
-        return out[0] if single else out
-
-    def bulk_terms(self, P, basis: MomentBasis):
-        P, single = _as_rows(P)
-        _require_wet(P[:, 0])
-        T = (self.nu / P[:, 0])[:, None] * (P[:, 2:] @ basis.C.T)
-        return T[0] if single else T
+        return (self.n2 / np.cbrt(P[:, 0])) * ub * np.abs(ub)
 
 
 @dataclass(frozen=True)
-class SavageHutter(_StressFree):
-    """Coulomb bed friction at angle delta with constant interior friction tan(phi_int)."""
+class CoulombBottom:
+    """Coulomb bed friction at angle delta: tau_b = h tan(delta) sign(u_b)."""
 
     delta: float
-    phi_int: float
 
     def __post_init__(self):
-        if not 0.0 <= self.delta <= self.phi_int < math.pi / 2:
-            raise ValueError("require 0 <= delta <= phi_int < pi/2")
+        if not 0.0 <= self.delta < math.pi / 2:
+            raise ValueError("require 0 <= delta < pi/2")
 
-    def bottom_stress(self, P, basis: MomentBasis):
-        P, single = _as_rows(P)
-        _require_wet(P[:, 0])
-        out = P[:, 0] * np.sign(_bottom_velocity(P)) * math.tan(self.delta)
-        return out[0] if single else out
-
-    def bulk_terms(self, P, basis: MomentBasis):
-        P, single = _as_rows(P)
-        _require_wet(P[:, 0])
-        T = np.broadcast_to((-math.tan(self.phi_int) * P[:, 0])[:, None], (P.shape[0], basis.N)).copy()
-        return T[0] if single else T
+    def stress(self, P: np.ndarray, basis: MomentBasis, model) -> np.ndarray:
+        return P[:, 0] * np.sign(_bottom_velocity(P)) * math.tan(self.delta)
 
 
 @dataclass(frozen=True)
-class Coulomb(_StressFree):
-    """Coulomb bed friction at angle delta with constant bulk coefficient mu."""
+class MuIBottom:
+    """Shear-rate-dependent granular bottom law, with the mu(I) coefficients
+    (mu_s, mu_2, c_I) of the MuI model that carries it."""
 
-    delta: float
+    def stress(self, P: np.ndarray, basis: MomentBasis, model: "MuI") -> np.ndarray:
+        h = P[:, 0]
+        shear0 = P[:, 2:] @ basis.dphi[:, 0]  # d/dzeta u at zeta = 0
+        rate = np.abs(shear0)
+        mu = model.mu_s + (model.mu_2 - model.mu_s) * rate / (model.c_I * h**1.5 + rate)
+        return mu * h * np.sign(shear0)
+
+
+class _Friction:
+    """A bulk law (the subclass's bulk_terms on wet rows) composed with the
+    bottom law in its bottom_law field."""
+
+    def stresses(self, P, basis: MomentBasis):
+        """(tau_b, T) at wet primitive rows: (M,) and (M, N) for a batch, a
+        scalar and (N,) for a single row."""
+        P, single = _as_rows(P)
+        _require_wet(P[:, 0])
+        tau_b = self.bottom_law.stress(P, basis, self)
+        T = self.bulk_terms(P, basis)
+        return (tau_b[0], T[0]) if single else (tau_b, T)
+
+
+@dataclass(frozen=True)
+class Newtonian(_Friction):
+    """Newtonian interior of viscosity nu: T_i = (nu / h) sum_j C_ij alpha_j."""
+
+    nu: float
+    bottom_law: object
+
+    def __post_init__(self):
+        if self.nu < 0.0:
+            raise ValueError("viscosity must be nonnegative")
+
+    def bulk_terms(self, P: np.ndarray, basis: MomentBasis) -> np.ndarray:
+        return (self.nu / P[:, 0])[:, None] * (P[:, 2:] @ basis.C.T)
+
+
+@dataclass(frozen=True)
+class ConstantCoulomb(_Friction):
+    """Constant interior friction coefficient mu: T_i = -mu h (Savage-Hutter
+    has mu = tan(phi_int))."""
+
     mu: float
+    bottom_law: object
 
     def __post_init__(self):
         if self.mu < 0.0:
             raise ValueError("bulk friction coefficient must be nonnegative")
 
-    def bottom_stress(self, P, basis: MomentBasis):
-        P, single = _as_rows(P)
-        _require_wet(P[:, 0])
-        out = P[:, 0] * np.sign(_bottom_velocity(P)) * math.tan(self.delta)
-        return out[0] if single else out
-
-    def bulk_terms(self, P, basis: MomentBasis):
-        P, single = _as_rows(P)
-        _require_wet(P[:, 0])
-        T = np.broadcast_to((-self.mu * P[:, 0])[:, None], (P.shape[0], basis.N)).copy()
-        return T[0] if single else T
-
-
-@dataclass(frozen=True)
-class SlipBottom:
-    """Navier slip bottom law for the granular model."""
-
-    nu0: float
-    lam: float
-
-
-@dataclass(frozen=True)
-class ManningBottom:
-    """Manning bottom law for the granular model."""
-
-    n2: float
-
-
-@dataclass(frozen=True)
-class CoulombBottom:
-    """Coulomb bottom law for the granular model."""
-
-    delta: float
-
-
-@dataclass(frozen=True)
-class MuIBottom:
-    """Shear-rate-dependent granular bottom law (same mu(I) coefficients as the bulk)."""
+    def bulk_terms(self, P: np.ndarray, basis: MomentBasis) -> np.ndarray:
+        return np.broadcast_to((-self.mu * P[:, 0])[:, None], (P.shape[0], basis.N)).copy()
 
 
 def _bracket_series(C1: np.ndarray) -> np.ndarray:
@@ -428,15 +387,15 @@ def muI_bulk_quadrature(h, alpha, params: "MuI", basis: MomentBasis, points: int
 
 
 @dataclass(frozen=True)
-class MuI(_StressFree):
+class MuI(_Friction):
     """Granular friction with an inertial-number-dependent coefficient.
 
     The friction coefficient interpolates between mu_s and mu_2 with the local
-    shear rate; c_I collects the dimensionless inertial scaling. The bottom law
-    is selectable. The bulk uses the closed form at N=1, the regimes of
-    muI_bulk_analytic_N2 at N=2 (quadrature rows batched, closed-form rows per
-    cell) and quad_points-node quadrature above. Each row of bulk_terms has
-    the bits it would have if evaluated alone.
+    shear rate; c_I collects the dimensionless inertial scaling. The bulk uses
+    the closed form at N=1, the regimes of muI_bulk_analytic_N2 at N=2
+    (quadrature rows batched, closed-form rows per cell) and quad_points-node
+    quadrature above. Each row of bulk_terms has the bits it would have if
+    evaluated alone.
     """
 
     mu_s: float
@@ -451,30 +410,7 @@ class MuI(_StressFree):
         if not self.c_I > 0.0:
             raise ValueError("c_I must be positive")
 
-    def bottom_stress(self, P, basis: MomentBasis):
-        P, single = _as_rows(P)
-        _require_wet(P[:, 0])
-        h = P[:, 0]
-        law = self.bottom_law
-        if isinstance(law, SlipBottom):
-            out = (law.nu0 / law.lam) * _bottom_velocity(P)
-        elif isinstance(law, ManningBottom):
-            ub = _bottom_velocity(P)
-            out = (law.n2 / np.cbrt(h)) * ub * np.abs(ub)
-        elif isinstance(law, CoulombBottom):
-            out = h * np.sign(_bottom_velocity(P)) * math.tan(law.delta)
-        elif isinstance(law, MuIBottom):
-            shear0 = _bottom_shear(P, basis)
-            rate = np.abs(shear0)
-            mu = self.mu_s + (self.mu_2 - self.mu_s) * rate / (self.c_I * h**1.5 + rate)
-            out = mu * h * np.sign(shear0)
-        else:
-            raise TypeError(f"unsupported bottom law: {law!r}")
-        return out[0] if single else out
-
-    def bulk_terms(self, P, basis: MomentBasis):
-        P, single = _as_rows(P)
-        _require_wet(P[:, 0])
+    def bulk_terms(self, P: np.ndarray, basis: MomentBasis) -> np.ndarray:
         h = P[:, 0]
         alpha = P[:, 2:]
         if basis.N == 1:
@@ -490,10 +426,10 @@ class MuI(_StressFree):
             T = _muI_bulk_N2(h, alpha, self, basis)
         else:
             T = muI_bulk_quadrature(h, alpha, self, basis)
-        return T[0] if single else T
+        return T
 
     def stresses(self, P, basis: MomentBasis):
-        """Bottom/surface/bulk stresses with static mobilization at zero shear.
+        """(tau_b, T) of the composed laws, with static mobilization at zero shear.
 
         A profile with all moments exactly zero has no shear anywhere, so the
         raw laws return zero stress; the flowing-limit values (friction fully
@@ -501,8 +437,7 @@ class MuI(_StressFree):
         steadily sliding constant profile balances gravity exactly.
         """
         P, single = _as_rows(P)
-        tau_b = np.atleast_1d(self.bottom_stress(P, basis))
-        T = np.atleast_2d(self.bulk_terms(P, basis))
+        tau_b, T = super().stresses(P, basis)
         static = np.all(P[:, 2:] == 0.0, axis=1)
         if np.any(static):
             s = np.sign(_bottom_velocity(P[static]))
@@ -510,24 +445,7 @@ class MuI(_StressFree):
             if isinstance(self.bottom_law, MuIBottom):
                 tau_b[static] = mobilized
             T[static, :] = -mobilized[:, None]
-        if single:
-            return tau_b[0], 0.0, T[0]
-        return tau_b, 0.0, T
-
-
-def bottom_stress(model, P, basis: MomentBasis):
-    """Bottom stress of any friction model at a wet primitive state."""
-    return model.bottom_stress(P, basis)
-
-
-def surface_stress(model) -> float:
-    """Surface stress; zero for every shipped model (stress-free surface)."""
-    return model.surface_stress()
-
-
-def bulk_terms(model, P, basis: MomentBasis):
-    """Bulk terms T_1..T_N of any friction model at a wet primitive state."""
-    return model.bulk_terms(P, basis)
+        return (tau_b[0], T[0]) if single else (tau_b, T)
 
 
 def savage_hutter_violations(P, basis: MomentBasis, h_min: float) -> int:
@@ -556,12 +474,13 @@ def savage_hutter_violations(P, basis: MomentBasis, h_min: float) -> int:
 
 def derive_dimensionless(*, H: float, L: float, g: float, theta: float,
                          rho: float | None = None, rho_s: float | None = None,
-                         eta: float | None = None, eta0: float | None = None,
+                         eta: float | None = None,
                          Lambda: float | None = None, n: float | None = None,
                          I0: float | None = None, d_s: float | None = None) -> dict:
     """Derive dimensionless friction parameters from physical (SI) inputs.
 
-    Returns U, eps, and whichever of nu, nu0, lam, n2, c_I the inputs permit.
+    Returns U, eps, and whichever of nu, lam, n2, c_I the inputs permit; nu
+    is the viscosity eta scaled, for the Newtonian bulk or the slip bottom.
     The velocity scale is U = sqrt(g L); stresses are scaled by rho g cos(theta) H.
     """
     if H <= 0.0 or L <= 0.0 or g <= 0.0:
@@ -573,8 +492,6 @@ def derive_dimensionless(*, H: float, L: float, g: float, theta: float,
     cos_t = math.cos(theta)
     if eta is not None:
         out["nu"] = eta * U / (rho * g * cos_t * H * H)
-    if eta0 is not None:
-        out["nu0"] = eta0 * U / (rho * g * cos_t * H * H)
     if Lambda is not None:
         out["lam"] = Lambda / H
     if n is not None:

@@ -11,8 +11,6 @@ __all__ = [
     "system_matrix_batch",
     "source",
     "source_batch",
-    "source_parts",
-    "max_wavespeed",
     "spectral_radius_batch",
     "wavespeeds_batch",
     "equilibrium_residual",
@@ -54,29 +52,41 @@ def system_matrix(P, eps: float, theta: float, basis: MomentBasis) -> np.ndarray
     return system_matrix_batch(P[None, :], eps, theta, basis)[0]
 
 
-def source_batch(P: np.ndarray, model, theta: float, eps: float, dbdx: np.ndarray,
-                 basis: MomentBasis, flip_topography_sign: bool = False) -> np.ndarray:
-    """Source rows for wet primitive rows (M, N+2) -> (M, N+2).
+def source_split_batch(P: np.ndarray, model, theta: float, eps: float,
+                       dbdx: np.ndarray, basis: MomentBasis,
+                       flip_topography_sign: bool = False) -> tuple:
+    """Source rows of wet primitive rows (M, N+2), split as (drive, fric).
 
-    Component 1 is zero; component 2 is sin(theta) h + cos(theta)(tau_s - tau_b
-    - eps h db/dx); moment component i+2 is (2i+1) cos(theta)((-1)^i tau_s
-    - tau_b - T_i).
+    The driving part holds gravity and topography: component 2 is
+    sin(theta) h - cos(theta) eps h db/dx and the moment components are zero.
+    The friction part holds the bottom stress and bulk friction, the
+    velocity-damping (possibly stiff) contributions: component 2 is
+    -cos(theta) tau_b and moment component i+2 is -(2i+1) cos(theta)(tau_b + T_i).
+    Component 1 is zero in both; the free surface carries no stress.
     """
     P = np.asarray(P, dtype=float)
     M = P.shape[0]
     N = basis.N
-    tau_b, tau_s, T = model.stresses(P, basis)
-    tau_b = np.atleast_1d(np.asarray(tau_b, dtype=float))
-    T = np.atleast_2d(np.asarray(T, dtype=float))
+    tau_b, T = model.stresses(P, basis)
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     topo = eps * P[:, 0] * np.asarray(dbdx, dtype=float)
     if flip_topography_sign:
         topo = -topo
-    S = np.zeros((M, N + 2))
-    S[:, 1] = sin_t * P[:, 0] + cos_t * (tau_s - tau_b - topo)
+    drive = np.zeros((M, N + 2))
+    fric = np.zeros((M, N + 2))
+    drive[:, 1] = sin_t * P[:, 0] - cos_t * topo
+    fric[:, 1] = -cos_t * tau_b
     for i in range(1, N + 1):
-        S[:, i + 1] = (2 * i + 1) * cos_t * (((-1) ** i) * tau_s - tau_b - T[:, i - 1])
-    return S
+        fric[:, i + 1] = -(2 * i + 1) * cos_t * (tau_b + T[:, i - 1])
+    return drive, fric
+
+
+def source_batch(P: np.ndarray, model, theta: float, eps: float, dbdx: np.ndarray,
+                 basis: MomentBasis, flip_topography_sign: bool = False) -> np.ndarray:
+    """Source rows for wet primitive rows (M, N+2) -> (M, N+2): the sum of
+    the two parts of source_split_batch."""
+    drive, fric = source_split_batch(P, model, theta, eps, dbdx, basis, flip_topography_sign)
+    return drive + fric
 
 
 def source(P, model, theta: float, eps: float, dbdx: float, basis: MomentBasis,
@@ -85,62 +95,6 @@ def source(P, model, theta: float, eps: float, dbdx: float, basis: MomentBasis,
     P = np.asarray(P, dtype=float)
     return source_batch(P[None, :], model, theta, eps, np.array([dbdx]), basis,
                         flip_topography_sign)[0]
-
-
-def source_split_batch(P: np.ndarray, model, theta: float, eps: float,
-                       dbdx: np.ndarray, basis: MomentBasis,
-                       flip_topography_sign: bool = False) -> tuple:
-    """Source split into driving and friction parts, summing to source_batch.
-
-    The driving part holds gravity, surface stress and topography; the
-    friction part holds the bottom stress and bulk friction rows, which are
-    the velocity-damping (possibly stiff) contributions.
-    """
-    P = np.asarray(P, dtype=float)
-    M = P.shape[0]
-    N = basis.N
-    tau_b, tau_s, T = model.stresses(P, basis)
-    tau_b = np.atleast_1d(np.asarray(tau_b, dtype=float))
-    T = np.atleast_2d(np.asarray(T, dtype=float))
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
-    topo = eps * P[:, 0] * np.asarray(dbdx, dtype=float)
-    if flip_topography_sign:
-        topo = -topo
-    drive = np.zeros((M, N + 2))
-    fric = np.zeros((M, N + 2))
-    drive[:, 1] = sin_t * P[:, 0] + cos_t * (tau_s - topo)
-    fric[:, 1] = -cos_t * tau_b
-    for i in range(1, N + 1):
-        drive[:, i + 1] = (2 * i + 1) * cos_t * ((-1) ** i) * tau_s
-        fric[:, i + 1] = -(2 * i + 1) * cos_t * (tau_b + T[:, i - 1])
-    return drive, fric
-
-
-def source_parts(P, model, theta: float, eps: float, dbdx: float, basis: MomentBasis) -> dict:
-    """Additive decomposition of the source for diagnostics.
-
-    The returned vectors (gravity, surface, bottom, bulk, topography) sum to
-    source(P, ...) exactly.
-    """
-    P = np.asarray(P, dtype=float)
-    N = basis.N
-    tau_b, tau_s, T = model.stresses(P, basis)
-    cos_t = math.cos(theta)
-    grav = np.zeros(N + 2)
-    grav[1] = math.sin(theta) * P[0]
-    surface = np.zeros(N + 2)
-    bottom = np.zeros(N + 2)
-    bulk = np.zeros(N + 2)
-    surface[1] = cos_t * tau_s
-    bottom[1] = -cos_t * tau_b
-    for i in range(1, N + 1):
-        surface[i + 1] = (2 * i + 1) * cos_t * ((-1) ** i) * tau_s
-        bottom[i + 1] = -(2 * i + 1) * cos_t * tau_b
-        bulk[i + 1] = -(2 * i + 1) * cos_t * T[i - 1]
-    topo = np.zeros(N + 2)
-    topo[1] = -cos_t * eps * P[0] * dbdx
-    return {"gravity": grav, "surface": surface, "bottom": bottom, "bulk": bulk,
-            "topography": topo}
 
 
 def _gershgorin(A: np.ndarray) -> np.ndarray:
@@ -175,20 +129,13 @@ def spectral_radius_batch(P: np.ndarray, eps: float, theta: float) -> np.ndarray
     return np.abs(P[:, 1]) + np.sqrt(eps * math.cos(theta) * P[:, 0] + P[:, 2] * P[:, 2])
 
 
-def max_wavespeed(P, eps: float, theta: float, basis: MomentBasis) -> float:
-    """Spectral radius of the transport matrix at one state (0 for a rest/dry state)."""
-    P = np.asarray(P, dtype=float)
-    return float(wavespeeds_batch(P[None, :], eps, theta, basis)[0])
-
-
 def equilibrium_residual(P, model, theta: float, basis: MomentBasis) -> np.ndarray:
     """Residuals (h tan(theta) - tau_b, T_1 + tau_b, ..., T_N + tau_b).
 
     Zero exactly at a flat-bed, stress-free-surface equilibrium state.
     """
     P = np.asarray(P, dtype=float)
-    tau_b, _, T = model.stresses(P, basis)
-    T = np.atleast_1d(np.asarray(T, dtype=float))
+    tau_b, T = model.stresses(P, basis)
     out = np.empty(basis.N + 1)
     out[0] = P[0] * math.tan(theta) - tau_b
     out[1:] = T + tau_b

@@ -42,7 +42,6 @@ class StepperConfig:
     newton_max_iter: int = 50
     dt_max: float = 1e-3
     dt_fixed: float | None = None
-    path_variable: str = "primitive"
 
     def __post_init__(self):
         if self.mode not in ("explicit", "semi_implicit"):
@@ -51,8 +50,6 @@ class StepperConfig:
             raise ValueError("CFL must lie in (0, 1]")
         if self.newton_tol <= 0.0:
             raise ValueError("Newton tolerance must be positive")
-        if self.path_variable not in ("primitive", "conservative"):
-            raise ValueError(f"unknown path variable {self.path_variable!r}")
 
 
 @dataclass(frozen=True)
@@ -127,9 +124,9 @@ def _stored_dry(U: np.ndarray, policy: WetDryPolicy) -> np.ndarray:
 
 
 def _path_matrices(U: np.ndarray, dry: np.ndarray, policy: WetDryPolicy, eps: float,
-                   theta: float, basis: MomentBasis,
-                   path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Path-averaged matrices for all consecutive interfaces of U rows.
+                   theta: float, basis: MomentBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Path-averaged matrices for all consecutive interfaces of U rows, along
+    the linear path in primitive variables.
 
     dry is the _stored_dry mask of the rows. Dry-wet interfaces use the wet
     state's matrix (constant path); dry-dry interfaces are flagged inert (no
@@ -138,15 +135,13 @@ def _path_matrices(U: np.ndarray, dry: np.ndarray, policy: WetDryPolicy, eps: fl
     wet = ~dry
     wet_l, wet_r = wet[:-1], wet[1:]
     inert = ~(wet_l | wet_r)
-    X = to_primitive(U, policy) if path == "primitive" else U
+    X = to_primitive(U, policy)
     left = np.where(wet_l[:, None], X[:-1], X[1:])
     right = np.where(wet_r[:, None], X[1:], X[:-1])
     nodes, weights = _PATH_RULE
     # one call for all Gauss-node states; summing them in node order keeps
     # the bits of one call per node
     states = np.concatenate([left + s * (right - left) for s in nodes])
-    if path != "primitive":
-        states = to_primitive(states, policy)
     m = U.shape[1]
     A_nodes = system_matrix_batch(states, eps, theta, basis).reshape(len(nodes), len(left), m, m)
     A = np.zeros(A_nodes.shape[1:])
@@ -156,11 +151,11 @@ def _path_matrices(U: np.ndarray, dry: np.ndarray, policy: WetDryPolicy, eps: fl
 
 
 def roe_matrix(U_L, U_R, eps: float, theta: float, basis: MomentBasis,
-               policy: WetDryPolicy, path: str = "primitive") -> np.ndarray:
+               policy: WetDryPolicy) -> np.ndarray:
     """Interface matrix: 3-point Gauss quadrature of the transport matrix along
-    a linear path between the two states (primitive interpolation by default)."""
+    the linear path between the two states in primitive variables."""
     U = np.stack([np.asarray(U_L, dtype=float), np.asarray(U_R, dtype=float)])
-    A, _ = _path_matrices(U, _stored_dry(U, policy), policy, eps, theta, basis, path)
+    A, _ = _path_matrices(U, _stored_dry(U, policy), policy, eps, theta, basis)
     return A[0]
 
 
@@ -174,8 +169,7 @@ def viscosity_matrix(A: np.ndarray, dx: float, dt: float) -> np.ndarray:
 
 
 def fluctuations(U_L, U_R, dx: float, dt: float, eps: float, theta: float,
-                 basis: MomentBasis, policy: WetDryPolicy,
-                 path: str = "primitive") -> tuple[np.ndarray, np.ndarray]:
+                 basis: MomentBasis, policy: WetDryPolicy) -> tuple[np.ndarray, np.ndarray]:
     """Left/right-going interface fluctuations (D_minus, D_plus).
 
     D_plus + D_minus = A (U_R - U_L) with A the path-averaged matrix and the
@@ -183,7 +177,7 @@ def fluctuations(U_L, U_R, dx: float, dt: float, eps: float, theta: float,
     wet-dry front not advancing into the dry cell) carry no fluctuations.
     """
     U = np.stack([np.asarray(U_L, dtype=float), np.asarray(U_R, dtype=float)])
-    A, inert = _path_matrices(U, _stored_dry(U, policy), policy, eps, theta, basis, path)
+    A, inert = _path_matrices(U, _stored_dry(U, policy), policy, eps, theta, basis)
     if inert[0]:
         zero = np.zeros(U.shape[1])
         return zero, zero.copy()
@@ -220,7 +214,7 @@ def cfl_dt(grid: Grid, config: StepperConfig, eps: float, theta: float,
 
 
 def _transport(grid: Grid, dry: np.ndarray, dt: float, eps: float, theta: float,
-               basis: MomentBasis, path: str) -> np.ndarray:
+               basis: MomentBasis) -> np.ndarray:
     """Transport-only predictor for the interior cells.
 
     dry is the _stored_dry mask of every row of grid.U. Only interfaces with
@@ -235,7 +229,7 @@ def _transport(grid: Grid, dry: np.ndarray, dt: float, eps: float, theta: float,
     if live.size:
         lo, hi = live[0], live[-1] + 1
         W = U[lo:hi + 1]
-        A, inert = _path_matrices(W, dry[lo:hi + 1], grid.policy, eps, theta, basis, path)
+        A, inert = _path_matrices(W, dry[lo:hi + 1], grid.policy, eps, theta, basis)
         Q = viscosity_matrix(A, grid.dx, dt)
         dU = W[1:] - W[:-1]
         inert = inert[:, None]
@@ -309,12 +303,12 @@ def step_explicit(grid: Grid, dt: float, model, eps: float, theta: float,
 
     The source is evaluated at the pre-step state and applied only to cells
     that are wet both before the step and after the transport predictor; its
-    friction part is guarded against overshoot (see _limited_source).
+    friction part is guarded against overshoot (see _limited_source). config
+    is not read; it keeps the signature of step_semi_implicit.
     """
-    path = config.path_variable if config is not None else "primitive"
     _check_finite(grid.interior(), "input")
     dry = _stored_dry(grid.U, grid.policy)
-    U_check = _transport(grid, dry, dt, eps, theta, basis, path)
+    U_check = _transport(grid, dry, dt, eps, theta, basis)
     _check_finite(U_check, "transport")
     U_n = grid.interior()
     was_dry = dry[1:-1]
@@ -377,7 +371,7 @@ def step_semi_implicit(grid: Grid, dt: float, model, eps: float, theta: float,
     source does not change it); cells dry after transport skip the solve."""
     _check_finite(grid.interior(), "input")
     dry = _stored_dry(grid.U, grid.policy)
-    U_check = _transport(grid, dry, dt, eps, theta, basis, config.path_variable)
+    U_check = _transport(grid, dry, dt, eps, theta, basis)
     _check_finite(U_check, "transport")
     was_dry = dry[1:-1]
     dry_after = _dry_after_transport(U_check, was_dry, grid.policy)

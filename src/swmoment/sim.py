@@ -9,14 +9,12 @@ import numpy as np
 
 from .basis import build_basis, reconstruct_velocity
 from .friction import (
-    Coulomb,
+    ConstantCoulomb,
     CoulombBottom,
     ManningBottom,
     MuI,
     MuIBottom,
-    NewtonianManning,
-    NewtonianSlip,
-    SavageHutter,
+    Newtonian,
     SlipBottom,
     derive_dimensionless,
     savage_hutter_violations,
@@ -78,7 +76,6 @@ class SimConfig:
     newton_max_iter: int = 50
     dt_max: float = 1e-3
     dt_fixed: float | None = None
-    path_variable: str = "primitive"
     h_min: float = 1e-6
     quad_points: int = 32
     ic: dict = field(default_factory=lambda: dict(_BLOCK_IC))
@@ -214,41 +211,48 @@ def preset(example: int, **overrides) -> SimConfig:
     return SimConfig(**base)
 
 
+# the bottom law of each config name; mu_i names its own in `bottom`
+_BOTTOM_OF = {"newtonian_slip": "slip", "newtonian_manning": "manning",
+              "savage_hutter": "coulomb", "coulomb": "coulomb"}
+
+
+def _bottom_law(name: str, p: dict, d: dict):
+    """Bottom law `name` from the friction parameters p and the derived
+    dimensionless groups d."""
+    if name == "slip":
+        return SlipBottom(nu=d["nu"], lam=d["lam"])
+    if name == "manning":
+        return ManningBottom(n2=d["n2"])
+    if name == "coulomb":
+        return CoulombBottom(delta=p["delta"])
+    if name == "mu_i":
+        return MuIBottom()
+    raise ValueError(f"unknown granular bottom law {name!r}")
+
+
 def build_model(config: SimConfig):
     """Instantiate the friction model with dimensionless parameters derived
-    from the configured SI inputs."""
+    from the configured SI inputs: the config name's bulk law (newtonian_* is
+    Newtonian, savage_hutter with mu = tan(phi_int) and coulomb are
+    ConstantCoulomb, mu_i is MuI) over its bottom law."""
     kind = config.friction
     p = config.friction_params
-    scales = dict(H=config.H, L=config.L, g=config.g, theta=config.theta,
-                  rho=config.rho, rho_s=config.rho_s)
-    if kind == "newtonian_slip":
-        d = derive_dimensionless(**scales, eta=p["eta"], Lambda=p["Lambda"])
-        return NewtonianSlip(nu=d["nu"], lam=d["lam"])
-    if kind == "newtonian_manning":
-        d = derive_dimensionless(**scales, eta=p["eta"], n=p["n"])
-        return NewtonianManning(n2=d["n2"], nu=d["nu"])
-    if kind == "savage_hutter":
-        return SavageHutter(delta=p["delta"], phi_int=p["phi_int"])
-    if kind == "coulomb":
-        return Coulomb(delta=p["delta"], mu=p["mu"])
+    if kind not in _FRICTION_KEYS:
+        raise ValueError(f"unknown friction model {kind!r}")
+    if kind == "savage_hutter" and not 0.0 <= p["delta"] <= p["phi_int"] < math.pi / 2:
+        raise ValueError("require 0 <= delta <= phi_int < pi/2")
+    # the granular slip viscosity eta0 scales like the Newtonian eta
+    d = derive_dimensionless(H=config.H, L=config.L, g=config.g, theta=config.theta,
+                             rho=config.rho, rho_s=config.rho_s, eta=p.get("eta", p.get("eta0")),
+                             Lambda=p.get("Lambda"), n=p.get("n"), I0=p.get("I0"), d_s=p.get("d_s"))
+    bottom = _bottom_law(_BOTTOM_OF.get(kind) or p.get("bottom", "slip"), p, d)
+    if kind in ("newtonian_slip", "newtonian_manning"):
+        return Newtonian(nu=d["nu"], bottom_law=bottom)
     if kind == "mu_i":
-        d = derive_dimensionless(**scales, I0=p["I0"], d_s=p["d_s"],
-                                 eta0=p.get("eta0"), Lambda=p.get("Lambda"),
-                                 n=p.get("n"))
-        bottom = p.get("bottom", "slip")
-        if bottom == "slip":
-            law = SlipBottom(nu0=d["nu0"], lam=d["lam"])
-        elif bottom == "manning":
-            law = ManningBottom(n2=d["n2"])
-        elif bottom == "coulomb":
-            law = CoulombBottom(delta=p["delta"])
-        elif bottom == "mu_i":
-            law = MuIBottom()
-        else:
-            raise ValueError(f"unknown granular bottom law {bottom!r}")
-        return MuI(mu_s=p["mu_s"], mu_2=p["mu_2"], c_I=d["c_I"], bottom_law=law,
+        return MuI(mu_s=p["mu_s"], mu_2=p["mu_2"], c_I=d["c_I"], bottom_law=bottom,
                    quad_points=config.quad_points)
-    raise ValueError(f"unknown friction model {kind!r}")
+    mu = math.tan(p["phi_int"]) if kind == "savage_hutter" else p["mu"]
+    return ConstantCoulomb(mu=mu, bottom_law=bottom)
 
 
 def build_bed(config: SimConfig):
@@ -314,7 +318,6 @@ def run(config: SimConfig) -> RunResult:
         newton_max_iter=config.newton_max_iter,
         dt_max=config.dt_max,
         dt_fixed=config.dt_fixed,
-        path_variable=config.path_variable,
     )
     stepper = step_explicit if config.mode == "explicit" else step_semi_implicit
     eps, theta = config.eps, config.theta
@@ -358,9 +361,7 @@ def run(config: SimConfig) -> RunResult:
 def _coulomb_bottom(model) -> bool:
     """Whether the model has a Coulomb bottom, the setting of the Savage-Hutter
     sliding-law assumptions that savage_hutter_violations checks."""
-    if isinstance(model, MuI):
-        return isinstance(model.bottom_law, CoulombBottom)
-    return isinstance(model, (SavageHutter, Coulomb))
+    return isinstance(model.bottom_law, CoulombBottom)
 
 
 def _record(diag: dict, t: float, dt: float, grid, info: dict, basis,
@@ -484,7 +485,7 @@ def config_to_mapping(config: SimConfig) -> dict:
         "stepper": {"mode": config.mode, "cfl": config.cfl,
                     "newton_tol": config.newton_tol,
                     "newton_max_iter": config.newton_max_iter,
-                    "dt_max": config.dt_max, "path_variable": config.path_variable,
+                    "dt_max": config.dt_max,
                     "h_min": config.h_min, "quad_points": config.quad_points,
                     "max_steps": config.max_steps},
         "output": {"times": " ".join("%.17g" % t for t in config.snapshot_times),
@@ -560,10 +561,13 @@ def config_from_mapping(mapping: dict) -> SimConfig:
         kw["ic"] = ic
     for key, cast in (("mode", str), ("cfl", float), ("newton_tol", float),
                       ("newton_max_iter", int), ("dt_max", float),
-                      ("dt_fixed", float), ("path_variable", str),
+                      ("dt_fixed", float),
                       ("h_min", float), ("quad_points", int), ("max_steps", int)):
         if key in stepper:
             kw[key] = cast(stepper[key])
+    # the transport path is always primitive; files that name it still load
+    if stepper.get("path_variable", "primitive") != "primitive":
+        raise ValueError("[stepper] path_variable was removed; the primitive path is the only one")
     if "times" in output:
         kw["snapshot_times"] = tuple(
             float(t) for t in output["times"].replace(",", " ").split())

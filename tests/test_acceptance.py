@@ -15,11 +15,10 @@ import numpy as np
 
 from swmoment.basis import build_basis, eval_phi, gauss_rule
 from swmoment.friction import (
-    Coulomb,
     MuI,
     MuIBottom,
-    NewtonianSlip,
-    SavageHutter,
+    Newtonian,
+    SlipBottom,
     muI_bulk_analytic_N1,
     muI_bulk_analytic_N2,
     muI_bulk_quadrature,
@@ -146,8 +145,10 @@ def test_05_mass_conserved_explicit_block_release():
 def test_06_sliding_law_matches_constant_friction_on_monotone_states():
     basis = build_basis(3)
     delta = math.radians(15.0)
-    sliding = SavageHutter(delta=delta, phi_int=math.radians(20.0))
-    constant = Coulomb(delta=delta, mu=math.tan(math.radians(20.0)))
+    sliding = build_model(preset(3))
+    assert sliding.bottom_law.delta == delta
+    constant = build_model(replace(preset(3), friction="coulomb",
+                                   friction_params={"delta": delta, "mu": math.tan(math.radians(20.0))}))
     rng = np.random.default_rng(11)
     accepted = 0
     draws = 0
@@ -229,7 +230,7 @@ def test_10_manning_peak_bottom_velocity_below_slip():
 
 def test_11_stepper_splitting_difference_first_order_in_dt():
     basis = build_basis(1)
-    model = NewtonianSlip(nu=1e-4, lam=1e-2)
+    model = Newtonian(nu=1e-4, bottom_law=SlipBottom(nu=1e-4, lam=1e-2))
 
     def solve(mode: str, dt: float) -> np.ndarray:
         grid = make_grid(0.0, 1.0, 50, 1, POLICY)

@@ -5,20 +5,24 @@ import numpy as np
 import pytest
 
 from swmoment.basis import build_basis
-from swmoment.friction import Coulomb, MuI, MuIBottom, NewtonianSlip, SavageHutter
+from swmoment.friction import ConstantCoulomb, CoulombBottom, MuI, MuIBottom, Newtonian, SlipBottom
 from swmoment.hswme import (
     equilibrium_residual,
-    max_wavespeed,
     source,
-    source_parts,
+    source_batch,
+    source_split_batch,
     spectral_radius_batch,
     system_matrix,
     system_matrix_batch,
     wavespeeds_batch,
 )
-from tests.conftest import random_wet_primitive
+from tests.conftest import CONFIG_CASES, config_model, random_wet_primitive
 
 EPS, THETA = 0.01, math.pi / 4
+
+
+def _slip(nu, lam):
+    return Newtonian(nu=nu, bottom_law=SlipBottom(nu=nu, lam=lam))
 
 _basis = lru_cache(maxsize=None)(build_basis)
 
@@ -68,14 +72,14 @@ def test_first_row_is_momentum_selector(basis6):
 
 
 def test_source_first_component_zero(basis2):
-    model = NewtonianSlip(nu=1e-3, lam=1e-3)
+    model = _slip(nu=1e-3, lam=1e-3)
     P = np.array([0.05, 0.3, -0.1, 0.02])
     S = source(P, model, THETA, EPS, 0.3, basis2)
     assert S[0] == 0.0
 
 
 def test_source_momentum_row_slip(basis2):
-    model = NewtonianSlip(nu=2e-3, lam=1e-3)
+    model = _slip(nu=2e-3, lam=1e-3)
     h, dbdx = 0.05, 0.4
     P = np.array([h, 0.3, -0.1, 0.02])
     S = source(P, model, THETA, EPS, dbdx, basis2)
@@ -87,7 +91,7 @@ def test_source_momentum_row_slip(basis2):
 def test_source_moment_rows_savage_hutter(basis2):
     # for a positive monotone profile: S_{i+2} = (2i+1) cos(theta) h (tan phi - tan delta)
     delta, phi = math.radians(15.0), math.radians(20.0)
-    model = SavageHutter(delta=delta, phi_int=phi)
+    model = ConstantCoulomb(mu=math.tan(phi), bottom_law=CoulombBottom(delta=delta))
     h = 0.06
     P = np.array([h, 0.5, -0.2, 0.0])
     S = source(P, model, THETA, EPS, 0.0, basis2)
@@ -97,7 +101,7 @@ def test_source_moment_rows_savage_hutter(basis2):
 
 
 def test_source_topography_sign_flag(basis2):
-    model = NewtonianSlip(nu=1e-3, lam=1e-3)
+    model = _slip(nu=1e-3, lam=1e-3)
     h, dbdx = 0.05, 0.4
     P = np.array([h, 0.3, -0.1, 0.02])
     S_minus = source(P, model, THETA, EPS, dbdx, basis2)
@@ -112,14 +116,27 @@ def test_source_topography_sign_flag(basis2):
         S_flat, rtol=0.0, atol=0.0)
 
 
-def test_source_parts_sum_to_source(basis2):
-    model = Coulomb(delta=math.radians(10.0), mu=0.3)
-    P = np.array([0.05, 0.3, -0.1, 0.02])
-    parts = source_parts(P, model, THETA, EPS, 0.7, basis2)
-    total = sum(parts.values())
-    np.testing.assert_allclose(total, source(P, model, THETA, EPS, 0.7, basis2),
-                               rtol=0.0, atol=1e-16)
-    assert {"gravity", "bottom", "bulk", "topography"} <= set(parts.keys())
+@pytest.mark.parametrize("case", sorted(CONFIG_CASES))
+def test_source_split_rows(case, basis2):
+    model = config_model(*CONFIG_CASES[case])
+    rng = np.random.default_rng(19)
+    P = random_wet_primitive(rng, 2, 40)
+    P[:5, 2:] = 0.0  # alpha = 0 (mu(I) static mobilization)
+    h, dbdx = P[:, 0], rng.uniform(-0.5, 0.5, 40)
+    tau_b, T = model.stresses(P, basis2)
+    cos_t, sin_t = math.cos(THETA), math.sin(THETA)
+    for flip in (False, True):
+        drive, fric = source_split_batch(P, model, THETA, EPS, dbdx, basis2, flip)
+        topo = EPS * h * dbdx
+        # drive: gravity and topography only; the stress-free surface leaves
+        # its moment rows exactly zero
+        assert np.array_equal(drive[:, 1], sin_t * h - cos_t * (-topo if flip else topo))
+        assert not np.any(drive[:, [0, 2, 3]])
+        assert not np.any(fric[:, 0])
+        assert np.array_equal(fric[:, 1], -cos_t * tau_b)
+        for i in (1, 2):
+            assert np.array_equal(fric[:, i + 1], -(2 * i + 1) * cos_t * (tau_b + T[:, i - 1]))
+        assert np.array_equal(source_batch(P, model, THETA, EPS, dbdx, basis2, flip), drive + fric)
 
 
 def test_equilibrium_residual_zero_at_balance(basis1):
@@ -142,7 +159,7 @@ def test_equilibrium_residual_nonzero_off_balance(basis1):
 def test_rest_state_wavespeed(basis1):
     # at rest the nonzero speeds are +/- sqrt(eps cos(theta) h)
     h = 0.08
-    lam = max_wavespeed(np.array([h, 0.0, 0.0]), EPS, THETA, basis1)
+    lam = wavespeeds_batch(np.array([[h, 0.0, 0.0]]), EPS, THETA, basis1)[0]
     assert lam == pytest.approx(math.sqrt(EPS * math.cos(THETA) * h), rel=1e-12)
 
 

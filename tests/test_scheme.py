@@ -6,7 +6,7 @@ import pytest
 from dataclasses import replace
 
 from swmoment.basis import gauss_rule
-from swmoment.friction import Coulomb, MuI, MuIBottom, NewtonianSlip
+from swmoment.friction import ConstantCoulomb, CoulombBottom, MuI, MuIBottom, Newtonian, SlipBottom
 from swmoment import scheme
 from swmoment.hswme import source_batch, system_matrix, system_matrix_batch, wavespeeds_batch
 from swmoment.scheme import (
@@ -34,7 +34,7 @@ from tests.conftest import random_wet_primitive
 
 EPS, THETA = 0.01, math.pi / 4
 POLICY = WetDryPolicy(h_min=1e-6)
-MODEL = NewtonianSlip(nu=1.19e-3, lam=1e-4)
+MODEL = Newtonian(nu=1.19e-3, bottom_law=SlipBottom(nu=1.19e-3, lam=1e-4))
 
 
 def _wet_pair(rng, N=2):
@@ -187,7 +187,7 @@ def test_dry_cells_keep_zero_velocity(basis2):
 def test_stepper_splitting_difference_is_second_order(basis2):
     # explicit and semi-implicit differ by O(dt^2) in a single step
     grid = _uniform_grid(20, 2, h=0.05, u_m=0.2, alpha=[-0.05, 0.01])
-    model = NewtonianSlip(nu=1.19e-3, lam=1e-2)
+    model = Newtonian(nu=1.19e-3, bottom_law=SlipBottom(nu=1.19e-3, lam=1e-2))
     cfg = StepperConfig(mode="semi_implicit", newton_tol=1e-13)
     diffs = []
     for dt in (2e-3, 1e-3):
@@ -262,19 +262,6 @@ def test_stepper_config_validation():
         StepperConfig(cfl=0.0)
     with pytest.raises(ValueError):
         StepperConfig(newton_tol=-1.0)
-    with pytest.raises(ValueError):
-        StepperConfig(path_variable="spherical")
-
-
-def test_conservative_path_close_to_primitive_for_small_jumps(basis2):
-    # both path choices agree at consistency order
-    rng = np.random.default_rng(11)
-    P = random_wet_primitive(rng, 2, 1)[0]
-    P2 = P * (1.0 + 1e-6)
-    U_L, U_R = to_conservative(P), to_conservative(P2)
-    A_prim = roe_matrix(U_L, U_R, EPS, THETA, basis2, POLICY, path="primitive")
-    A_cons = roe_matrix(U_L, U_R, EPS, THETA, basis2, POLICY, path="conservative")
-    np.testing.assert_allclose(A_prim, A_cons, rtol=0.0, atol=1e-8)
 
 
 def _with_interior(grid, U_in):
@@ -324,10 +311,10 @@ def test_cfl_dt_screen_equals_brute_force_max(N, basis1, basis2, basis6):
     assert cfl_dt(grids[0], fixed, EPS, THETA, basis) == 3.7e-4
 
 
-def _transport_full_width(grid, dry, dt, eps, theta, basis, path):
+def _transport_full_width(grid, dry, dt, eps, theta, basis):
     """The transport predictor over every interface, inert ones zeroed after."""
     U = grid.U
-    A, inert = _path_matrices(U, dry, grid.policy, eps, theta, basis, path)
+    A, inert = _path_matrices(U, dry, grid.policy, eps, theta, basis)
     Q = viscosity_matrix(A, grid.dx, dt)
     dU = U[1:] - U[:-1]
     D_minus = 0.5 * np.einsum("kij,kj->ki", A - Q, dU)
@@ -360,39 +347,36 @@ WINDOW_CASES = {
 }
 
 
-def _path_matrices_per_node(U, dry, policy, eps, theta, basis, path):
+def _path_matrices_per_node(U, dry, policy, eps, theta, basis):
     """Path matrices with one system_matrix_batch call per Gauss node."""
     wet = ~dry
-    X = to_primitive(U, policy) if path == "primitive" else U
+    X = to_primitive(U, policy)
     left = np.where(wet[:-1, None], X[:-1], X[1:])
     right = np.where(wet[1:, None], X[1:], X[:-1])
     A = np.zeros((U.shape[0] - 1, U.shape[1], U.shape[1]))
     for s, w in zip(*scheme._PATH_RULE):
         state = left + s * (right - left)
-        if path != "primitive":
-            state = to_primitive(state, policy)
         A += w * system_matrix_batch(state, eps, theta, basis)
     return A
 
 
-@pytest.mark.parametrize("path", ["primitive", "conservative"])
-@pytest.mark.parametrize("case", sorted(WINDOW_CASES))
-def test_path_matrices_stacked_call_equals_per_node_calls(case, path, basis2):
+# the ids name the path (primitive variables) the cases run on
+@pytest.mark.parametrize("case", sorted(WINDOW_CASES), ids=lambda c: f"{c}-primitive")
+def test_path_matrices_stacked_call_equals_per_node_calls(case, basis2):
     grid = _patch_grid(2, **WINDOW_CASES[case])
     dry = _stored_dry(grid.U, POLICY)
-    A, inert = _path_matrices(grid.U, dry, POLICY, EPS, THETA, basis2, path)
-    assert np.array_equal(A, _path_matrices_per_node(grid.U, dry, POLICY, EPS, THETA, basis2, path))
+    A, inert = _path_matrices(grid.U, dry, POLICY, EPS, THETA, basis2)
+    assert np.array_equal(A, _path_matrices_per_node(grid.U, dry, POLICY, EPS, THETA, basis2))
     assert np.array_equal(inert, dry[:-1] & dry[1:])
 
 
-@pytest.mark.parametrize("path", ["primitive", "conservative"])
-@pytest.mark.parametrize("case", sorted(WINDOW_CASES))
-def test_transport_window_bit_identical_to_full_width(case, path, basis2):
+@pytest.mark.parametrize("case", sorted(WINDOW_CASES), ids=lambda c: f"{c}-primitive")
+def test_transport_window_bit_identical_to_full_width(case, basis2):
     grid = _patch_grid(2, **WINDOW_CASES[case])
     dry = _stored_dry(grid.U, POLICY)
     for dt in (1e-4, 7.3e-4):
-        got = _transport(grid, dry, dt, EPS, THETA, basis2, path)
-        assert np.array_equal(got, _transport_full_width(grid, dry, dt, EPS, THETA, basis2, path))
+        got = _transport(grid, dry, dt, EPS, THETA, basis2)
+        assert np.array_equal(got, _transport_full_width(grid, dry, dt, EPS, THETA, basis2))
     if case == "all_dry":
         assert np.array_equal(got, grid.U[1:-1])
 
@@ -423,7 +407,7 @@ def _semi_implicit_reference(grid, dt, model, eps, theta, basis, config):
     conservative rows, depth included, and one residual evaluation per
     perturbed column."""
     dry = _stored_dry(grid.U, grid.policy)
-    U_check = _transport(grid, dry, dt, eps, theta, basis, config.path_variable)
+    U_check = _transport(grid, dry, dt, eps, theta, basis)
     dry_after = _dry_after_transport(U_check, dry[1:-1], grid.policy)
     idx = np.flatnonzero(~dry_after)
     U_new = U_check.copy()
@@ -468,7 +452,7 @@ def _newton_models():
         "newtonian_slip": (MODEL, 2, 0.5),
         "newtonian_manning": (build_model(preset(2, law="manning")), 2, 0.5),
         "savage_hutter": (build_model(preset(3)), 2, 0.5),
-        "coulomb": (Coulomb(delta=math.radians(25.0), mu=0.4), 2, 0.5),
+        "coulomb": (ConstantCoulomb(mu=0.4, bottom_law=CoulombBottom(delta=math.radians(25.0))), 2, 0.5),
         "muI_N1_muI_bottom": (replace(granular, bottom_law=MuIBottom()), 1, 0.5),
         # the random profiles shear hard in thin cells, where the mu(I) bulk
         # law is stiff enough that Newton needs a shorter step to converge

@@ -8,10 +8,11 @@ import pytest
 from swmoment import cli
 from swmoment.basis import reconstruct_velocity
 from swmoment.friction import (
+    ConstantCoulomb,
+    CoulombBottom,
+    ManningBottom,
     MuI,
-    NewtonianManning,
-    NewtonianSlip,
-    SavageHutter,
+    Newtonian,
     SlipBottom,
     muI_bulk_analytic_N2,
 )
@@ -41,19 +42,20 @@ def test_preset_dam_break_defaults():
     assert cfg.snapshot_times == (0.4, 0.6, 1.0)
     assert cfg.ic == {"kind": "block", "h": 0.08, "x_lo": 0.3, "x_hi": 0.5}
     model = build_model(cfg)
-    assert isinstance(model, NewtonianSlip)
+    assert isinstance(model, Newtonian) and isinstance(model.bottom_law, SlipBottom)
     assert model.nu == pytest.approx(0.0011898692691058871, rel=1e-14)
-    assert model.lam == pytest.approx(1e-4, rel=1e-14)
+    assert model.bottom_law.nu == model.nu
+    assert model.bottom_law.lam == pytest.approx(1e-4, rel=1e-14)
 
 
 def test_preset_bottom_friction_variants():
     slip = build_model(preset(2))
-    assert isinstance(slip, NewtonianSlip)
-    assert slip.lam == pytest.approx(1.5e-3, rel=1e-14)
+    assert isinstance(slip, Newtonian) and isinstance(slip.bottom_law, SlipBottom)
+    assert slip.bottom_law.lam == pytest.approx(1.5e-3, rel=1e-14)
     manning = build_model(preset(2, law="manning"))
-    assert isinstance(manning, NewtonianManning)
-    assert manning.n2 == pytest.approx(0.81373918003272109, rel=1e-14)
-    assert build_model(preset(2, law="slip", Lambda=0.0005)).lam == pytest.approx(
+    assert isinstance(manning, Newtonian) and isinstance(manning.bottom_law, ManningBottom)
+    assert manning.bottom_law.n2 == pytest.approx(0.81373918003272109, rel=1e-14)
+    assert build_model(preset(2, law="slip", Lambda=0.0005)).bottom_law.lam == pytest.approx(
         5e-4, rel=1e-14)
     with pytest.raises(ValueError):
         preset(2, law="tidal")
@@ -63,11 +65,11 @@ def test_preset_granular_defaults():
     cfg = preset(3)
     assert cfg.mode == "explicit"
     model = build_model(cfg)
-    assert isinstance(model, SavageHutter)
-    assert model.delta == pytest.approx(math.radians(15.0), rel=1e-15)
-    assert model.phi_int == pytest.approx(math.radians(20.0), rel=1e-15)
+    assert isinstance(model, ConstantCoulomb) and isinstance(model.bottom_law, CoulombBottom)
+    assert model.bottom_law.delta == pytest.approx(math.radians(15.0), rel=1e-15)
+    assert model.mu == math.tan(math.radians(20.0))
     steeper = build_model(preset(3, delta_deg=18.0))
-    assert steeper.delta == pytest.approx(math.radians(18.0), rel=1e-15)
+    assert steeper.bottom_law.delta == pytest.approx(math.radians(18.0), rel=1e-15)
 
 
 def test_preset_rheology_defaults():
@@ -80,7 +82,7 @@ def test_preset_rheology_defaults():
     assert model.c_I == pytest.approx(2.6390311051245129, rel=1e-14)
     assert model.quad_points == 8
     assert isinstance(model.bottom_law, SlipBottom)
-    assert model.bottom_law.nu0 == pytest.approx(9.2118911156584804e-5, rel=1e-14)
+    assert model.bottom_law.nu == pytest.approx(9.2118911156584804e-5, rel=1e-14)
     assert model.bottom_law.lam == pytest.approx(1e-3, rel=1e-14)
 
 
@@ -344,6 +346,18 @@ def test_front_position_threshold():
 def test_config_mapping_round_trip(example, kwargs):
     cfg = preset(example, **kwargs)
     assert config_from_mapping(config_to_mapping(cfg)) == cfg
+
+
+def test_config_path_variable_only_primitive():
+    # the transport path is always primitive: files that say so still load,
+    # and a conservative-path file fails instead of silently running primitive
+    mapping = config_to_mapping(preset(1))
+    assert "path_variable" not in mapping["stepper"]
+    mapping["stepper"]["path_variable"] = "primitive"
+    assert config_from_mapping(mapping) == preset(1)
+    mapping["stepper"]["path_variable"] = "conservative"
+    with pytest.raises(ValueError, match="path_variable"):
+        config_from_mapping(mapping)
 
 
 def test_config_round_trip_through_file(tmp_path):
