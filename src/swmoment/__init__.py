@@ -25,7 +25,6 @@ from .hswme import (
 )
 from .scheme import (
     Grid,
-    StepperConfig,
     apply_transmissive_bc,
     cfl_dt,
     fluctuations,

@@ -74,11 +74,9 @@ class MomentBasis:
     A: np.ndarray  # (N, N, N)
     B: np.ndarray  # (N, N, N)
     C: np.ndarray  # (N, N)
-    quad3: tuple[np.ndarray, np.ndarray]
-    quad_k: tuple[np.ndarray, np.ndarray]
 
 
-def build_basis(N: int, quad_points: int = 32) -> MomentBasis:
+def build_basis(N: int) -> MomentBasis:
     """Build the order-N basis with exact tensor integration.
 
     A_ijk = (2i+1) int phi_i phi_j phi_k, B_ijk = (2i+1) int phi_i' (int_0^z phi_j) phi_k,
@@ -106,16 +104,7 @@ def build_basis(N: int, quad_points: int = 32) -> MomentBasis:
         phi_arr[r, : len(p)] = [float(c) for c in p]
         d = dphis[r]
         dphi_arr[r, : len(d)] = [float(c) for c in d]
-    return MomentBasis(
-        N=N,
-        phi=phi_arr,
-        dphi=dphi_arr,
-        A=A,
-        B=B,
-        C=C,
-        quad3=gauss_rule(3),
-        quad_k=gauss_rule(quad_points),
-    )
+    return MomentBasis(N=N, phi=phi_arr, dphi=dphi_arr, A=A, B=B, C=C)
 
 
 def _horner(coeffs_row: np.ndarray, zeta):

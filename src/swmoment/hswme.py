@@ -53,8 +53,7 @@ def system_matrix(P, eps: float, theta: float, basis: MomentBasis) -> np.ndarray
 
 
 def source_split_batch(P: np.ndarray, model, theta: float, eps: float,
-                       dbdx: np.ndarray, basis: MomentBasis,
-                       flip_topography_sign: bool = False) -> tuple:
+                       dbdx: np.ndarray, basis: MomentBasis) -> tuple:
     """Source rows of wet primitive rows (M, N+2), split as (drive, fric).
 
     The driving part holds gravity and topography: component 2 is
@@ -70,8 +69,6 @@ def source_split_batch(P: np.ndarray, model, theta: float, eps: float,
     tau_b, T = model.stresses(P, basis)
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     topo = eps * P[:, 0] * np.asarray(dbdx, dtype=float)
-    if flip_topography_sign:
-        topo = -topo
     drive = np.zeros((M, N + 2))
     fric = np.zeros((M, N + 2))
     drive[:, 1] = sin_t * P[:, 0] - cos_t * topo
@@ -82,19 +79,17 @@ def source_split_batch(P: np.ndarray, model, theta: float, eps: float,
 
 
 def source_batch(P: np.ndarray, model, theta: float, eps: float, dbdx: np.ndarray,
-                 basis: MomentBasis, flip_topography_sign: bool = False) -> np.ndarray:
+                 basis: MomentBasis) -> np.ndarray:
     """Source rows for wet primitive rows (M, N+2) -> (M, N+2): the sum of
     the two parts of source_split_batch."""
-    drive, fric = source_split_batch(P, model, theta, eps, dbdx, basis, flip_topography_sign)
+    drive, fric = source_split_batch(P, model, theta, eps, dbdx, basis)
     return drive + fric
 
 
-def source(P, model, theta: float, eps: float, dbdx: float, basis: MomentBasis,
-           flip_topography_sign: bool = False) -> np.ndarray:
+def source(P, model, theta: float, eps: float, dbdx: float, basis: MomentBasis) -> np.ndarray:
     """Source vector of a single wet primitive state."""
     P = np.asarray(P, dtype=float)
-    return source_batch(P[None, :], model, theta, eps, np.array([dbdx]), basis,
-                        flip_topography_sign)[0]
+    return source_batch(P[None, :], model, theta, eps, np.array([dbdx]), basis)[0]
 
 
 def _gershgorin(A: np.ndarray) -> np.ndarray:

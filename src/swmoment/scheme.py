@@ -15,7 +15,6 @@ from .hswme import (
 from .state import WetDryPolicy, is_dry, to_primitive
 
 __all__ = [
-    "StepperConfig",
     "Grid",
     "make_grid",
     "apply_transmissive_bc",
@@ -26,30 +25,6 @@ __all__ = [
     "step_explicit",
     "step_semi_implicit",
 ]
-
-
-@dataclass(frozen=True)
-class StepperConfig:
-    """Time-stepping controls.
-
-    mode is "explicit" or "semi_implicit"; dt_fixed overrides the CFL-derived
-    step (convergence studies); dt_max is the fallback step on an all-dry grid.
-    """
-
-    mode: str = "semi_implicit"
-    cfl: float = 0.05
-    newton_tol: float = 1e-6
-    newton_max_iter: int = 50
-    dt_max: float = 1e-3
-    dt_fixed: float | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("explicit", "semi_implicit"):
-            raise ValueError(f"unknown stepper mode {self.mode!r}")
-        if not 0.0 < self.cfl <= 1.0:
-            raise ValueError("CFL must lie in (0, 1]")
-        if self.newton_tol <= 0.0:
-            raise ValueError("Newton tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -188,9 +163,9 @@ def fluctuations(U_L, U_R, dx: float, dt: float, eps: float, theta: float,
     return D_minus, D_plus
 
 
-def cfl_dt(grid: Grid, config: StepperConfig, eps: float, theta: float,
-           basis: MomentBasis) -> float:
-    """CFL time step cfl * dx / max wavespeed over wet cells; dt_max if all dry."""
+def cfl_dt(grid: Grid, config, eps: float, theta: float, basis: MomentBasis) -> float:
+    """CFL time step cfl * dx / max wavespeed over wet cells; dt_max if all
+    dry; dt_fixed if set. config is the run's SimConfig."""
     if config.dt_fixed is not None:
         return config.dt_fixed
     U = grid.interior()
@@ -269,8 +244,7 @@ def _check_finite(U: np.ndarray, stage: str) -> None:
 
 
 def _limited_source(P: np.ndarray, dt: float, model, eps: float, theta: float,
-                    dbdx: np.ndarray, basis: MomentBasis,
-                    flip_topography_sign: bool) -> np.ndarray:
+                    dbdx: np.ndarray, basis: MomentBasis) -> np.ndarray:
     """Explicit source with a dissipativity guard on the friction part.
 
     Friction damps the velocity profile; a forward-Euler step larger than the
@@ -280,8 +254,7 @@ def _limited_source(P: np.ndarray, dt: float, model, eps: float, theta: float,
     zero within the step. The scale is 1 wherever the step resolves the
     friction time scale, so resolved cells see plain forward Euler.
     """
-    S_drive, S_fric = source_split_batch(P, model, theta, eps, dbdx, basis,
-                                         flip_topography_sign)
+    S_drive, S_fric = source_split_batch(P, model, theta, eps, dbdx, basis)
     N = basis.N
     # energy weights of (u_m, alpha_1..alpha_N): ∫ u(ζ)² dζ diagonalizes
     # to u_m² + Σ α_i²/(2i+1)
@@ -297,8 +270,7 @@ def _limited_source(P: np.ndarray, dt: float, model, eps: float, theta: float,
 
 
 def step_explicit(grid: Grid, dt: float, model, eps: float, theta: float,
-                  basis: MomentBasis, config: StepperConfig | None = None,
-                  flip_topography_sign: bool = False) -> tuple[Grid, dict]:
+                  basis: MomentBasis, config=None) -> tuple[Grid, dict]:
     """Forward-Euler step: transport fluctuations plus the explicit source.
 
     The source is evaluated at the pre-step state and applied only to cells
@@ -317,8 +289,7 @@ def step_explicit(grid: Grid, dt: float, model, eps: float, theta: float,
     U_new = U_check.copy()
     if np.any(apply_src):
         P = to_primitive(U_n[apply_src], grid.policy)
-        S = _limited_source(P, dt, model, eps, theta, grid.dbdx[apply_src],
-                            basis, flip_topography_sign)
+        S = _limited_source(P, dt, model, eps, theta, grid.dbdx[apply_src], basis)
         U_new[apply_src] += dt * S
     _check_finite(U_new, "source")
     U_out, info = _finalize(U_check, U_new, dry_after, grid.policy)
@@ -335,7 +306,6 @@ FD_EPS = 1e-7
 def _residual_and_jacobian(V: np.ndarray, target: np.ndarray, dt: float, model,
                            eps: float, theta: float, dbdx: np.ndarray,
                            basis: MomentBasis, policy: WetDryPolicy,
-                           flip_topography_sign: bool,
                            jacobian: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """Residual V - target - dt S(V) of the velocity rows and, if asked, its
     central-difference Jacobian (None otherwise).
@@ -354,7 +324,7 @@ def _residual_and_jacobian(V: np.ndarray, target: np.ndarray, dt: float, model,
         batch[1 + cols, :, 1 + cols] += step.T
         batch[1 + n + cols, :, 1 + cols] -= step.T
     S = source_batch(to_primitive(batch.reshape(-1, n + 1), policy), model, theta, eps,
-                     np.tile(dbdx, batch.shape[0]), basis, flip_topography_sign)
+                     np.tile(dbdx, batch.shape[0]), basis)
     R = (batch - target - dt * S.reshape(batch.shape))[:, :, 1:]
     if not jacobian:
         return R[0], None
@@ -363,12 +333,12 @@ def _residual_and_jacobian(V: np.ndarray, target: np.ndarray, dt: float, model,
 
 
 def step_semi_implicit(grid: Grid, dt: float, model, eps: float, theta: float,
-                       basis: MomentBasis, config: StepperConfig,
-                       flip_topography_sign: bool = False) -> tuple[Grid, dict]:
+                       basis: MomentBasis, config) -> tuple[Grid, dict]:
     """Splitting step: explicit transport predictor, then a per-cell implicit
     source solve U = U_check + dt S(U) by Newton iteration with a
     central-difference Jacobian. The depth keeps its transported value (the
-    source does not change it); cells dry after transport skip the solve."""
+    source does not change it); cells dry after transport skip the solve.
+    config is the run's SimConfig (newton_tol, newton_max_iter)."""
     _check_finite(grid.interior(), "input")
     dry = _stored_dry(grid.U, grid.policy)
     U_check = _transport(grid, dry, dt, eps, theta, basis)
@@ -381,8 +351,7 @@ def step_semi_implicit(grid: Grid, dt: float, model, eps: float, theta: float,
 
     def residual(rows: np.ndarray, jacobian: bool):
         return _residual_and_jacobian(U_new[rows], U_check[rows], dt, model, eps, theta,
-                                      grid.dbdx[rows], basis, grid.policy,
-                                      flip_topography_sign, jacobian)
+                                      grid.dbdx[rows], basis, grid.policy, jacobian)
 
     rows = np.flatnonzero(~dry_after)
     # the first Jacobian comes in the same source call as the residual at

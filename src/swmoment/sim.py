@@ -19,14 +19,7 @@ from .friction import (
     derive_dimensionless,
     savage_hutter_violations,
 )
-from .scheme import (
-    StepperConfig,
-    apply_transmissive_bc,
-    cfl_dt,
-    make_grid,
-    step_explicit,
-    step_semi_implicit,
-)
+from .scheme import apply_transmissive_bc, cfl_dt, make_grid, step_explicit, step_semi_implicit
 from .state import WetDryPolicy, to_conservative, to_primitive
 from .topography import FlatBed, RunoffBed, TabulatedBed, eval_b
 
@@ -56,6 +49,8 @@ class SimConfig:
 
     Physical inputs (H, L, g, rho, friction parameters) are in SI units;
     dimensionless groups are derived internally. Angles are in radians.
+    mode is "explicit" or "semi_implicit"; dt_fixed overrides the CFL step
+    (convergence studies); dt_max is the step on an all-dry grid.
     """
 
     N: int = 2
@@ -83,7 +78,6 @@ class SimConfig:
     snapshot_times: tuple = (0.4, 0.6, 1.0)
     out_dir: str | None = None
     profile_resolution: int | None = None
-    flip_topography_sign: bool = False
     max_steps: int = 2_000_000
 
     def __post_init__(self):
@@ -93,6 +87,12 @@ class SimConfig:
             raise ValueError("N must be at least 1")
         if not 0.0 <= self.theta < math.pi / 2:
             raise ValueError("theta must lie in [0, pi/2)")
+        if self.mode not in ("explicit", "semi_implicit"):
+            raise ValueError(f"unknown stepper mode {self.mode!r}")
+        if not 0.0 < self.cfl <= 1.0:
+            raise ValueError("CFL must lie in (0, 1]")
+        if self.newton_tol <= 0.0:
+            raise ValueError("Newton tolerance must be positive")
         times = tuple(float(t) for t in self.snapshot_times)
         if not times:
             raise ValueError("need at least one snapshot time")
@@ -134,23 +134,14 @@ def preset(example: int, **overrides) -> SimConfig:
     3: Savage-Hutter, N=2, explicit (pass delta_deg=15 or 18).
     4: granular mu(I) with slip bottom, explicit, CFL=0.01, 8-point bulk
     quadrature (pass N=3..6 and bathymetry="runoff" for the curved bed).
+    All four take the grid, length scales and snapshot times from the
+    SimConfig defaults.
     """
-    common = dict(
-        J=1000,
-        theta=math.pi / 4,
-        H=0.1,
-        L=10.0,
-        g=9.81,
-        rho=1200.0,
-        h_min=1e-6,
-        snapshot_times=(0.4, 0.6, 1.0),
-    )
-    H = common["H"]
+    H = SimConfig.H
     # slip lengths are quoted dimensionless; the stored value is the physical
     # length in meters (dimensionless again after dividing by H internally)
     if example == 1:
         base = dict(
-            common,
             N=2,
             friction="newtonian_slip",
             friction_params={"Lambda": 1e-4 * H, "eta": 0.01},
@@ -168,7 +159,6 @@ def preset(example: int, **overrides) -> SimConfig:
         else:
             raise ValueError(f"unknown bottom-friction law {law!r}")
         base = dict(
-            common,
             N=2,
             friction=friction,
             friction_params=params,
@@ -178,7 +168,6 @@ def preset(example: int, **overrides) -> SimConfig:
     elif example == 3:
         delta_deg = overrides.pop("delta_deg", 15.0)
         base = dict(
-            common,
             N=2,
             friction="savage_hutter",
             friction_params={"delta": math.radians(delta_deg), "phi_int": math.radians(20.0)},
@@ -187,7 +176,6 @@ def preset(example: int, **overrides) -> SimConfig:
         )
     elif example == 4:
         base = dict(
-            common,
             N=3,
             rho=1550.0,
             rho_s=2500.0,
@@ -306,19 +294,11 @@ def _snapshot(grid, t: float, bed, policy: WetDryPolicy) -> Snapshot:
 def run(config: SimConfig) -> RunResult:
     """Time loop: apply boundary conditions, pick the CFL step (capped to land
     exactly on snapshot times), step, and record diagnostics."""
-    basis = build_basis(config.N, quad_points=config.quad_points)
+    basis = build_basis(config.N)
     model = build_model(config)
     bed = build_bed(config)
     grid = build_grid(config, bed)
     policy = grid.policy
-    sconf = StepperConfig(
-        mode=config.mode,
-        cfl=config.cfl,
-        newton_tol=config.newton_tol,
-        newton_max_iter=config.newton_max_iter,
-        dt_max=config.dt_max,
-        dt_fixed=config.dt_fixed,
-    )
     stepper = step_explicit if config.mode == "explicit" else step_semi_implicit
     eps, theta = config.eps, config.theta
     diag = {k: [] for k in ("time", "dt", "mass", "max_speed", "dry_cells",
@@ -340,13 +320,12 @@ def run(config: SimConfig) -> RunResult:
             if steps > config.max_steps:
                 raise RuntimeError(f"exceeded {config.max_steps} steps at t={t:.8g}")
             grid = apply_transmissive_bc(grid)
-            dt = cfl_dt(grid, sconf, eps, theta, basis)
+            dt = cfl_dt(grid, config, eps, theta, basis)
             landed = t + dt >= t_target
             if landed:
                 dt = t_target - t
             try:
-                grid, info = stepper(grid, dt, model, eps, theta, basis, sconf,
-                                     config.flip_topography_sign)
+                grid, info = stepper(grid, dt, model, eps, theta, basis, config)
             except RuntimeError as exc:
                 raise RuntimeError(f"step aborted at t={t:.8g}: {exc}") from exc
             t = t_target if landed else t + dt
@@ -464,48 +443,49 @@ def write_summary(result: RunResult, path: str) -> None:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return "%.17g" % value
+    if isinstance(value, (tuple, list)):
+        return " ".join("%.17g" % v for v in value)
     return str(value)
 
 
-def config_to_mapping(config: SimConfig) -> dict:
-    """Flatten a SimConfig into {section: {key: string}} (the file format)."""
-    model = {"N": config.N, "theta": config.theta, "friction": config.friction}
-    for key, value in config.friction_params.items():
-        model[_TO_FILE_KEY.get(key, key.lower())] = value
-    mapping = {
-        "model": model,
-        "scaling": {"H": config.H, "L": config.L, "g": config.g, "rho": config.rho},
-        "grid": {"J": config.J, "x_a": config.x_a, "x_b": config.x_b,
-                 "bathymetry": config.bathymetry},
-        "ic": dict(config.ic),
-        "stepper": {"mode": config.mode, "cfl": config.cfl,
-                    "newton_tol": config.newton_tol,
-                    "newton_max_iter": config.newton_max_iter,
-                    "dt_max": config.dt_max,
-                    "h_min": config.h_min, "quad_points": config.quad_points,
-                    "max_steps": config.max_steps},
-        "output": {"times": " ".join("%.17g" % t for t in config.snapshot_times),
-                   "flip_topography_sign": config.flip_topography_sign},
-    }
-    if config.rho_s is not None:
-        mapping["scaling"]["rho_s"] = config.rho_s
-    if config.dt_fixed is not None:
-        mapping["stepper"]["dt_fixed"] = config.dt_fixed
-    if config.out_dir is not None:
-        mapping["output"]["dir"] = config.out_dir
-    if config.profile_resolution is not None:
-        mapping["output"]["profile_resolution"] = config.profile_resolution
-    if "alpha" in mapping["ic"]:
-        mapping["ic"]["alpha"] = " ".join("%.17g" % a for a in mapping["ic"]["alpha"])
-    return {s: {k: _fmt(v) for k, v in kv.items()} for s, kv in mapping.items()}
+def _floats(text: str) -> tuple:
+    return tuple(float(t) for t in text.replace(",", " ").split())
 
 
-# the moment order already uses key "n" in [model], so the Manning coefficient
-# gets the file key "manning_n"
+# the file format, one (section, key, SimConfig field, parse) per field; keys
+# are read case-insensitively. The friction parameters and the [ic] entries
+# have their own tables below.
+_FILE_FIELDS = (
+    ("model", "N", "N", int),
+    ("model", "theta", "theta", float),
+    ("model", "friction", "friction", str),
+    ("scaling", "H", "H", float),
+    ("scaling", "L", "L", float),
+    ("scaling", "g", "g", float),
+    ("scaling", "rho", "rho", float),
+    ("scaling", "rho_s", "rho_s", float),
+    ("grid", "J", "J", int),
+    ("grid", "x_a", "x_a", float),
+    ("grid", "x_b", "x_b", float),
+    ("grid", "bathymetry", "bathymetry", str),
+    ("stepper", "mode", "mode", str),
+    ("stepper", "cfl", "cfl", float),
+    ("stepper", "newton_tol", "newton_tol", float),
+    ("stepper", "newton_max_iter", "newton_max_iter", int),
+    ("stepper", "dt_max", "dt_max", float),
+    ("stepper", "dt_fixed", "dt_fixed", float),
+    ("stepper", "h_min", "h_min", float),
+    ("stepper", "quad_points", "quad_points", int),
+    ("stepper", "max_steps", "max_steps", int),
+    ("output", "times", "snapshot_times", _floats),
+    ("output", "dir", "out_dir", str),
+    ("output", "profile_resolution", "profile_resolution", int),
+)
+
+# [model] keys of each friction model's parameters; the moment order already
+# uses key "n", so the Manning coefficient gets the file key "manning_n"
 _FRICTION_KEYS = {
     "newtonian_slip": ("lambda", "eta"),
     "newtonian_manning": ("manning_n", "eta"),
@@ -513,70 +493,64 @@ _FRICTION_KEYS = {
     "coulomb": ("delta", "mu"),
     "mu_i": ("mu_s", "mu_2", "i0", "d_s", "bottom", "lambda", "eta0", "manning_n", "delta"),
 }
+_FILE_KEY = {"Lambda": "lambda", "I0": "i0", "n": "manning_n"}
+_PARAM_OF = {key: param for param, key in _FILE_KEY.items()}
 
-_CANONICAL = {"lambda": "Lambda", "i0": "I0", "manning_n": "n"}
-_TO_FILE_KEY = {"Lambda": "lambda", "I0": "i0", "n": "manning_n"}
+_IC_KEYS = {"kind": str, "h": float, "x_lo": float, "x_hi": float, "u_m": float,
+            "alpha": _floats}
+
+# keys of removed options, with the one value that still loads: the
+# transport path is always primitive and the bed slope enters with one sign
+_REMOVED_KEYS = {("stepper", "path_variable"): "primitive",
+                 ("output", "flip_topography_sign"): "false"}
+
+# every key some reader takes; keys of another friction model than the
+# configured one are accepted, so a file can switch models with one key
+_KNOWN_KEYS = ({(section, key.lower()) for section, key, _, _ in _FILE_FIELDS}
+               | {("model", key) for keys in _FRICTION_KEYS.values() for key in keys}
+               | {("ic", key) for key in _IC_KEYS} | set(_REMOVED_KEYS))
+
+
+def config_to_mapping(config: SimConfig) -> dict:
+    """Flatten a SimConfig into {section: {key: string}} (the file format)."""
+    mapping = {}
+    for section, key, name, _ in _FILE_FIELDS:
+        value = getattr(config, name)
+        if value is not None:
+            mapping.setdefault(section, {})[key] = _fmt(value)
+    for param, value in config.friction_params.items():
+        mapping["model"][_FILE_KEY.get(param, param.lower())] = _fmt(value)
+    mapping["ic"] = {key: _fmt(value) for key, value in config.ic.items()}
+    return mapping
 
 
 def config_from_mapping(mapping: dict) -> SimConfig:
-    """Build a SimConfig from {section: {key: string}} (inverse of the above)."""
-    sections = {s.lower(): {k.lower(): v for k, v in kv.items()} for s, kv in mapping.items()}
-    model = sections.get("model", {})
-    scaling = sections.get("scaling", {})
-    grid = sections.get("grid", {})
-    ic_sec = sections.get("ic", {})
-    stepper = sections.get("stepper", {})
-    output = sections.get("output", {})
-    kw = {}
-    if "n" in model:
-        kw["N"] = int(model["n"])
-    if "theta" in model:
-        kw["theta"] = float(model["theta"])
-    friction = model.get("friction", "newtonian_slip")
-    kw["friction"] = friction
+    """Build a SimConfig from {section: {key: string}} (inverse of the above).
+
+    Raises ValueError naming section.key for a key that nothing reads, and
+    for a removed option set to anything but the value that still loads.
+    """
+    sections = {}
+    for section, kv in mapping.items():
+        sections.setdefault(section.lower(), {}).update((k.lower(), v) for k, v in kv.items())
+    for section, kv in sections.items():
+        for key, raw in kv.items():
+            if (section, key) not in _KNOWN_KEYS:
+                raise ValueError(f"unknown config key {section}.{key}")
+            allowed = _REMOVED_KEYS.get((section, key))
+            if allowed is not None and raw.strip().lower() != allowed:
+                raise ValueError(f"{section}.{key} was removed; only {allowed!r} still loads")
+    kw = {name: parse(sections[section][key.lower()])
+          for section, key, name, parse in _FILE_FIELDS
+          if key.lower() in sections.get(section, {})}
+    friction = kw.get("friction", SimConfig.friction)
     if friction not in _FRICTION_KEYS:
         raise ValueError(f"unknown friction model {friction!r}")
-    params = {}
-    for key in _FRICTION_KEYS[friction]:
-        if key in model:
-            raw = model[key]
-            params[_CANONICAL.get(key, key)] = raw if key == "bottom" else float(raw)
-    kw["friction_params"] = params
-    for key, cast in (("h", float), ("l", float), ("g", float), ("rho", float),
-                      ("rho_s", float)):
-        if key in scaling:
-            kw[key.upper() if key in ("h", "l") else key] = cast(scaling[key])
-    for key, cast in (("j", int), ("x_a", float), ("x_b", float)):
-        if key in grid:
-            kw[key.upper() if key == "j" else key] = cast(grid[key])
-    if "bathymetry" in grid:
-        kw["bathymetry"] = grid["bathymetry"]
-    if ic_sec:
-        ic = {"kind": ic_sec.get("kind", "block")}
-        for key in ("h", "x_lo", "x_hi", "u_m"):
-            if key in ic_sec:
-                ic[key] = float(ic_sec[key])
-        if "alpha" in ic_sec:
-            ic["alpha"] = tuple(float(a) for a in ic_sec["alpha"].replace(",", " ").split())
-        kw["ic"] = ic
-    for key, cast in (("mode", str), ("cfl", float), ("newton_tol", float),
-                      ("newton_max_iter", int), ("dt_max", float),
-                      ("dt_fixed", float),
-                      ("h_min", float), ("quad_points", int), ("max_steps", int)):
-        if key in stepper:
-            kw[key] = cast(stepper[key])
-    # the transport path is always primitive; files that name it still load
-    if stepper.get("path_variable", "primitive") != "primitive":
-        raise ValueError("[stepper] path_variable was removed; the primitive path is the only one")
-    if "times" in output:
-        kw["snapshot_times"] = tuple(
-            float(t) for t in output["times"].replace(",", " ").split())
-    if "dir" in output:
-        kw["out_dir"] = output["dir"]
-    if "profile_resolution" in output:
-        kw["profile_resolution"] = int(output["profile_resolution"])
-    if "flip_topography_sign" in output:
-        kw["flip_topography_sign"] = output["flip_topography_sign"].strip().lower() in ("true", "1", "yes")
+    model = sections.get("model", {})
+    kw["friction_params"] = {_PARAM_OF.get(key, key): raw if key == "bottom" else float(raw)
+                             for key, raw in model.items() if key in _FRICTION_KEYS[friction]}
+    if sections.get("ic"):
+        kw["ic"] = {"kind": "block", **{k: _IC_KEYS[k](v) for k, v in sections["ic"].items()}}
     return SimConfig(**kw)
 
 
@@ -599,7 +573,7 @@ def write_outputs(result: RunResult, out_dir: str) -> list:
         write_snapshot(snap, name)
         written.append(name)
     if cfg.profile_resolution is not None:
-        basis = build_basis(cfg.N, quad_points=cfg.quad_points)
+        basis = build_basis(cfg.N)
         for snap in result.snapshots:
             name = os.path.join(out_dir, f"profile_t{snap.time:g}.csv")
             emit_profile(snap, basis, cfg.profile_resolution, name)

@@ -27,7 +27,6 @@ from swmoment.friction import (
 from swmoment.hswme import source, system_matrix, system_matrix_batch
 from swmoment.scheme import (
     Grid,
-    StepperConfig,
     apply_transmissive_bc,
     cfl_dt,
     fluctuations,
@@ -36,7 +35,7 @@ from swmoment.scheme import (
     step_explicit,
     step_semi_implicit,
 )
-from swmoment.sim import build_grid, build_model, front_position, preset, run
+from swmoment.sim import SimConfig, build_grid, build_model, front_position, preset, run
 from swmoment.state import WetDryPolicy, to_conservative
 from tests.conftest import random_wet_primitive
 
@@ -118,7 +117,7 @@ def test_04_granular_equilibrium_preserved_on_incline():
     basis = build_basis(1)
     P = np.tile([0.05, 0.1, 0.0], (200, 1))
     grid = _grid_with_state(200, 1, P)
-    cfg = StepperConfig(mode="semi_implicit", cfl=0.05, newton_tol=1e-12, newton_max_iter=60)
+    cfg = SimConfig(mode="semi_implicit", cfl=0.05, newton_tol=1e-12, newton_max_iter=60)
     U0 = grid.interior().copy()
     for _ in range(100):
         grid = apply_transmissive_bc(grid)
@@ -239,7 +238,7 @@ def test_11_stepper_splitting_difference_first_order_in_dt():
         P[:, 1] = 0.1
         P[:, 2] = -0.02
         grid = _grid_with_state(50, 1, P)
-        cfg = StepperConfig(mode=mode, dt_fixed=dt, newton_tol=1e-12, newton_max_iter=100)
+        cfg = SimConfig(mode=mode, dt_fixed=dt, newton_tol=1e-12, newton_max_iter=100)
         step = step_explicit if mode == "explicit" else step_semi_implicit
         for _ in range(round(0.2 / dt)):
             grid = apply_transmissive_bc(grid)

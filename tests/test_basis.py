@@ -128,12 +128,11 @@ def test_eval_known_polynomials(basis2):
 
 
 @given(st.floats(0.0, 1.0), st.integers(1, 6))
-def test_dphi_matches_finite_difference(zeta, j):
-    basis = build_basis(6)
+def test_dphi_matches_finite_difference(basis6, zeta, j):
     d = 1e-6
     lo, hi = max(0.0, zeta - d), min(1.0, zeta + d)
-    fd = (eval_phi(basis, j, hi) - eval_phi(basis, j, lo)) / (hi - lo)
-    assert eval_dphi(basis, j, zeta) == pytest.approx(fd, abs=5e-4)
+    fd = (eval_phi(basis6, j, hi) - eval_phi(basis6, j, lo)) / (hi - lo)
+    assert eval_dphi(basis6, j, zeta) == pytest.approx(fd, abs=5e-4)
 
 
 def test_reconstruct_velocity_linear(basis1):

@@ -100,22 +100,6 @@ def test_source_moment_rows_savage_hutter(basis2):
     assert S[3] == pytest.approx(5.0 * base, rel=1e-14)
 
 
-def test_source_topography_sign_flag(basis2):
-    model = _slip(nu=1e-3, lam=1e-3)
-    h, dbdx = 0.05, 0.4
-    P = np.array([h, 0.3, -0.1, 0.02])
-    S_minus = source(P, model, THETA, EPS, dbdx, basis2)
-    S_plus = source(P, model, THETA, EPS, dbdx, basis2, flip_topography_sign=True)
-    diff = np.zeros(4)
-    diff[1] = 2.0 * math.cos(THETA) * EPS * h * dbdx
-    np.testing.assert_allclose(S_plus - S_minus, diff, rtol=0.0, atol=1e-16)
-    # the flag only touches the bed-slope term
-    S_flat = source(P, model, THETA, EPS, 0.0, basis2)
-    np.testing.assert_allclose(
-        source(P, model, THETA, EPS, 0.0, basis2, flip_topography_sign=True),
-        S_flat, rtol=0.0, atol=0.0)
-
-
 @pytest.mark.parametrize("case", sorted(CONFIG_CASES))
 def test_source_split_rows(case, basis2):
     model = config_model(*CONFIG_CASES[case])
@@ -125,18 +109,16 @@ def test_source_split_rows(case, basis2):
     h, dbdx = P[:, 0], rng.uniform(-0.5, 0.5, 40)
     tau_b, T = model.stresses(P, basis2)
     cos_t, sin_t = math.cos(THETA), math.sin(THETA)
-    for flip in (False, True):
-        drive, fric = source_split_batch(P, model, THETA, EPS, dbdx, basis2, flip)
-        topo = EPS * h * dbdx
-        # drive: gravity and topography only; the stress-free surface leaves
-        # its moment rows exactly zero
-        assert np.array_equal(drive[:, 1], sin_t * h - cos_t * (-topo if flip else topo))
-        assert not np.any(drive[:, [0, 2, 3]])
-        assert not np.any(fric[:, 0])
-        assert np.array_equal(fric[:, 1], -cos_t * tau_b)
-        for i in (1, 2):
-            assert np.array_equal(fric[:, i + 1], -(2 * i + 1) * cos_t * (tau_b + T[:, i - 1]))
-        assert np.array_equal(source_batch(P, model, THETA, EPS, dbdx, basis2, flip), drive + fric)
+    drive, fric = source_split_batch(P, model, THETA, EPS, dbdx, basis2)
+    # drive: gravity and topography only; the stress-free surface leaves its
+    # moment rows exactly zero
+    assert np.array_equal(drive[:, 1], sin_t * h - cos_t * (EPS * h * dbdx))
+    assert not np.any(drive[:, [0, 2, 3]])
+    assert not np.any(fric[:, 0])
+    assert np.array_equal(fric[:, 1], -cos_t * tau_b)
+    for i in (1, 2):
+        assert np.array_equal(fric[:, i + 1], -(2 * i + 1) * cos_t * (tau_b + T[:, i - 1]))
+    assert np.array_equal(source_batch(P, model, THETA, EPS, dbdx, basis2), drive + fric)
 
 
 def test_equilibrium_residual_zero_at_balance(basis1):

@@ -12,7 +12,6 @@ from swmoment.hswme import source_batch, system_matrix, system_matrix_batch, wav
 from swmoment.scheme import (
     WETTING_HYSTERESIS,
     Grid,
-    StepperConfig,
     _dry_after_transport,
     _finalize,
     _path_matrices,
@@ -27,7 +26,7 @@ from swmoment.scheme import (
     step_semi_implicit,
     viscosity_matrix,
 )
-from swmoment.sim import build_model, preset
+from swmoment.sim import SimConfig, build_model, preset
 from swmoment.state import WetDryPolicy, to_conservative, to_primitive
 from swmoment.topography import RunoffBed
 from tests.conftest import random_wet_primitive
@@ -133,10 +132,10 @@ def _uniform_grid(J, N, h, u_m=0.0, alpha=None, theta_bed=None):
 def test_uniform_rest_state_is_invariant(basis2):
     # flat bed, no inclination: transport and source both vanish identically
     grid = _uniform_grid(16, 2, h=0.05)
-    cfg = StepperConfig(mode="explicit")
+    cfg = SimConfig(mode="explicit")
     g1, _ = step_explicit(grid, 1e-3, MODEL, EPS, 0.0, basis2, cfg)
     assert np.array_equal(g1.U, grid.U)
-    cfg = StepperConfig(mode="semi_implicit")
+    cfg = SimConfig(mode="semi_implicit")
     g2, info = step_semi_implicit(grid, 1e-3, MODEL, EPS, 0.0, basis2, cfg)
     assert np.array_equal(g2.U, grid.U)
     assert info["newton_iters_total"] == 0
@@ -151,7 +150,7 @@ def test_mass_is_conserved_by_transport_and_source(basis2):
     U = grid.U.copy()
     U[1:-1] = to_conservative(P)
     grid = Grid(x=grid.x, dx=grid.dx, U=U, dbdx=grid.dbdx, policy=POLICY)
-    cfg = StepperConfig(mode="explicit", cfl=0.05)
+    cfg = SimConfig(mode="explicit", cfl=0.05)
     mass0 = np.sum(grid.U[1:-1, 0])
     t = 0.0
     while t < 0.1:
@@ -173,7 +172,7 @@ def test_dry_cells_keep_zero_velocity(basis2):
     U = grid.U.copy()
     U[1:-1] = to_conservative(P)
     grid = Grid(x=grid.x, dx=grid.dx, U=U, dbdx=grid.dbdx, policy=POLICY)
-    cfg = StepperConfig(mode="semi_implicit", cfl=0.05)
+    cfg = SimConfig(mode="semi_implicit", cfl=0.05)
     for _ in range(10):
         grid = apply_transmissive_bc(grid)
         dt = cfl_dt(grid, cfg, EPS, THETA, basis2)
@@ -188,7 +187,7 @@ def test_stepper_splitting_difference_is_second_order(basis2):
     # explicit and semi-implicit differ by O(dt^2) in a single step
     grid = _uniform_grid(20, 2, h=0.05, u_m=0.2, alpha=[-0.05, 0.01])
     model = Newtonian(nu=1.19e-3, bottom_law=SlipBottom(nu=1.19e-3, lam=1e-2))
-    cfg = StepperConfig(mode="semi_implicit", newton_tol=1e-13)
+    cfg = SimConfig(mode="semi_implicit", newton_tol=1e-13)
     diffs = []
     for dt in (2e-3, 1e-3):
         ge, _ = step_explicit(grid, dt, model, EPS, THETA, basis2, cfg)
@@ -199,19 +198,19 @@ def test_stepper_splitting_difference_is_second_order(basis2):
 
 def test_cfl_dt_wet_and_dry(basis1):
     grid = _uniform_grid(10, 1, h=0.08)
-    cfg = StepperConfig(mode="explicit", cfl=0.05)
+    cfg = SimConfig(mode="explicit", cfl=0.05)
     lam = math.sqrt(EPS * math.cos(THETA) * 0.08)
     assert cfl_dt(grid, cfg, EPS, THETA, basis1) == pytest.approx(
         0.05 * grid.dx / lam, rel=1e-12)
     dry = _uniform_grid(10, 1, h=1e-7)
     assert cfl_dt(dry, cfg, EPS, THETA, basis1) == cfg.dt_max
-    fixed = StepperConfig(mode="explicit", dt_fixed=2.5e-4)
+    fixed = SimConfig(mode="explicit", dt_fixed=2.5e-4)
     assert cfl_dt(grid, fixed, EPS, THETA, basis1) == 2.5e-4
 
 
 def test_newton_abort_reports_cell(basis2):
     grid = _uniform_grid(10, 2, h=0.08)
-    cfg = StepperConfig(mode="semi_implicit", newton_max_iter=0)
+    cfg = SimConfig(mode="semi_implicit", newton_max_iter=0)
     with pytest.raises(RuntimeError, match="Newton .* cell"):
         step_semi_implicit(grid, 1e-3, MODEL, EPS, THETA, basis2, cfg)
 
@@ -223,7 +222,7 @@ def test_nonfinite_state_aborts_with_cell_index(basis2):
     grid = Grid(x=grid.x, dx=grid.dx, U=U, dbdx=grid.dbdx, policy=POLICY)
     with pytest.raises(RuntimeError, match="cell"):
         step_explicit(grid, 1e-3, MODEL, EPS, THETA, basis2,
-                      StepperConfig(mode="explicit"))
+                      SimConfig(mode="explicit"))
 
 
 def test_transmissive_bc_idempotent(basis2):
@@ -256,12 +255,13 @@ def test_make_grid_bed_slopes():
 
 
 def test_stepper_config_validation():
+    # the steppers read their settings from the run's SimConfig, which checks them
     with pytest.raises(ValueError):
-        StepperConfig(mode="imaginary")
+        SimConfig(mode="imaginary")
     with pytest.raises(ValueError):
-        StepperConfig(cfl=0.0)
+        SimConfig(cfl=0.0)
     with pytest.raises(ValueError):
-        StepperConfig(newton_tol=-1.0)
+        SimConfig(newton_tol=-1.0)
 
 
 def _with_interior(grid, U_in):
@@ -286,7 +286,7 @@ def _cfl_dt_all_rows(grid, config, eps, theta, basis):
 @pytest.mark.parametrize("N", [1, 2, 6])
 def test_cfl_dt_screen_equals_brute_force_max(N, basis1, basis2, basis6):
     basis = {1: basis1, 2: basis2, 6: basis6}[N]
-    cfg = StepperConfig(mode="explicit", cfl=0.05)
+    cfg = SimConfig(mode="explicit", cfl=0.05)
     rng = np.random.default_rng(30 + N)
     grid = make_grid(0.0, 1.0, 60, N, POLICY)
     grids = []
@@ -307,7 +307,7 @@ def test_cfl_dt_screen_equals_brute_force_max(N, basis1, basis2, basis6):
         rel=1e-10)
     dry = _uniform_grid(60, N, h=1e-7)
     assert cfl_dt(dry, cfg, EPS, THETA, basis) == cfg.dt_max
-    fixed = StepperConfig(mode="explicit", dt_fixed=3.7e-4)
+    fixed = SimConfig(mode="explicit", dt_fixed=3.7e-4)
     assert cfl_dt(grids[0], fixed, EPS, THETA, basis) == 3.7e-4
 
 
@@ -384,7 +384,7 @@ def test_transport_window_bit_identical_to_full_width(case, basis2):
 @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
 def test_steppers_with_window_bit_identical_to_full_width(case, basis2, monkeypatch):
     grid = _patch_grid(2, **WINDOW_CASES[case])
-    cfgs = (StepperConfig(mode="explicit"), StepperConfig(mode="semi_implicit"))
+    cfgs = (SimConfig(mode="explicit"), SimConfig(mode="semi_implicit"))
     steppers = (step_explicit, step_semi_implicit)
     windowed = []
     for stepper, cfg in zip(steppers, cfgs):
@@ -464,7 +464,7 @@ def _newton_models():
 def test_semi_implicit_newton_matches_full_jacobian_reference(name, basis1, basis2, basis3):
     model, N, cfl_fraction = _newton_models()[name]
     basis = {1: basis1, 2: basis2, 3: basis3}[N]
-    cfg = StepperConfig(mode="semi_implicit")
+    cfg = SimConfig(mode="semi_implicit")
     static = isinstance(model, MuI) and isinstance(model.bottom_law, MuIBottom)
     for seed in range(3):
         grid = _patch_grid(N, patches=[(2, 15), (22, 38)], J=40, seed=seed)
@@ -500,4 +500,4 @@ def test_singular_newton_jacobian_reports_cell(basis2, monkeypatch):
     monkeypatch.setattr(scheme.np.linalg, "solve", singular)
     with pytest.raises(RuntimeError, match="singular Newton Jacobian in cell 1"):
         step_semi_implicit(grid, 1e-3, MODEL, EPS, THETA, basis2,
-                           StepperConfig(mode="semi_implicit"))
+                           SimConfig(mode="semi_implicit"))

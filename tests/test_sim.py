@@ -1,11 +1,13 @@
+import dataclasses
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from swmoment import cli
+from swmoment import cli, sim
 from swmoment.basis import reconstruct_velocity
 from swmoment.friction import (
     ConstantCoulomb,
@@ -114,6 +116,11 @@ def test_config_validation():
         SimConfig(snapshot_times=(0.4, 0.4))
     with pytest.raises(ValueError):
         SimConfig(snapshot_times=(-0.1, 0.4))
+    # a file gets the stepper checks too (test_scheme.py::test_stepper_config_validation), before any run builds the basis or grid
+    mapping = config_to_mapping(preset(1))
+    mapping["stepper"]["cfl"] = "0"
+    with pytest.raises(ValueError, match="CFL"):
+        config_from_mapping(mapping)
 
 
 def test_run_zero_snapshot_echoes_initial_state():
@@ -342,22 +349,54 @@ def test_front_position_threshold():
     (3, {"delta_deg": 18.0}),
     (4, {"bathymetry": "runoff"}),
     (1, {"J": 40, "max_steps": 7}),
+    # every optional field set; the tuples need all 17 digits
+    (1, {"dt_fixed": 2.5e-4, "out_dir": "results/run 1", "profile_resolution": 17,
+         "rho_s": 2600.0, "x_a": -0.5, "x_b": 2.25, "snapshot_times": (0.1 / 3, 0.2),
+         "ic": {"kind": "uniform", "h": 0.05, "u_m": 0.1, "alpha": (-0.02, 0.01 / 3)}}),
 ])
 def test_config_mapping_round_trip(example, kwargs):
     cfg = preset(example, **kwargs)
     assert config_from_mapping(config_to_mapping(cfg)) == cfg
 
 
+def test_config_file_table_covers_every_field():
+    # a SimConfig field without a file key would be lost in the round trip
+    table = {name for _, _, name, _ in sim._FILE_FIELDS}
+    assert len(table) == len(sim._FILE_FIELDS)
+    assert {f.name for f in dataclasses.fields(SimConfig)} == table | {"friction_params", "ic"}
+
+
 def test_config_path_variable_only_primitive():
-    # the transport path is always primitive: files that say so still load,
-    # and a conservative-path file fails instead of silently running primitive
+    # removed options: the transport path is always primitive and the bed
+    # slope has one sign. Files that give the one behaviour left still load;
+    # any other value fails instead of silently running without it
+    for section, key, kept, other in (("stepper", "path_variable", "primitive", "conservative"),
+                                      ("output", "flip_topography_sign", "false", "true")):
+        mapping = config_to_mapping(preset(1))
+        assert key not in mapping[section]
+        mapping[section][key] = kept
+        assert config_from_mapping(mapping) == preset(1)
+        mapping[section][key] = other
+        with pytest.raises(ValueError, match=f"{section}.{key}"):
+            config_from_mapping(mapping)
+
+
+def test_config_unknown_key_raises():
     mapping = config_to_mapping(preset(1))
-    assert "path_variable" not in mapping["stepper"]
-    mapping["stepper"]["path_variable"] = "primitive"
-    assert config_from_mapping(mapping) == preset(1)
-    mapping["stepper"]["path_variable"] = "conservative"
-    with pytest.raises(ValueError, match="path_variable"):
+    mapping["grid"]["jj"] = "24"
+    with pytest.raises(ValueError, match="grid.jj"):
         config_from_mapping(mapping)
+    with pytest.raises(ValueError, match="solver.cfl"):
+        config_from_mapping({"solver": {"cfl": "0.1"}})
+    # keys are case-insensitive, within and across spellings of a section
+    mixed = {"Grid": {"J": "24"}, "grid": {"x_b": "2"}}
+    assert config_from_mapping(mixed) == SimConfig(J=24, x_b=2.0)
+    # a key of another friction model is accepted (and not read)
+    mapping = config_to_mapping(preset(2))
+    mapping["model"]["friction"] = "newtonian_manning"
+    mapping["model"]["manning_n"] = "0.0165"
+    cfg = config_from_mapping(mapping)
+    assert cfg.friction_params == {"n": 0.0165, "eta": 0.01}
 
 
 def test_config_round_trip_through_file(tmp_path):
@@ -411,11 +450,34 @@ def test_cli_reports_bad_inputs(tmp_path, capsys):
     assert cli.main(["--config", str(tmp_path / "missing.ini")]) == 1
 
 
+def test_cli_rejects_unknown_key(tmp_path, capsys):
+    assert cli.main(["--preset", "1", "--out", str(tmp_path), "--override", "grid.jj=24"]) == 1
+    assert "grid.jj" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_readme_friction_switch_loads(tmp_path, capsys):
+    # the README example: preset 2's slip keys stay in the mapping next to the
+    # Manning ones after the switch
+    rc = cli.main(["--preset", "2", "--out", str(tmp_path),
+                   "--override", "model.friction=newtonian_manning",
+                   "--override", "model.manning_n=0.0165",
+                   "--override", "grid.j=16", "--override", "output.times=0.005"])
+    assert rc == 0, capsys.readouterr().err
+    summary = (tmp_path / "summary.txt").read_text()
+    assert "model.friction = newtonian_manning" in summary
+    assert "model.manning_n = 0.0165" in summary
+
+
 def test_cli_module_invocation(tmp_path):
+    # the child imports the same package as this test, installed or not
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
     proc = subprocess.run(
         [sys.executable, "-m", "swmoment.cli", "--preset", "1",
          "--out", str(tmp_path), "--override", "grid.j=16",
          "--override", "output.times=0.005"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert "completed" in proc.stdout
