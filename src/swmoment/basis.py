@@ -3,7 +3,8 @@
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, lcm
+from operator import mul
 
 import numpy as np
 
@@ -20,43 +21,39 @@ __all__ = [
 MAX_ORDER = 12
 
 
+def _phi_ints(j: int) -> list[int]:
+    """Integer monomial coefficients of phi_j(z) = P_j(1 - 2z), ascending powers:
+    the z^k coefficient is (-1)^k C(j,k) C(j+k,k)."""
+    return [(-1) ** k * comb(j, k) * comb(j + k, k) for k in range(j + 1)]
+
+
 def phi_coefficients(j: int) -> list[Fraction]:
     """Exact monomial coefficients of the degree-j shifted Legendre polynomial.
 
-    phi_j(z) = d^j/dz^j (z - z^2)^j / j!, normalized so phi_j(0) = 1.
+    phi_j(z) = d^j/dz^j (z - z^2)^j / j!, normalized so phi_j(0) = 1. The
+    coefficients are integers.
     """
     if j < 0:
         raise ValueError(f"polynomial degree must be >= 0, got {j}")
-    # (z - z^2)^j = sum_k C(j,k) (-1)^k z^(j+k); differentiate j times, divide by j!
-    coeffs = [Fraction(0)] * (j + 1)
-    for k in range(j + 1):
-        c = Fraction(comb(j, k) * (-1) ** k)
-        power = j + k  # exponent before differentiation
-        falling = Fraction(factorial(power), factorial(power - j))
-        coeffs[power - j] += c * falling / factorial(j)
-    return coeffs
+    return [Fraction(c) for c in _phi_ints(j)]
 
 
-def _poly_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+def _poly_mul(p: list[int], q: list[int]) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1)
     for a, ca in enumerate(p):
         for b, cb in enumerate(q):
             out[a + b] += ca * cb
     return out
 
 
-def _poly_int01(p: list[Fraction]) -> Fraction:
-    return sum((c / (m + 1) for m, c in enumerate(p)), Fraction(0))
+def _weighted_moments(p: list[int], w: list[int], n: int) -> list[int]:
+    """v_b = sum_a p_a w_(a+b) for b < n: with w_m = L / (m+1), v_b is
+    L * int_0^1 p(z) z^b dz, so L * int_0^1 p q = sum_b q_b v_b."""
+    return [sum(c * w[a + b] for a, c in enumerate(p)) for b in range(n)]
 
 
-def _poly_antideriv(p: list[Fraction]) -> list[Fraction]:
-    return [Fraction(0)] + [c / (m + 1) for m, c in enumerate(p)]
-
-
-def _poly_deriv(p: list[Fraction]) -> list[Fraction]:
-    if len(p) == 1:
-        return [Fraction(0)]
-    return [c * m for m, c in enumerate(p)][1:]
+def _dot(q: list[int], v: list[int]) -> int:
+    return sum(map(mul, q, v))
 
 
 @dataclass(frozen=True)
@@ -80,30 +77,49 @@ def build_basis(N: int) -> MomentBasis:
     """Build the order-N basis with exact tensor integration.
 
     A_ijk = (2i+1) int phi_i phi_j phi_k, B_ijk = (2i+1) int phi_i' (int_0^z phi_j) phi_k,
-    C_ij = int phi_i' phi_j', all over [0,1] by exact monomial integration.
+    C_ij = int phi_i' phi_j', all over [0,1].
+
+    Every integrand is an integer polynomial of degree <= 3N, so L = lcm(1..3N+1)
+    times its integral is an integer. Each entry is one exact integer ratio,
+    rounded once to the nearest float (Python's int / int is correctly
+    rounded), so any exact evaluation order gives the same bits. B uses
+    int_0^z phi_j = (phi_(j-1) - phi_(j+1)) / (2(2j+1)).
     """
     if not isinstance(N, int) or N < 1 or N > MAX_ORDER:
         raise ValueError(f"moment order must be an integer in [1, {MAX_ORDER}], got {N}")
-    phis = [phi_coefficients(j) for j in range(1, N + 1)]
-    dphis = [_poly_deriv(p) for p in phis]
-    antis = [_poly_antideriv(p) for p in phis]
+    phis = [_phi_ints(j) for j in range(N + 2)]
+    dphis = [[m * c for m, c in enumerate(p)][1:] for p in phis[1:N + 1]]
+    L = lcm(*range(1, 3 * N + 2))
+    w = [L // (m + 1) for m in range(3 * N + 1)]
+    # phi_a phi_k for a = 0..N+1 and k = 1..N, each product formed once
+    pair = {}
+    for a in range(N + 2):
+        for k in range(1, N + 1):
+            pair[a, k] = pair[k, a] if (k, a) in pair else _poly_mul(phis[a], phis[k])
 
     A = np.zeros((N, N, N))
     B = np.zeros((N, N, N))
     C = np.zeros((N, N))
-    for i in range(N):
-        for j in range(N):
-            C[i, j] = float(_poly_int01(_poly_mul(dphis[i], dphis[j])))
-            for k in range(N):
-                A[i, j, k] = float((2 * (i + 1) + 1) * _poly_int01(_poly_mul(_poly_mul(phis[i], phis[j]), phis[k])))
-                B[i, j, k] = float((2 * (i + 1) + 1) * _poly_int01(_poly_mul(_poly_mul(dphis[i], antis[j]), phis[k])))
+    for i in range(1, N + 1):
+        s = 2 * i + 1
+        v = _weighted_moments(phis[i], w, 2 * N + 1)
+        dv = _weighted_moments(dphis[i - 1], w, 2 * N + 2)
+        for j in range(1, N + 1):
+            for k in range(j, N + 1):
+                A[i - 1, j - 1, k - 1] = A[i - 1, k - 1, j - 1] = s * _dot(pair[j, k], v) / L
+        # L * int phi_i' phi_a phi_k, for B_ijk with a = j-1 and a = j+1
+        inner = {key: _dot(q, dv) for key, q in pair.items()}
+        for j in range(1, N + 1):
+            den = 2 * (2 * j + 1) * L
+            for k in range(1, N + 1):
+                B[i - 1, j - 1, k - 1] = s * (inner[j - 1, k] - inner[j + 1, k]) / den
+            C[i - 1, j - 1] = _dot(dphis[j - 1], dv) / L
 
     phi_arr = np.zeros((N, N + 1))
-    dphi_arr = np.zeros((N, max(N, 1)))
-    for r, p in enumerate(phis):
-        phi_arr[r, : len(p)] = [float(c) for c in p]
-        d = dphis[r]
-        dphi_arr[r, : len(d)] = [float(c) for c in d]
+    dphi_arr = np.zeros((N, N))
+    for r in range(N):
+        phi_arr[r, : r + 2] = phis[r + 1]
+        dphi_arr[r, : r + 1] = dphis[r]
     return MomentBasis(N=N, phi=phi_arr, dphi=dphi_arr, A=A, B=B, C=C)
 
 

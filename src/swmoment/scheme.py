@@ -98,10 +98,10 @@ def _stored_dry(U: np.ndarray, policy: WetDryPolicy) -> np.ndarray:
     return dry | stored
 
 
-def _path_matrices(U: np.ndarray, dry: np.ndarray, policy: WetDryPolicy, eps: float,
-                   theta: float, basis: MomentBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Path-averaged matrices for all consecutive interfaces of U rows, along
-    the linear path in primitive variables.
+def _path_matrices(X: np.ndarray, dry: np.ndarray, eps: float, theta: float,
+                   basis: MomentBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Path-averaged matrices for all consecutive interfaces of the primitive
+    rows X, along the linear path in primitive variables.
 
     dry is the _stored_dry mask of the rows. Dry-wet interfaces use the wet
     state's matrix (constant path); dry-dry interfaces are flagged inert (no
@@ -110,14 +110,13 @@ def _path_matrices(U: np.ndarray, dry: np.ndarray, policy: WetDryPolicy, eps: fl
     wet = ~dry
     wet_l, wet_r = wet[:-1], wet[1:]
     inert = ~(wet_l | wet_r)
-    X = to_primitive(U, policy)
     left = np.where(wet_l[:, None], X[:-1], X[1:])
     right = np.where(wet_r[:, None], X[1:], X[:-1])
     nodes, weights = _PATH_RULE
     # one call for all Gauss-node states; summing them in node order keeps
     # the bits of one call per node
     states = np.concatenate([left + s * (right - left) for s in nodes])
-    m = U.shape[1]
+    m = X.shape[1]
     A_nodes = system_matrix_batch(states, eps, theta, basis).reshape(len(nodes), len(left), m, m)
     A = np.zeros(A_nodes.shape[1:])
     for w, A_s in zip(weights, A_nodes):
@@ -130,7 +129,7 @@ def roe_matrix(U_L, U_R, eps: float, theta: float, basis: MomentBasis,
     """Interface matrix: 3-point Gauss quadrature of the transport matrix along
     the linear path between the two states in primitive variables."""
     U = np.stack([np.asarray(U_L, dtype=float), np.asarray(U_R, dtype=float)])
-    A, _ = _path_matrices(U, _stored_dry(U, policy), policy, eps, theta, basis)
+    A, _ = _path_matrices(to_primitive(U, policy), _stored_dry(U, policy), eps, theta, basis)
     return A[0]
 
 
@@ -152,7 +151,7 @@ def fluctuations(U_L, U_R, dx: float, dt: float, eps: float, theta: float,
     wet-dry front not advancing into the dry cell) carry no fluctuations.
     """
     U = np.stack([np.asarray(U_L, dtype=float), np.asarray(U_R, dtype=float)])
-    A, inert = _path_matrices(U, _stored_dry(U, policy), policy, eps, theta, basis)
+    A, inert = _path_matrices(to_primitive(U, policy), _stored_dry(U, policy), eps, theta, basis)
     if inert[0]:
         zero = np.zeros(U.shape[1])
         return zero, zero.copy()
@@ -188,23 +187,32 @@ def cfl_dt(grid: Grid, config, eps: float, theta: float, basis: MomentBasis) -> 
     return config.cfl * grid.dx / float(lam)
 
 
-def _transport(grid: Grid, dry: np.ndarray, dt: float, eps: float, theta: float,
-               basis: MomentBasis) -> np.ndarray:
+def _live_window(dry: np.ndarray) -> slice:
+    """Rows of grid.U from the first to the last interface with a wet side
+    (empty if there is none), for the _stored_dry mask dry of every row.
+
+    Only these interfaces carry fluctuations, and every row that is not
+    stored-dry lies inside the window.
+    """
+    live = np.flatnonzero(~(dry[:-1] & dry[1:]))
+    return slice(live[0], live[-1] + 2) if live.size else slice(0, 0)
+
+
+def _transport(grid: Grid, dry: np.ndarray, window: slice, P: np.ndarray, dt: float,
+               eps: float, theta: float, basis: MomentBasis) -> np.ndarray:
     """Transport-only predictor for the interior cells.
 
-    dry is the _stored_dry mask of every row of grid.U. Only interfaces with
-    a wet side carry fluctuations, so the matrices are built on the window
-    from the first to the last such interface; outside it the fluctuations
-    stay exactly zero.
+    dry is the _stored_dry mask of every row of grid.U, window its
+    _live_window and P the primitive rows of grid.U[window]. The matrices are
+    built on the window only; outside it the fluctuations stay exactly zero.
     """
     U = grid.U
     D_minus = np.zeros((U.shape[0] - 1, U.shape[1]))
     D_plus = np.zeros_like(D_minus)
-    live = np.flatnonzero(~(dry[:-1] & dry[1:]))
-    if live.size:
-        lo, hi = live[0], live[-1] + 1
-        W = U[lo:hi + 1]
-        A, inert = _path_matrices(W, dry[lo:hi + 1], grid.policy, eps, theta, basis)
+    if P.shape[0]:
+        lo, hi = window.start, window.stop - 1
+        W = U[window]
+        A, inert = _path_matrices(P, dry[window], eps, theta, basis)
         Q = viscosity_matrix(A, grid.dx, dt)
         dU = W[1:] - W[:-1]
         inert = inert[:, None]
@@ -275,21 +283,25 @@ def step_explicit(grid: Grid, dt: float, model, eps: float, theta: float,
 
     The source is evaluated at the pre-step state and applied only to cells
     that are wet both before the step and after the transport predictor; its
-    friction part is guarded against overshoot (see _limited_source). config
-    is not read; it keeps the signature of step_semi_implicit.
+    friction part is guarded against overshoot (see _limited_source). The
+    pre-step rows of the live window are converted to primitive once, for
+    both. config is not read; it keeps the signature of step_semi_implicit.
     """
     _check_finite(grid.interior(), "input")
     dry = _stored_dry(grid.U, grid.policy)
-    U_check = _transport(grid, dry, dt, eps, theta, basis)
+    window = _live_window(dry)
+    P = to_primitive(grid.U[window], grid.policy)
+    U_check = _transport(grid, dry, window, P, dt, eps, theta, basis)
     _check_finite(U_check, "transport")
-    U_n = grid.interior()
     was_dry = dry[1:-1]
     dry_after = _dry_after_transport(U_check, was_dry, grid.policy)
     apply_src = ~was_dry & ~dry_after
     U_new = U_check.copy()
     if np.any(apply_src):
-        P = to_primitive(U_n[apply_src], grid.policy)
-        S = _limited_source(P, dt, model, eps, theta, grid.dbdx[apply_src], basis)
+        # interior cell c is row c + 1 of grid.U; source cells are not
+        # stored-dry, so they lie in the window
+        rows = np.flatnonzero(apply_src) + 1 - window.start
+        S = _limited_source(P[rows], dt, model, eps, theta, grid.dbdx[apply_src], basis)
         U_new[apply_src] += dt * S
     _check_finite(U_new, "source")
     U_out, info = _finalize(U_check, U_new, dry_after, grid.policy)
@@ -341,7 +353,9 @@ def step_semi_implicit(grid: Grid, dt: float, model, eps: float, theta: float,
     config is the run's SimConfig (newton_tol, newton_max_iter)."""
     _check_finite(grid.interior(), "input")
     dry = _stored_dry(grid.U, grid.policy)
-    U_check = _transport(grid, dry, dt, eps, theta, basis)
+    window = _live_window(dry)
+    U_check = _transport(grid, dry, window, to_primitive(grid.U[window], grid.policy), dt, eps,
+                         theta, basis)
     _check_finite(U_check, "transport")
     was_dry = dry[1:-1]
     dry_after = _dry_after_transport(U_check, was_dry, grid.policy)

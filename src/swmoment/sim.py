@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .basis import build_basis, reconstruct_velocity
+from .basis import MomentBasis, build_basis, reconstruct_velocity
 from .friction import (
     ConstantCoulomb,
     CoulombBottom,
@@ -91,8 +91,18 @@ class SimConfig:
             raise ValueError(f"unknown stepper mode {self.mode!r}")
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError("CFL must lie in (0, 1]")
-        if self.newton_tol <= 0.0:
-            raise ValueError("Newton tolerance must be positive")
+        if not self.newton_tol > 0.0:
+            raise ValueError(f"newton_tol must be positive, got {self.newton_tol}")
+        if self.newton_max_iter < 0:
+            raise ValueError(f"newton_max_iter must be >= 0, got {self.newton_max_iter}")
+        if self.dt_fixed is not None and not (math.isfinite(self.dt_fixed) and self.dt_fixed > 0.0):
+            raise ValueError(f"dt_fixed must be None or finite and positive, got {self.dt_fixed}")
+        if not self.dt_max > 0.0:
+            raise ValueError(f"dt_max must be positive, got {self.dt_max}")
+        if not self.h_min > 0.0:
+            raise ValueError(f"h_min must be positive, got {self.h_min}")
+        if self.max_steps < 1:
+            raise ValueError(f"max_steps must be at least 1, got {self.max_steps}")
         times = tuple(float(t) for t in self.snapshot_times)
         if not times:
             raise ValueError("need at least one snapshot time")
@@ -121,9 +131,13 @@ class Snapshot:
 
 @dataclass(frozen=True)
 class RunResult:
+    """Snapshots and per-step diagnostics of one run, with its configuration
+    and the moment basis it was solved with."""
+
     snapshots: list
     diagnostics: dict
     config: SimConfig
+    basis: MomentBasis
 
 
 def preset(example: int, **overrides) -> SimConfig:
@@ -334,7 +348,7 @@ def run(config: SimConfig) -> RunResult:
         pending.pop(0)
     return RunResult(snapshots=snapshots,
                      diagnostics={k: np.asarray(v) for k, v in diag.items()},
-                     config=config)
+                     config=config, basis=basis)
 
 
 def _coulomb_bottom(model) -> bool:
@@ -524,11 +538,19 @@ def config_to_mapping(config: SimConfig) -> dict:
     return mapping
 
 
+def _parse(section: str, key: str, parse, raw: str):
+    try:
+        return parse(raw)
+    except ValueError as exc:
+        raise ValueError(f"cannot parse {section}.{key} = {raw!r}: {exc}") from exc
+
+
 def config_from_mapping(mapping: dict) -> SimConfig:
     """Build a SimConfig from {section: {key: string}} (inverse of the above).
 
-    Raises ValueError naming section.key for a key that nothing reads, and
-    for a removed option set to anything but the value that still loads.
+    Raises ValueError naming section.key for a key that nothing reads, for a
+    value that does not parse, and for a removed option set to anything but
+    the value that still loads.
     """
     sections = {}
     for section, kv in mapping.items():
@@ -540,17 +562,19 @@ def config_from_mapping(mapping: dict) -> SimConfig:
             allowed = _REMOVED_KEYS.get((section, key))
             if allowed is not None and raw.strip().lower() != allowed:
                 raise ValueError(f"{section}.{key} was removed; only {allowed!r} still loads")
-    kw = {name: parse(sections[section][key.lower()])
+    kw = {name: _parse(section, key.lower(), parse, sections[section][key.lower()])
           for section, key, name, parse in _FILE_FIELDS
           if key.lower() in sections.get(section, {})}
     friction = kw.get("friction", SimConfig.friction)
     if friction not in _FRICTION_KEYS:
         raise ValueError(f"unknown friction model {friction!r}")
     model = sections.get("model", {})
-    kw["friction_params"] = {_PARAM_OF.get(key, key): raw if key == "bottom" else float(raw)
-                             for key, raw in model.items() if key in _FRICTION_KEYS[friction]}
+    kw["friction_params"] = {
+        _PARAM_OF.get(key, key): raw if key == "bottom" else _parse("model", key, float, raw)
+        for key, raw in model.items() if key in _FRICTION_KEYS[friction]}
     if sections.get("ic"):
-        kw["ic"] = {"kind": "block", **{k: _IC_KEYS[k](v) for k, v in sections["ic"].items()}}
+        kw["ic"] = {"kind": "block",
+                    **{k: _parse("ic", k, _IC_KEYS[k], v) for k, v in sections["ic"].items()}}
     return SimConfig(**kw)
 
 
@@ -573,10 +597,9 @@ def write_outputs(result: RunResult, out_dir: str) -> list:
         write_snapshot(snap, name)
         written.append(name)
     if cfg.profile_resolution is not None:
-        basis = build_basis(cfg.N)
         for snap in result.snapshots:
             name = os.path.join(out_dir, f"profile_t{snap.time:g}.csv")
-            emit_profile(snap, basis, cfg.profile_resolution, name)
+            emit_profile(snap, result.basis, cfg.profile_resolution, name)
             written.append(name)
     summary = os.path.join(out_dir, "summary.txt")
     write_summary(result, summary)

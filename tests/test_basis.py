@@ -1,11 +1,13 @@
 import math
 from fractions import Fraction
+from math import comb, factorial
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from swmoment.basis import (
+    MAX_ORDER,
     MomentBasis,
     build_basis,
     eval_dphi,
@@ -65,9 +67,75 @@ def test_dissipation_tensor_fixtures():
     assert basis.C[1, 1] == pytest.approx(12.0, abs=1e-15)
 
 
-def test_tensor_symmetries(basis6):
-    assert np.array_equal(basis6.C, basis6.C.T)
-    assert np.allclose(basis6.A, np.swapaxes(basis6.A, 1, 2), atol=0.0)
+def test_tensor_symmetries():
+    for N in range(1, MAX_ORDER + 1):
+        basis = build_basis(N)
+        assert np.array_equal(basis.C, basis.C.T)
+        assert np.array_equal(basis.A, np.swapaxes(basis.A, 1, 2))
+
+
+def test_dissipation_tensor_closed_form():
+    # C_ij = 2 m (m+1) with m = min(i, j) when i + j is even, else 0
+    for N in range(1, MAX_ORDER + 1):
+        i, j = np.meshgrid(np.arange(1, N + 1), np.arange(1, N + 1), indexing="ij")
+        m = np.minimum(i, j)
+        assert np.array_equal(build_basis(N).C, np.where((i + j) % 2 == 0, 2.0 * m * (m + 1), 0.0))
+
+
+# The reference builder: every tensor entry as a Fraction, from polynomial
+# products of the Rodrigues-formula coefficients, converted to float once.
+def _ref_phi(j):
+    coeffs = [Fraction(0)] * (j + 1)
+    for k in range(j + 1):
+        power = j + k
+        coeffs[k] += Fraction(comb(j, k) * (-1) ** k) * Fraction(
+            factorial(power), factorial(power - j)) / factorial(j)
+    return coeffs
+
+
+def _ref_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for a, ca in enumerate(p):
+        for b, cb in enumerate(q):
+            out[a + b] += ca * cb
+    return out
+
+
+def _ref_int01(p):
+    return sum((c / (m + 1) for m, c in enumerate(p)), Fraction(0))
+
+
+def _ref_basis(N):
+    phis = [_ref_phi(j) for j in range(1, N + 1)]
+    dphis = [[c * m for m, c in enumerate(p)][1:] for p in phis]
+    antis = [[Fraction(0)] + [c / (m + 1) for m, c in enumerate(p)] for p in phis]
+    A, B, C = np.zeros((N, N, N)), np.zeros((N, N, N)), np.zeros((N, N))
+    for i in range(N):
+        for j in range(N):
+            C[i, j] = float(_ref_int01(_ref_mul(dphis[i], dphis[j])))
+            for k in range(N):
+                s = 2 * (i + 1) + 1
+                A[i, j, k] = float(s * _ref_int01(_ref_mul(_ref_mul(phis[i], phis[j]), phis[k])))
+                B[i, j, k] = float(s * _ref_int01(_ref_mul(_ref_mul(dphis[i], antis[j]), phis[k])))
+    phi, dphi = np.zeros((N, N + 1)), np.zeros((N, N))
+    for r in range(N):
+        phi[r, : r + 2] = [float(c) for c in phis[r]]
+        dphi[r, : r + 1] = [float(c) for c in dphis[r]]
+    return phi, dphi, A, B, C
+
+
+def test_phi_coefficients_match_rodrigues_formula():
+    for j in range(0, MAX_ORDER + 2):
+        assert phi_coefficients(j) == _ref_phi(j)
+
+
+@pytest.mark.parametrize("N", range(1, MAX_ORDER + 1))
+def test_build_basis_bit_identical_to_fraction_reference(N):
+    basis = build_basis(N)
+    for name, ref in zip(("phi", "dphi", "A", "B", "C"), _ref_basis(N)):
+        got = getattr(basis, name)
+        assert np.array_equal(got, ref), name
+        assert np.array_equal(np.signbit(got), np.signbit(ref)), name
 
 
 def test_gauss_three_point_rule():

@@ -14,6 +14,7 @@ from swmoment.scheme import (
     Grid,
     _dry_after_transport,
     _finalize,
+    _live_window,
     _path_matrices,
     _stored_dry,
     _transport,
@@ -311,10 +312,11 @@ def test_cfl_dt_screen_equals_brute_force_max(N, basis1, basis2, basis6):
     assert cfl_dt(grids[0], fixed, EPS, THETA, basis) == 3.7e-4
 
 
-def _transport_full_width(grid, dry, dt, eps, theta, basis):
-    """The transport predictor over every interface, inert ones zeroed after."""
+def _transport_full_width(grid, dry, window, P, dt, eps, theta, basis):
+    """The transport predictor over every interface, inert ones zeroed after
+    (window and P, the primitive rows of the window, are not read)."""
     U = grid.U
-    A, inert = _path_matrices(U, dry, grid.policy, eps, theta, basis)
+    A, inert = _path_matrices(to_primitive(U, grid.policy), dry, eps, theta, basis)
     Q = viscosity_matrix(A, grid.dx, dt)
     dU = U[1:] - U[:-1]
     D_minus = 0.5 * np.einsum("kij,kj->ki", A - Q, dU)
@@ -365,7 +367,7 @@ def _path_matrices_per_node(U, dry, policy, eps, theta, basis):
 def test_path_matrices_stacked_call_equals_per_node_calls(case, basis2):
     grid = _patch_grid(2, **WINDOW_CASES[case])
     dry = _stored_dry(grid.U, POLICY)
-    A, inert = _path_matrices(grid.U, dry, POLICY, EPS, THETA, basis2)
+    A, inert = _path_matrices(to_primitive(grid.U, POLICY), dry, EPS, THETA, basis2)
     assert np.array_equal(A, _path_matrices_per_node(grid.U, dry, POLICY, EPS, THETA, basis2))
     assert np.array_equal(inert, dry[:-1] & dry[1:])
 
@@ -374,9 +376,12 @@ def test_path_matrices_stacked_call_equals_per_node_calls(case, basis2):
 def test_transport_window_bit_identical_to_full_width(case, basis2):
     grid = _patch_grid(2, **WINDOW_CASES[case])
     dry = _stored_dry(grid.U, POLICY)
+    window = _live_window(dry)
+    P = to_primitive(grid.U[window], POLICY)
     for dt in (1e-4, 7.3e-4):
-        got = _transport(grid, dry, dt, EPS, THETA, basis2)
-        assert np.array_equal(got, _transport_full_width(grid, dry, dt, EPS, THETA, basis2))
+        got = _transport(grid, dry, window, P, dt, EPS, THETA, basis2)
+        assert np.array_equal(got, _transport_full_width(grid, dry, window, P, dt, EPS, THETA,
+                                                         basis2))
     if case == "all_dry":
         assert np.array_equal(got, grid.U[1:-1])
 
@@ -402,12 +407,30 @@ def test_steppers_with_window_bit_identical_to_full_width(case, basis2, monkeypa
         assert np.array_equal(U, g.U)
 
 
+def test_explicit_step_converts_pre_step_rows_once(basis2, monkeypatch):
+    grid = _patch_grid(2, patches=[(5, 11), (26, 33)], stored=(12, 25))
+    dry = _stored_dry(grid.U, POLICY)
+    window = _live_window(dry)
+    assert (window.start, window.stop) == (5, 35)
+    assert np.all(dry[:window.start]) and np.all(dry[window.stop:])
+    assert _live_window(np.ones(10, dtype=bool)) == slice(0, 0)
+    calls = []
+
+    def counted(U, policy):
+        calls.append(len(U))
+        return to_primitive(U, policy)
+
+    monkeypatch.setattr(scheme, "to_primitive", counted)
+    step_explicit(grid, 1e-4, MODEL, EPS, THETA, basis2, SimConfig(mode="explicit"))
+    assert calls == [window.stop - window.start]
+
+
 def _semi_implicit_reference(grid, dt, model, eps, theta, basis, config):
     """The semi-implicit step with the finite-difference Newton over all N+2
     conservative rows, depth included, and one residual evaluation per
     perturbed column."""
     dry = _stored_dry(grid.U, grid.policy)
-    U_check = _transport(grid, dry, dt, eps, theta, basis)
+    U_check = _transport_full_width(grid, dry, None, None, dt, eps, theta, basis)
     dry_after = _dry_after_transport(U_check, dry[1:-1], grid.policy)
     idx = np.flatnonzero(~dry_after)
     U_new = U_check.copy()

@@ -121,6 +121,23 @@ def test_config_validation():
     mapping["stepper"]["cfl"] = "0"
     with pytest.raises(ValueError, match="CFL"):
         config_from_mapping(mapping)
+    # the numeric stepper options, each named in its error, as a SimConfig
+    # and from a file
+    bad = {"dt_fixed": (0.0, -1e-3, math.inf, math.nan), "dt_max": (0.0, -1.0, math.nan),
+           "h_min": (0.0, -1e-6, math.nan), "max_steps": (0, -5), "newton_max_iter": (-1,),
+           "newton_tol": (0.0, math.nan)}
+    for name, values in bad.items():
+        for value in values:
+            with pytest.raises(ValueError, match=name):
+                preset(1, **{name: value})
+            mapping = config_to_mapping(preset(1))
+            mapping["stepper"][name] = str(value)
+            with pytest.raises(ValueError, match=name):
+                config_from_mapping(mapping)
+    # the edge values that stay valid: no fixed step, and newton_max_iter = 0
+    # (any cell that needs an iteration then aborts the step)
+    assert preset(1, dt_fixed=None, newton_max_iter=0, max_steps=1).newton_max_iter == 0
+    assert preset(1, dt_fixed=1e-300).dt_fixed == 1e-300
 
 
 def test_run_zero_snapshot_echoes_initial_state():
@@ -308,6 +325,23 @@ def test_profile_file_output(tmp_path, basis2):
     assert len(lines) == 1 + rows.shape[0]
 
 
+def test_write_outputs_profiles_use_the_run_basis(tmp_path, monkeypatch):
+    result = run(preset(1, J=16, snapshot_times=(0.005,), profile_resolution=5))
+    assert result.basis.N == result.config.N
+    assert np.array_equal(result.basis.A, sim.build_basis(result.config.N).A)
+
+    def no_second_build(N):
+        raise AssertionError("write_outputs built the basis again")
+
+    monkeypatch.setattr(sim, "build_basis", no_second_build)
+    written = sim.write_outputs(result, str(tmp_path))
+    profile = tmp_path / "profile_t0.005.csv"
+    assert str(profile) in written
+    rows = np.loadtxt(profile, delimiter=",", skiprows=1)
+    expected = emit_profile(result.snapshots[-1], result.basis, 5)
+    assert np.array_equal(rows, expected)
+
+
 def test_profile_equals_per_cell_loop(tmp_path, basis2):
     # 50 cells x 33 levels = 1650 rows, not a multiple of the write chunk
     J, res = 50, 33
@@ -448,6 +482,24 @@ def test_cli_reports_bad_inputs(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert cli.main(["--preset", "1", "--override", "grid.j=banana"]) == 1
     assert cli.main(["--config", str(tmp_path / "missing.ini")]) == 1
+
+
+def test_config_value_that_does_not_parse_names_its_key():
+    cases = [("grid", "J", "banana", "grid.j"), ("stepper", "cfl", "fast", "stepper.cfl"),
+             ("output", "times", "0.1 soon", "output.times"),
+             ("model", "eta", "thick", "model.eta"), ("ic", "h", "deep", "ic.h")]
+    for section, key, raw, name in cases:
+        mapping = config_to_mapping(preset(1))
+        mapping[section][key] = raw
+        with pytest.raises(ValueError, match=f"{name} = '{raw}'"):
+            config_from_mapping(mapping)
+
+
+def test_cli_value_that_does_not_parse_names_its_key(tmp_path, capsys):
+    assert cli.main(["--preset", "1", "--out", str(tmp_path), "--override", "grid.j=banana"]) == 1
+    err = capsys.readouterr().err
+    assert "grid.j" in err and "banana" in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_rejects_unknown_key(tmp_path, capsys):
