@@ -32,7 +32,8 @@ class Grid:
     """Uniform 1-D grid: J interior cells plus one ghost cell on each side.
 
     U holds conservative rows (J+2, N+2); row 0 and row J+1 are ghosts.
-    dbdx holds interior cell slopes (J,).
+    dbdx holds interior cell slopes (J,). stored (J+2,) flags the rows the
+    last step held at rest as dry; the default None means none.
     """
 
     x: np.ndarray
@@ -40,10 +41,19 @@ class Grid:
     U: np.ndarray
     dbdx: np.ndarray
     policy: WetDryPolicy
+    stored: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.stored is None:
+            object.__setattr__(self, "stored", np.zeros(len(self.U), dtype=bool))
 
     @property
     def J(self) -> int:
         return len(self.x)
+
+    def dry(self) -> np.ndarray:
+        """Dryness of every row of U: h <= h_min, or stored."""
+        return is_dry(self.U[:, 0], self.policy) | self.stored
 
     def interior(self) -> np.ndarray:
         return self.U[1:-1]
@@ -68,34 +78,21 @@ def make_grid(x_a: float, x_b: float, J: int, N: int, policy: WetDryPolicy, bed=
 
 def apply_transmissive_bc(grid: Grid) -> Grid:
     """Copy the boundary cells into the ghost cells (waves exit freely)."""
-    U = grid.U.copy()
-    U[0] = U[1]
-    U[-1] = U[-2]
-    return replace(grid, U=U)
+    U, stored = grid.U.copy(), grid.stored.copy()
+    for rows in (U, stored):
+        rows[0] = rows[1]
+        rows[-1] = rows[-2]
+    return replace(grid, U=U, stored=stored)
 
 
 # activation margin for rewetting: a dry cell turns wet only once its
 # transported depth clears this multiple of h_min, while a wet cell dries at
 # h_min itself. Sub-threshold interface-viscosity deposits then accumulate as
-# stored (velocity-free) mass instead of creeping one cell per step, which
-# arrests the spurious upslope tail a quasi-static draining front would
-# otherwise pump out; resolved fronts deposit far above the margin and are
-# unaffected.
+# stored mass (flagged in Grid.stored, held at rest) instead of creeping one
+# cell per step, which arrests the spurious upslope tail a quasi-static
+# draining front would otherwise pump out; resolved fronts deposit far above
+# the margin and are unaffected.
 WETTING_HYSTERESIS = 50.0
-
-
-def _stored_dry(U: np.ndarray, policy: WetDryPolicy) -> np.ndarray:
-    """Dry cells, including stored ones below the rewetting margin.
-
-    A stored cell keeps its transported depth but has had every velocity row
-    zeroed exactly, which marks it as still-dry until the depth clears the
-    activation margin; active cells always carry floating-point velocity
-    residue, so the marker never misfires on resolved flow.
-    """
-    h = U[:, 0]
-    dry = is_dry(h, policy)
-    stored = (h <= WETTING_HYSTERESIS * policy.h_min) & np.all(U[:, 1:] == 0.0, axis=1)
-    return dry | stored
 
 
 def _path_matrices(X: np.ndarray, dry: np.ndarray, eps: float, theta: float,
@@ -103,7 +100,7 @@ def _path_matrices(X: np.ndarray, dry: np.ndarray, eps: float, theta: float,
     """Path-averaged matrices for all consecutive interfaces of the primitive
     rows X, along the linear path in primitive variables.
 
-    dry is the _stored_dry mask of the rows. Dry-wet interfaces use the wet
+    dry is the dryness mask of the rows. Dry-wet interfaces use the wet
     state's matrix (constant path); dry-dry interfaces are flagged inert (no
     fluctuations). Returns (A, inert).
     """
@@ -127,9 +124,10 @@ def _path_matrices(X: np.ndarray, dry: np.ndarray, eps: float, theta: float,
 def roe_matrix(U_L, U_R, eps: float, theta: float, basis: MomentBasis,
                policy: WetDryPolicy) -> np.ndarray:
     """Interface matrix: 3-point Gauss quadrature of the transport matrix along
-    the linear path between the two states in primitive variables."""
+    the linear path between the two states in primitive variables. Bare
+    states have no step history, so here a state is dry iff h <= h_min."""
     U = np.stack([np.asarray(U_L, dtype=float), np.asarray(U_R, dtype=float)])
-    A, _ = _path_matrices(to_primitive(U, policy), _stored_dry(U, policy), eps, theta, basis)
+    A, _ = _path_matrices(to_primitive(U, policy), is_dry(U[:, 0], policy), eps, theta, basis)
     return A[0]
 
 
@@ -151,7 +149,7 @@ def fluctuations(U_L, U_R, dx: float, dt: float, eps: float, theta: float,
     wet-dry front not advancing into the dry cell) carry no fluctuations.
     """
     U = np.stack([np.asarray(U_L, dtype=float), np.asarray(U_R, dtype=float)])
-    A, inert = _path_matrices(to_primitive(U, policy), _stored_dry(U, policy), eps, theta, basis)
+    A, inert = _path_matrices(to_primitive(U, policy), is_dry(U[:, 0], policy), eps, theta, basis)
     if inert[0]:
         zero = np.zeros(U.shape[1])
         return zero, zero.copy()
@@ -163,12 +161,12 @@ def fluctuations(U_L, U_R, dx: float, dt: float, eps: float, theta: float,
 
 
 def cfl_dt(grid: Grid, config, eps: float, theta: float, basis: MomentBasis) -> float:
-    """CFL time step cfl * dx / max wavespeed over wet cells; dt_max if all
-    dry; dt_fixed if set. config is the run's SimConfig."""
+    """CFL time step cfl * dx / max wavespeed over the cells not grid.dry();
+    dt_max if there are none; dt_fixed if set. config is the run's SimConfig."""
     if config.dt_fixed is not None:
         return config.dt_fixed
     U = grid.interior()
-    wet = ~is_dry(U[:, 0], grid.policy)
+    wet = ~grid.dry()[1:-1]
     if not np.any(wet):
         return config.dt_max
     P = to_primitive(U[wet], grid.policy)
@@ -189,10 +187,10 @@ def cfl_dt(grid: Grid, config, eps: float, theta: float, basis: MomentBasis) -> 
 
 def _live_window(dry: np.ndarray) -> slice:
     """Rows of grid.U from the first to the last interface with a wet side
-    (empty if there is none), for the _stored_dry mask dry of every row.
+    (empty if there is none), for the mask dry of every row (grid.dry()).
 
     Only these interfaces carry fluctuations, and every row that is not
-    stored-dry lies inside the window.
+    dry lies inside the window.
     """
     live = np.flatnonzero(~(dry[:-1] & dry[1:]))
     return slice(live[0], live[-1] + 2) if live.size else slice(0, 0)
@@ -202,7 +200,7 @@ def _transport(grid: Grid, dry: np.ndarray, window: slice, P: np.ndarray, dt: fl
                eps: float, theta: float, basis: MomentBasis) -> np.ndarray:
     """Transport-only predictor for the interior cells.
 
-    dry is the _stored_dry mask of every row of grid.U, window its
+    dry is grid.dry(), the mask of every row of grid.U, window its
     _live_window and P the primitive rows of grid.U[window]. The matrices are
     built on the window only; outside it the fluctuations stay exactly zero.
     """
@@ -230,10 +228,14 @@ def _dry_after_transport(U_check: np.ndarray, was_dry: np.ndarray,
     return dry
 
 
-def _finalize(U_check: np.ndarray, U_new: np.ndarray, dry_after: np.ndarray,
-              policy: WetDryPolicy) -> tuple[np.ndarray, dict]:
-    """Zero dry-cell velocities, keep their transported depth, clamp negatives."""
-    out = U_new.copy()
+def _finalize(grid: Grid, U_check: np.ndarray, U_new: np.ndarray,
+              dry_after: np.ndarray) -> tuple[Grid, dict]:
+    """The grid after a step to interior states U_new: the dry_after cells keep
+    their transported depth at rest and are flagged stored; clamp negatives."""
+    U, stored = grid.U.copy(), grid.stored.copy()
+    stored[1:-1] = dry_after
+    out = U[1:-1]
+    out[:] = U_new
     out[dry_after, 1:] = 0.0
     out[dry_after, 0] = U_check[dry_after, 0]
     clamped = 0.0
@@ -241,7 +243,8 @@ def _finalize(U_check: np.ndarray, U_new: np.ndarray, dry_after: np.ndarray,
     if np.any(negative):
         clamped = float(-np.sum(out[negative, 0]))
         out[negative, 0] = 0.0
-    return out, {"dry_cells": int(np.sum(dry_after)), "clamped_mass": clamped}
+    return replace(grid, U=U, stored=stored), {"dry_cells": int(np.sum(dry_after)),
+                                               "clamped_mass": clamped}
 
 
 def _check_finite(U: np.ndarray, stage: str) -> None:
@@ -288,7 +291,7 @@ def step_explicit(grid: Grid, dt: float, model, eps: float, theta: float,
     both. config is not read; it keeps the signature of step_semi_implicit.
     """
     _check_finite(grid.interior(), "input")
-    dry = _stored_dry(grid.U, grid.policy)
+    dry = grid.dry()
     window = _live_window(dry)
     P = to_primitive(grid.U[window], grid.policy)
     U_check = _transport(grid, dry, window, P, dt, eps, theta, basis)
@@ -299,15 +302,12 @@ def step_explicit(grid: Grid, dt: float, model, eps: float, theta: float,
     U_new = U_check.copy()
     if np.any(apply_src):
         # interior cell c is row c + 1 of grid.U; source cells are not
-        # stored-dry, so they lie in the window
+        # dry, so they lie in the window
         rows = np.flatnonzero(apply_src) + 1 - window.start
         S = _limited_source(P[rows], dt, model, eps, theta, grid.dbdx[apply_src], basis)
         U_new[apply_src] += dt * S
     _check_finite(U_new, "source")
-    U_out, info = _finalize(U_check, U_new, dry_after, grid.policy)
-    U_full = grid.U.copy()
-    U_full[1:-1] = U_out
-    return replace(grid, U=U_full), info
+    return _finalize(grid, U_check, U_new, dry_after)
 
 
 # relative central-difference step of the Newton Jacobian: the step for a
@@ -352,7 +352,7 @@ def step_semi_implicit(grid: Grid, dt: float, model, eps: float, theta: float,
     source does not change it); cells dry after transport skip the solve.
     config is the run's SimConfig (newton_tol, newton_max_iter)."""
     _check_finite(grid.interior(), "input")
-    dry = _stored_dry(grid.U, grid.policy)
+    dry = grid.dry()
     window = _live_window(dry)
     U_check = _transport(grid, dry, window, to_primitive(grid.U[window], grid.policy), dt, eps,
                          theta, basis)
@@ -390,12 +390,10 @@ def step_semi_implicit(grid: Grid, dt: float, model, eps: float, theta: float,
         iters_total += rows.size
         iters_max += 1
     _check_finite(U_new, "implicit source")
-    U_out, info = _finalize(U_check, U_new, dry_after, grid.policy)
+    new_grid, info = _finalize(grid, U_check, U_new, dry_after)
     info["newton_iters_total"] = iters_total
     info["newton_iters_max"] = iters_max
-    U_full = grid.U.copy()
-    U_full[1:-1] = U_out
-    return replace(grid, U=U_full), info
+    return new_grid, info
 
 
 _SQRT15_OVER5 = np.sqrt(15.0) / 5.0

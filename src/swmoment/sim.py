@@ -103,6 +103,10 @@ class SimConfig:
             raise ValueError(f"h_min must be positive, got {self.h_min}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be at least 1, got {self.max_steps}")
+        if self.quad_points < 2:
+            raise ValueError(f"quad_points must be at least 2, got {self.quad_points}")
+        if self.profile_resolution is not None and self.profile_resolution < 2:
+            raise ValueError(f"profile_resolution must be None or >= 2, got {self.profile_resolution}")
         times = tuple(float(t) for t in self.snapshot_times)
         if not times:
             raise ValueError("need at least one snapshot time")
@@ -294,9 +298,9 @@ def build_grid(config: SimConfig, bed=None):
     return apply_transmissive_bc(grid)
 
 
-def _snapshot(grid, t: float, bed, policy: WetDryPolicy) -> Snapshot:
+def _snapshot(grid, t: float, bed) -> Snapshot:
     U = grid.interior()
-    P = to_primitive(U, policy)
+    P = to_primitive(U, grid.policy)
     h = P[:, 0]
     alpha = P[:, 2:]
     u_bottom = P[:, 1] + np.sum(alpha, axis=1)
@@ -312,7 +316,6 @@ def run(config: SimConfig) -> RunResult:
     model = build_model(config)
     bed = build_bed(config)
     grid = build_grid(config, bed)
-    policy = grid.policy
     stepper = step_explicit if config.mode == "explicit" else step_semi_implicit
     eps, theta = config.eps, config.theta
     diag = {k: [] for k in ("time", "dt", "mass", "max_speed", "dry_cells",
@@ -323,7 +326,7 @@ def run(config: SimConfig) -> RunResult:
     snapshots = []
     pending = list(config.snapshot_times)
     if pending[0] == 0.0:
-        snapshots.append(_snapshot(grid, 0.0, bed, policy))
+        snapshots.append(_snapshot(grid, 0.0, bed))
         pending.pop(0)
     t = 0.0
     steps = 0
@@ -343,8 +346,8 @@ def run(config: SimConfig) -> RunResult:
             except RuntimeError as exc:
                 raise RuntimeError(f"step aborted at t={t:.8g}: {exc}") from exc
             t = t_target if landed else t + dt
-            _record(diag, t, dt, grid, info, basis, policy)
-        snapshots.append(_snapshot(grid, t_target, bed, policy))
+            _record(diag, t, dt, grid, info, basis)
+        snapshots.append(_snapshot(grid, t_target, bed))
         pending.pop(0)
     return RunResult(snapshots=snapshots,
                      diagnostics={k: np.asarray(v) for k, v in diag.items()},
@@ -357,18 +360,17 @@ def _coulomb_bottom(model) -> bool:
     return isinstance(model.bottom_law, CoulombBottom)
 
 
-def _record(diag: dict, t: float, dt: float, grid, info: dict, basis,
-            policy: WetDryPolicy) -> None:
+def _record(diag: dict, t: float, dt: float, grid, info: dict, basis) -> None:
     U = grid.interior()
-    P = to_primitive(U, policy)
-    wet = P[:, 0] > policy.h_min
+    P = to_primitive(U, grid.policy)
+    wet = ~grid.dry()[1:-1]
     diag["time"].append(t)
     diag["dt"].append(dt)
     diag["mass"].append(float(np.sum(U[:, 0]) * grid.dx))
     diag["max_speed"].append(float(np.max(np.abs(P[wet, 1]), initial=0.0)))
     diag["dry_cells"].append(info.get("dry_cells", 0))
     if "sh_violations" in diag:
-        diag["sh_violations"].append(savage_hutter_violations(P, basis, policy.h_min))
+        diag["sh_violations"].append(savage_hutter_violations(P[wet], basis, grid.policy.h_min))
     diag["newton_iters"].append(info.get("newton_iters_total", 0))
     diag["newton_iters_max"].append(info.get("newton_iters_max", 0))
     diag["clamped_mass"].append(info.get("clamped_mass", 0.0))

@@ -16,7 +16,6 @@ from swmoment.scheme import (
     _finalize,
     _live_window,
     _path_matrices,
-    _stored_dry,
     _transport,
     apply_transmissive_bc,
     cfl_dt,
@@ -142,6 +141,48 @@ def test_uniform_rest_state_is_invariant(basis2):
     assert info["newton_iters_total"] == 0
 
 
+def test_thin_film_at_rest_is_wet(basis2):
+    # a film at rest under the rewetting margin that no step has stored is
+    # wet: zero velocities do not make a cell dry
+    grid = _uniform_grid(16, 2, h=10.0 * POLICY.h_min)
+    for stepper, mode in ((step_explicit, "explicit"), (step_semi_implicit, "semi_implicit")):
+        g, info = stepper(grid, 1e-3, MODEL, EPS, 0.0, basis2, SimConfig(mode=mode))
+        assert info["dry_cells"] == 0
+        assert not np.any(g.stored)
+        assert np.array_equal(g.U, grid.U)
+
+
+def test_stored_flags_default_ghosts_and_step(basis2):
+    grid = make_grid(0.0, 1.0, 12, 2, POLICY)
+    assert grid.stored.shape == (14,) and not np.any(grid.stored)
+    bare = Grid(x=grid.x, dx=grid.dx, U=grid.U, dbdx=grid.dbdx, policy=POLICY)
+    assert not np.any(bare.stored)
+    flags = np.zeros(14, dtype=bool)
+    flags[1] = True
+    g = apply_transmissive_bc(replace(grid, stored=flags))
+    assert g.stored[0] and not g.stored[-1]
+    assert np.array_equal(g.stored[1:-1], flags[1:-1])
+    flags = np.zeros(14, dtype=bool)
+    flags[-2] = True
+    g = apply_transmissive_bc(replace(grid, stored=flags))
+    assert g.stored[-1] and not g.stored[0]
+    # a step stores exactly its dry_after cells, stored mass above h_min included
+    grid = _patch_grid(2, **WINDOW_CASES["stored_next_to_front"])
+    dry = grid.dry()
+    window = _live_window(dry)
+    for stepper, mode in ((step_explicit, "explicit"), (step_semi_implicit, "semi_implicit")):
+        dt = cfl_dt(grid, SimConfig(mode=mode), EPS, THETA, basis2)
+        U_check = _transport(grid, dry, window, to_primitive(grid.U[window], POLICY), dt, EPS,
+                             THETA, basis2)
+        dry_after = _dry_after_transport(U_check, dry[1:-1], POLICY)
+        assert np.any(dry_after & (U_check[:, 0] > POLICY.h_min))
+        g, info = stepper(grid, dt, MODEL, EPS, THETA, basis2, SimConfig(mode=mode))
+        assert np.array_equal(g.stored[1:-1], dry_after)
+        assert info["dry_cells"] == np.sum(dry_after)
+        assert np.array_equal(g.stored[[0, -1]], grid.stored[[0, -1]])
+        assert np.array_equal(g.dry()[1:-1], dry_after | (g.U[1:-1, 0] <= POLICY.h_min))
+
+
 def test_mass_is_conserved_by_transport_and_source(basis2):
     # block of material released on the slope; while the flow stays clear of
     # the boundaries the update telescopes and mass is exact
@@ -205,6 +246,12 @@ def test_cfl_dt_wet_and_dry(basis1):
         0.05 * grid.dx / lam, rel=1e-12)
     dry = _uniform_grid(10, 1, h=1e-7)
     assert cfl_dt(dry, cfg, EPS, THETA, basis1) == cfg.dt_max
+    # a film above h_min is wet unless a step stored it
+    film = _uniform_grid(10, 1, h=10.0 * POLICY.h_min)
+    assert cfl_dt(film, cfg, EPS, THETA, basis1) == pytest.approx(
+        0.05 * grid.dx / math.sqrt(EPS * math.cos(THETA) * 10.0 * POLICY.h_min), rel=1e-12)
+    stored = replace(film, stored=np.ones(12, dtype=bool))
+    assert cfl_dt(stored, cfg, EPS, THETA, basis1) == cfg.dt_max
     fixed = SimConfig(mode="explicit", dt_fixed=2.5e-4)
     assert cfl_dt(grid, fixed, EPS, THETA, basis1) == 2.5e-4
 
@@ -328,16 +375,20 @@ def _transport_full_width(grid, dry, window, P, dt, eps, theta, basis):
 
 def _patch_grid(N, patches, stored=(), J=40, seed=0):
     """Wet patches [lo, hi) of random flow on a dry grid (h below h_min, at
-    rest); stored cells hold velocity-free depth under the rewetting margin."""
+    rest); stored cells are flagged and hold depth at rest under the
+    rewetting margin."""
     rng = np.random.default_rng(seed)
     P = np.zeros((J, N + 2))
     P[:, 0] = rng.uniform(0.0, POLICY.h_min, J)
     for lo, hi in patches:
         P[lo:hi] = random_wet_primitive(rng, N, hi - lo, h_range=(1e-2, 0.1), vel_scale=0.5)
+    flags = np.zeros(J + 2, dtype=bool)
     for j in stored:
         P[j] = 0.0
         P[j, 0] = 0.5 * WETTING_HYSTERESIS * POLICY.h_min
-    return _with_interior(make_grid(0.0, 1.0, J, N, POLICY), to_conservative(P))
+        flags[j + 1] = True
+    grid = _with_interior(make_grid(0.0, 1.0, J, N, POLICY), to_conservative(P))
+    return apply_transmissive_bc(replace(grid, stored=flags))
 
 
 WINDOW_CASES = {
@@ -366,7 +417,7 @@ def _path_matrices_per_node(U, dry, policy, eps, theta, basis):
 @pytest.mark.parametrize("case", sorted(WINDOW_CASES), ids=lambda c: f"{c}-primitive")
 def test_path_matrices_stacked_call_equals_per_node_calls(case, basis2):
     grid = _patch_grid(2, **WINDOW_CASES[case])
-    dry = _stored_dry(grid.U, POLICY)
+    dry = grid.dry()
     A, inert = _path_matrices(to_primitive(grid.U, POLICY), dry, EPS, THETA, basis2)
     assert np.array_equal(A, _path_matrices_per_node(grid.U, dry, POLICY, EPS, THETA, basis2))
     assert np.array_equal(inert, dry[:-1] & dry[1:])
@@ -375,7 +426,7 @@ def test_path_matrices_stacked_call_equals_per_node_calls(case, basis2):
 @pytest.mark.parametrize("case", sorted(WINDOW_CASES), ids=lambda c: f"{c}-primitive")
 def test_transport_window_bit_identical_to_full_width(case, basis2):
     grid = _patch_grid(2, **WINDOW_CASES[case])
-    dry = _stored_dry(grid.U, POLICY)
+    dry = grid.dry()
     window = _live_window(dry)
     P = to_primitive(grid.U[window], POLICY)
     for dt in (1e-4, 7.3e-4):
@@ -409,7 +460,7 @@ def test_steppers_with_window_bit_identical_to_full_width(case, basis2, monkeypa
 
 def test_explicit_step_converts_pre_step_rows_once(basis2, monkeypatch):
     grid = _patch_grid(2, patches=[(5, 11), (26, 33)], stored=(12, 25))
-    dry = _stored_dry(grid.U, POLICY)
+    dry = grid.dry()
     window = _live_window(dry)
     assert (window.start, window.stop) == (5, 35)
     assert np.all(dry[:window.start]) and np.all(dry[window.stop:])
@@ -429,7 +480,7 @@ def _semi_implicit_reference(grid, dt, model, eps, theta, basis, config):
     """The semi-implicit step with the finite-difference Newton over all N+2
     conservative rows, depth included, and one residual evaluation per
     perturbed column."""
-    dry = _stored_dry(grid.U, grid.policy)
+    dry = grid.dry()
     U_check = _transport_full_width(grid, dry, None, None, dt, eps, theta, basis)
     dry_after = _dry_after_transport(U_check, dry[1:-1], grid.policy)
     idx = np.flatnonzero(~dry_after)
@@ -464,7 +515,7 @@ def _semi_implicit_reference(grid, dt, model, eps, theta, basis, config):
         alive = np.flatnonzero(active)
         active[alive[np.max(np.abs(R[active]), axis=1) < config.newton_tol]] = False
     U_new[idx] = V
-    U_out, _ = _finalize(U_check, U_new, dry_after, grid.policy)
+    U_out = _finalize(grid, U_check, U_new, dry_after)[0].interior()
     return U_check, U_out, iters_total, iters_max
 
 
@@ -509,7 +560,7 @@ def test_semi_implicit_newton_matches_full_jacobian_reference(name, basis1, basi
         assert info["newton_iters_total"] == total_ref
         assert info["newton_iters_max"] == max_ref >= 1
         np.testing.assert_allclose(got.U[1:-1], U_ref, rtol=1e-10, atol=0.0)
-        wet = ~_dry_after_transport(U_check, _stored_dry(grid.U, POLICY)[1:-1], POLICY)
+        wet = ~_dry_after_transport(U_check, grid.dry()[1:-1], POLICY)
         assert np.any(~wet)
         assert np.array_equal(got.U[1:-1][wet, 0], U_check[wet, 0])
 

@@ -32,6 +32,8 @@ from swmoment.sim import (
     write_snapshot,
     write_summary,
 )
+from swmoment.scheme import apply_transmissive_bc, make_grid
+from swmoment.state import WetDryPolicy, to_conservative
 
 PI4 = math.pi / 4
 
@@ -121,23 +123,25 @@ def test_config_validation():
     mapping["stepper"]["cfl"] = "0"
     with pytest.raises(ValueError, match="CFL"):
         config_from_mapping(mapping)
-    # the numeric stepper options, each named in its error, as a SimConfig
-    # and from a file
+    # the numeric stepper and output options, each named in its error, as a
+    # SimConfig and from a file, before a run solves anything
     bad = {"dt_fixed": (0.0, -1e-3, math.inf, math.nan), "dt_max": (0.0, -1.0, math.nan),
            "h_min": (0.0, -1e-6, math.nan), "max_steps": (0, -5), "newton_max_iter": (-1,),
-           "newton_tol": (0.0, math.nan)}
+           "newton_tol": (0.0, math.nan), "quad_points": (1, 0, -3),
+           "profile_resolution": (1, 0, -2)}
     for name, values in bad.items():
         for value in values:
             with pytest.raises(ValueError, match=name):
                 preset(1, **{name: value})
             mapping = config_to_mapping(preset(1))
-            mapping["stepper"][name] = str(value)
+            mapping["output" if name == "profile_resolution" else "stepper"][name] = str(value)
             with pytest.raises(ValueError, match=name):
                 config_from_mapping(mapping)
     # the edge values that stay valid: no fixed step, and newton_max_iter = 0
     # (any cell that needs an iteration then aborts the step)
     assert preset(1, dt_fixed=None, newton_max_iter=0, max_steps=1).newton_max_iter == 0
     assert preset(1, dt_fixed=1e-300).dt_fixed == 1e-300
+    assert preset(4, quad_points=2, profile_resolution=2).quad_points == 2
 
 
 def test_run_zero_snapshot_echoes_initial_state():
@@ -201,6 +205,32 @@ def test_run_diagnostics_series(tmp_path):
     assert n >= 1
     assert len(explicit["sh_violations"]) == n
     assert np.array_equal(explicit["newton_iters_max"], np.zeros(n))
+
+
+def test_sh_violations_skip_stored_cells(basis2):
+    # a Coulomb-bottom run records sh_violations; a flow patch that meets the
+    # sliding-law assumptions (u(0) = 0.4 > 0, shear > 0) ends next to one
+    # stored cell, at rest with depth above h_min
+    assert isinstance(build_model(preset(3)).bottom_law, CoulombBottom)
+    policy = WetDryPolicy(h_min=1e-6)
+    grid = make_grid(0.0, 1.0, 20, 2, policy)
+    P = np.zeros((20, 4))
+    P[5:15] = [0.05, 0.5, -0.1, 0.0]
+    P[15, 0] = 10.0 * policy.h_min
+    U = grid.U.copy()
+    U[1:-1] = to_conservative(P)
+    stored = np.zeros(22, dtype=bool)
+    stored[16] = True
+    grid = apply_transmissive_bc(dataclasses.replace(grid, U=U, stored=stored))
+    diag = {k: [] for k in ("time", "dt", "mass", "max_speed", "dry_cells", "sh_violations",
+                            "newton_iters", "newton_iters_max", "clamped_mass")}
+    sim._record(diag, 0.1, 1e-3, grid, {"dry_cells": 11}, basis2)
+    assert diag["sh_violations"] == [0]
+    assert diag["max_speed"] == [0.5]
+    # the same film, not stored, is a wet cell at rest: it violates u(0) > 0
+    wet_film = dataclasses.replace(grid, stored=np.zeros(22, dtype=bool))
+    sim._record(diag, 0.2, 1e-3, wet_film, {"dry_cells": 10}, basis2)
+    assert diag["sh_violations"] == [0, 1]
 
 
 def test_run_is_deterministic():
