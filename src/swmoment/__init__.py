@@ -18,7 +18,6 @@ from .friction import (
     savage_hutter_violations,
 )
 from .hswme import (
-    equilibrium_residual,
     source,
     system_matrix,
     wavespeeds_batch,

@@ -448,26 +448,23 @@ class MuI(_Friction):
         return (tau_b[0], T[0]) if single else (tau_b, T)
 
 
-def savage_hutter_violations(P, basis: MomentBasis, h_min: float) -> int:
-    """Count wet cells violating the sliding-law assumptions.
+def savage_hutter_violations(P, basis: MomentBasis) -> int:
+    """Count the rows of P violating the sliding-law assumptions.
 
     The Savage-Hutter derivation assumes a positive bottom velocity and a
     velocity profile increasing with height; violations are reported, never
-    enforced.
+    enforced. The caller passes wet rows only, as to the friction laws.
     """
     P, _ = _as_rows(P)
-    wet = P[:, 0] > h_min
-    if not np.any(wet):
-        return 0
-    Pw = P[wet]
-    bad_bottom = _bottom_velocity(Pw) <= 0.0
+    _require_wet(P[:, 0])
+    bad_bottom = _bottom_velocity(P) <= 0.0
     zeta = np.linspace(0.0, 1.0, 9)
-    shear = np.zeros((Pw.shape[0], len(zeta)))
+    shear = np.zeros((P.shape[0], len(zeta)))
     for j in range(basis.N):
         acc = np.zeros_like(zeta)
         for c in basis.dphi[j, ::-1]:
             acc = acc * zeta + c
-        shear += Pw[:, 2 + j][:, None] * acc[None, :]
+        shear += P[:, 2 + j][:, None] * acc[None, :]
     bad_profile = np.any(shear < 0.0, axis=1)
     return int(np.sum(bad_bottom | bad_profile))
 

@@ -13,7 +13,6 @@ __all__ = [
     "source_batch",
     "spectral_radius_batch",
     "wavespeeds_batch",
-    "equilibrium_residual",
 ]
 
 
@@ -123,15 +122,3 @@ def spectral_radius_batch(P: np.ndarray, eps: float, theta: float) -> np.ndarray
     P = np.asarray(P, dtype=float)
     return np.abs(P[:, 1]) + np.sqrt(eps * math.cos(theta) * P[:, 0] + P[:, 2] * P[:, 2])
 
-
-def equilibrium_residual(P, model, theta: float, basis: MomentBasis) -> np.ndarray:
-    """Residuals (h tan(theta) - tau_b, T_1 + tau_b, ..., T_N + tau_b).
-
-    Zero exactly at a flat-bed, stress-free-surface equilibrium state.
-    """
-    P = np.asarray(P, dtype=float)
-    tau_b, T = model.stresses(P, basis)
-    out = np.empty(basis.N + 1)
-    out[0] = P[0] * math.tan(theta) - tau_b
-    out[1:] = T + tau_b
-    return out

@@ -32,8 +32,8 @@ class Grid:
     """Uniform 1-D grid: J interior cells plus one ghost cell on each side.
 
     U holds conservative rows (J+2, N+2); row 0 and row J+1 are ghosts.
-    dbdx holds interior cell slopes (J,). stored (J+2,) flags the rows the
-    last step held at rest as dry; the default None means none.
+    dbdx holds interior cell slopes (J,). stored, bool (J+2,), flags the rows
+    the last step held at rest as dry; the default None means none.
     """
 
     x: np.ndarray
@@ -46,6 +46,10 @@ class Grid:
     def __post_init__(self):
         if self.stored is None:
             object.__setattr__(self, "stored", np.zeros(len(self.U), dtype=bool))
+        if not (isinstance(self.stored, np.ndarray) and self.stored.dtype == bool
+                and self.stored.shape == (len(self.U),)):
+            raise ValueError(f"stored must be a boolean array of shape ({len(self.U)},), one "
+                             f"flag per row of U; got {np.shape(self.stored)}")
 
     @property
     def J(self) -> int:
@@ -160,16 +164,17 @@ def fluctuations(U_L, U_R, dx: float, dt: float, eps: float, theta: float,
     return D_minus, D_plus
 
 
-def cfl_dt(grid: Grid, config, eps: float, theta: float, basis: MomentBasis) -> float:
+def cfl_dt(grid: Grid, config, basis: MomentBasis) -> float:
     """CFL time step cfl * dx / max wavespeed over the cells not grid.dry();
-    dt_max if there are none; dt_fixed if set. config is the run's SimConfig."""
+    inf if there are none (every interface is inert, nothing moves); dt_fixed
+    if set. config is the run's SimConfig."""
     if config.dt_fixed is not None:
         return config.dt_fixed
-    U = grid.interior()
     wet = ~grid.dry()[1:-1]
     if not np.any(wet):
-        return config.dt_max
-    P = to_primitive(U[wet], grid.policy)
+        return np.inf
+    eps, theta = config.eps, config.theta
+    P = to_primitive(grid.interior()[wet], grid.policy)
     # the eigen-solve stays the value of the step, so dt is the same to the
     # bit; the closed form only screens out rows that cannot hold the maximum.
     # The 1e-8 margin rests on the closed form matching max |eigvals| to a
@@ -179,7 +184,7 @@ def cfl_dt(grid: Grid, config, eps: float, theta: float, basis: MomentBasis) -> 
     candidates = rho >= (1.0 - 1e-8) * np.max(rho)
     lam = np.max(wavespeeds_batch(P[candidates], eps, theta, basis))
     if lam <= 0.0:
-        return config.dt_max
+        return np.inf
     # no upper cap here: the interface viscosity scales with dx/(2 dt), so
     # shrinking dt below the CFL step would only add diffusion
     return config.cfl * grid.dx / float(lam)
@@ -228,23 +233,27 @@ def _dry_after_transport(U_check: np.ndarray, was_dry: np.ndarray,
     return dry
 
 
-def _finalize(grid: Grid, U_check: np.ndarray, U_new: np.ndarray,
-              dry_after: np.ndarray) -> tuple[Grid, dict]:
-    """The grid after a step to interior states U_new: the dry_after cells keep
+def _finalize(grid: Grid, U_new: np.ndarray, dry_after: np.ndarray,
+              iters_total: int = 0, iters_max: int = 0) -> tuple[Grid, dict]:
+    """The grid after a step to interior states U_new, with its ghost rows
+    mirrored (transmissive) and the step's info: the dry_after cells keep
     their transported depth at rest and are flagged stored; clamp negatives."""
     U, stored = grid.U.copy(), grid.stored.copy()
     stored[1:-1] = dry_after
     out = U[1:-1]
     out[:] = U_new
     out[dry_after, 1:] = 0.0
-    out[dry_after, 0] = U_check[dry_after, 0]
     clamped = 0.0
     negative = out[:, 0] < 0.0
     if np.any(negative):
         clamped = float(-np.sum(out[negative, 0]))
         out[negative, 0] = 0.0
-    return replace(grid, U=U, stored=stored), {"dry_cells": int(np.sum(dry_after)),
-                                               "clamped_mass": clamped}
+    for rows in (U, stored):  # transmissive ghosts, as apply_transmissive_bc
+        rows[0] = rows[1]
+        rows[-1] = rows[-2]
+    return replace(grid, U=U, stored=stored), {
+        "dry_cells": int(np.sum(dry_after)), "clamped_mass": clamped,
+        "newton_iters_total": iters_total, "newton_iters_max": iters_max}
 
 
 def _check_finite(U: np.ndarray, stage: str) -> None:
@@ -280,16 +289,17 @@ def _limited_source(P: np.ndarray, dt: float, model, eps: float, theta: float,
     return S_drive + gamma[:, None] * S_fric
 
 
-def step_explicit(grid: Grid, dt: float, model, eps: float, theta: float,
-                  basis: MomentBasis, config=None) -> tuple[Grid, dict]:
+def step_explicit(grid: Grid, dt: float, model, basis: MomentBasis,
+                  config) -> tuple[Grid, dict]:
     """Forward-Euler step: transport fluctuations plus the explicit source.
 
     The source is evaluated at the pre-step state and applied only to cells
     that are wet both before the step and after the transport predictor; its
     friction part is guarded against overshoot (see _limited_source). The
     pre-step rows of the live window are converted to primitive once, for
-    both. config is not read; it keeps the signature of step_semi_implicit.
+    both. config is the run's SimConfig (eps, theta).
     """
+    eps, theta = config.eps, config.theta
     _check_finite(grid.interior(), "input")
     dry = grid.dry()
     window = _live_window(dry)
@@ -307,7 +317,7 @@ def step_explicit(grid: Grid, dt: float, model, eps: float, theta: float,
         S = _limited_source(P[rows], dt, model, eps, theta, grid.dbdx[apply_src], basis)
         U_new[apply_src] += dt * S
     _check_finite(U_new, "source")
-    return _finalize(grid, U_check, U_new, dry_after)
+    return _finalize(grid, U_new, dry_after)
 
 
 # relative central-difference step of the Newton Jacobian: the step for a
@@ -344,13 +354,14 @@ def _residual_and_jacobian(V: np.ndarray, target: np.ndarray, dt: float, model,
     return R[0], jac.transpose(1, 2, 0)
 
 
-def step_semi_implicit(grid: Grid, dt: float, model, eps: float, theta: float,
-                       basis: MomentBasis, config) -> tuple[Grid, dict]:
+def step_semi_implicit(grid: Grid, dt: float, model, basis: MomentBasis,
+                       config) -> tuple[Grid, dict]:
     """Splitting step: explicit transport predictor, then a per-cell implicit
     source solve U = U_check + dt S(U) by Newton iteration with a
     central-difference Jacobian. The depth keeps its transported value (the
     source does not change it); cells dry after transport skip the solve.
-    config is the run's SimConfig (newton_tol, newton_max_iter)."""
+    config is the run's SimConfig (eps, theta, newton_tol, newton_max_iter)."""
+    eps, theta = config.eps, config.theta
     _check_finite(grid.interior(), "input")
     dry = grid.dry()
     window = _live_window(dry)
@@ -390,10 +401,7 @@ def step_semi_implicit(grid: Grid, dt: float, model, eps: float, theta: float,
         iters_total += rows.size
         iters_max += 1
     _check_finite(U_new, "implicit source")
-    new_grid, info = _finalize(grid, U_check, U_new, dry_after)
-    info["newton_iters_total"] = iters_total
-    info["newton_iters_max"] = iters_max
-    return new_grid, info
+    return _finalize(grid, U_new, dry_after, iters_total, iters_max)
 
 
 _SQRT15_OVER5 = np.sqrt(15.0) / 5.0

@@ -50,7 +50,7 @@ class SimConfig:
     Physical inputs (H, L, g, rho, friction parameters) are in SI units;
     dimensionless groups are derived internally. Angles are in radians.
     mode is "explicit" or "semi_implicit"; dt_fixed overrides the CFL step
-    (convergence studies); dt_max is the step on an all-dry grid.
+    (convergence studies).
     """
 
     N: int = 2
@@ -69,7 +69,6 @@ class SimConfig:
     cfl: float = 0.05
     newton_tol: float = 1e-6
     newton_max_iter: int = 50
-    dt_max: float = 1e-3
     dt_fixed: float | None = None
     h_min: float = 1e-6
     quad_points: int = 32
@@ -97,8 +96,6 @@ class SimConfig:
             raise ValueError(f"newton_max_iter must be >= 0, got {self.newton_max_iter}")
         if self.dt_fixed is not None and not (math.isfinite(self.dt_fixed) and self.dt_fixed > 0.0):
             raise ValueError(f"dt_fixed must be None or finite and positive, got {self.dt_fixed}")
-        if not self.dt_max > 0.0:
-            raise ValueError(f"dt_max must be positive, got {self.dt_max}")
         if not self.h_min > 0.0:
             raise ValueError(f"h_min must be positive, got {self.h_min}")
         if self.max_steps < 1:
@@ -245,13 +242,20 @@ def build_model(config: SimConfig):
     p = config.friction_params
     if kind not in _FRICTION_KEYS:
         raise ValueError(f"unknown friction model {kind!r}")
+    bottom_name = _BOTTOM_OF.get(kind) or p.get("bottom", "slip")
+    needed = _FRICTION_KEYS[kind]
+    if kind == "mu_i":
+        needed = needed[:4] + _MU_I_BOTTOM_KEYS.get(bottom_name, ())
+    missing = [f"model.{key}" for key in needed if _PARAM_OF.get(key, key) not in p]
+    if missing:
+        raise ValueError(f"friction model {kind!r} needs {', '.join(missing)}")
     if kind == "savage_hutter" and not 0.0 <= p["delta"] <= p["phi_int"] < math.pi / 2:
         raise ValueError("require 0 <= delta <= phi_int < pi/2")
     # the granular slip viscosity eta0 scales like the Newtonian eta
     d = derive_dimensionless(H=config.H, L=config.L, g=config.g, theta=config.theta,
                              rho=config.rho, rho_s=config.rho_s, eta=p.get("eta", p.get("eta0")),
                              Lambda=p.get("Lambda"), n=p.get("n"), I0=p.get("I0"), d_s=p.get("d_s"))
-    bottom = _bottom_law(_BOTTOM_OF.get(kind) or p.get("bottom", "slip"), p, d)
+    bottom = _bottom_law(bottom_name, p, d)
     if kind in ("newtonian_slip", "newtonian_manning"):
         return Newtonian(nu=d["nu"], bottom_law=bottom)
     if kind == "mu_i":
@@ -310,14 +314,14 @@ def _snapshot(grid, t: float, bed) -> Snapshot:
 
 
 def run(config: SimConfig) -> RunResult:
-    """Time loop: apply boundary conditions, pick the CFL step (capped to land
-    exactly on snapshot times), step, and record diagnostics."""
+    """Time loop: pick the CFL step (capped to land exactly on snapshot times),
+    step, and record diagnostics. A step returns its grid with the ghost rows
+    mirrored, so the boundary condition is applied once, in build_grid."""
     basis = build_basis(config.N)
     model = build_model(config)
     bed = build_bed(config)
     grid = build_grid(config, bed)
     stepper = step_explicit if config.mode == "explicit" else step_semi_implicit
-    eps, theta = config.eps, config.theta
     diag = {k: [] for k in ("time", "dt", "mass", "max_speed", "dry_cells",
                             "sh_violations", "newton_iters", "newton_iters_max",
                             "clamped_mass")}
@@ -336,13 +340,12 @@ def run(config: SimConfig) -> RunResult:
             steps += 1
             if steps > config.max_steps:
                 raise RuntimeError(f"exceeded {config.max_steps} steps at t={t:.8g}")
-            grid = apply_transmissive_bc(grid)
-            dt = cfl_dt(grid, config, eps, theta, basis)
+            dt = cfl_dt(grid, config, basis)
             landed = t + dt >= t_target
             if landed:
                 dt = t_target - t
             try:
-                grid, info = stepper(grid, dt, model, eps, theta, basis, config)
+                grid, info = stepper(grid, dt, model, basis, config)
             except RuntimeError as exc:
                 raise RuntimeError(f"step aborted at t={t:.8g}: {exc}") from exc
             t = t_target if landed else t + dt
@@ -368,12 +371,12 @@ def _record(diag: dict, t: float, dt: float, grid, info: dict, basis) -> None:
     diag["dt"].append(dt)
     diag["mass"].append(float(np.sum(U[:, 0]) * grid.dx))
     diag["max_speed"].append(float(np.max(np.abs(P[wet, 1]), initial=0.0)))
-    diag["dry_cells"].append(info.get("dry_cells", 0))
+    diag["dry_cells"].append(info["dry_cells"])
     if "sh_violations" in diag:
-        diag["sh_violations"].append(savage_hutter_violations(P[wet], basis, grid.policy.h_min))
-    diag["newton_iters"].append(info.get("newton_iters_total", 0))
-    diag["newton_iters_max"].append(info.get("newton_iters_max", 0))
-    diag["clamped_mass"].append(info.get("clamped_mass", 0.0))
+        diag["sh_violations"].append(savage_hutter_violations(P[wet], basis))
+    diag["newton_iters"].append(info["newton_iters_total"])
+    diag["newton_iters_max"].append(info["newton_iters_max"])
+    diag["clamped_mass"].append(info["clamped_mass"])
 
 
 def write_snapshot(snapshot: Snapshot, path: str) -> None:
@@ -490,7 +493,6 @@ _FILE_FIELDS = (
     ("stepper", "cfl", "cfl", float),
     ("stepper", "newton_tol", "newton_tol", float),
     ("stepper", "newton_max_iter", "newton_max_iter", int),
-    ("stepper", "dt_max", "dt_max", float),
     ("stepper", "dt_fixed", "dt_fixed", float),
     ("stepper", "h_min", "h_min", float),
     ("stepper", "quad_points", "quad_points", int),
@@ -509,6 +511,9 @@ _FRICTION_KEYS = {
     "coulomb": ("delta", "mu"),
     "mu_i": ("mu_s", "mu_2", "i0", "d_s", "bottom", "lambda", "eta0", "manning_n", "delta"),
 }
+# a model needs all its keys, but mu_i only its first four and those of the
+# bottom law it names in "bottom" (default slip, whose viscosity is eta0)
+_MU_I_BOTTOM_KEYS = {"slip": ("lambda", "eta0"), "manning": ("manning_n",), "coulomb": ("delta",)}
 _FILE_KEY = {"Lambda": "lambda", "I0": "i0", "n": "manning_n"}
 _PARAM_OF = {key: param for param, key in _FILE_KEY.items()}
 

@@ -233,9 +233,15 @@ def test_savage_hutter_violation_counter(basis2):
         [0.05, 0.5, -0.1, 0.0],   # fine: u(0) = 0.4 > 0, shear = -2 a1 > 0
         [0.05, 0.05, -0.1, 0.0],  # u(0) < 0
         [0.05, 0.5, 0.1, 0.0],    # decreasing profile
-        [1e-7, -1.0, 0.5, 0.0],   # dry: ignored
     ])
-    assert savage_hutter_violations(P, basis2, h_min=1e-6) == 2
+    assert savage_hutter_violations(P, basis2) == 2
+    # every row given counts, however thin; the caller screens out dry cells
+    thin = [1e-7, -1.0, 0.5, 0.0]
+    assert savage_hutter_violations(np.vstack([P, thin]), basis2) == 3
+    assert savage_hutter_violations(np.empty((0, 4)), basis2) == 0
+    for h in (0.0, -1e-7):
+        with pytest.raises(ValueError, match="non-positive height"):
+            savage_hutter_violations(np.vstack([P, [h, -1.0, 0.5, 0.0]]), basis2)
 
 
 # --- granular mu(I) model ---------------------------------------------------

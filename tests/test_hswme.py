@@ -7,7 +7,6 @@ import pytest
 from swmoment.basis import build_basis
 from swmoment.friction import ConstantCoulomb, CoulombBottom, MuI, MuIBottom, Newtonian, SlipBottom
 from swmoment.hswme import (
-    equilibrium_residual,
     source,
     source_batch,
     source_split_batch,
@@ -126,16 +125,17 @@ def test_equilibrium_residual_zero_at_balance(basis1):
     theta = math.atan(0.48)
     model = MuI(mu_s=0.48, mu_2=0.73, c_I=2.6390311051245129, bottom_law=MuIBottom())
     P = np.array([0.05, 0.1, 0.0])
-    r = equilibrium_residual(P, model, theta, basis1)
-    np.testing.assert_allclose(r, np.zeros(2), rtol=0.0, atol=1e-17)
     S = source(P, model, theta, EPS, 0.0, basis1)
     np.testing.assert_allclose(S, np.zeros(3), rtol=0.0, atol=1e-17)
 
 
 def test_equilibrium_residual_nonzero_off_balance(basis1):
+    # tan(theta) = 0.5 > mu_s: the momentum row keeps cos(theta) h (tan(theta) - mu_s)
     model = MuI(mu_s=0.48, mu_2=0.73, c_I=2.6390311051245129, bottom_law=MuIBottom())
-    r = equilibrium_residual(np.array([0.05, 0.1, 0.0]), model, math.atan(0.5), basis1)
-    assert abs(r[0]) > 1e-4
+    theta = math.atan(0.5)
+    S = source(np.array([0.05, 0.1, 0.0]), model, theta, EPS, 0.0, basis1)
+    assert S[1] == pytest.approx(math.cos(theta) * 0.05 * (0.5 - 0.48), rel=1e-12)
+    assert S[1] > 1e-4
 
 
 def test_rest_state_wavespeed(basis1):

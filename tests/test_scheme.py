@@ -132,11 +132,11 @@ def _uniform_grid(J, N, h, u_m=0.0, alpha=None, theta_bed=None):
 def test_uniform_rest_state_is_invariant(basis2):
     # flat bed, no inclination: transport and source both vanish identically
     grid = _uniform_grid(16, 2, h=0.05)
-    cfg = SimConfig(mode="explicit")
-    g1, _ = step_explicit(grid, 1e-3, MODEL, EPS, 0.0, basis2, cfg)
+    cfg = SimConfig(mode="explicit", theta=0.0)
+    g1, _ = step_explicit(grid, 1e-3, MODEL, basis2, cfg)
     assert np.array_equal(g1.U, grid.U)
-    cfg = SimConfig(mode="semi_implicit")
-    g2, info = step_semi_implicit(grid, 1e-3, MODEL, EPS, 0.0, basis2, cfg)
+    cfg = SimConfig(mode="semi_implicit", theta=0.0)
+    g2, info = step_semi_implicit(grid, 1e-3, MODEL, basis2, cfg)
     assert np.array_equal(g2.U, grid.U)
     assert info["newton_iters_total"] == 0
 
@@ -146,7 +146,7 @@ def test_thin_film_at_rest_is_wet(basis2):
     # wet: zero velocities do not make a cell dry
     grid = _uniform_grid(16, 2, h=10.0 * POLICY.h_min)
     for stepper, mode in ((step_explicit, "explicit"), (step_semi_implicit, "semi_implicit")):
-        g, info = stepper(grid, 1e-3, MODEL, EPS, 0.0, basis2, SimConfig(mode=mode))
+        g, info = stepper(grid, 1e-3, MODEL, basis2, SimConfig(mode=mode, theta=0.0))
         assert info["dry_cells"] == 0
         assert not np.any(g.stored)
         assert np.array_equal(g.U, grid.U)
@@ -171,16 +171,29 @@ def test_stored_flags_default_ghosts_and_step(basis2):
     dry = grid.dry()
     window = _live_window(dry)
     for stepper, mode in ((step_explicit, "explicit"), (step_semi_implicit, "semi_implicit")):
-        dt = cfl_dt(grid, SimConfig(mode=mode), EPS, THETA, basis2)
+        dt = cfl_dt(grid, SimConfig(mode=mode), basis2)
         U_check = _transport(grid, dry, window, to_primitive(grid.U[window], POLICY), dt, EPS,
                              THETA, basis2)
         dry_after = _dry_after_transport(U_check, dry[1:-1], POLICY)
         assert np.any(dry_after & (U_check[:, 0] > POLICY.h_min))
-        g, info = stepper(grid, dt, MODEL, EPS, THETA, basis2, SimConfig(mode=mode))
+        g, info = stepper(grid, dt, MODEL, basis2, SimConfig(mode=mode))
         assert np.array_equal(g.stored[1:-1], dry_after)
         assert info["dry_cells"] == np.sum(dry_after)
-        assert np.array_equal(g.stored[[0, -1]], grid.stored[[0, -1]])
+        assert np.array_equal(g.stored[[0, -1]], g.stored[[1, -2]])
         assert np.array_equal(g.dry()[1:-1], dry_after | (g.U[1:-1, 0] <= POLICY.h_min))
+
+
+def test_grid_rejects_stored_of_wrong_shape_or_type():
+    grid = make_grid(0.0, 1.0, 20, 2, POLICY)
+    args = dict(x=grid.x, dx=grid.dx, U=grid.U, dbdx=grid.dbdx, policy=POLICY)
+    with pytest.raises(ValueError, match=r"\(22,\).*\(5,\)"):
+        Grid(**args, stored=np.zeros(5, dtype=bool))
+    for bad in (np.zeros(22), np.zeros((22, 1), dtype=bool), [False] * 22):
+        with pytest.raises(ValueError, match="boolean array"):
+            Grid(**args, stored=bad)
+    with pytest.raises(ValueError, match="boolean array"):
+        replace(grid, stored=np.zeros(21, dtype=bool))
+    assert Grid(**args, stored=np.zeros(22, dtype=bool)).stored.shape == (22,)
 
 
 def test_mass_is_conserved_by_transport_and_source(basis2):
@@ -195,10 +208,10 @@ def test_mass_is_conserved_by_transport_and_source(basis2):
     cfg = SimConfig(mode="explicit", cfl=0.05)
     mass0 = np.sum(grid.U[1:-1, 0])
     t = 0.0
+    grid = apply_transmissive_bc(grid)
     while t < 0.1:
-        grid = apply_transmissive_bc(grid)
-        dt = min(cfl_dt(grid, cfg, EPS, THETA, basis2), 0.1 - t)
-        grid, _ = step_explicit(grid, dt, MODEL, EPS, THETA, basis2, cfg)
+        dt = min(cfl_dt(grid, cfg, basis2), 0.1 - t)
+        grid, _ = step_explicit(grid, dt, MODEL, basis2, cfg)
         t += dt
     # precondition: nothing reached the boundary cells
     assert grid.U[1, 0] <= POLICY.h_min and grid.U[-2, 0] <= POLICY.h_min
@@ -215,10 +228,10 @@ def test_dry_cells_keep_zero_velocity(basis2):
     U[1:-1] = to_conservative(P)
     grid = Grid(x=grid.x, dx=grid.dx, U=U, dbdx=grid.dbdx, policy=POLICY)
     cfg = SimConfig(mode="semi_implicit", cfl=0.05)
+    grid = apply_transmissive_bc(grid)
     for _ in range(10):
-        grid = apply_transmissive_bc(grid)
-        dt = cfl_dt(grid, cfg, EPS, THETA, basis2)
-        grid, info = step_semi_implicit(grid, dt, MODEL, EPS, THETA, basis2, cfg)
+        dt = cfl_dt(grid, cfg, basis2)
+        grid, info = step_semi_implicit(grid, dt, MODEL, basis2, cfg)
     U_in = grid.U[1:-1]
     dry = U_in[:, 0] <= POLICY.h_min
     assert np.any(dry)
@@ -232,8 +245,8 @@ def test_stepper_splitting_difference_is_second_order(basis2):
     cfg = SimConfig(mode="semi_implicit", newton_tol=1e-13)
     diffs = []
     for dt in (2e-3, 1e-3):
-        ge, _ = step_explicit(grid, dt, model, EPS, THETA, basis2, cfg)
-        gs, _ = step_semi_implicit(grid, dt, model, EPS, THETA, basis2, cfg)
+        ge, _ = step_explicit(grid, dt, model, basis2, cfg)
+        gs, _ = step_semi_implicit(grid, dt, model, basis2, cfg)
         diffs.append(np.sum(np.abs(ge.U - gs.U)))
     assert diffs[0] / diffs[1] == pytest.approx(4.0, rel=0.1)
 
@@ -242,25 +255,25 @@ def test_cfl_dt_wet_and_dry(basis1):
     grid = _uniform_grid(10, 1, h=0.08)
     cfg = SimConfig(mode="explicit", cfl=0.05)
     lam = math.sqrt(EPS * math.cos(THETA) * 0.08)
-    assert cfl_dt(grid, cfg, EPS, THETA, basis1) == pytest.approx(
+    assert cfl_dt(grid, cfg, basis1) == pytest.approx(
         0.05 * grid.dx / lam, rel=1e-12)
     dry = _uniform_grid(10, 1, h=1e-7)
-    assert cfl_dt(dry, cfg, EPS, THETA, basis1) == cfg.dt_max
+    assert cfl_dt(dry, cfg, basis1) == math.inf
     # a film above h_min is wet unless a step stored it
     film = _uniform_grid(10, 1, h=10.0 * POLICY.h_min)
-    assert cfl_dt(film, cfg, EPS, THETA, basis1) == pytest.approx(
+    assert cfl_dt(film, cfg, basis1) == pytest.approx(
         0.05 * grid.dx / math.sqrt(EPS * math.cos(THETA) * 10.0 * POLICY.h_min), rel=1e-12)
     stored = replace(film, stored=np.ones(12, dtype=bool))
-    assert cfl_dt(stored, cfg, EPS, THETA, basis1) == cfg.dt_max
+    assert cfl_dt(stored, cfg, basis1) == math.inf
     fixed = SimConfig(mode="explicit", dt_fixed=2.5e-4)
-    assert cfl_dt(grid, fixed, EPS, THETA, basis1) == 2.5e-4
+    assert cfl_dt(grid, fixed, basis1) == 2.5e-4
 
 
 def test_newton_abort_reports_cell(basis2):
     grid = _uniform_grid(10, 2, h=0.08)
     cfg = SimConfig(mode="semi_implicit", newton_max_iter=0)
     with pytest.raises(RuntimeError, match="Newton .* cell"):
-        step_semi_implicit(grid, 1e-3, MODEL, EPS, THETA, basis2, cfg)
+        step_semi_implicit(grid, 1e-3, MODEL, basis2, cfg)
 
 
 def test_nonfinite_state_aborts_with_cell_index(basis2):
@@ -269,7 +282,7 @@ def test_nonfinite_state_aborts_with_cell_index(basis2):
     U[5, 1] = np.nan
     grid = Grid(x=grid.x, dx=grid.dx, U=U, dbdx=grid.dbdx, policy=POLICY)
     with pytest.raises(RuntimeError, match="cell"):
-        step_explicit(grid, 1e-3, MODEL, EPS, THETA, basis2,
+        step_explicit(grid, 1e-3, MODEL, basis2,
                       SimConfig(mode="explicit"))
 
 
@@ -319,15 +332,16 @@ def _with_interior(grid, U_in):
                                       policy=grid.policy))
 
 
-def _cfl_dt_all_rows(grid, config, eps, theta, basis):
+def _cfl_dt_all_rows(grid, config, basis):
     """cfl_dt as an eigen-solve over every wet row, with no screen."""
     if config.dt_fixed is not None:
         return config.dt_fixed
     U = grid.interior()
     wet = U[:, 0] > grid.policy.h_min
     if not np.any(wet):
-        return config.dt_max
-    lam = np.max(wavespeeds_batch(to_primitive(U[wet], grid.policy), eps, theta, basis))
+        return math.inf
+    lam = np.max(wavespeeds_batch(to_primitive(U[wet], grid.policy), config.eps, config.theta,
+                                  basis))
     return config.cfl * grid.dx / float(lam)
 
 
@@ -349,14 +363,14 @@ def test_cfl_dt_screen_equals_brute_force_max(N, basis1, basis2, basis6):
     P[17, 1] = -2.0
     grids.append(_with_interior(grid, to_conservative(P)))
     for g in grids:
-        assert cfl_dt(g, cfg, EPS, THETA, basis) == _cfl_dt_all_rows(g, cfg, EPS, THETA, basis)
-    assert cfl_dt(grids[-1], cfg, EPS, THETA, basis) == pytest.approx(
+        assert cfl_dt(g, cfg, basis) == _cfl_dt_all_rows(g, cfg, basis)
+    assert cfl_dt(grids[-1], cfg, basis) == pytest.approx(
         0.05 * grid.dx / (2.0 + math.sqrt(EPS * math.cos(THETA) * P[17, 0] + P[17, 2] ** 2)),
         rel=1e-10)
     dry = _uniform_grid(60, N, h=1e-7)
-    assert cfl_dt(dry, cfg, EPS, THETA, basis) == cfg.dt_max
+    assert cfl_dt(dry, cfg, basis) == math.inf
     fixed = SimConfig(mode="explicit", dt_fixed=3.7e-4)
-    assert cfl_dt(grids[0], fixed, EPS, THETA, basis) == 3.7e-4
+    assert cfl_dt(grids[0], fixed, basis) == 3.7e-4
 
 
 def _transport_full_width(grid, dry, window, P, dt, eps, theta, basis):
@@ -437,6 +451,13 @@ def test_transport_window_bit_identical_to_full_width(case, basis2):
         assert np.array_equal(got, grid.U[1:-1])
 
 
+def _step_dt(grid, config, basis):
+    """cfl_dt, or 1e-3 where it is inf (an all-dry grid, on which run() takes
+    one step to the next snapshot time)."""
+    dt = cfl_dt(grid, config, basis)
+    return dt if math.isfinite(dt) else 1e-3
+
+
 @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
 def test_steppers_with_window_bit_identical_to_full_width(case, basis2, monkeypatch):
     grid = _patch_grid(2, **WINDOW_CASES[case])
@@ -446,16 +467,38 @@ def test_steppers_with_window_bit_identical_to_full_width(case, basis2, monkeypa
     for stepper, cfg in zip(steppers, cfgs):
         g = grid
         for _ in range(5):
-            g = apply_transmissive_bc(g)
-            g, _ = stepper(g, cfl_dt(g, cfg, EPS, THETA, basis2), MODEL, EPS, THETA, basis2, cfg)
+            g, _ = stepper(g, _step_dt(g, cfg, basis2), MODEL, basis2, cfg)
         windowed.append(g.U)
     monkeypatch.setattr(scheme, "_transport", _transport_full_width)
     for stepper, cfg, U in zip(steppers, cfgs, windowed):
         g = grid
         for _ in range(5):
-            g = apply_transmissive_bc(g)
-            g, _ = stepper(g, cfl_dt(g, cfg, EPS, THETA, basis2), MODEL, EPS, THETA, basis2, cfg)
+            g, _ = stepper(g, _step_dt(g, cfg, basis2), MODEL, basis2, cfg)
         assert np.array_equal(U, g.U)
+
+
+@pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+def test_steppers_return_mirrored_ghost_rows(case, basis2):
+    # a step takes a consistent grid and returns one: no boundary call between steps
+    grid = _patch_grid(2, **WINDOW_CASES[case])
+    for stepper, mode in ((step_explicit, "explicit"), (step_semi_implicit, "semi_implicit")):
+        cfg = SimConfig(mode=mode)
+        g = grid
+        for _ in range(3):
+            g, _ = stepper(g, _step_dt(g, cfg, basis2), MODEL, basis2, cfg)
+            bc = apply_transmissive_bc(g)
+            assert np.array_equal(g.U, bc.U) and np.array_equal(g.stored, bc.stored)
+
+
+def test_steppers_return_the_same_info_keys(basis2):
+    grid = _patch_grid(2, **WINDOW_CASES["stored_next_to_front"])
+    cfg = SimConfig(mode="explicit")
+    _, info = step_explicit(grid, cfl_dt(grid, cfg, basis2), MODEL, basis2, cfg)
+    assert info["newton_iters_total"] == info["newton_iters_max"] == 0
+    _, info_semi = step_semi_implicit(grid, cfl_dt(grid, cfg, basis2), MODEL, basis2, cfg)
+    assert set(info) == set(info_semi) == {"dry_cells", "clamped_mass", "newton_iters_total",
+                                           "newton_iters_max"}
+    assert info_semi["newton_iters_max"] >= 1
 
 
 def test_explicit_step_converts_pre_step_rows_once(basis2, monkeypatch):
@@ -472,7 +515,7 @@ def test_explicit_step_converts_pre_step_rows_once(basis2, monkeypatch):
         return to_primitive(U, policy)
 
     monkeypatch.setattr(scheme, "to_primitive", counted)
-    step_explicit(grid, 1e-4, MODEL, EPS, THETA, basis2, SimConfig(mode="explicit"))
+    step_explicit(grid, 1e-4, MODEL, basis2, SimConfig(mode="explicit"))
     assert calls == [window.stop - window.start]
 
 
@@ -515,7 +558,7 @@ def _semi_implicit_reference(grid, dt, model, eps, theta, basis, config):
         alive = np.flatnonzero(active)
         active[alive[np.max(np.abs(R[active]), axis=1) < config.newton_tol]] = False
     U_new[idx] = V
-    U_out = _finalize(grid, U_check, U_new, dry_after)[0].interior()
+    U_out = _finalize(grid, U_new, dry_after)[0].interior()
     return U_check, U_out, iters_total, iters_max
 
 
@@ -551,12 +594,12 @@ def test_semi_implicit_newton_matches_full_jacobian_reference(name, basis1, basi
             U[5:12, 1] = 0.3 * U[5:12, 0]
             U[5:12, 2:] = 0.0
             grid = _with_interior(grid, U[1:-1])
-        dt = cfl_fraction * cfl_dt(grid, cfg, EPS, THETA, basis)
+        dt = cfl_fraction * cfl_dt(grid, cfg, basis)
         U_check, U_ref, total_ref, max_ref = _semi_implicit_reference(
             grid, dt, model, EPS, THETA, basis, cfg)
         if static:
             assert np.all(U_check[5:10, 2:] == 0.0)
-        got, info = step_semi_implicit(grid, dt, model, EPS, THETA, basis, cfg)
+        got, info = step_semi_implicit(grid, dt, model, basis, cfg)
         assert info["newton_iters_total"] == total_ref
         assert info["newton_iters_max"] == max_ref >= 1
         np.testing.assert_allclose(got.U[1:-1], U_ref, rtol=1e-10, atol=0.0)
@@ -573,5 +616,5 @@ def test_singular_newton_jacobian_reports_cell(basis2, monkeypatch):
 
     monkeypatch.setattr(scheme.np.linalg, "solve", singular)
     with pytest.raises(RuntimeError, match="singular Newton Jacobian in cell 1"):
-        step_semi_implicit(grid, 1e-3, MODEL, EPS, THETA, basis2,
+        step_semi_implicit(grid, 1e-3, MODEL, basis2,
                            SimConfig(mode="semi_implicit"))

@@ -32,7 +32,7 @@ from swmoment.sim import (
     write_snapshot,
     write_summary,
 )
-from swmoment.scheme import apply_transmissive_bc, make_grid
+from swmoment.scheme import apply_transmissive_bc, cfl_dt, make_grid
 from swmoment.state import WetDryPolicy, to_conservative
 
 PI4 = math.pi / 4
@@ -125,10 +125,9 @@ def test_config_validation():
         config_from_mapping(mapping)
     # the numeric stepper and output options, each named in its error, as a
     # SimConfig and from a file, before a run solves anything
-    bad = {"dt_fixed": (0.0, -1e-3, math.inf, math.nan), "dt_max": (0.0, -1.0, math.nan),
-           "h_min": (0.0, -1e-6, math.nan), "max_steps": (0, -5), "newton_max_iter": (-1,),
-           "newton_tol": (0.0, math.nan), "quad_points": (1, 0, -3),
-           "profile_resolution": (1, 0, -2)}
+    bad = {"dt_fixed": (0.0, -1e-3, math.inf, math.nan), "h_min": (0.0, -1e-6, math.nan),
+           "max_steps": (0, -5), "newton_max_iter": (-1,), "newton_tol": (0.0, math.nan),
+           "quad_points": (1, 0, -3), "profile_resolution": (1, 0, -2)}
     for name, values in bad.items():
         for value in values:
             with pytest.raises(ValueError, match=name):
@@ -224,13 +223,44 @@ def test_sh_violations_skip_stored_cells(basis2):
     grid = apply_transmissive_bc(dataclasses.replace(grid, U=U, stored=stored))
     diag = {k: [] for k in ("time", "dt", "mass", "max_speed", "dry_cells", "sh_violations",
                             "newton_iters", "newton_iters_max", "clamped_mass")}
-    sim._record(diag, 0.1, 1e-3, grid, {"dry_cells": 11}, basis2)
+    info = {"dry_cells": 11, "clamped_mass": 0.0, "newton_iters_total": 0, "newton_iters_max": 0}
+    sim._record(diag, 0.1, 1e-3, grid, info, basis2)
     assert diag["sh_violations"] == [0]
     assert diag["max_speed"] == [0.5]
     # the same film, not stored, is a wet cell at rest: it violates u(0) > 0
     wet_film = dataclasses.replace(grid, stored=np.zeros(22, dtype=bool))
-    sim._record(diag, 0.2, 1e-3, wet_film, {"dry_cells": 10}, basis2)
+    sim._record(diag, 0.2, 1e-3, wet_film, dict(info, dry_cells=10), basis2)
     assert diag["sh_violations"] == [0, 1]
+
+
+def test_run_applies_the_boundary_condition_once(monkeypatch):
+    # build_grid applies it; each step returns its grid with mirrored ghosts
+    calls = []
+
+    def counted(grid):
+        calls.append(grid)
+        return apply_transmissive_bc(grid)
+
+    monkeypatch.setattr(sim, "apply_transmissive_bc", counted)
+    res = run(preset(1, J=40, snapshot_times=(0.05, 0.1)))
+    assert len(res.diagnostics["time"]) > 2
+    assert len(calls) == 1
+
+
+def test_run_on_all_dry_grid_takes_one_step_per_snapshot():
+    # nothing can move, so cfl_dt is inf and each step lands on the next
+    # snapshot time
+    cfg = preset(1, J=16, ic={"kind": "uniform", "h": 0.5e-6}, snapshot_times=(0.5, 1.0))
+    grid = sim.build_grid(cfg)
+    assert np.all(grid.dry())
+    assert cfl_dt(grid, cfg, sim.build_basis(cfg.N)) == math.inf
+    res = run(cfg)
+    assert list(res.diagnostics["time"]) == [0.5, 1.0]
+    assert list(res.diagnostics["dt"]) == [0.5, 0.5]
+    assert list(res.diagnostics["dry_cells"]) == [16, 16]
+    for snap in res.snapshots:
+        assert np.array_equal(snap.h, grid.interior()[:, 0])
+        assert not np.any(snap.u_m) and not np.any(snap.alpha)
 
 
 def test_run_is_deterministic():
@@ -455,6 +485,11 @@ def test_config_unknown_key_raises():
     # keys are case-insensitive, within and across spellings of a section
     mixed = {"Grid": {"J": "24"}, "grid": {"x_b": "2"}}
     assert config_from_mapping(mixed) == SimConfig(J=24, x_b=2.0)
+    # the removed stepper.dt_max is a key that nothing reads
+    mapping = config_to_mapping(preset(1))
+    mapping["stepper"]["dt_max"] = "0.001"
+    with pytest.raises(ValueError, match="unknown config key stepper.dt_max"):
+        config_from_mapping(mapping)
     # a key of another friction model is accepted (and not read)
     mapping = config_to_mapping(preset(2))
     mapping["model"]["friction"] = "newtonian_manning"
@@ -549,6 +584,52 @@ def test_cli_readme_friction_switch_loads(tmp_path, capsys):
     summary = (tmp_path / "summary.txt").read_text()
     assert "model.friction = newtonian_manning" in summary
     assert "model.manning_n = 0.0165" in summary
+
+
+_GRANULAR_KEYS = {"mu_s": "0.48", "mu_2": "0.73", "i0": "0.279", "d_s": "7e-4"}
+# every friction config name, mu_i with each bottom law, and the [model] keys it needs
+MISSING_KEY_CASES = {
+    "newtonian_slip": {"lambda": "1e-4", "eta": "0.01"},
+    "newtonian_manning": {"manning_n": "0.0165", "eta": "0.01"},
+    "savage_hutter": {"delta": "0.26", "phi_int": "0.35"},
+    "coulomb": {"delta": "0.26", "mu": "0.4"},
+    "mu_i": {**_GRANULAR_KEYS, "lambda": "1e-4", "eta0": "0.001"},
+    "mu_i/slip": {**_GRANULAR_KEYS, "bottom": "slip", "lambda": "1e-4", "eta0": "0.001"},
+    "mu_i/manning": {**_GRANULAR_KEYS, "bottom": "manning", "manning_n": "0.0165"},
+    "mu_i/coulomb": {**_GRANULAR_KEYS, "bottom": "coulomb", "delta": "0.26"},
+    "mu_i/mu_i": {**_GRANULAR_KEYS, "bottom": "mu_i"},
+}
+
+
+def _friction_mapping(case: str, drop: str | None = None) -> dict:
+    keys = {k: v for k, v in MISSING_KEY_CASES[case].items() if k != drop}
+    return {"model": {"friction": case.split("/")[0], **keys}, "scaling": {"rho_s": "2500"},
+            "grid": {"j": "16"}, "output": {"times": "0.001"}}
+
+
+@pytest.mark.parametrize("case", sorted(MISSING_KEY_CASES))
+def test_build_model_names_missing_friction_parameter(case):
+    build_model(config_from_mapping(_friction_mapping(case)))
+    name = case.split("/")[0]
+    for key in sorted(set(MISSING_KEY_CASES[case]) - {"bottom"}):
+        cfg = config_from_mapping(_friction_mapping(case, drop=key))
+        with pytest.raises(ValueError, match=f"'{name}' needs model.{key}$"):
+            build_model(cfg)
+    # a config with no parameters still constructs; the model names them all
+    with pytest.raises(ValueError, match="needs model.*, model."):
+        build_model(SimConfig(friction=name))
+
+
+@pytest.mark.parametrize("case", sorted(MISSING_KEY_CASES))
+def test_cli_missing_friction_parameter_names_key(case, tmp_path, capsys):
+    for key in sorted(set(MISSING_KEY_CASES[case]) - {"bottom"}):
+        path = tmp_path / "run.ini"
+        path.write_text("".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
+                                for section, kv in _friction_mapping(case, drop=key).items()))
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(path), "--out", str(out)]) == 1
+        assert f"model.{key}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_module_invocation(tmp_path):
