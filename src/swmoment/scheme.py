@@ -1,6 +1,7 @@
 """Path-conservative polynomial-viscosity finite-volume scheme with wet-dry fronts."""
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +35,9 @@ class Grid:
     U holds conservative rows (J+2, N+2); row 0 and row J+1 are ghosts.
     dbdx holds interior cell slopes (J,). stored, bool (J+2,), flags the rows
     the last step held at rest as dry; the default None means none.
+
+    A grid is immutable: U and stored are made read-only, and a step returns
+    a new grid. So primitive and dry() are computed once, on first read.
     """
 
     x: np.ndarray
@@ -50,14 +54,31 @@ class Grid:
                 and self.stored.shape == (len(self.U),)):
             raise ValueError(f"stored must be a boolean array of shape ({len(self.U)},), one "
                              f"flag per row of U; got {np.shape(self.stored)}")
+        self.U.flags.writeable = False
+        self.stored.flags.writeable = False
 
     @property
     def J(self) -> int:
         return len(self.x)
 
+    @cached_property
+    def primitive(self) -> np.ndarray:
+        """Primitive rows of every row of U (read-only). The conversion is
+        elementwise per row, so a slice of it has the bits of converting the
+        slice alone."""
+        P = to_primitive(self.U, self.policy)
+        P.flags.writeable = False
+        return P
+
+    @cached_property
+    def _dry(self) -> np.ndarray:
+        dry = is_dry(self.U[:, 0], self.policy) | self.stored
+        dry.flags.writeable = False
+        return dry
+
     def dry(self) -> np.ndarray:
-        """Dryness of every row of U: h <= h_min, or stored."""
-        return is_dry(self.U[:, 0], self.policy) | self.stored
+        """Dryness of every row of U (read-only): h <= h_min, or stored."""
+        return self._dry
 
     def interior(self) -> np.ndarray:
         return self.U[1:-1]
@@ -174,7 +195,7 @@ def cfl_dt(grid: Grid, config, basis: MomentBasis) -> float:
     if not np.any(wet):
         return np.inf
     eps, theta = config.eps, config.theta
-    P = to_primitive(grid.interior()[wet], grid.policy)
+    P = grid.primitive[1:-1][wet]
     # the eigen-solve stays the value of the step, so dt is the same to the
     # bit; the closed form only screens out rows that cannot hold the maximum.
     # The 1e-8 margin rests on the closed form matching max |eigvals| to a
@@ -201,21 +222,22 @@ def _live_window(dry: np.ndarray) -> slice:
     return slice(live[0], live[-1] + 2) if live.size else slice(0, 0)
 
 
-def _transport(grid: Grid, dry: np.ndarray, window: slice, P: np.ndarray, dt: float,
-               eps: float, theta: float, basis: MomentBasis) -> np.ndarray:
+def _transport(grid: Grid, dt: float, eps: float, theta: float,
+               basis: MomentBasis) -> np.ndarray:
     """Transport-only predictor for the interior cells.
 
-    dry is grid.dry(), the mask of every row of grid.U, window its
-    _live_window and P the primitive rows of grid.U[window]. The matrices are
-    built on the window only; outside it the fluctuations stay exactly zero.
+    The matrices are built on the _live_window of grid.dry() only; outside it
+    the fluctuations stay exactly zero.
     """
     U = grid.U
     D_minus = np.zeros((U.shape[0] - 1, U.shape[1]))
     D_plus = np.zeros_like(D_minus)
-    if P.shape[0]:
+    dry = grid.dry()
+    window = _live_window(dry)
+    if window.stop:
         lo, hi = window.start, window.stop - 1
         W = U[window]
-        A, inert = _path_matrices(P, dry[window], eps, theta, basis)
+        A, inert = _path_matrices(grid.primitive[window], dry[window], eps, theta, basis)
         Q = viscosity_matrix(A, grid.dx, dt)
         dU = W[1:] - W[:-1]
         inert = inert[:, None]
@@ -257,10 +279,18 @@ def _finalize(grid: Grid, U_new: np.ndarray, dry_after: np.ndarray,
 
 
 def _check_finite(U: np.ndarray, stage: str) -> None:
-    bad = ~np.all(np.isfinite(U), axis=1)
-    if np.any(bad):
-        j = int(np.argmax(bad))
-        raise RuntimeError(f"non-finite state after {stage} in cell {j + 1}")
+    # the whole-array test is the fast path; the per-row mask only names the cell
+    if np.isfinite(U).all():
+        return
+    j = int(np.argmax(~np.all(np.isfinite(U), axis=1)))
+    raise RuntimeError(f"non-finite state after {stage} in cell {j + 1}")
+
+
+def _check_step_input(grid: Grid, dt: float) -> None:
+    """A stepper's entry checks: dt finite and positive, a finite state."""
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"time step dt must be finite and positive, got {dt}")
+    _check_finite(grid.interior(), "input")
 
 
 def _limited_source(P: np.ndarray, dt: float, model, eps: float, theta: float,
@@ -295,26 +325,21 @@ def step_explicit(grid: Grid, dt: float, model, basis: MomentBasis,
 
     The source is evaluated at the pre-step state and applied only to cells
     that are wet both before the step and after the transport predictor; its
-    friction part is guarded against overshoot (see _limited_source). The
-    pre-step rows of the live window are converted to primitive once, for
-    both. config is the run's SimConfig (eps, theta).
+    friction part is guarded against overshoot (see _limited_source). Both
+    read the pre-step primitive rows of grid.primitive. config is the run's
+    SimConfig (eps, theta).
     """
     eps, theta = config.eps, config.theta
-    _check_finite(grid.interior(), "input")
-    dry = grid.dry()
-    window = _live_window(dry)
-    P = to_primitive(grid.U[window], grid.policy)
-    U_check = _transport(grid, dry, window, P, dt, eps, theta, basis)
+    _check_step_input(grid, dt)
+    U_check = _transport(grid, dt, eps, theta, basis)
     _check_finite(U_check, "transport")
-    was_dry = dry[1:-1]
+    was_dry = grid.dry()[1:-1]
     dry_after = _dry_after_transport(U_check, was_dry, grid.policy)
     apply_src = ~was_dry & ~dry_after
     U_new = U_check.copy()
     if np.any(apply_src):
-        # interior cell c is row c + 1 of grid.U; source cells are not
-        # dry, so they lie in the window
-        rows = np.flatnonzero(apply_src) + 1 - window.start
-        S = _limited_source(P[rows], dt, model, eps, theta, grid.dbdx[apply_src], basis)
+        S = _limited_source(grid.primitive[1:-1][apply_src], dt, model, eps, theta,
+                            grid.dbdx[apply_src], basis)
         U_new[apply_src] += dt * S
     _check_finite(U_new, "source")
     return _finalize(grid, U_new, dry_after)
@@ -362,14 +387,10 @@ def step_semi_implicit(grid: Grid, dt: float, model, basis: MomentBasis,
     source does not change it); cells dry after transport skip the solve.
     config is the run's SimConfig (eps, theta, newton_tol, newton_max_iter)."""
     eps, theta = config.eps, config.theta
-    _check_finite(grid.interior(), "input")
-    dry = grid.dry()
-    window = _live_window(dry)
-    U_check = _transport(grid, dry, window, to_primitive(grid.U[window], grid.policy), dt, eps,
-                         theta, basis)
+    _check_step_input(grid, dt)
+    U_check = _transport(grid, dt, eps, theta, basis)
     _check_finite(U_check, "transport")
-    was_dry = dry[1:-1]
-    dry_after = _dry_after_transport(U_check, was_dry, grid.policy)
+    dry_after = _dry_after_transport(U_check, grid.dry()[1:-1], grid.policy)
     U_new = U_check.copy()
     iters_total = 0
     iters_max = 0

@@ -20,7 +20,8 @@ from .friction import (
     savage_hutter_violations,
 )
 from .scheme import apply_transmissive_bc, cfl_dt, make_grid, step_explicit, step_semi_implicit
-from .state import WetDryPolicy, to_conservative, to_primitive
+# to_primitive is unused here, but perfbench/tracer.py wraps sim.to_primitive by name
+from .state import WetDryPolicy, to_conservative, to_primitive  # noqa: F401
 from .topography import FlatBed, RunoffBed, TabulatedBed, eval_b
 
 __all__ = [
@@ -303,8 +304,7 @@ def build_grid(config: SimConfig, bed=None):
 
 
 def _snapshot(grid, t: float, bed) -> Snapshot:
-    U = grid.interior()
-    P = to_primitive(U, grid.policy)
+    P = grid.primitive[1:-1]
     h = P[:, 0]
     alpha = P[:, 2:]
     u_bottom = P[:, 1] + np.sum(alpha, axis=1)
@@ -365,7 +365,7 @@ def _coulomb_bottom(model) -> bool:
 
 def _record(diag: dict, t: float, dt: float, grid, info: dict, basis) -> None:
     U = grid.interior()
-    P = to_primitive(U, grid.policy)
+    P = grid.primitive[1:-1]
     wet = ~grid.dry()[1:-1]
     diag["time"].append(t)
     diag["dt"].append(dt)
@@ -411,18 +411,44 @@ def emit_profile(snapshot: Snapshot, basis, resolution: int, path: str | None = 
     rows[:, :, 1] = zeta
     rows[:, :, 2] = reconstruct_velocity(basis, snapshot.u_m[:, None],
                                          snapshot.alpha[:, None, :], zeta)
-    rows = rows.reshape(-1, 3)
     if path is not None:
         try:
             with open(path, "w", newline="") as f:
                 f.write("x,zeta,u\n")
-                # one format per chunk of rows bounds the text held in memory
-                for start in range(0, len(rows), _PROFILE_CHUNK_ROWS):
-                    chunk = rows[start:start + _PROFILE_CHUNK_ROWS]
-                    f.write(("%.17g,%.17g,%.17g\n" * len(chunk)) % tuple(chunk.ravel().tolist()))
+                _write_profile_rows(f, snapshot.x, zeta, rows[:, :, 2])
         except OSError as exc:
             raise OSError(f"cannot write profile to {path}: {exc}") from exc
-    return rows
+    return rows.reshape(-1, 3)
+
+
+def _write_profile_rows(f, x: np.ndarray, zeta: np.ndarray, u: np.ndarray) -> None:
+    """Write the "%.17g,%.17g,%.17g" rows (x_j, zeta_i, u[j, i]), cell by cell.
+
+    One template per call holds the zeta text of every level, with a NUL in
+    place of x; a cell fills in its u column with one % and its x with
+    str.replace. The block of a cell whose u column is one value (a dry cell)
+    is kept by that value's text, so -0.0 and 0.0 stay apart. Cells are
+    formatted in chunks of about _PROFILE_CHUNK_ROWS rows, which bounds the
+    text held in memory.
+    """
+    template = "".join("\0,%.17g,%%.17g\n" % z for z in zeta.tolist())
+    constant_blocks = {}
+    step = max(1, _PROFILE_CHUNK_ROWS // len(zeta))
+    for start in range(0, len(x), step):
+        chunk = u[start:start + step]
+        bits = chunk.view(np.int64)
+        constant = (bits == bits[:, :1]).all(axis=1).tolist()
+        blocks = []
+        for xj, uj, const in zip(x[start:start + step].tolist(), chunk.tolist(), constant):
+            if const:
+                key = "%.17g" % uj[0]
+                block = constant_blocks.get(key)
+                if block is None:
+                    block = constant_blocks[key] = template % tuple(uj)
+            else:
+                block = template % tuple(uj)
+            blocks.append(block.replace("\0", "%.17g" % xj))
+        f.write("".join(blocks))
 
 
 def front_position(snapshot: Snapshot, h_min: float) -> float:

@@ -38,13 +38,21 @@ def to_primitive(U, policy: WetDryPolicy) -> np.ndarray:
     Velocities are desingularized; dry cells (h <= h_min) get zero velocities.
     """
     U = np.asarray(U, dtype=float)
-    if not np.all(np.isfinite(U)):
+    if not np.isfinite(U).all():
         raise ValueError("conservative state contains NaN or Inf")
     h = U[..., 0]
     P = np.empty_like(U)
     P[..., 0] = h
-    P[..., 1:] = desingularized_velocity(h[..., None], U[..., 1:], policy)
-    P[..., 1:] = np.where(is_dry(h, policy)[..., None], 0.0, P[..., 1:])
+    # desingularized_velocity one component at a time, its row factors formed
+    # once: the same operations in the same order, so the same bits, and 2-3x
+    # faster than broadcasting the rows over the short component axis
+    two_h = 2.0 * h
+    den = h * h + np.maximum(h * h, policy.h_min)
+    for c in range(1, U.shape[-1]):
+        v = P[..., c]
+        np.multiply(two_h, U[..., c], out=v)
+        np.divide(v, den, out=v)
+    P[is_dry(h, policy), 1:] = 0.0
     return P
 
 

@@ -26,7 +26,7 @@ from swmoment.scheme import (
     step_semi_implicit,
     viscosity_matrix,
 )
-from swmoment.sim import SimConfig, build_model, preset
+from swmoment.sim import SimConfig, build_model, preset, run
 from swmoment.state import WetDryPolicy, to_conservative, to_primitive
 from swmoment.topography import RunoffBed
 from tests.conftest import random_wet_primitive
@@ -168,13 +168,10 @@ def test_stored_flags_default_ghosts_and_step(basis2):
     assert g.stored[-1] and not g.stored[0]
     # a step stores exactly its dry_after cells, stored mass above h_min included
     grid = _patch_grid(2, **WINDOW_CASES["stored_next_to_front"])
-    dry = grid.dry()
-    window = _live_window(dry)
     for stepper, mode in ((step_explicit, "explicit"), (step_semi_implicit, "semi_implicit")):
         dt = cfl_dt(grid, SimConfig(mode=mode), basis2)
-        U_check = _transport(grid, dry, window, to_primitive(grid.U[window], POLICY), dt, EPS,
-                             THETA, basis2)
-        dry_after = _dry_after_transport(U_check, dry[1:-1], POLICY)
+        U_check = _transport(grid, dt, EPS, THETA, basis2)
+        dry_after = _dry_after_transport(U_check, grid.dry()[1:-1], POLICY)
         assert np.any(dry_after & (U_check[:, 0] > POLICY.h_min))
         g, info = stepper(grid, dt, MODEL, basis2, SimConfig(mode=mode))
         assert np.array_equal(g.stored[1:-1], dry_after)
@@ -278,12 +275,13 @@ def test_newton_abort_reports_cell(basis2):
 
 def test_nonfinite_state_aborts_with_cell_index(basis2):
     grid = _uniform_grid(10, 2, h=0.05)
-    U = grid.U.copy()
-    U[5, 1] = np.nan
-    grid = Grid(x=grid.x, dx=grid.dx, U=U, dbdx=grid.dbdx, policy=POLICY)
-    with pytest.raises(RuntimeError, match="cell"):
-        step_explicit(grid, 1e-3, MODEL, basis2,
-                      SimConfig(mode="explicit"))
+    for j, col in ((5, 1), (1, 0), (10, 3)):
+        U = grid.U.copy()
+        U[j, col] = np.nan
+        bad = Grid(x=grid.x, dx=grid.dx, U=U, dbdx=grid.dbdx, policy=POLICY)
+        for stepper, mode in ((step_explicit, "explicit"), (step_semi_implicit, "semi_implicit")):
+            with pytest.raises(RuntimeError, match=f"^non-finite state after input in cell {j}$"):
+                stepper(bad, 1e-3, MODEL, basis2, SimConfig(mode=mode))
 
 
 def test_transmissive_bc_idempotent(basis2):
@@ -373,11 +371,10 @@ def test_cfl_dt_screen_equals_brute_force_max(N, basis1, basis2, basis6):
     assert cfl_dt(grids[0], fixed, basis) == 3.7e-4
 
 
-def _transport_full_width(grid, dry, window, P, dt, eps, theta, basis):
-    """The transport predictor over every interface, inert ones zeroed after
-    (window and P, the primitive rows of the window, are not read)."""
+def _transport_full_width(grid, dt, eps, theta, basis):
+    """The transport predictor over every interface, inert ones zeroed after."""
     U = grid.U
-    A, inert = _path_matrices(to_primitive(U, grid.policy), dry, eps, theta, basis)
+    A, inert = _path_matrices(to_primitive(U, grid.policy), grid.dry(), eps, theta, basis)
     Q = viscosity_matrix(A, grid.dx, dt)
     dU = U[1:] - U[:-1]
     D_minus = 0.5 * np.einsum("kij,kj->ki", A - Q, dU)
@@ -440,13 +437,9 @@ def test_path_matrices_stacked_call_equals_per_node_calls(case, basis2):
 @pytest.mark.parametrize("case", sorted(WINDOW_CASES), ids=lambda c: f"{c}-primitive")
 def test_transport_window_bit_identical_to_full_width(case, basis2):
     grid = _patch_grid(2, **WINDOW_CASES[case])
-    dry = grid.dry()
-    window = _live_window(dry)
-    P = to_primitive(grid.U[window], POLICY)
     for dt in (1e-4, 7.3e-4):
-        got = _transport(grid, dry, window, P, dt, EPS, THETA, basis2)
-        assert np.array_equal(got, _transport_full_width(grid, dry, window, P, dt, EPS, THETA,
-                                                         basis2))
+        got = _transport(grid, dt, EPS, THETA, basis2)
+        assert np.array_equal(got, _transport_full_width(grid, dt, EPS, THETA, basis2))
     if case == "all_dry":
         assert np.array_equal(got, grid.U[1:-1])
 
@@ -501,31 +494,80 @@ def test_steppers_return_the_same_info_keys(basis2):
     assert info_semi["newton_iters_max"] >= 1
 
 
-def test_explicit_step_converts_pre_step_rows_once(basis2, monkeypatch):
+def test_live_window_spans_every_interface_with_a_wet_side():
     grid = _patch_grid(2, patches=[(5, 11), (26, 33)], stored=(12, 25))
     dry = grid.dry()
     window = _live_window(dry)
     assert (window.start, window.stop) == (5, 35)
     assert np.all(dry[:window.start]) and np.all(dry[window.stop:])
     assert _live_window(np.ones(10, dtype=bool)) == slice(0, 0)
-    calls = []
+
+
+def test_run_converts_each_grid_to_primitive_once(monkeypatch):
+    # one full-grid conversion per grid (the initial one and one per step),
+    # shared by cfl_dt, the step and the diagnostics; the Newton batches
+    # convert their own perturbed rows
+    rows, newton = [], []
+    residual = scheme._residual_and_jacobian
 
     def counted(U, policy):
-        calls.append(len(U))
+        rows.append(len(U))
         return to_primitive(U, policy)
 
+    def counted_residual(*args, **kwargs):
+        newton.append(len(rows))
+        return residual(*args, **kwargs)
+
     monkeypatch.setattr(scheme, "to_primitive", counted)
-    step_explicit(grid, 1e-4, MODEL, basis2, SimConfig(mode="explicit"))
-    assert calls == [window.stop - window.start]
+    monkeypatch.setattr(scheme, "_residual_and_jacobian", counted_residual)
+    for mode in ("explicit", "semi_implicit"):
+        rows.clear()
+        newton.clear()
+        cfg = preset(1, J=60, mode=mode, snapshot_times=(0.0, 0.1, 0.2))
+        steps = len(run(cfg).diagnostics["time"])
+        assert steps > 2
+        assert len(rows) == steps + 1 + len(newton)
+        # newton holds the index in rows of each Newton batch's conversion
+        batches = set(newton)
+        grids = [n for i, n in enumerate(rows) if i not in batches]
+        assert grids == [cfg.J + 2] * (steps + 1)
+        assert (len(newton) > 0) == (mode == "semi_implicit")
+
+
+@pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+def test_grid_primitive_is_cached_and_grids_are_read_only(case, basis2):
+    grid = _patch_grid(2, **WINDOW_CASES[case])
+    assert grid.primitive is grid.primitive
+    assert grid.primitive.tobytes() == to_primitive(grid.U, POLICY).tobytes()
+    for array in (grid.U, grid.stored, grid.primitive, grid.dry()):
+        with pytest.raises(ValueError, match="read-only"):
+            array[1] = 1
+    before = [array.copy() for array in (grid.U, grid.stored, grid.primitive, grid.dry())]
+    for stepper, mode in ((step_explicit, "explicit"), (step_semi_implicit, "semi_implicit")):
+        cfg = SimConfig(mode=mode)
+        g, _ = stepper(grid, _step_dt(grid, cfg, basis2), MODEL, basis2, cfg)
+        assert g.primitive.tobytes() == to_primitive(g.U, POLICY).tobytes()
+        after = (grid.U, grid.stored, grid.primitive, grid.dry())
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
+
+
+@pytest.mark.parametrize("dt", [math.inf, math.nan, 0.0, -1e-3])
+def test_steppers_reject_a_bad_dt_by_name(dt, basis2):
+    # cfl_dt is inf on an all-dry grid; inf * 0 in the transport would be NaN
+    grid = _patch_grid(2, **WINDOW_CASES["all_dry"])
+    for stepper, mode in ((step_explicit, "explicit"), (step_semi_implicit, "semi_implicit")):
+        cfg = SimConfig(mode=mode)
+        assert cfl_dt(grid, cfg, basis2) == math.inf
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            stepper(grid, dt, MODEL, basis2, cfg)
 
 
 def _semi_implicit_reference(grid, dt, model, eps, theta, basis, config):
     """The semi-implicit step with the finite-difference Newton over all N+2
     conservative rows, depth included, and one residual evaluation per
     perturbed column."""
-    dry = grid.dry()
-    U_check = _transport_full_width(grid, dry, None, None, dt, eps, theta, basis)
-    dry_after = _dry_after_transport(U_check, dry[1:-1], grid.policy)
+    U_check = _transport_full_width(grid, dt, eps, theta, basis)
+    dry_after = _dry_after_transport(U_check, grid.dry()[1:-1], grid.policy)
     idx = np.flatnonzero(~dry_after)
     U_new = U_check.copy()
     iters_total = iters_max = 0

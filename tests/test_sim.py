@@ -402,6 +402,11 @@ def test_write_outputs_profiles_use_the_run_basis(tmp_path, monkeypatch):
     assert np.array_equal(rows, expected)
 
 
+def _profile_lines(x, zeta, u):
+    return ["x,zeta,u"] + [",".join("%.17g" % v for v in (x[j], zeta[i], u[j, i]))
+                           for j in range(len(x)) for i in range(len(zeta))]
+
+
 def test_profile_equals_per_cell_loop(tmp_path, basis2):
     # 50 cells x 33 levels = 1650 rows, not a multiple of the write chunk
     J, res = 50, 33
@@ -409,20 +414,47 @@ def test_profile_equals_per_cell_loop(tmp_path, basis2):
     h = rng.uniform(0.01, 0.1, J)
     alpha = rng.uniform(-0.3, 0.3, (J, 2))
     u_m = rng.uniform(-1.0, 1.0, J)
+    # constant columns: dry cells at rest in both chunks, a nonzero constant,
+    # and u_m = -0.0, whose column mixes -0.0 and 0.0 (-0.0 + 0.0 * phi)
+    for j in (*range(10), 30, 31, *range(40, 45)):
+        h[j], u_m[j], alpha[j] = 0.0, 0.0, 0.0
+    u_m[[25, 26]], alpha[[25, 26]] = 0.7, 0.0
+    u_m[20], alpha[20] = -0.0, 0.0
     snap = Snapshot(time=0.0, x=np.sort(rng.uniform(0.0, 1.0, J)), h=h, u_m=u_m,
                     alpha=alpha, u_bottom=u_m + alpha.sum(axis=1), h_s=h)
     path = tmp_path / "field.csv"
     rows = emit_profile(snap, basis2, res, str(path))
     zeta = np.linspace(0.0, 1.0, res)
-    expected = np.empty((J * res, 3))
-    lines = ["x,zeta,u"]
+    expected = np.empty((J, res, 3))
     for j in range(J):
-        u = reconstruct_velocity(basis2, u_m[j], alpha[j], zeta)
-        for i in range(res):
-            expected[j * res + i] = (snap.x[j], zeta[i], u[i])
-            lines.append(",".join("%.17g" % v for v in expected[j * res + i]))
-    assert np.array_equal(rows, expected)
-    assert path.read_text() == "\n".join(lines) + "\n"
+        expected[j, :, 0] = snap.x[j]
+        expected[j, :, 1] = zeta
+        expected[j, :, 2] = reconstruct_velocity(basis2, u_m[j], alpha[j], zeta)
+    u = expected[:, :, 2]
+    assert np.all(u[25] == 0.7)
+    assert np.any(np.signbit(u[20])) and not np.all(np.signbit(u[20]))
+    expected = expected.reshape(-1, 3)
+    assert rows.tobytes() == expected.tobytes()
+    assert path.read_text() == "\n".join(_profile_lines(snap.x, zeta, u)) + "\n"
+
+
+def test_profile_writer_keeps_signed_zero_columns_apart(tmp_path):
+    # a column of -0.0 and one of 0.0 are both constant; the first of each
+    # kind sets the kept block, so neither may be written as the other
+    res = 40
+    x = np.linspace(0.0, 1.0, 60)
+    zeta = np.linspace(0.0, 1.0, res)
+    u = np.random.default_rng(4).uniform(-1.0, 1.0, (len(x), res))
+    u[[3, 30, 59]] = -0.0
+    u[[4, 31, 58]] = 0.0
+    u[5] = -0.0
+    u[5, 7] = 0.0
+    u[6] = 1.5
+    path = tmp_path / "field.csv"
+    with open(path, "w") as f:
+        f.write("x,zeta,u\n")
+        sim._write_profile_rows(f, x, zeta, u)
+    assert path.read_text() == "\n".join(_profile_lines(x, zeta, u)) + "\n"
 
 
 def test_front_position_threshold():

@@ -57,6 +57,20 @@ def test_desingularized_velocity_vanishes_with_height():
     assert v[0] < 1e-13
 
 
+def test_to_primitive_bit_identical_to_broadcast_desingularization():
+    # the per-component loop against the formula broadcast over all rows
+    rng = np.random.default_rng(3)
+    for shape in ((4,), (2,), (0, 4), (7, 3), (1002, 4), (40, 8), (3, 5, 4)):
+        U = rng.uniform(-0.1, 0.1, shape) * rng.choice([1e-5, 1e-3, 1.0], shape)
+        U[..., 0] = np.abs(U[..., 0])
+        U.reshape(-1, shape[-1])[::3, 1:] = -0.0
+        h = U[..., 0]
+        ref = np.concatenate([h[..., None], desingularized_velocity(h[..., None], U[..., 1:],
+                                                                    POLICY)], axis=-1)
+        ref[..., 1:] = np.where(is_dry(h, POLICY)[..., None], 0.0, ref[..., 1:])
+        assert to_primitive(U, POLICY).tobytes() == ref.tobytes()
+
+
 def test_to_primitive_rejects_nonfinite():
     with pytest.raises(ValueError):
         to_primitive(np.array([0.05, np.nan, 0.0]), POLICY)
