@@ -5,7 +5,7 @@ structure is resolved by a polynomial moment expansion, with Newtonian,
 Coulomb-type, and inertial-number-dependent granular friction closures.
 """
 
-from .basis import MomentBasis, build_basis, eval_dphi, eval_phi, gauss_rule, reconstruct_velocity
+from .basis import MomentBasis, build_basis, eval_phi, gauss_rule, reconstruct_velocity
 from .friction import (
     ConstantCoulomb,
     CoulombBottom,
@@ -18,8 +18,8 @@ from .friction import (
     savage_hutter_violations,
 )
 from .hswme import (
-    source,
-    system_matrix,
+    source_batch,
+    system_matrix_batch,
     wavespeeds_batch,
 )
 from .scheme import (
@@ -28,7 +28,6 @@ from .scheme import (
     cfl_dt,
     fluctuations,
     make_grid,
-    roe_matrix,
     step_explicit,
     step_semi_implicit,
     viscosity_matrix,
@@ -50,6 +49,6 @@ from .state import (
     to_conservative,
     to_primitive,
 )
-from .topography import FlatBed, RunoffBed, TabulatedBed, cell_slope, eval_b
+from .topography import FlatBed, RunoffBed, TabulatedBed, cell_slope
 
 __version__ = "1.0.0"

@@ -1,7 +1,6 @@
 """Shifted Legendre basis on [0,1]: polynomials, coupling tensors, quadrature rules."""
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 from operator import mul
@@ -12,10 +11,8 @@ __all__ = [
     "MomentBasis",
     "build_basis",
     "eval_phi",
-    "eval_dphi",
     "reconstruct_velocity",
     "gauss_rule",
-    "phi_coefficients",
 ]
 
 MAX_ORDER = 12
@@ -25,17 +22,6 @@ def _phi_ints(j: int) -> list[int]:
     """Integer monomial coefficients of phi_j(z) = P_j(1 - 2z), ascending powers:
     the z^k coefficient is (-1)^k C(j,k) C(j+k,k)."""
     return [(-1) ** k * comb(j, k) * comb(j + k, k) for k in range(j + 1)]
-
-
-def phi_coefficients(j: int) -> list[Fraction]:
-    """Exact monomial coefficients of the degree-j shifted Legendre polynomial.
-
-    phi_j(z) = d^j/dz^j (z - z^2)^j / j!, normalized so phi_j(0) = 1. The
-    coefficients are integers.
-    """
-    if j < 0:
-        raise ValueError(f"polynomial degree must be >= 0, got {j}")
-    return [Fraction(c) for c in _phi_ints(j)]
 
 
 def _poly_mul(p: list[int], q: list[int]) -> list[int]:
@@ -142,12 +128,6 @@ def eval_phi(basis: MomentBasis, j: int, zeta):
     """Evaluate phi_j at zeta in [0,1] (scalar or array) by Horner's rule."""
     _check_eval_args(basis, j, zeta)
     return _horner(basis.phi[j - 1], zeta)
-
-
-def eval_dphi(basis: MomentBasis, j: int, zeta):
-    """Evaluate phi_j' at zeta in [0,1] (scalar or array)."""
-    _check_eval_args(basis, j, zeta)
-    return _horner(basis.dphi[j - 1], zeta)
 
 
 def reconstruct_velocity(basis: MomentBasis, u_m: float, alpha, zeta):

@@ -4,9 +4,8 @@ A model is its bulk law (Newtonian, ConstantCoulomb, MuI) and carries a
 bottom law (SlipBottom, ManningBottom, CoulombBottom, MuIBottom) as its
 bottom_law field. Both consume primitive rows (h, u_m, alpha_1..alpha_N);
 the model's `stresses` returns the bottom stress tau_b and the bulk terms
-T_i = int_0^1 phi_i' tau dzeta, for a single row or a batch (M, N+2). The
-free surface carries no stress. Callers must skip dry cells; heights must be
-positive here.
+T_i = int_0^1 phi_i' tau dzeta of rows (M, N+2). The free surface carries no
+stress. Callers must skip dry cells; heights must be positive here.
 """
 
 import math
@@ -30,13 +29,6 @@ __all__ = [
     "derive_dimensionless",
     "savage_hutter_violations",
 ]
-
-
-def _as_rows(P) -> tuple[np.ndarray, bool]:
-    P = np.asarray(P, dtype=float)
-    if P.ndim == 1:
-        return P[None, :], True
-    return P, False
 
 
 def _require_wet(h: np.ndarray) -> None:
@@ -115,14 +107,10 @@ class _Friction:
     """A bulk law (the subclass's bulk_terms on wet rows) composed with the
     bottom law in its bottom_law field."""
 
-    def stresses(self, P, basis: MomentBasis):
-        """(tau_b, T) at wet primitive rows: (M,) and (M, N) for a batch, a
-        scalar and (N,) for a single row."""
-        P, single = _as_rows(P)
+    def stresses(self, P: np.ndarray, basis: MomentBasis):
+        """(tau_b, T), shapes (M,) and (M, N), at wet primitive rows (M, N+2)."""
         _require_wet(P[:, 0])
-        tau_b = self.bottom_law.stress(P, basis, self)
-        T = self.bulk_terms(P, basis)
-        return (tau_b[0], T[0]) if single else (tau_b, T)
+        return self.bottom_law.stress(P, basis, self), self.bulk_terms(P, basis)
 
 
 @dataclass(frozen=True)
@@ -428,7 +416,7 @@ class MuI(_Friction):
             T = muI_bulk_quadrature(h, alpha, self, basis)
         return T
 
-    def stresses(self, P, basis: MomentBasis):
+    def stresses(self, P: np.ndarray, basis: MomentBasis):
         """(tau_b, T) of the composed laws, with static mobilization at zero shear.
 
         A profile with all moments exactly zero has no shear anywhere, so the
@@ -436,7 +424,6 @@ class MuI(_Friction):
         mobilized against the bottom-velocity direction) are used instead so a
         steadily sliding constant profile balances gravity exactly.
         """
-        P, single = _as_rows(P)
         tau_b, T = super().stresses(P, basis)
         static = np.all(P[:, 2:] == 0.0, axis=1)
         if np.any(static):
@@ -445,17 +432,16 @@ class MuI(_Friction):
             if isinstance(self.bottom_law, MuIBottom):
                 tau_b[static] = mobilized
             T[static, :] = -mobilized[:, None]
-        return (tau_b[0], T[0]) if single else (tau_b, T)
+        return tau_b, T
 
 
-def savage_hutter_violations(P, basis: MomentBasis) -> int:
-    """Count the rows of P violating the sliding-law assumptions.
+def savage_hutter_violations(P: np.ndarray, basis: MomentBasis) -> int:
+    """Count the primitive rows of P (M, N+2) violating the sliding-law assumptions.
 
     The Savage-Hutter derivation assumes a positive bottom velocity and a
     velocity profile increasing with height; violations are reported, never
     enforced. The caller passes wet rows only, as to the friction laws.
     """
-    P, _ = _as_rows(P)
     _require_wet(P[:, 0])
     bad_bottom = _bottom_velocity(P) <= 0.0
     zeta = np.linspace(0.0, 1.0, 9)

@@ -7,9 +7,7 @@ import numpy as np
 from .basis import MomentBasis
 
 __all__ = [
-    "system_matrix",
     "system_matrix_batch",
-    "source",
     "source_batch",
     "spectral_radius_batch",
     "wavespeeds_batch",
@@ -45,13 +43,7 @@ def system_matrix_batch(P: np.ndarray, eps: float, theta: float, basis: MomentBa
     return A
 
 
-def system_matrix(P, eps: float, theta: float, basis: MomentBasis) -> np.ndarray:
-    """Transport matrix of a single primitive state (h, u_m, alpha_1..alpha_N)."""
-    P = np.asarray(P, dtype=float)
-    return system_matrix_batch(P[None, :], eps, theta, basis)[0]
-
-
-def source_split_batch(P: np.ndarray, model, theta: float, eps: float,
+def source_split_batch(P: np.ndarray, model, eps: float, theta: float,
                        dbdx: np.ndarray, basis: MomentBasis) -> tuple:
     """Source rows of wet primitive rows (M, N+2), split as (drive, fric).
 
@@ -77,18 +69,12 @@ def source_split_batch(P: np.ndarray, model, theta: float, eps: float,
     return drive, fric
 
 
-def source_batch(P: np.ndarray, model, theta: float, eps: float, dbdx: np.ndarray,
+def source_batch(P: np.ndarray, model, eps: float, theta: float, dbdx: np.ndarray,
                  basis: MomentBasis) -> np.ndarray:
     """Source rows for wet primitive rows (M, N+2) -> (M, N+2): the sum of
     the two parts of source_split_batch."""
-    drive, fric = source_split_batch(P, model, theta, eps, dbdx, basis)
+    drive, fric = source_split_batch(P, model, eps, theta, dbdx, basis)
     return drive + fric
-
-
-def source(P, model, theta: float, eps: float, dbdx: float, basis: MomentBasis) -> np.ndarray:
-    """Source vector of a single wet primitive state."""
-    P = np.asarray(P, dtype=float)
-    return source_batch(P[None, :], model, theta, eps, np.array([dbdx]), basis)[0]
 
 
 def _gershgorin(A: np.ndarray) -> np.ndarray:

@@ -19,7 +19,6 @@ __all__ = [
     "Grid",
     "make_grid",
     "apply_transmissive_bc",
-    "roe_matrix",
     "viscosity_matrix",
     "fluctuations",
     "cfl_dt",
@@ -101,13 +100,18 @@ def make_grid(x_a: float, x_b: float, J: int, N: int, policy: WetDryPolicy, bed=
     return Grid(x=x, dx=dx, U=np.zeros((J + 2, N + 2)), dbdx=dbdx, policy=policy)
 
 
-def apply_transmissive_bc(grid: Grid) -> Grid:
-    """Copy the boundary cells into the ghost cells (waves exit freely)."""
-    U, stored = grid.U.copy(), grid.stored.copy()
+def _mirror_ghosts(grid: Grid, U: np.ndarray, stored: np.ndarray) -> Grid:
+    """grid with rows U and flags stored, whose boundary cells this copies
+    into their ghost cells in place (transmissive: waves exit freely)."""
     for rows in (U, stored):
         rows[0] = rows[1]
         rows[-1] = rows[-2]
     return replace(grid, U=U, stored=stored)
+
+
+def apply_transmissive_bc(grid: Grid) -> Grid:
+    """Copy the boundary cells into the ghost cells (waves exit freely)."""
+    return _mirror_ghosts(grid, grid.U.copy(), grid.stored.copy())
 
 
 # activation margin for rewetting: a dry cell turns wet only once its
@@ -146,16 +150,6 @@ def _path_matrices(X: np.ndarray, dry: np.ndarray, eps: float, theta: float,
     return A, inert
 
 
-def roe_matrix(U_L, U_R, eps: float, theta: float, basis: MomentBasis,
-               policy: WetDryPolicy) -> np.ndarray:
-    """Interface matrix: 3-point Gauss quadrature of the transport matrix along
-    the linear path between the two states in primitive variables. Bare
-    states have no step history, so here a state is dry iff h <= h_min."""
-    U = np.stack([np.asarray(U_L, dtype=float), np.asarray(U_R, dtype=float)])
-    A, _ = _path_matrices(to_primitive(U, policy), is_dry(U[:, 0], policy), eps, theta, basis)
-    return A[0]
-
-
 def viscosity_matrix(A: np.ndarray, dx: float, dt: float) -> np.ndarray:
     """Q = (dx / 2 dt) I + (dt / 2 dx) A^2 (works on a matrix or a batch)."""
     if dx <= 0.0 or dt <= 0.0:
@@ -165,32 +159,28 @@ def viscosity_matrix(A: np.ndarray, dx: float, dt: float) -> np.ndarray:
     return (dx / (2.0 * dt)) * eye + (dt / (2.0 * dx)) * (A @ A)
 
 
-def fluctuations(U_L, U_R, dx: float, dt: float, eps: float, theta: float,
-                 basis: MomentBasis, policy: WetDryPolicy) -> tuple[np.ndarray, np.ndarray]:
-    """Left/right-going interface fluctuations (D_minus, D_plus).
+def fluctuations(U: np.ndarray, P: np.ndarray, dry: np.ndarray, dx: float, dt: float,
+                 eps: float, theta: float, basis: MomentBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Left/right-going fluctuations (D_minus, D_plus) at the interfaces of
+    consecutive rows: conservative U, their primitive rows P and dryness dry.
 
     D_plus + D_minus = A (U_R - U_L) with A the path-averaged matrix and the
-    viscosity matrix Q splitting the jump. Inert interfaces (dry-dry, or a
-    wet-dry front not advancing into the dry cell) carry no fluctuations.
+    viscosity matrix Q splitting the jump. Inert (dry-dry) interfaces carry no
+    fluctuations.
     """
-    U = np.stack([np.asarray(U_L, dtype=float), np.asarray(U_R, dtype=float)])
-    A, inert = _path_matrices(to_primitive(U, policy), is_dry(U[:, 0], policy), eps, theta, basis)
-    if inert[0]:
-        zero = np.zeros(U.shape[1])
-        return zero, zero.copy()
-    Q = viscosity_matrix(A[0], dx, dt)
-    dU = U[1] - U[0]
-    D_minus = 0.5 * (A[0] - Q) @ dU
-    D_plus = 0.5 * (A[0] + Q) @ dU
+    A, inert = _path_matrices(P, dry, eps, theta, basis)
+    Q = viscosity_matrix(A, dx, dt)
+    dU = U[1:] - U[:-1]
+    inert = inert[:, None]
+    D_minus = np.where(inert, 0.0, 0.5 * np.einsum("kij,kj->ki", A - Q, dU))
+    D_plus = np.where(inert, 0.0, 0.5 * np.einsum("kij,kj->ki", A + Q, dU))
     return D_minus, D_plus
 
 
 def cfl_dt(grid: Grid, config, basis: MomentBasis) -> float:
     """CFL time step cfl * dx / max wavespeed over the cells not grid.dry();
-    inf if there are none (every interface is inert, nothing moves); dt_fixed
-    if set. config is the run's SimConfig."""
-    if config.dt_fixed is not None:
-        return config.dt_fixed
+    inf if there are none (every interface is inert, nothing moves). config is
+    the run's SimConfig."""
     wet = ~grid.dry()[1:-1]
     if not np.any(wet):
         return np.inf
@@ -236,13 +226,8 @@ def _transport(grid: Grid, dt: float, eps: float, theta: float,
     window = _live_window(dry)
     if window.stop:
         lo, hi = window.start, window.stop - 1
-        W = U[window]
-        A, inert = _path_matrices(grid.primitive[window], dry[window], eps, theta, basis)
-        Q = viscosity_matrix(A, grid.dx, dt)
-        dU = W[1:] - W[:-1]
-        inert = inert[:, None]
-        D_minus[lo:hi] = np.where(inert, 0.0, 0.5 * np.einsum("kij,kj->ki", A - Q, dU))
-        D_plus[lo:hi] = np.where(inert, 0.0, 0.5 * np.einsum("kij,kj->ki", A + Q, dU))
+        D_minus[lo:hi], D_plus[lo:hi] = fluctuations(
+            U[window], grid.primitive[window], dry[window], grid.dx, dt, eps, theta, basis)
     return U[1:-1] - (dt / grid.dx) * (D_plus[:-1] + D_minus[1:])
 
 
@@ -258,7 +243,7 @@ def _dry_after_transport(U_check: np.ndarray, was_dry: np.ndarray,
 def _finalize(grid: Grid, U_new: np.ndarray, dry_after: np.ndarray,
               iters_total: int = 0, iters_max: int = 0) -> tuple[Grid, dict]:
     """The grid after a step to interior states U_new, with its ghost rows
-    mirrored (transmissive) and the step's info: the dry_after cells keep
+    mirrored by _mirror_ghosts, and the step's info: the dry_after cells keep
     their transported depth at rest and are flagged stored; clamp negatives."""
     U, stored = grid.U.copy(), grid.stored.copy()
     stored[1:-1] = dry_after
@@ -270,10 +255,7 @@ def _finalize(grid: Grid, U_new: np.ndarray, dry_after: np.ndarray,
     if np.any(negative):
         clamped = float(-np.sum(out[negative, 0]))
         out[negative, 0] = 0.0
-    for rows in (U, stored):  # transmissive ghosts, as apply_transmissive_bc
-        rows[0] = rows[1]
-        rows[-1] = rows[-2]
-    return replace(grid, U=U, stored=stored), {
+    return _mirror_ghosts(grid, U, stored), {
         "dry_cells": int(np.sum(dry_after)), "clamped_mass": clamped,
         "newton_iters_total": iters_total, "newton_iters_max": iters_max}
 
@@ -304,7 +286,7 @@ def _limited_source(P: np.ndarray, dt: float, model, eps: float, theta: float,
     zero within the step. The scale is 1 wherever the step resolves the
     friction time scale, so resolved cells see plain forward Euler.
     """
-    S_drive, S_fric = source_split_batch(P, model, theta, eps, dbdx, basis)
+    S_drive, S_fric = source_split_batch(P, model, eps, theta, dbdx, basis)
     N = basis.N
     # energy weights of (u_m, alpha_1..alpha_N): ∫ u(ζ)² dζ diagonalizes
     # to u_m² + Σ α_i²/(2i+1)
@@ -370,7 +352,7 @@ def _residual_and_jacobian(V: np.ndarray, target: np.ndarray, dt: float, model,
         cols = np.arange(n)
         batch[1 + cols, :, 1 + cols] += step.T
         batch[1 + n + cols, :, 1 + cols] -= step.T
-    S = source_batch(to_primitive(batch.reshape(-1, n + 1), policy), model, theta, eps,
+    S = source_batch(to_primitive(batch.reshape(-1, n + 1), policy), model, eps, theta,
                      np.tile(dbdx, batch.shape[0]), basis)
     R = (batch - target - dt * S.reshape(batch.shape))[:, :, 1:]
     if not jacobian:

@@ -22,7 +22,7 @@ from .friction import (
 from .scheme import apply_transmissive_bc, cfl_dt, make_grid, step_explicit, step_semi_implicit
 # to_primitive is unused here, but perfbench/tracer.py wraps sim.to_primitive by name
 from .state import WetDryPolicy, to_conservative, to_primitive  # noqa: F401
-from .topography import FlatBed, RunoffBed, TabulatedBed, eval_b
+from .topography import FlatBed, RunoffBed, TabulatedBed
 
 __all__ = [
     "SimConfig",
@@ -50,8 +50,7 @@ class SimConfig:
 
     Physical inputs (H, L, g, rho, friction parameters) are in SI units;
     dimensionless groups are derived internally. Angles are in radians.
-    mode is "explicit" or "semi_implicit"; dt_fixed overrides the CFL step
-    (convergence studies).
+    mode is "explicit" or "semi_implicit".
     """
 
     N: int = 2
@@ -70,7 +69,6 @@ class SimConfig:
     cfl: float = 0.05
     newton_tol: float = 1e-6
     newton_max_iter: int = 50
-    dt_fixed: float | None = None
     h_min: float = 1e-6
     quad_points: int = 32
     ic: dict = field(default_factory=lambda: dict(_BLOCK_IC))
@@ -95,8 +93,6 @@ class SimConfig:
             raise ValueError(f"newton_tol must be positive, got {self.newton_tol}")
         if self.newton_max_iter < 0:
             raise ValueError(f"newton_max_iter must be >= 0, got {self.newton_max_iter}")
-        if self.dt_fixed is not None and not (math.isfinite(self.dt_fixed) and self.dt_fixed > 0.0):
-            raise ValueError(f"dt_fixed must be None or finite and positive, got {self.dt_fixed}")
         if not self.h_min > 0.0:
             raise ValueError(f"h_min must be positive, got {self.h_min}")
         if self.max_steps < 1:
@@ -308,9 +304,8 @@ def _snapshot(grid, t: float, bed) -> Snapshot:
     h = P[:, 0]
     alpha = P[:, 2:]
     u_bottom = P[:, 1] + np.sum(alpha, axis=1)
-    b = np.asarray(eval_b(bed, grid.x), dtype=float)
     return Snapshot(time=t, x=grid.x.copy(), h=h.copy(), u_m=P[:, 1].copy(),
-                    alpha=alpha.copy(), u_bottom=u_bottom, h_s=h + b)
+                    alpha=alpha.copy(), u_bottom=u_bottom, h_s=h + bed.b(grid.x))
 
 
 def run(config: SimConfig) -> RunResult:
@@ -388,13 +383,22 @@ def write_snapshot(snapshot: Snapshot, path: str) -> None:
     try:
         with open(path, "w", newline="") as f:
             f.write(",".join(header) + "\n")
-            for row in cols:
-                f.write(",".join("%.17g" % v for v in row) + "\n")
+            _write_rows(f, cols)
     except OSError as exc:
         raise OSError(f"cannot write snapshot to {path}: {exc}") from exc
 
 
 _PROFILE_CHUNK_ROWS = 1024
+
+
+def _write_rows(f, cols: np.ndarray) -> None:
+    """Write the rows of cols (M, k) as "%.17g,...,%.17g" lines, formatting
+    chunks of _PROFILE_CHUNK_ROWS rows with one % each (the text of a per-value
+    "%.17g" join)."""
+    line = ",".join(["%.17g"] * cols.shape[1]) + "\n"
+    for start in range(0, len(cols), _PROFILE_CHUNK_ROWS):
+        chunk = cols[start:start + _PROFILE_CHUNK_ROWS]
+        f.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def emit_profile(snapshot: Snapshot, basis, resolution: int, path: str | None = None) -> np.ndarray:
@@ -481,8 +485,7 @@ def write_summary(result: RunResult, path: str) -> None:
             f.write("# diagnostics\n")
             keys = list(d.keys())
             f.write(",".join(keys) + "\n")
-            for i in range(len(d["time"])):
-                f.write(",".join("%.17g" % float(d[k][i]) for k in keys) + "\n")
+            _write_rows(f, np.column_stack([np.asarray(d[k], dtype=float) for k in keys]))
     except OSError as exc:
         raise OSError(f"cannot write summary to {path}: {exc}") from exc
 
@@ -519,7 +522,6 @@ _FILE_FIELDS = (
     ("stepper", "cfl", "cfl", float),
     ("stepper", "newton_tol", "newton_tol", float),
     ("stepper", "newton_max_iter", "newton_max_iter", int),
-    ("stepper", "dt_fixed", "dt_fixed", float),
     ("stepper", "h_min", "h_min", float),
     ("stepper", "quad_points", "quad_points", int),
     ("stepper", "max_steps", "max_steps", int),

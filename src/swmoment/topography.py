@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["FlatBed", "RunoffBed", "TabulatedBed", "eval_b", "cell_slope"]
+__all__ = ["FlatBed", "RunoffBed", "TabulatedBed", "cell_slope"]
 
 
 @dataclass(frozen=True)
@@ -85,11 +85,6 @@ class TabulatedBed:
         if data.ndim != 2 or data.shape[1] != 2:
             raise ValueError(f"expected two whitespace-separated columns in {path}")
         return cls(x=data[:, 0], values=data[:, 1])
-
-
-def eval_b(bed, x):
-    """Bed elevation at x (scalar or array)."""
-    return bed.b(x)
 
 
 def cell_slope(bed, x_left, x_right):

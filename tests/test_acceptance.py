@@ -24,19 +24,19 @@ from swmoment.friction import (
     muI_bulk_quadrature,
     savage_hutter_violations,
 )
-from swmoment.hswme import source, system_matrix, system_matrix_batch
+from swmoment.hswme import source_batch, system_matrix_batch
 from swmoment.scheme import (
     Grid,
+    _path_matrices,
     apply_transmissive_bc,
     cfl_dt,
     fluctuations,
     make_grid,
-    roe_matrix,
     step_explicit,
     step_semi_implicit,
 )
 from swmoment.sim import SimConfig, build_grid, build_model, front_position, preset, run
-from swmoment.state import WetDryPolicy, to_conservative
+from swmoment.state import WetDryPolicy, is_dry, to_conservative, to_primitive
 from tests.conftest import random_wet_primitive
 
 EPS = 0.01
@@ -154,16 +154,16 @@ def test_06_sliding_law_matches_constant_friction_on_monotone_states():
     while accepted < 100:
         draws += 1
         assert draws < 10_000
-        P = np.empty(5)
-        P[0] = 10.0 ** rng.uniform(-3.0, -1.0)
-        P[1] = rng.uniform(0.05, 1.0)
-        P[2] = -rng.uniform(0.0, 0.4) * P[1]
-        P[3] = rng.uniform(-0.05, 0.05) * P[1]
-        P[4] = rng.uniform(-0.05, 0.05) * P[1]
+        P = np.empty((1, 5))
+        P[0, 0] = 10.0 ** rng.uniform(-3.0, -1.0)
+        P[0, 1] = rng.uniform(0.05, 1.0)
+        P[0, 2] = -rng.uniform(0.0, 0.4) * P[0, 1]
+        P[0, 3] = rng.uniform(-0.05, 0.05) * P[0, 1]
+        P[0, 4] = rng.uniform(-0.05, 0.05) * P[0, 1]
         if savage_hutter_violations(P, basis) != 0:
             continue
-        S_sliding = source(P, sliding, THETA, EPS, 0.0, basis)
-        S_constant = source(P, constant, THETA, EPS, 0.0, basis)
+        S_sliding = source_batch(P, sliding, EPS, THETA, np.zeros(1), basis)
+        S_constant = source_batch(P, constant, EPS, THETA, np.zeros(1), basis)
         np.testing.assert_allclose(S_sliding, S_constant, rtol=0.0, atol=1e-14)
         accepted += 1
 
@@ -174,18 +174,19 @@ def test_07_interface_matrix_consistency_path_quadrature_and_fluctuation_sum():
     nodes, weights = gauss_rule(20)
     for _ in range(20):
         P = random_wet_primitive(rng, 2, 2)
-        U_L, U_R = to_conservative(P[0]), to_conservative(P[1])
-        A_self = roe_matrix(U_L, U_L, EPS, THETA, basis, POLICY)
-        np.testing.assert_allclose(A_self, system_matrix(P[0], EPS, THETA, basis),
+        # rows L, L, R: interface 0 is L|L, interface 1 is L|R
+        U = to_conservative(P[[0, 0, 1]])
+        X, dry = to_primitive(U, POLICY), is_dry(U[:, 0], POLICY)
+        A, _ = _path_matrices(X, dry, EPS, THETA, basis)
+        np.testing.assert_allclose(A[0], system_matrix_batch(P[:1], EPS, THETA, basis)[0],
                                    rtol=0.0, atol=1e-14)
         # entries are quadratic along the straight path in primitive variables,
         # so the 3-point rule must match a dense quadrature of the same path
-        A3 = roe_matrix(U_L, U_R, EPS, THETA, basis, POLICY)
         P_s = P[0][None, :] + nodes[:, None] * (P[1] - P[0])[None, :]
         A_dense = np.einsum("k,kij->ij", weights, system_matrix_batch(P_s, EPS, THETA, basis))
-        np.testing.assert_allclose(A3, A_dense, rtol=0.0, atol=1e-13)
-        D_minus, D_plus = fluctuations(U_L, U_R, 0.01, 1e-3, EPS, THETA, basis, POLICY)
-        np.testing.assert_allclose(D_minus + D_plus, A3 @ (U_R - U_L),
+        np.testing.assert_allclose(A[1], A_dense, rtol=0.0, atol=1e-13)
+        D_minus, D_plus = fluctuations(U, X, dry, 0.01, 1e-3, EPS, THETA, basis)
+        np.testing.assert_allclose(D_minus[1] + D_plus[1], A[1] @ (U[2] - U[1]),
                                    rtol=0.0, atol=1e-13)
 
 
@@ -238,7 +239,7 @@ def test_11_stepper_splitting_difference_first_order_in_dt():
         P[:, 1] = 0.1
         P[:, 2] = -0.02
         grid = _grid_with_state(50, 1, P)
-        cfg = SimConfig(mode=mode, dt_fixed=dt, newton_tol=1e-12, newton_max_iter=100)
+        cfg = SimConfig(mode=mode, newton_tol=1e-12, newton_max_iter=100)
         step = step_explicit if mode == "explicit" else step_semi_implicit
         for _ in range(round(0.2 / dt)):
             grid, _ = step(grid, dt, model, basis, cfg)

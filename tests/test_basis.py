@@ -10,19 +10,20 @@ from swmoment.basis import (
     MAX_ORDER,
     MomentBasis,
     build_basis,
-    eval_dphi,
     eval_phi,
     gauss_rule,
-    phi_coefficients,
     reconstruct_velocity,
 )
 
 
+def _phi_rows(phi):
+    """Exact monomial coefficients of phi_0..phi_N, ascending powers, from the
+    rows of a basis's phi (integers, so exact as floats); phi_0 = 1."""
+    return [[Fraction(1)]] + [[Fraction(c) for c in row[:j + 2]] for j, row in enumerate(phi)]
+
+
 def test_phi_low_order_coefficients():
-    assert phi_coefficients(0) == [Fraction(1)]
-    assert phi_coefficients(1) == [Fraction(1), Fraction(-2)]
-    assert phi_coefficients(2) == [Fraction(1), Fraction(-6), Fraction(6)]
-    assert phi_coefficients(3) == [Fraction(1), Fraction(-12), Fraction(30), Fraction(-20)]
+    assert np.array_equal(build_basis(3).phi, [[1, -2, 0, 0], [1, -6, 6, 0], [1, -12, 30, -20]])
 
 
 def test_phi_endpoint_values_exact():
@@ -34,10 +35,11 @@ def test_phi_endpoint_values_exact():
 
 def test_orthogonality_exact_rationals():
     # int_0^1 phi_i phi_j = delta_ij / (2j + 1), checked in exact arithmetic
+    phis = _phi_rows(build_basis(6).phi)
     for i in range(0, 7):
-        pi = phi_coefficients(i)
+        pi = phis[i]
         for j in range(0, 7):
-            pj = phi_coefficients(j)
+            pj = phis[j]
             acc = Fraction(0)
             for a, ca in enumerate(pi):
                 for b, cb in enumerate(pj):
@@ -125,8 +127,11 @@ def _ref_basis(N):
 
 
 def test_phi_coefficients_match_rodrigues_formula():
-    for j in range(0, MAX_ORDER + 2):
-        assert phi_coefficients(j) == _ref_phi(j)
+    phi = build_basis(MAX_ORDER).phi
+    for j, row in enumerate(_phi_rows(phi)):
+        assert row == _ref_phi(j)
+    # each row is zero past its degree
+    assert not np.any(np.triu(phi, 2))
 
 
 @pytest.mark.parametrize("N", range(1, MAX_ORDER + 1))
@@ -185,14 +190,15 @@ def test_eval_rejects_out_of_range(basis2):
     with pytest.raises(ValueError):
         eval_phi(basis2, 1, -0.1)
     with pytest.raises(ValueError):
-        eval_dphi(basis2, 1, 1.5)
+        eval_phi(basis2, 1, 1.5)
 
 
 def test_eval_known_polynomials(basis2):
     zeta = np.linspace(0.0, 1.0, 11)
     assert eval_phi(basis2, 1, zeta) == pytest.approx(1.0 - 2.0 * zeta, abs=1e-15)
     assert eval_phi(basis2, 2, zeta) == pytest.approx(1.0 - 6.0 * zeta + 6.0 * zeta**2, abs=1e-14)
-    assert eval_dphi(basis2, 2, zeta) == pytest.approx(-6.0 + 12.0 * zeta, abs=1e-14)
+    # dphi holds the derivative coefficients: phi_2' = -6 + 12 zeta
+    assert np.array_equal(basis2.dphi, [[-2.0, 0.0], [-6.0, 12.0]])
 
 
 @given(st.floats(0.0, 1.0), st.integers(1, 6))
@@ -200,7 +206,7 @@ def test_dphi_matches_finite_difference(basis6, zeta, j):
     d = 1e-6
     lo, hi = max(0.0, zeta - d), min(1.0, zeta + d)
     fd = (eval_phi(basis6, j, hi) - eval_phi(basis6, j, lo)) / (hi - lo)
-    assert eval_dphi(basis6, j, zeta) == pytest.approx(fd, abs=5e-4)
+    assert np.polynomial.polynomial.polyval(zeta, basis6.dphi[j - 1]) == pytest.approx(fd, abs=5e-4)
 
 
 def test_reconstruct_velocity_linear(basis1):

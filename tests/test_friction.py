@@ -124,43 +124,43 @@ def test_composed_stresses_equal_former_per_model_laws(case, N, basis1, basis2, 
     tau_b, T = config_model(kind, params).stresses(P, basis)
     ref_tau_b, ref_T = _reference_stresses(kind, params, P, basis)
     assert np.array_equal(tau_b, ref_tau_b) and np.array_equal(T, ref_T)
-    # a single row gives a scalar and (N,) with the same bits
-    tau_b0, T0 = config_model(kind, params).stresses(P[45], basis)
-    assert np.ndim(tau_b0) == 0 and T0.shape == (N,)
-    assert tau_b0 == ref_tau_b[45] and np.array_equal(T0, ref_T[45])
+    # a row alone, as a 1-row batch, gets the same bits
+    tau_b0, T0 = config_model(kind, params).stresses(P[45:46], basis)
+    assert tau_b0.shape == (1,) and T0.shape == (1, N)
+    assert tau_b0[0] == ref_tau_b[45] and np.array_equal(T0[0], ref_T[45])
 
 
 # --- Newtonian models -------------------------------------------------------
 
 def test_slip_bottom_stress(basis2):
     model = Newtonian(nu=0.002, bottom_law=SlipBottom(nu=0.002, lam=1e-4))
-    P = np.array([0.05, 0.3, -0.1, 0.02])
+    P = np.array([[0.05, 0.3, -0.1, 0.02]])
     # tau_b = (nu / lam) * u(0), u(0) = u_m + alpha_1 + alpha_2
-    assert model.stresses(P, basis2)[0] == pytest.approx(0.002 / 1e-4 * 0.22, rel=1e-14)
+    assert model.stresses(P, basis2)[0] == pytest.approx([0.002 / 1e-4 * 0.22], rel=1e-14)
 
 
 def test_newtonian_bulk_uses_dissipation_tensor(basis2):
     model = Newtonian(nu=0.002, bottom_law=SlipBottom(nu=0.002, lam=1e-4))
-    P = np.array([0.05, 0.3, -0.1, 0.02])
+    P = np.array([[0.05, 0.3, -0.1, 0.02]])
     # T_i = (nu / h) sum_j C_ij alpha_j with diagonal C = diag(4, 12)
     _, T = model.stresses(P, basis2)
-    assert T == pytest.approx([0.002 / 0.05 * 4 * -0.1, 0.002 / 0.05 * 12 * 0.02], rel=1e-14)
+    assert T[0] == pytest.approx([0.002 / 0.05 * 4 * -0.1, 0.002 / 0.05 * 12 * 0.02], rel=1e-14)
 
 
 def test_manning_bottom_stress(basis2):
     model = Newtonian(nu=0.001, bottom_law=ManningBottom(n2=0.8))
-    P = np.array([0.04, -0.2, -0.1, 0.0])
+    P = np.array([[0.04, -0.2, -0.1, 0.0]])
     ub = -0.3
     assert model.stresses(P, basis2)[0] == pytest.approx(
-        0.8 / np.cbrt(0.04) * ub * abs(ub), rel=1e-14)
+        [0.8 / np.cbrt(0.04) * ub * abs(ub)], rel=1e-14)
 
 
 def test_friction_rejects_dry_states(basis2):
     model = Newtonian(nu=1e-3, bottom_law=SlipBottom(nu=1e-3, lam=1e-3))
     with pytest.raises(ValueError):
-        model.stresses(np.array([0.0, 0.1, 0.0, 0.0]), basis2)
+        model.stresses(np.array([[0.0, 0.1, 0.0, 0.0]]), basis2)
     with pytest.raises(ValueError):
-        GRAN.stresses(np.array([-0.01, 0.1, 0.0, 0.0]), basis2)
+        GRAN.stresses(np.array([[0.05, 0.1, 0.0, 0.0], [-0.01, 0.1, 0.0, 0.0]]), basis2)
 
 
 def test_model_parameter_validation():
@@ -202,10 +202,10 @@ def test_build_model_checks_law_parameters(kind, params):
 
 def test_savage_hutter_stresses(basis2):
     model = config_model("savage_hutter", {"delta": DELTA, "phi_int": PHI})
-    P = np.array([0.06, 0.5, -0.2, 0.01])
+    P = np.array([[0.06, 0.5, -0.2, 0.01]])
     tau_b, T = model.stresses(P, basis2)
-    assert tau_b == pytest.approx(0.06 * math.tan(DELTA), rel=1e-14)
-    assert T == pytest.approx([-0.06 * math.tan(PHI)] * 2, rel=1e-14)
+    assert tau_b == pytest.approx([0.06 * math.tan(DELTA)], rel=1e-14)
+    assert T[0] == pytest.approx([-0.06 * math.tan(PHI)] * 2, rel=1e-14)
 
 
 def test_savage_hutter_coulomb_equivalence(basis2):
@@ -223,9 +223,9 @@ def test_savage_hutter_coulomb_equivalence(basis2):
 
 def test_coulomb_sign_follows_bottom_velocity(basis2):
     model = ConstantCoulomb(mu=0.3, bottom_law=CoulombBottom(delta=DELTA))
-    P_fwd = np.array([0.06, 0.5, -0.1, 0.0])
-    P_rev = np.array([0.06, -0.5, 0.1, 0.0])
-    assert model.stresses(P_fwd, basis2)[0] == -model.stresses(P_rev, basis2)[0]
+    P_fwd = np.array([[0.06, 0.5, -0.1, 0.0]])
+    P_rev = np.array([[0.06, -0.5, 0.1, 0.0]])
+    assert np.array_equal(model.stresses(P_fwd, basis2)[0], -model.stresses(P_rev, basis2)[0])
 
 
 def test_savage_hutter_violation_counter(basis2):
@@ -427,7 +427,7 @@ def test_muI_bulk_terms_row_independent(N, basis1, basis2, basis3, basis6):
         P = np.vstack([P, _N2_regime_rows(np.random.default_rng(29), per_regime=15)])
     P[::7, 2:] = -np.abs(P[::7, 2:])
     for model in (GRAN, replace(GRAN, quad_points=8)):
-        single = np.array([model.stresses(p, basis)[1] for p in P])
+        single = np.array([model.stresses(p[None], basis)[1][0] for p in P])
         assert np.array_equal(model.stresses(P, basis)[1], single)
 
 
@@ -437,45 +437,45 @@ def test_muI_quadrature_needs_two_points(basis2):
 
 
 def test_muI_bottom_laws(basis2):
-    P = np.array([0.05, 0.3, -0.1, 0.02])
+    P = np.array([[0.05, 0.3, -0.1, 0.02]])
     slip = replace(GRAN, bottom_law=SlipBottom(nu=1e-4, lam=1e-3))
-    assert slip.stresses(P, basis2)[0] == pytest.approx(1e-4 / 1e-3 * 0.22, rel=1e-14)
+    assert slip.stresses(P, basis2)[0] == pytest.approx([1e-4 / 1e-3 * 0.22], rel=1e-14)
     manning = replace(GRAN, bottom_law=ManningBottom(n2=0.8))
     assert manning.stresses(P, basis2)[0] == pytest.approx(
-        0.8 / np.cbrt(0.05) * 0.22 * 0.22, rel=1e-14)
+        [0.8 / np.cbrt(0.05) * 0.22 * 0.22], rel=1e-14)
     coulomb = replace(GRAN, bottom_law=CoulombBottom(delta=0.2))
-    assert coulomb.stresses(P, basis2)[0] == pytest.approx(0.05 * math.tan(0.2), rel=1e-14)
+    assert coulomb.stresses(P, basis2)[0] == pytest.approx([0.05 * math.tan(0.2)], rel=1e-14)
 
 
 def test_muI_bottom_shear_law(basis2):
-    P = np.array([0.05, 0.3, -0.1, 0.02])
+    P = np.array([[0.05, 0.3, -0.1, 0.02]])
     # shear at the bottom: -2 a1 - 6 a2 = 0.08 > 0
     rate = 0.08
     mu = 0.48 + 0.25 * rate / (C_I * 0.05**1.5 + rate)
-    assert GRAN.stresses(P, basis2)[0] == pytest.approx(mu * 0.05, rel=1e-13)
+    assert GRAN.stresses(P, basis2)[0] == pytest.approx([mu * 0.05], rel=1e-13)
     # antisymmetric in the shear direction
     P_rev = P.copy()
-    P_rev[2:] = -P_rev[2:]
-    assert GRAN.stresses(P_rev, basis2)[0] == pytest.approx(-mu * 0.05, rel=1e-13)
+    P_rev[:, 2:] = -P_rev[:, 2:]
+    assert GRAN.stresses(P_rev, basis2)[0] == pytest.approx([-mu * 0.05], rel=1e-13)
 
 
 def test_muI_static_mobilization(basis1):
     # all moments exactly zero: raw laws see no shear, but the stresses used by
     # the source are fully mobilized against the sliding direction
-    P = np.array([0.05, 0.1, 0.0])
+    P = np.array([[0.05, 0.1, 0.0]])
     tau_b, T = GRAN.stresses(P, basis1)
-    assert tau_b == pytest.approx(0.48 * 0.05, rel=1e-15)
-    assert T == pytest.approx([-0.48 * 0.05], rel=1e-15)
+    assert tau_b == pytest.approx([0.48 * 0.05], rel=1e-15)
+    assert T[0] == pytest.approx([-0.48 * 0.05], rel=1e-15)
     # the raw laws keep sgn(0) = 0
-    assert GRAN.bottom_law.stress(P[None], basis1, GRAN) == 0.0
-    assert np.array_equal(GRAN.bulk_terms(P[None], basis1), [[0.0]])
+    assert GRAN.bottom_law.stress(P, basis1, GRAN) == 0.0
+    assert np.array_equal(GRAN.bulk_terms(P, basis1), [[0.0]])
 
 
 def test_muI_mobilization_only_at_exactly_zero(basis1):
-    P = np.array([0.05, 0.1, -1e-9])
+    P = np.array([[0.05, 0.1, -1e-9]])
     tau_b, T = GRAN.stresses(P, basis1)
-    assert tau_b == GRAN.bottom_law.stress(P[None], basis1, GRAN)[0]
-    assert np.array_equal(T, GRAN.bulk_terms(P[None], basis1)[0])
+    assert np.array_equal(tau_b, GRAN.bottom_law.stress(P, basis1, GRAN))
+    assert np.array_equal(T, GRAN.bulk_terms(P, basis1))
 
 
 @settings(max_examples=50, deadline=None)

@@ -7,11 +7,9 @@ import pytest
 from swmoment.basis import build_basis
 from swmoment.friction import ConstantCoulomb, CoulombBottom, MuI, MuIBottom, Newtonian, SlipBottom
 from swmoment.hswme import (
-    source,
     source_batch,
     source_split_batch,
     spectral_radius_batch,
-    system_matrix,
     system_matrix_batch,
     wavespeeds_batch,
 )
@@ -28,7 +26,7 @@ _basis = lru_cache(maxsize=None)(build_basis)
 
 def test_system_matrix_N1_structure(basis1):
     h, u, a1 = 0.05, 0.3, -0.1
-    A = system_matrix(np.array([h, u, a1]), EPS, THETA, basis1)
+    A = system_matrix_batch(np.array([[h, u, a1]]), EPS, THETA, basis1)[0]
     c = EPS * math.cos(THETA)
     expected = np.array([
         [0.0, 1.0, 0.0],
@@ -40,7 +38,7 @@ def test_system_matrix_N1_structure(basis1):
 
 def test_system_matrix_N2_structure(basis2):
     h, u, a1, a2 = 0.05, 0.3, -0.1, 0.02
-    A = system_matrix(np.array([h, u, a1, a2]), EPS, THETA, basis2)
+    A = system_matrix_batch(np.array([[h, u, a1, a2]]), EPS, THETA, basis2)[0]
     c = EPS * math.cos(THETA)
     expected = np.array([
         [0.0, 1.0, 0.0, 0.0],
@@ -56,8 +54,8 @@ def test_system_matrix_higher_moments_regularized(basis3):
     P = np.array([0.05, 0.3, -0.1, 0.7, -0.4])
     P_zeroed = P.copy()
     P_zeroed[3:] = 0.0
-    A = system_matrix(P, EPS, THETA, basis3)
-    np.testing.assert_allclose(A, system_matrix(P_zeroed, EPS, THETA, basis3),
+    A = system_matrix_batch(P[None], EPS, THETA, basis3)[0]
+    np.testing.assert_allclose(A, system_matrix_batch(P_zeroed[None], EPS, THETA, basis3)[0],
                                rtol=0.0, atol=0.0)
 
 
@@ -73,7 +71,7 @@ def test_first_row_is_momentum_selector(basis6):
 def test_source_first_component_zero(basis2):
     model = _slip(nu=1e-3, lam=1e-3)
     P = np.array([0.05, 0.3, -0.1, 0.02])
-    S = source(P, model, THETA, EPS, 0.3, basis2)
+    S = source_batch(P[None], model, EPS, THETA, np.array([0.3]), basis2)[0]
     assert S[0] == 0.0
 
 
@@ -81,7 +79,7 @@ def test_source_momentum_row_slip(basis2):
     model = _slip(nu=2e-3, lam=1e-3)
     h, dbdx = 0.05, 0.4
     P = np.array([h, 0.3, -0.1, 0.02])
-    S = source(P, model, THETA, EPS, dbdx, basis2)
+    S = source_batch(P[None], model, EPS, THETA, np.array([dbdx]), basis2)[0]
     tau_b = 2e-3 / 1e-3 * 0.22
     expected = math.sin(THETA) * h + math.cos(THETA) * (-tau_b - EPS * h * dbdx)
     assert S[1] == pytest.approx(expected, rel=1e-14)
@@ -93,7 +91,7 @@ def test_source_moment_rows_savage_hutter(basis2):
     model = ConstantCoulomb(mu=math.tan(phi), bottom_law=CoulombBottom(delta=delta))
     h = 0.06
     P = np.array([h, 0.5, -0.2, 0.0])
-    S = source(P, model, THETA, EPS, 0.0, basis2)
+    S = source_batch(P[None], model, EPS, THETA, np.array([0.0]), basis2)[0]
     base = math.cos(THETA) * h * (math.tan(phi) - math.tan(delta))
     assert S[2] == pytest.approx(3.0 * base, rel=1e-14)
     assert S[3] == pytest.approx(5.0 * base, rel=1e-14)
@@ -108,7 +106,7 @@ def test_source_split_rows(case, basis2):
     h, dbdx = P[:, 0], rng.uniform(-0.5, 0.5, 40)
     tau_b, T = model.stresses(P, basis2)
     cos_t, sin_t = math.cos(THETA), math.sin(THETA)
-    drive, fric = source_split_batch(P, model, THETA, EPS, dbdx, basis2)
+    drive, fric = source_split_batch(P, model, EPS, THETA, dbdx, basis2)
     # drive: gravity and topography only; the stress-free surface leaves its
     # moment rows exactly zero
     assert np.array_equal(drive[:, 1], sin_t * h - cos_t * (EPS * h * dbdx))
@@ -117,7 +115,19 @@ def test_source_split_rows(case, basis2):
     assert np.array_equal(fric[:, 1], -cos_t * tau_b)
     for i in (1, 2):
         assert np.array_equal(fric[:, i + 1], -(2 * i + 1) * cos_t * (tau_b + T[:, i - 1]))
-    assert np.array_equal(source_batch(P, model, THETA, EPS, dbdx, basis2), drive + fric)
+    assert np.array_equal(source_batch(P, model, EPS, THETA, dbdx, basis2), drive + fric)
+
+
+def test_source_takes_eps_before_theta(basis2):
+    # the order of system_matrix_batch and wavespeeds_batch: both are floats,
+    # so a swapped pair would pass silently. At rest on a flat bed the drive
+    # is sin(theta) h and the friction is zero
+    model = _slip(nu=1e-3, lam=1e-3)
+    P = np.array([[0.05, 0.0, 0.0, 0.0]])
+    drive, fric = source_split_batch(P, model, EPS, THETA, np.zeros(1), basis2)
+    assert drive[0, 1] == math.sin(THETA) * 0.05
+    assert not np.any(fric)
+    assert source_batch(P, model, EPS, THETA, np.zeros(1), basis2)[0, 1] == math.sin(THETA) * 0.05
 
 
 def test_equilibrium_residual_zero_at_balance(basis1):
@@ -125,7 +135,7 @@ def test_equilibrium_residual_zero_at_balance(basis1):
     theta = math.atan(0.48)
     model = MuI(mu_s=0.48, mu_2=0.73, c_I=2.6390311051245129, bottom_law=MuIBottom())
     P = np.array([0.05, 0.1, 0.0])
-    S = source(P, model, theta, EPS, 0.0, basis1)
+    S = source_batch(P[None], model, EPS, theta, np.array([0.0]), basis1)[0]
     np.testing.assert_allclose(S, np.zeros(3), rtol=0.0, atol=1e-17)
 
 
@@ -133,7 +143,8 @@ def test_equilibrium_residual_nonzero_off_balance(basis1):
     # tan(theta) = 0.5 > mu_s: the momentum row keeps cos(theta) h (tan(theta) - mu_s)
     model = MuI(mu_s=0.48, mu_2=0.73, c_I=2.6390311051245129, bottom_law=MuIBottom())
     theta = math.atan(0.5)
-    S = source(np.array([0.05, 0.1, 0.0]), model, theta, EPS, 0.0, basis1)
+    P = np.array([[0.05, 0.1, 0.0]])
+    S = source_batch(P, model, EPS, theta, np.zeros(1), basis1)[0]
     assert S[1] == pytest.approx(math.cos(theta) * 0.05 * (0.5 - 0.48), rel=1e-12)
     assert S[1] > 1e-4
 
@@ -148,10 +159,10 @@ def test_rest_state_wavespeed(basis1):
 def test_wavespeed_translation_shift(basis2):
     # adding s to u_m shifts every eigenvalue by s
     P = np.array([0.05, 0.3, -0.1, 0.02])
-    A0 = system_matrix(P, EPS, THETA, basis2)
+    A0 = system_matrix_batch(P[None], EPS, THETA, basis2)[0]
     P_shift = P.copy()
     P_shift[1] += 0.7
-    A1 = system_matrix(P_shift, EPS, THETA, basis2)
+    A1 = system_matrix_batch(P_shift[None], EPS, THETA, basis2)[0]
     e0 = np.sort(np.linalg.eigvals(A0).real)
     e1 = np.sort(np.linalg.eigvals(A1).real)
     np.testing.assert_allclose(e1, e0 + 0.7, rtol=1e-10, atol=1e-12)

@@ -8,7 +8,7 @@ from dataclasses import replace
 from swmoment.basis import gauss_rule
 from swmoment.friction import ConstantCoulomb, CoulombBottom, MuI, MuIBottom, Newtonian, SlipBottom
 from swmoment import scheme
-from swmoment.hswme import source_batch, system_matrix, system_matrix_batch, wavespeeds_batch
+from swmoment.hswme import source_batch, system_matrix_batch, wavespeeds_batch
 from swmoment.scheme import (
     WETTING_HYSTERESIS,
     Grid,
@@ -21,13 +21,12 @@ from swmoment.scheme import (
     cfl_dt,
     fluctuations,
     make_grid,
-    roe_matrix,
     step_explicit,
     step_semi_implicit,
     viscosity_matrix,
 )
 from swmoment.sim import SimConfig, build_model, preset, run
-from swmoment.state import WetDryPolicy, to_conservative, to_primitive
+from swmoment.state import WetDryPolicy, is_dry, to_conservative, to_primitive
 from swmoment.topography import RunoffBed
 from tests.conftest import random_wet_primitive
 
@@ -41,13 +40,32 @@ def _wet_pair(rng, N=2):
     return to_conservative(P[0]), to_conservative(P[1]), P
 
 
+def _rows(*U):
+    """Consecutive conservative rows with their primitive rows and dryness,
+    the arguments _path_matrices and fluctuations take. Bare states have no
+    step history, so here a row is dry iff h <= h_min."""
+    U = np.stack(U)
+    return U, to_primitive(U, POLICY), is_dry(U[:, 0], POLICY)
+
+
+def _interface_matrix(U_L, U_R, basis):
+    """The Roe matrix of one interface: _path_matrices on its two rows."""
+    _, P, dry = _rows(U_L, U_R)
+    return _path_matrices(P, dry, EPS, THETA, basis)[0][0]
+
+
+def _fluctuations(U_L, U_R, basis):
+    D_minus, D_plus = fluctuations(*_rows(U_L, U_R), 0.01, 1e-3, EPS, THETA, basis)
+    return D_minus[0], D_plus[0]
+
+
 def test_roe_matrix_consistency(basis2):
     rng = np.random.default_rng(2)
     for _ in range(20):
         P = random_wet_primitive(rng, 2, 1)[0]
         U = to_conservative(P)
-        A = roe_matrix(U, U, EPS, THETA, basis2, POLICY)
-        np.testing.assert_allclose(A, system_matrix(P, EPS, THETA, basis2),
+        np.testing.assert_allclose(_interface_matrix(U, U, basis2),
+                                   system_matrix_batch(P[None], EPS, THETA, basis2)[0],
                                    rtol=0.0, atol=1e-14)
 
 
@@ -56,7 +74,7 @@ def test_roe_matrix_three_points_integrate_path_exactly(basis2):
     # 3-point rule equals a dense quadrature of the same linear path
     rng = np.random.default_rng(3)
     U_L, U_R, P = _wet_pair(rng)
-    A3 = roe_matrix(U_L, U_R, EPS, THETA, basis2, POLICY)
+    A3 = _interface_matrix(U_L, U_R, basis2)
     nodes, weights = gauss_rule(20)
     P_s = P[0][None, :] + nodes[:, None] * (P[1] - P[0])[None, :]
     A_dense = np.einsum("k,kij->ij", weights, system_matrix_batch(P_s, EPS, THETA, basis2))
@@ -67,10 +85,9 @@ def test_fluctuations_sum_to_jump_transport(basis2):
     rng = np.random.default_rng(4)
     for _ in range(20):
         U_L, U_R, _ = _wet_pair(rng)
-        A = roe_matrix(U_L, U_R, EPS, THETA, basis2, POLICY)
-        D_minus, D_plus = fluctuations(U_L, U_R, 0.01, 1e-3, EPS, THETA, basis2, POLICY)
-        np.testing.assert_allclose(D_minus + D_plus, A @ (U_R - U_L),
-                                   rtol=0.0, atol=1e-13)
+        A = _interface_matrix(U_L, U_R, basis2)
+        D_minus, D_plus = _fluctuations(U_L, U_R, basis2)
+        np.testing.assert_allclose(D_minus + D_plus, A @ (U_R - U_L), rtol=0.0, atol=1e-13)
 
 
 def test_fluctuations_antisymmetric_under_swap(basis2):
@@ -78,8 +95,8 @@ def test_fluctuations_antisymmetric_under_swap(basis2):
     # flips sign, so each fluctuation is odd under swapping the states
     rng = np.random.default_rng(5)
     U_L, U_R, _ = _wet_pair(rng)
-    D_minus, D_plus = fluctuations(U_L, U_R, 0.01, 1e-3, EPS, THETA, basis2, POLICY)
-    D_minus_s, D_plus_s = fluctuations(U_R, U_L, 0.01, 1e-3, EPS, THETA, basis2, POLICY)
+    D_minus, D_plus = _fluctuations(U_L, U_R, basis2)
+    D_minus_s, D_plus_s = _fluctuations(U_R, U_L, basis2)
     np.testing.assert_allclose(D_minus_s, -D_minus, rtol=0.0, atol=1e-13)
     np.testing.assert_allclose(D_plus_s, -D_plus, rtol=0.0, atol=1e-13)
 
@@ -87,19 +104,17 @@ def test_fluctuations_antisymmetric_under_swap(basis2):
 def test_dry_interface_uses_wet_state_matrix(basis2):
     U_wet = to_conservative(np.array([0.05, 0.3, -0.1, 0.02]))
     U_dry = np.array([1e-7, 0.0, 0.0, 0.0])
-    A = roe_matrix(U_wet, U_dry, EPS, THETA, basis2, POLICY)
-    P_wet = to_primitive(U_wet, POLICY)
-    np.testing.assert_allclose(A, system_matrix(P_wet, EPS, THETA, basis2),
+    A = _interface_matrix(U_wet, U_dry, basis2)
+    P_wet = to_primitive(U_wet[None], POLICY)
+    np.testing.assert_allclose(A, system_matrix_batch(P_wet, EPS, THETA, basis2)[0],
                                rtol=0.0, atol=1e-14)
     # mirrored orientation
-    A_rev = roe_matrix(U_dry, U_wet, EPS, THETA, basis2, POLICY)
-    np.testing.assert_allclose(A_rev, A, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(_interface_matrix(U_dry, U_wet, basis2), A, rtol=0.0, atol=1e-14)
 
 
 def test_dry_dry_interface_has_zero_fluctuations(basis2):
-    U_a = np.array([1e-7, 0.0, 0.0, 0.0])
-    U_b = np.array([5e-7, 0.0, 0.0, 0.0])
-    D_minus, D_plus = fluctuations(U_a, U_b, 0.01, 1e-3, EPS, THETA, basis2, POLICY)
+    D_minus, D_plus = _fluctuations(np.array([1e-7, 0.0, 0.0, 0.0]),
+                                    np.array([5e-7, 0.0, 0.0, 0.0]), basis2)
     assert np.all(D_minus == 0.0) and np.all(D_plus == 0.0)
 
 
@@ -262,8 +277,6 @@ def test_cfl_dt_wet_and_dry(basis1):
         0.05 * grid.dx / math.sqrt(EPS * math.cos(THETA) * 10.0 * POLICY.h_min), rel=1e-12)
     stored = replace(film, stored=np.ones(12, dtype=bool))
     assert cfl_dt(stored, cfg, basis1) == math.inf
-    fixed = SimConfig(mode="explicit", dt_fixed=2.5e-4)
-    assert cfl_dt(grid, fixed, basis1) == 2.5e-4
 
 
 def test_newton_abort_reports_cell(basis2):
@@ -332,8 +345,6 @@ def _with_interior(grid, U_in):
 
 def _cfl_dt_all_rows(grid, config, basis):
     """cfl_dt as an eigen-solve over every wet row, with no screen."""
-    if config.dt_fixed is not None:
-        return config.dt_fixed
     U = grid.interior()
     wet = U[:, 0] > grid.policy.h_min
     if not np.any(wet):
@@ -367,20 +378,13 @@ def test_cfl_dt_screen_equals_brute_force_max(N, basis1, basis2, basis6):
         rel=1e-10)
     dry = _uniform_grid(60, N, h=1e-7)
     assert cfl_dt(dry, cfg, basis) == math.inf
-    fixed = SimConfig(mode="explicit", dt_fixed=3.7e-4)
-    assert cfl_dt(grids[0], fixed, basis) == 3.7e-4
 
 
 def _transport_full_width(grid, dt, eps, theta, basis):
-    """The transport predictor over every interface, inert ones zeroed after."""
+    """The transport predictor with the fluctuations of every interface."""
     U = grid.U
-    A, inert = _path_matrices(to_primitive(U, grid.policy), grid.dry(), eps, theta, basis)
-    Q = viscosity_matrix(A, grid.dx, dt)
-    dU = U[1:] - U[:-1]
-    D_minus = 0.5 * np.einsum("kij,kj->ki", A - Q, dU)
-    D_plus = 0.5 * np.einsum("kij,kj->ki", A + Q, dU)
-    D_minus[inert] = 0.0
-    D_plus[inert] = 0.0
+    D_minus, D_plus = fluctuations(U, to_primitive(U, grid.policy), grid.dry(), grid.dx, dt,
+                                   eps, theta, basis)
     return U[1:-1] - (dt / grid.dx) * (D_plus[:-1] + D_minus[1:])
 
 
@@ -575,7 +579,7 @@ def _semi_implicit_reference(grid, dt, model, eps, theta, basis, config):
     dbdx = grid.dbdx[idx]
 
     def residual(V, sub):
-        S = source_batch(to_primitive(V, grid.policy), model, theta, eps, dbdx[sub], basis)
+        S = source_batch(to_primitive(V, grid.policy), model, eps, theta, dbdx[sub], basis)
         return V - target[sub] - dt * S
 
     V = target.copy()

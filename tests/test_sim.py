@@ -125,7 +125,7 @@ def test_config_validation():
         config_from_mapping(mapping)
     # the numeric stepper and output options, each named in its error, as a
     # SimConfig and from a file, before a run solves anything
-    bad = {"dt_fixed": (0.0, -1e-3, math.inf, math.nan), "h_min": (0.0, -1e-6, math.nan),
+    bad = {"h_min": (0.0, -1e-6, math.nan),
            "max_steps": (0, -5), "newton_max_iter": (-1,), "newton_tol": (0.0, math.nan),
            "quad_points": (1, 0, -3), "profile_resolution": (1, 0, -2)}
     for name, values in bad.items():
@@ -136,10 +136,9 @@ def test_config_validation():
             mapping["output" if name == "profile_resolution" else "stepper"][name] = str(value)
             with pytest.raises(ValueError, match=name):
                 config_from_mapping(mapping)
-    # the edge values that stay valid: no fixed step, and newton_max_iter = 0
-    # (any cell that needs an iteration then aborts the step)
-    assert preset(1, dt_fixed=None, newton_max_iter=0, max_steps=1).newton_max_iter == 0
-    assert preset(1, dt_fixed=1e-300).dt_fixed == 1e-300
+    # the edge values that stay valid: newton_max_iter = 0 (any cell that
+    # needs an iteration then aborts the step)
+    assert preset(1, newton_max_iter=0, max_steps=1).newton_max_iter == 0
     assert preset(4, quad_points=2, profile_resolution=2).quad_points == 2
 
 
@@ -336,6 +335,40 @@ def test_write_snapshot_bad_path_reports_path(tmp_path):
         write_snapshot(snap, str(missing))
 
 
+def _per_value_rows(rows):
+    """The former writers' text: "%.17g" on each value, joined per row."""
+    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("N", [1, 6])
+def test_row_writers_equal_per_value_format(N, tmp_path):
+    # the snapshot and summary writers format a chunk of rows with one %; the
+    # text must be that of "%.17g" on each value, on both sides of a chunk
+    # edge, for -0.0, the smallest subnormal and a huge value
+    rng = np.random.default_rng(50 + N)
+    M, k = sim._PROFILE_CHUNK_ROWS + 3, N + 5
+    cols = rng.standard_normal((M, k)) * 10.0 ** rng.integers(-300, 300, (M, k))
+    cols[::7, 1] = -0.0
+    cols[1::7, 2] = 5e-324
+    cols[2::7, -1] = 1e300
+    cols[sim._PROFILE_CHUNK_ROWS - 1:sim._PROFILE_CHUNK_ROWS + 1, 0] = [-0.0, 5e-324]
+    snap = Snapshot(time=0.0, x=cols[:, 0], h=cols[:, 1], u_m=cols[:, 2],
+                    alpha=cols[:, 3:3 + N], u_bottom=cols[:, -2], h_s=cols[:, -1])
+    path = tmp_path / "snap.csv"
+    write_snapshot(snap, str(path))
+    header = ",".join(["x", "h", "u_m"] + [f"alpha_{i}" for i in range(1, N + 1)]
+                      + ["u_bottom", "h_s"])
+    assert path.read_bytes() == (header + "\n" + _per_value_rows(cols)).encode()
+    # the summary rows, with the integer columns a run records
+    diag = {f"c{i}": cols[:, i] for i in range(k)}
+    diag["dry_cells"] = rng.integers(0, 2**40, M)
+    result = sim.RunResult(snapshots=[], diagnostics=diag, config=preset(1), basis=None)
+    write_summary(result, str(path))
+    rows = [[float(diag[key][i]) for key in diag] for i in range(M)]
+    text = path.read_text().split("# diagnostics\n")[1]
+    assert text == ",".join(diag) + "\n" + _per_value_rows(rows)
+
+
 def test_profile_constant_when_moments_vanish(basis2):
     cfg = SimConfig(N=2, J=8, theta=0.0,
                     friction_params={"Lambda": 1e-5, "eta": 0.01},
@@ -476,7 +509,7 @@ def test_front_position_threshold():
     (4, {"bathymetry": "runoff"}),
     (1, {"J": 40, "max_steps": 7}),
     # every optional field set; the tuples need all 17 digits
-    (1, {"dt_fixed": 2.5e-4, "out_dir": "results/run 1", "profile_resolution": 17,
+    (1, {"out_dir": "results/run 1", "profile_resolution": 17,
          "rho_s": 2600.0, "x_a": -0.5, "x_b": 2.25, "snapshot_times": (0.1 / 3, 0.2),
          "ic": {"kind": "uniform", "h": 0.05, "u_m": 0.1, "alpha": (-0.02, 0.01 / 3)}}),
 ])
@@ -522,6 +555,12 @@ def test_config_unknown_key_raises():
     mapping["stepper"]["dt_max"] = "0.001"
     with pytest.raises(ValueError, match="unknown config key stepper.dt_max"):
         config_from_mapping(mapping)
+    # so is the removed stepper.dt_fixed (the step is always the CFL step)
+    mapping = config_to_mapping(preset(1))
+    mapping["stepper"]["dt_fixed"] = "2.5e-4"
+    with pytest.raises(ValueError, match="unknown config key stepper.dt_fixed"):
+        config_from_mapping(mapping)
+    assert not hasattr(SimConfig(), "dt_fixed")
     # a key of another friction model is accepted (and not read)
     mapping = config_to_mapping(preset(2))
     mapping["model"]["friction"] = "newtonian_manning"
