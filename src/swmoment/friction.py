@@ -6,6 +6,11 @@ bottom_law field. Both consume primitive rows (h, u_m, alpha_1..alpha_N);
 the model's `stresses` returns the bottom stress tau_b and the bulk terms
 T_i = int_0^1 phi_i' tau dzeta of rows (M, N+2). The free surface carries no
 stress. Callers must skip dry cells; heights must be positive here.
+
+A law whose stress is linear in the velocity v = (u_m, alpha_1..alpha_N) at
+fixed depth says so with `linear = True` and gives its exact gradient in v
+(SlipBottom.stress_jacobian, Newtonian.bulk_jacobian); the model's
+linear_in_velocity holds when both of its laws are linear.
 """
 
 import math
@@ -50,6 +55,7 @@ class SlipBottom:
 
     nu: float
     lam: float
+    linear = True
 
     def __post_init__(self):
         if not self.lam > 0.0:
@@ -60,12 +66,17 @@ class SlipBottom:
     def stress(self, P: np.ndarray, basis: MomentBasis, model) -> np.ndarray:
         return (self.nu / self.lam) * _bottom_velocity(P)
 
+    def stress_jacobian(self, P: np.ndarray, basis: MomentBasis) -> np.ndarray:
+        """d tau_b / d v = (nu / lam) (1, ..., 1) per row: (M, N+1)."""
+        return np.full((P.shape[0], basis.N + 1), self.nu / self.lam)
+
 
 @dataclass(frozen=True)
 class ManningBottom:
     """Manning: tau_b = n2 h^(-1/3) u_b |u_b|."""
 
     n2: float
+    linear = False
 
     def __post_init__(self):
         if self.n2 < 0.0:
@@ -81,6 +92,7 @@ class CoulombBottom:
     """Coulomb bed friction at angle delta: tau_b = h tan(delta) sign(u_b)."""
 
     delta: float
+    linear = False
 
     def __post_init__(self):
         if not 0.0 <= self.delta < math.pi / 2:
@@ -95,6 +107,8 @@ class MuIBottom:
     """Shear-rate-dependent granular bottom law, with the mu(I) coefficients
     (mu_s, mu_2, c_I) of the MuI model that carries it."""
 
+    linear = False
+
     def stress(self, P: np.ndarray, basis: MomentBasis, model: "MuI") -> np.ndarray:
         h = P[:, 0]
         shear0 = P[:, 2:] @ basis.dphi[:, 0]  # d/dzeta u at zeta = 0
@@ -105,12 +119,26 @@ class MuIBottom:
 
 class _Friction:
     """A bulk law (the subclass's bulk_terms on wet rows) composed with the
-    bottom law in its bottom_law field."""
+    bottom law in its bottom_law field. A subclass whose bulk_terms is linear
+    in v sets linear = True and defines bulk_jacobian."""
+
+    linear = False
 
     def stresses(self, P: np.ndarray, basis: MomentBasis):
         """(tau_b, T), shapes (M,) and (M, N), at wet primitive rows (M, N+2)."""
         _require_wet(P[:, 0])
         return self.bottom_law.stress(P, basis, self), self.bulk_terms(P, basis)
+
+    @property
+    def linear_in_velocity(self) -> bool:
+        """Whether tau_b and T are both linear in v = (u_m, alpha) at fixed h."""
+        return self.linear and self.bottom_law.linear
+
+    def velocity_jacobian(self, P: np.ndarray, basis: MomentBasis):
+        """(d tau_b / d v, d T / d v), shapes (M, N+1) and (M, N, N+1), at wet
+        primitive rows (M, N+2) of a model that is linear_in_velocity."""
+        _require_wet(P[:, 0])
+        return self.bottom_law.stress_jacobian(P, basis), self.bulk_jacobian(P, basis)
 
 
 @dataclass(frozen=True)
@@ -119,6 +147,7 @@ class Newtonian(_Friction):
 
     nu: float
     bottom_law: object
+    linear = True
 
     def __post_init__(self):
         if self.nu < 0.0:
@@ -126,6 +155,12 @@ class Newtonian(_Friction):
 
     def bulk_terms(self, P: np.ndarray, basis: MomentBasis) -> np.ndarray:
         return (self.nu / P[:, 0])[:, None] * (P[:, 2:] @ basis.C.T)
+
+    def bulk_jacobian(self, P: np.ndarray, basis: MomentBasis) -> np.ndarray:
+        """d T / d v = (nu / h) [0 | C] per row: (M, N, N+1)."""
+        jac = np.zeros((P.shape[0], basis.N, basis.N + 1))
+        jac[:, :, 1:] = (self.nu / P[:, 0])[:, None, None] * basis.C
+        return jac
 
 
 @dataclass(frozen=True)

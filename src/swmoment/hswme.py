@@ -9,6 +9,7 @@ from .basis import MomentBasis
 __all__ = [
     "system_matrix_batch",
     "source_batch",
+    "source_jacobian_batch",
     "spectral_radius_batch",
     "wavespeeds_batch",
 ]
@@ -43,6 +44,13 @@ def system_matrix_batch(P: np.ndarray, eps: float, theta: float, basis: MomentBa
     return A
 
 
+def _friction_factors(N: int, theta: float) -> list:
+    """-(2i+1) cos(theta), i = 0..N: the factor of tau_b (+ T_i for i >= 1)
+    in velocity component i+1 of the friction source."""
+    cos_t = math.cos(theta)
+    return [-(2 * i + 1) * cos_t for i in range(N + 1)]
+
+
 def source_split_batch(P: np.ndarray, model, eps: float, theta: float,
                        dbdx: np.ndarray, basis: MomentBasis) -> tuple:
     """Source rows of wet primitive rows (M, N+2), split as (drive, fric).
@@ -63,10 +71,26 @@ def source_split_batch(P: np.ndarray, model, eps: float, theta: float,
     drive = np.zeros((M, N + 2))
     fric = np.zeros((M, N + 2))
     drive[:, 1] = sin_t * P[:, 0] - cos_t * topo
-    fric[:, 1] = -cos_t * tau_b
+    factors = _friction_factors(N, theta)
+    fric[:, 1] = factors[0] * tau_b
     for i in range(1, N + 1):
-        fric[:, i + 1] = -(2 * i + 1) * cos_t * (tau_b + T[:, i - 1])
+        fric[:, i + 1] = factors[i] * (tau_b + T[:, i - 1])
     return drive, fric
+
+
+def source_jacobian_batch(P: np.ndarray, model, theta: float,
+                          basis: MomentBasis) -> np.ndarray:
+    """Exact d S / d v of the velocity components of the source at wet
+    primitive rows (M, N+2), v = (u_m, alpha_1..alpha_N): (M, N+1, N+1).
+
+    For a model that is linear_in_velocity only. The drive does not depend on
+    v, so this is the friction part of source_split_batch differentiated
+    with the same factors.
+    """
+    dtau_b, dT = model.velocity_jacobian(np.asarray(P, dtype=float), basis)
+    jac = np.repeat(dtau_b[:, None, :], basis.N + 1, axis=1)
+    jac[:, 1:] += dT
+    return np.array(_friction_factors(basis.N, theta))[:, None] * jac
 
 
 def source_batch(P: np.ndarray, model, eps: float, theta: float, dbdx: np.ndarray,

@@ -8,12 +8,13 @@ import numpy as np
 from .basis import MomentBasis
 from .hswme import (
     source_batch,
+    source_jacobian_batch,
     source_split_batch,
     spectral_radius_batch,
     system_matrix_batch,
     wavespeeds_batch,
 )
-from .state import WetDryPolicy, is_dry, to_primitive
+from .state import WetDryPolicy, desingularization_factor, is_dry, to_primitive
 
 __all__ = [
     "Grid",
@@ -337,26 +338,33 @@ def _residual_and_jacobian(V: np.ndarray, target: np.ndarray, dt: float, model,
                            basis: MomentBasis, policy: WetDryPolicy,
                            jacobian: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """Residual V - target - dt S(V) of the velocity rows and, if asked, its
-    central-difference Jacobian (None otherwise).
+    Jacobian (None otherwise).
 
     The depth row of the source is zero, so the depth is fixed and the
-    unknowns are the n = N+1 velocity components. For the Jacobian each of
-    the k rows of V is stacked with its n forward and n backward copies into
-    one (2n+1)k-row batch, so a single source evaluation gives the residual
-    (k, n) and the Jacobian (k, n, n).
+    unknowns are the n = N+1 velocity components. For a model that is
+    linear_in_velocity the residual is affine in them and its Jacobian is
+    exact: I - dt kappa(h) dS/dv, with kappa the desingularization factor of
+    to_primitive and dS/dv from source_jacobian_batch. For any other model it
+    is the central difference: each of the k rows of V is stacked with its n
+    forward and n backward copies into one (2n+1)k-row batch, so a single
+    source evaluation gives the residual (k, n) and the Jacobian (k, n, n).
     """
     n = V.shape[1] - 1
-    batch = np.repeat(V[None], 2 * n + 1 if jacobian else 1, axis=0)
-    if jacobian:
+    fd = jacobian and not model.linear_in_velocity
+    batch = np.repeat(V[None], 2 * n + 1 if fd else 1, axis=0)
+    if fd:
         step = FD_EPS * np.maximum(1.0, np.abs(V[:, 1:]))
         cols = np.arange(n)
         batch[1 + cols, :, 1 + cols] += step.T
         batch[1 + n + cols, :, 1 + cols] -= step.T
-    S = source_batch(to_primitive(batch.reshape(-1, n + 1), policy), model, eps, theta,
-                     np.tile(dbdx, batch.shape[0]), basis)
+    P = to_primitive(batch.reshape(-1, n + 1), policy)
+    S = source_batch(P, model, eps, theta, np.tile(dbdx, batch.shape[0]), basis)
     R = (batch - target - dt * S.reshape(batch.shape))[:, :, 1:]
     if not jacobian:
         return R[0], None
+    if not fd:
+        scale = dt * desingularization_factor(V[:, 0], policy)
+        return R[0], np.eye(n) - scale[:, None, None] * source_jacobian_batch(P, model, theta, basis)
     jac = (R[1:n + 1] - R[n + 1:]) / (2.0 * step.T)[:, :, None]
     return R[0], jac.transpose(1, 2, 0)
 
@@ -364,10 +372,12 @@ def _residual_and_jacobian(V: np.ndarray, target: np.ndarray, dt: float, model,
 def step_semi_implicit(grid: Grid, dt: float, model, basis: MomentBasis,
                        config) -> tuple[Grid, dict]:
     """Splitting step: explicit transport predictor, then a per-cell implicit
-    source solve U = U_check + dt S(U) by Newton iteration with a
-    central-difference Jacobian. The depth keeps its transported value (the
-    source does not change it); cells dry after transport skip the solve.
-    config is the run's SimConfig (eps, theta, newton_tol, newton_max_iter)."""
+    source solve U = U_check + dt S(U) by Newton iteration. The depth keeps
+    its transported value (the source does not change it); cells dry after
+    transport skip the solve. A model that is linear_in_velocity has an
+    affine residual with an exact Jacobian, so one Newton update solves it;
+    any other model iterates with a central-difference Jacobian. config is
+    the run's SimConfig (eps, theta, newton_tol, newton_max_iter)."""
     eps, theta = config.eps, config.theta
     _check_step_input(grid, dt)
     U_check = _transport(grid, dt, eps, theta, basis)
@@ -384,7 +394,9 @@ def step_semi_implicit(grid: Grid, dt: float, model, basis: MomentBasis,
     rows = np.flatnonzero(~dry_after)
     # the first Jacobian comes in the same source call as the residual at
     # U_check; after an update most cells have converged, so the residual is
-    # evaluated alone and a Jacobian only for the cells still iterating
+    # evaluated alone and a Jacobian only for the cells still iterating. An
+    # affine residual is R - J dV = 0 up to round-off after its first
+    # update, so it is not evaluated again.
     while rows.size:
         R, jac = residual(rows, jacobian=iters_max == 0)
         active = np.max(np.abs(R), axis=1) >= config.newton_tol
@@ -403,6 +415,8 @@ def step_semi_implicit(grid: Grid, dt: float, model, basis: MomentBasis,
             raise RuntimeError(f"singular Newton Jacobian in cell {rows[0] + 1}") from exc
         iters_total += rows.size
         iters_max += 1
+        if model.linear_in_velocity:
+            break
     _check_finite(U_new, "implicit source")
     return _finalize(grid, U_new, dry_after, iters_total, iters_max)
 

@@ -89,12 +89,12 @@ class SimConfig:
             raise ValueError(f"unknown stepper mode {self.mode!r}")
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError("CFL must lie in (0, 1]")
-        if not self.newton_tol > 0.0:
-            raise ValueError(f"newton_tol must be positive, got {self.newton_tol}")
+        if not 0.0 < self.newton_tol < math.inf:
+            raise ValueError(f"newton_tol must be finite and positive, got {self.newton_tol}")
         if self.newton_max_iter < 0:
             raise ValueError(f"newton_max_iter must be >= 0, got {self.newton_max_iter}")
-        if not self.h_min > 0.0:
-            raise ValueError(f"h_min must be positive, got {self.h_min}")
+        if not 0.0 < self.h_min < math.inf:
+            raise ValueError(f"h_min must be finite and positive, got {self.h_min}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be at least 1, got {self.max_steps}")
         if self.quad_points < 2:
@@ -104,6 +104,8 @@ class SimConfig:
         times = tuple(float(t) for t in self.snapshot_times)
         if not times:
             raise ValueError("need at least one snapshot time")
+        if not all(math.isfinite(t) for t in times):
+            raise ValueError(f"snapshot_times must be finite, got {times}")
         if any(t < 0.0 for t in times) or any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("snapshot times must be nonnegative and strictly ascending")
         object.__setattr__(self, "snapshot_times", times)
@@ -622,18 +624,24 @@ def read_config_file(path: str) -> dict:
     return {s: dict(parser.items(s)) for s in parser.sections()}
 
 
+def _time_label(t: float) -> str:
+    """The shortest positional text that reads back as t (0.1, 0.15, 1), so
+    distinct snapshot times never share a file name."""
+    return np.format_float_positional(t, trim="-")
+
+
 def write_outputs(result: RunResult, out_dir: str) -> list:
     """Write snapshot CSVs, the run summary, and optional profile fields."""
     os.makedirs(out_dir, exist_ok=True)
     cfg = result.config
     written = []
     for snap in result.snapshots:
-        name = os.path.join(out_dir, f"snapshot_t{snap.time:g}.csv")
+        name = os.path.join(out_dir, f"snapshot_t{_time_label(snap.time)}.csv")
         write_snapshot(snap, name)
         written.append(name)
     if cfg.profile_resolution is not None:
         for snap in result.snapshots:
-            name = os.path.join(out_dir, f"profile_t{snap.time:g}.csv")
+            name = os.path.join(out_dir, f"profile_t{_time_label(snap.time)}.csv")
             emit_profile(snap, result.basis, cfg.profile_resolution, name)
             written.append(name)
     summary = os.path.join(out_dir, "summary.txt")

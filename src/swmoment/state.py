@@ -4,7 +4,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["WetDryPolicy", "to_primitive", "to_conservative", "is_dry", "desingularized_velocity"]
+__all__ = [
+    "WetDryPolicy",
+    "to_primitive",
+    "to_conservative",
+    "is_dry",
+    "desingularization_factor",
+    "desingularized_velocity",
+]
 
 
 @dataclass(frozen=True)
@@ -21,6 +28,20 @@ class WetDryPolicy:
 def is_dry(h, policy: WetDryPolicy):
     """A cell is dry iff h <= h_min (boundary included). Works elementwise."""
     return np.asarray(h) <= policy.h_min
+
+
+def _desingularization_terms(h: np.ndarray, policy: WetDryPolicy) -> tuple:
+    """Numerator 2h and denominator h^2 + max(h^2, h_min) of the
+    desingularization factor, elementwise."""
+    return 2.0 * h, h * h + np.maximum(h * h, policy.h_min)
+
+
+def desingularization_factor(h, policy: WetDryPolicy) -> np.ndarray:
+    """kappa(h) = 2h / (h^2 + max(h^2, h_min)), the factor to_primitive
+    applies to each conservative velocity of a wet row: d v / d(h v) at fixed h.
+    It is 1/h for h >= sqrt(h_min)."""
+    two_h, den = _desingularization_terms(np.asarray(h, dtype=float), policy)
+    return two_h / den
 
 
 def desingularized_velocity(h, hv, policy: WetDryPolicy):
@@ -46,8 +67,7 @@ def to_primitive(U, policy: WetDryPolicy) -> np.ndarray:
     # desingularized_velocity one component at a time, its row factors formed
     # once: the same operations in the same order, so the same bits, and 2-3x
     # faster than broadcasting the rows over the short component axis
-    two_h = 2.0 * h
-    den = h * h + np.maximum(h * h, policy.h_min)
+    two_h, den = _desingularization_terms(h, policy)
     for c in range(1, U.shape[-1]):
         v = P[..., c]
         np.multiply(two_h, U[..., c], out=v)

@@ -8,6 +8,7 @@ from swmoment.basis import build_basis
 from swmoment.friction import ConstantCoulomb, CoulombBottom, MuI, MuIBottom, Newtonian, SlipBottom
 from swmoment.hswme import (
     source_batch,
+    source_jacobian_batch,
     source_split_batch,
     spectral_radius_batch,
     system_matrix_batch,
@@ -116,6 +117,33 @@ def test_source_split_rows(case, basis2):
     for i in (1, 2):
         assert np.array_equal(fric[:, i + 1], -(2 * i + 1) * cos_t * (tau_b + T[:, i - 1]))
     assert np.array_equal(source_batch(P, model, EPS, THETA, dbdx, basis2), drive + fric)
+
+
+@pytest.mark.parametrize("N", range(1, 13))
+def test_source_jacobian_equals_unit_step_probes(N):
+    # the source of a model linear in v is affine in v, so a unit step in
+    # each velocity component gives its Jacobian column to round-off
+    basis = _basis(N)
+    rng = np.random.default_rng(N)
+    P = random_wet_primitive(rng, N, 30)
+    dbdx = rng.uniform(-0.5, 0.5, len(P))
+    for model in (_slip(nu=1.19e-3, lam=1e-4),
+                  Newtonian(nu=0.02, bottom_law=SlipBottom(nu=3e-3, lam=0.05))):
+        assert model.linear_in_velocity
+        jac = source_jacobian_batch(P, model, THETA, basis)
+        assert jac.shape == (len(P), N + 1, N + 1)
+        S = source_batch(P, model, EPS, THETA, dbdx, basis)
+        for j in range(N + 1):
+            shifted = P.copy()
+            shifted[:, 1 + j] += 1.0
+            probe = source_batch(shifted, model, EPS, THETA, dbdx, basis) - S
+            assert not np.any(probe[:, 0])
+            np.testing.assert_allclose(jac[:, :, j], probe[:, 1:], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_CASES))
+def test_only_slip_newtonian_is_linear_in_velocity(case):
+    assert config_model(*CONFIG_CASES[case]).linear_in_velocity == (case == "newtonian_slip")
 
 
 def test_source_takes_eps_before_theta(basis2):

@@ -388,15 +388,15 @@ def _transport_full_width(grid, dt, eps, theta, basis):
     return U[1:-1] - (dt / grid.dx) * (D_plus[:-1] + D_minus[1:])
 
 
-def _patch_grid(N, patches, stored=(), J=40, seed=0):
-    """Wet patches [lo, hi) of random flow on a dry grid (h below h_min, at
-    rest); stored cells are flagged and hold depth at rest under the
-    rewetting margin."""
+def _patch_grid(N, patches, stored=(), J=40, seed=0, h_range=(1e-2, 0.1)):
+    """Wet patches [lo, hi) of random flow, depths in h_range, on a dry grid
+    (h below h_min, at rest); stored cells are flagged and hold depth at rest
+    under the rewetting margin."""
     rng = np.random.default_rng(seed)
     P = np.zeros((J, N + 2))
     P[:, 0] = rng.uniform(0.0, POLICY.h_min, J)
     for lo, hi in patches:
-        P[lo:hi] = random_wet_primitive(rng, N, hi - lo, h_range=(1e-2, 0.1), vel_scale=0.5)
+        P[lo:hi] = random_wet_primitive(rng, N, hi - lo, h_range=h_range, vel_scale=0.5)
     flags = np.zeros(J + 2, dtype=bool)
     for j in stored:
         P[j] = 0.0
@@ -569,7 +569,9 @@ def test_steppers_reject_a_bad_dt_by_name(dt, basis2):
 def _semi_implicit_reference(grid, dt, model, eps, theta, basis, config):
     """The semi-implicit step with the finite-difference Newton over all N+2
     conservative rows, depth included, and one residual evaluation per
-    perturbed column."""
+    perturbed column. For a model linear in the velocity the velocity
+    columns are probed with unit steps, which are exact for its affine
+    residual; the depth column keeps the FD_EPS step."""
     U_check = _transport_full_width(grid, dt, eps, theta, basis)
     dry_after = _dry_after_transport(U_check, grid.dry()[1:-1], grid.policy)
     idx = np.flatnonzero(~dry_after)
@@ -591,6 +593,8 @@ def _semi_implicit_reference(grid, dt, model, eps, theta, basis, config):
         assert iters_max <= config.newton_max_iter
         Va = V[active]
         step = scheme.FD_EPS * np.maximum(1.0, np.abs(Va))
+        if model.linear_in_velocity:
+            step[:, 1:] = 1.0
         jac = np.empty((Va.shape[0], m, m))
         for c in range(m):
             Vp, Vm = Va.copy(), Va.copy()
@@ -652,6 +656,52 @@ def test_semi_implicit_newton_matches_full_jacobian_reference(name, basis1, basi
         wet = ~_dry_after_transport(U_check, grid.dry()[1:-1], POLICY)
         assert np.any(~wet)
         assert np.array_equal(got.U[1:-1][wet, 0], U_check[wet, 0])
+
+
+@pytest.mark.parametrize("law", ["slip", "manning"])
+def test_semi_implicit_source_rows_per_step(law, basis2, monkeypatch):
+    # slip + Newtonian is linear in v: its exact Jacobian needs no probe
+    # copies, so the source sees each wet row once. Manning keeps the
+    # central-difference batch of 2n+1 copies of each row
+    model = MODEL if law == "slip" else build_model(preset(2, law="manning"))
+    assert model.linear_in_velocity == (law == "slip")
+    grid = _patch_grid(2, patches=[(2, 15), (22, 38)], J=40, seed=1)
+    cfg = SimConfig(mode="semi_implicit")
+    dt = 0.5 * cfl_dt(grid, cfg, basis2)
+    calls = []
+
+    def counted(P, *args):
+        calls.append(len(P))
+        return source_batch(P, *args)
+
+    monkeypatch.setattr(scheme, "source_batch", counted)
+    _, info = step_semi_implicit(grid, dt, model, basis2, cfg)
+    wet = len(grid.x) - info["dry_cells"]
+    assert info["newton_iters_total"] > 0
+    if law == "slip":
+        assert calls == [wet]
+        assert info["newton_iters_max"] == 1
+    else:
+        assert calls[0] == (2 * (basis2.N + 1) + 1) * wet
+        assert len(calls) > 1
+
+
+def test_exact_jacobian_on_films_thinner_than_sqrt_h_min(basis2):
+    # below h = sqrt(h_min) the desingularization factor kappa(h) is not 1/h;
+    # the one update must still solve the implicit source exactly
+    cfg = SimConfig(mode="semi_implicit")
+    thin = 0
+    for seed in range(3):
+        grid = _patch_grid(2, patches=[(5, 35)], J=40, seed=seed, h_range=(1e-5, 1e-3))
+        dt = 0.5 * cfl_dt(grid, cfg, basis2)
+        U_check, U_ref, total_ref, max_ref = _semi_implicit_reference(
+            grid, dt, MODEL, EPS, THETA, basis2, cfg)
+        got, info = step_semi_implicit(grid, dt, MODEL, basis2, cfg)
+        assert (info["newton_iters_total"], info["newton_iters_max"]) == (total_ref, max_ref)
+        np.testing.assert_allclose(got.U[1:-1], U_ref, rtol=1e-10, atol=0.0)
+        wet = ~_dry_after_transport(U_check, grid.dry()[1:-1], POLICY)
+        thin += int(np.sum(wet & (U_check[:, 0] ** 2 < POLICY.h_min)))
+    assert thin > 10
 
 
 def test_singular_newton_jacobian_reports_cell(basis2, monkeypatch):

@@ -125,8 +125,9 @@ def test_config_validation():
         config_from_mapping(mapping)
     # the numeric stepper and output options, each named in its error, as a
     # SimConfig and from a file, before a run solves anything
-    bad = {"h_min": (0.0, -1e-6, math.nan),
-           "max_steps": (0, -5), "newton_max_iter": (-1,), "newton_tol": (0.0, math.nan),
+    bad = {"h_min": (0.0, -1e-6, math.nan, math.inf),
+           "max_steps": (0, -5), "newton_max_iter": (-1,),
+           "newton_tol": (0.0, math.nan, math.inf),
            "quad_points": (1, 0, -3), "profile_resolution": (1, 0, -2)}
     for name, values in bad.items():
         for value in values:
@@ -136,6 +137,15 @@ def test_config_validation():
             mapping["output" if name == "profile_resolution" else "stepper"][name] = str(value)
             with pytest.raises(ValueError, match=name):
                 config_from_mapping(mapping)
+    # a time that is not finite would step to max_steps (inf) or stamp a
+    # snapshot t=nan after no step
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="snapshot_times"):
+            preset(1, snapshot_times=(0.1, value))
+        mapping = config_to_mapping(preset(1))
+        mapping["output"]["times"] = f"0.1 {value}"
+        with pytest.raises(ValueError, match="snapshot_times"):
+            config_from_mapping(mapping)
     # the edge values that stay valid: newton_max_iter = 0 (any cell that
     # needs an iteration then aborts the step)
     assert preset(1, newton_max_iter=0, max_steps=1).newton_max_iter == 0
@@ -433,6 +443,24 @@ def test_write_outputs_profiles_use_the_run_basis(tmp_path, monkeypatch):
     rows = np.loadtxt(profile, delimiter=",", skiprows=1)
     expected = emit_profile(result.snapshots[-1], result.basis, 5)
     assert np.array_equal(rows, expected)
+
+
+def test_write_outputs_names_each_snapshot_time_apart(tmp_path):
+    # equal to 6 significant digits, so a "%g" name would hold both
+    times = (0.01000001, 0.01000002)
+    result = run(preset(1, J=20, snapshot_times=times, profile_resolution=4))
+    written = sim.write_outputs(result, str(tmp_path))
+    assert len(written) == len(set(written)) == 5
+    for snap, t in zip(result.snapshots, times):
+        assert snap.time == t
+        rows = np.loadtxt(tmp_path / f"snapshot_t{t!r}.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(rows[:, 1], snap.h)
+        profile = np.loadtxt(tmp_path / f"profile_t{t!r}.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(profile, emit_profile(snap, result.basis, 4))
+    assert not np.array_equal(result.snapshots[0].h, result.snapshots[1].h)
+    # the names of the usual times are unchanged
+    assert [sim._time_label(t) for t in (0.0, 0.1, 0.15, 0.2, 0.4, 0.6, 1.0)] == [
+        "0", "0.1", "0.15", "0.2", "0.4", "0.6", "1"]
 
 
 def _profile_lines(x, zeta, u):

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from swmoment.state import (
     WetDryPolicy,
+    desingularization_factor,
     desingularized_velocity,
     is_dry,
     to_conservative,
@@ -69,6 +70,19 @@ def test_to_primitive_bit_identical_to_broadcast_desingularization():
                                                                     POLICY)], axis=-1)
         ref[..., 1:] = np.where(is_dry(h, POLICY)[..., None], 0.0, ref[..., 1:])
         assert to_primitive(U, POLICY).tobytes() == ref.tobytes()
+
+
+def test_desingularization_factor_is_the_slope_of_to_primitive():
+    # the Newton Jacobian's d v / d(h v): wet rows only, across sqrt(h_min)
+    rng = np.random.default_rng(5)
+    h = 10.0 ** rng.uniform(-5.5, -1.0, 200)
+    U = np.column_stack([h, rng.uniform(-0.1, 0.1, (200, 3))])
+    kappa = desingularization_factor(h, POLICY)
+    np.testing.assert_allclose(kappa[:, None] * U[:, 1:], to_primitive(U, POLICY)[:, 1:],
+                               rtol=4e-16, atol=0.0)
+    above = h * h >= POLICY.h_min
+    assert np.any(above) and np.any(~above)
+    np.testing.assert_allclose(kappa[above], 1.0 / h[above], rtol=4e-16, atol=0.0)
 
 
 def test_to_primitive_rejects_nonfinite():
