@@ -43,7 +43,6 @@ from .sim import (
     write_snapshot,
 )
 from .state import (
-    WetDryPolicy,
     desingularized_velocity,
     is_dry,
     to_conservative,

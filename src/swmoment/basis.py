@@ -11,7 +11,9 @@ __all__ = [
     "MomentBasis",
     "build_basis",
     "eval_phi",
+    "eval_dphi",
     "reconstruct_velocity",
+    "bottom_velocity",
     "gauss_rule",
 ]
 
@@ -109,10 +111,15 @@ def build_basis(N: int) -> MomentBasis:
     return MomentBasis(N=N, phi=phi_arr, dphi=dphi_arr, A=A, B=B, C=C)
 
 
-def _horner(coeffs_row: np.ndarray, zeta):
-    out = 0.0
-    for c in coeffs_row[::-1]:
-        out = out * zeta + c
+def _horner(coeffs: np.ndarray, zeta: np.ndarray) -> np.ndarray:
+    """Horner's rule for each row of coeffs (n, d), ascending powers, at the
+    points zeta (..., k): (..., n, k). Every value starts as 0 * z + c and
+    runs through all d coefficients, so a row gets the same bits whatever
+    the shape of zeta."""
+    z = zeta[..., None, :]
+    out = np.zeros(zeta.shape[:-1] + (coeffs.shape[0], zeta.shape[-1]))
+    for c in coeffs[:, ::-1].T:
+        out = out * z + c[:, None]
     return out
 
 
@@ -127,7 +134,13 @@ def _check_eval_args(basis: MomentBasis, j: int, zeta) -> None:
 def eval_phi(basis: MomentBasis, j: int, zeta):
     """Evaluate phi_j at zeta in [0,1] (scalar or array) by Horner's rule."""
     _check_eval_args(basis, j, zeta)
-    return _horner(basis.phi[j - 1], zeta)
+    return _horner(basis.phi[j - 1:j], np.asarray(zeta, dtype=float)[..., None])[..., 0, 0][()]
+
+
+def eval_dphi(basis: MomentBasis, zeta: np.ndarray) -> np.ndarray:
+    """phi_j'(zeta) of every j = 1..N by Horner's rule: (..., N, k) for the
+    points zeta (..., k) in [0, 1]."""
+    return _horner(basis.dphi, np.asarray(zeta, dtype=float))
 
 
 def reconstruct_velocity(basis: MomentBasis, u_m: float, alpha, zeta):
@@ -142,6 +155,15 @@ def reconstruct_velocity(basis: MomentBasis, u_m: float, alpha, zeta):
     out = u_m
     for j in range(1, basis.N + 1):
         out = out + alpha[..., j - 1] * eval_phi(basis, j, zeta)
+    return out
+
+
+def bottom_velocity(P: np.ndarray) -> np.ndarray:
+    """u(0) = u_m + alpha_1 + ... + alpha_N of primitive rows (..., N+2),
+    summed left to right: the bits of reconstruct_velocity at zeta = 0."""
+    out = P[..., 1].copy()
+    for j in range(2, P.shape[-1]):
+        out += P[..., j]
     return out
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import MomentBasis, gauss_rule
+from .basis import MomentBasis, bottom_velocity, eval_dphi, gauss_rule
 
 __all__ = [
     "Newtonian",
@@ -41,14 +41,6 @@ def _require_wet(h: np.ndarray) -> None:
         raise ValueError("friction evaluated on a non-positive height; dry cells must be skipped")
 
 
-def _bottom_velocity(P: np.ndarray) -> np.ndarray:
-    """u(0) = u_m + alpha_1 + ... + alpha_N, summed left to right."""
-    out = P[:, 1].copy()
-    for j in range(2, P.shape[1]):
-        out += P[:, j]
-    return out
-
-
 @dataclass(frozen=True)
 class SlipBottom:
     """Navier slip: tau_b = (nu / lam) u_b, with viscosity nu and slip length lam."""
@@ -64,7 +56,7 @@ class SlipBottom:
             raise ValueError("viscosity must be nonnegative")
 
     def stress(self, P: np.ndarray, basis: MomentBasis, model) -> np.ndarray:
-        return (self.nu / self.lam) * _bottom_velocity(P)
+        return (self.nu / self.lam) * bottom_velocity(P)
 
     def stress_jacobian(self, P: np.ndarray, basis: MomentBasis) -> np.ndarray:
         """d tau_b / d v = (nu / lam) (1, ..., 1) per row: (M, N+1)."""
@@ -83,7 +75,7 @@ class ManningBottom:
             raise ValueError("Manning factor must be nonnegative")
 
     def stress(self, P: np.ndarray, basis: MomentBasis, model) -> np.ndarray:
-        ub = _bottom_velocity(P)
+        ub = bottom_velocity(P)
         return (self.n2 / np.cbrt(P[:, 0])) * ub * np.abs(ub)
 
 
@@ -99,7 +91,7 @@ class CoulombBottom:
             raise ValueError("require 0 <= delta < pi/2")
 
     def stress(self, P: np.ndarray, basis: MomentBasis, model) -> np.ndarray:
-        return P[:, 0] * np.sign(_bottom_velocity(P)) * math.tan(self.delta)
+        return P[:, 0] * np.sign(bottom_velocity(P)) * math.tan(self.delta)
 
 
 @dataclass(frozen=True)
@@ -359,15 +351,6 @@ def _muI_bulk_N2(h: np.ndarray, alpha: np.ndarray, params: "MuI", basis: MomentB
     return T
 
 
-def _dphi_at_xi(basis: MomentBasis, xi: np.ndarray) -> np.ndarray:
-    """phi_j' at zeta = 1 - xi^2, rows j = 1..N: (N, k) for xi (k,), (M, N, k) for xi (M, k)."""
-    z = (1.0 - xi * xi)[..., None, :]
-    out = np.zeros(xi.shape[:-1] + (basis.N, xi.shape[-1]))
-    for c in basis.dphi[:, ::-1].T:
-        out = out * z + c[:, None]
-    return out
-
-
 def _bulk_quadrature_core(h: np.ndarray, alpha: np.ndarray, params: "MuI",
                           basis: MomentBasis, xi: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Bulk quadrature of rows h (M,), alpha (M, N) on nodes shared (k,) or per row (M, k).
@@ -376,7 +359,7 @@ def _bulk_quadrature_core(h: np.ndarray, alpha: np.ndarray, params: "MuI",
     for every row whatever M is, so a row gets the same bits alone as in any
     batch (a 2-D matmul over rows or einsum would not).
     """
-    dphi = _dphi_at_xi(basis, xi)  # (N, k) or (M, N, k)
+    dphi = eval_dphi(basis, 1.0 - xi * xi)  # (N, k) or (M, N, k)
     shear = (alpha[:, None, :] @ dphi)[:, 0, :]  # (M, k)
     rate = np.abs(shear)
     denom = (params.c_I * h**1.5)[:, None] * xi + rate
@@ -462,7 +445,7 @@ class MuI(_Friction):
         tau_b, T = super().stresses(P, basis)
         static = np.all(P[:, 2:] == 0.0, axis=1)
         if np.any(static):
-            s = np.sign(_bottom_velocity(P[static]))
+            s = np.sign(bottom_velocity(P[static]))
             mobilized = self.mu_s * P[static, 0] * s
             if isinstance(self.bottom_law, MuIBottom):
                 tau_b[static] = mobilized
@@ -478,14 +461,11 @@ def savage_hutter_violations(P: np.ndarray, basis: MomentBasis) -> int:
     enforced. The caller passes wet rows only, as to the friction laws.
     """
     _require_wet(P[:, 0])
-    bad_bottom = _bottom_velocity(P) <= 0.0
-    zeta = np.linspace(0.0, 1.0, 9)
-    shear = np.zeros((P.shape[0], len(zeta)))
+    bad_bottom = bottom_velocity(P) <= 0.0
+    dphi = eval_dphi(basis, np.linspace(0.0, 1.0, 9))
+    shear = np.zeros((P.shape[0], dphi.shape[1]))
     for j in range(basis.N):
-        acc = np.zeros_like(zeta)
-        for c in basis.dphi[j, ::-1]:
-            acc = acc * zeta + c
-        shear += P[:, 2 + j][:, None] * acc[None, :]
+        shear += P[:, 2 + j][:, None] * dphi[j]
     bad_profile = np.any(shear < 0.0, axis=1)
     return int(np.sum(bad_bottom | bad_profile))
 

@@ -101,25 +101,14 @@ def source_batch(P: np.ndarray, model, eps: float, theta: float, dbdx: np.ndarra
     return drive + fric
 
 
-def _gershgorin(A: np.ndarray) -> np.ndarray:
-    centers = np.abs(np.einsum("...ii->...i", A))
-    radii = np.sum(np.abs(A), axis=-1) - np.abs(np.einsum("...ii->...i", A))
-    return np.max(centers + radii, axis=-1)
-
-
 def wavespeeds_batch(P: np.ndarray, eps: float, theta: float, basis: MomentBasis) -> np.ndarray:
-    """Largest |eigenvalue| of the transport matrix per row; Gershgorin on solver failure."""
-    A = system_matrix_batch(np.asarray(P, dtype=float), eps, theta, basis)
+    """Largest |eigenvalue| of the transport matrix per row. If the eigen-solve
+    fails, the closed form spectral_radius_batch of the whole batch."""
+    P = np.asarray(P, dtype=float)
     try:
-        return np.max(np.abs(np.linalg.eigvals(A)), axis=-1)
+        return np.max(np.abs(np.linalg.eigvals(system_matrix_batch(P, eps, theta, basis))), axis=-1)
     except np.linalg.LinAlgError:
-        out = np.empty(A.shape[0])
-        for i in range(A.shape[0]):
-            try:
-                out[i] = np.max(np.abs(np.linalg.eigvals(A[i])))
-            except np.linalg.LinAlgError:
-                out[i] = _gershgorin(A[i][None, :, :])[0]
-        return out
+        return spectral_radius_batch(P, eps, theta)
 
 
 def spectral_radius_batch(P: np.ndarray, eps: float, theta: float) -> np.ndarray:

@@ -14,7 +14,7 @@ from .hswme import (
     system_matrix_batch,
     wavespeeds_batch,
 )
-from .state import WetDryPolicy, desingularization_factor, is_dry, to_primitive
+from .state import desingularization_factor, is_dry, to_primitive
 
 __all__ = [
     "Grid",
@@ -33,8 +33,9 @@ class Grid:
     """Uniform 1-D grid: J interior cells plus one ghost cell on each side.
 
     U holds conservative rows (J+2, N+2); row 0 and row J+1 are ghosts.
-    dbdx holds interior cell slopes (J,). stored, bool (J+2,), flags the rows
-    the last step held at rest as dry; the default None means none.
+    dbdx holds interior cell slopes (J,). h_min is the dry threshold: a row
+    with h <= h_min is dry. stored, bool (J+2,), flags the rows the last step
+    held at rest as dry; the default None means none.
 
     A grid is immutable: U and stored are made read-only, and a step returns
     a new grid. So primitive and dry() are computed once, on first read.
@@ -44,10 +45,12 @@ class Grid:
     dx: float
     U: np.ndarray
     dbdx: np.ndarray
-    policy: WetDryPolicy
+    h_min: float
     stored: np.ndarray | None = None
 
     def __post_init__(self):
+        if not 0.0 < self.h_min < np.inf:
+            raise ValueError(f"h_min must be finite and positive, got {self.h_min}")
         if self.stored is None:
             object.__setattr__(self, "stored", np.zeros(len(self.U), dtype=bool))
         if not (isinstance(self.stored, np.ndarray) and self.stored.dtype == bool
@@ -66,13 +69,13 @@ class Grid:
         """Primitive rows of every row of U (read-only). The conversion is
         elementwise per row, so a slice of it has the bits of converting the
         slice alone."""
-        P = to_primitive(self.U, self.policy)
+        P = to_primitive(self.U, self.h_min)
         P.flags.writeable = False
         return P
 
     @cached_property
     def _dry(self) -> np.ndarray:
-        dry = is_dry(self.U[:, 0], self.policy) | self.stored
+        dry = is_dry(self.U[:, 0], self.h_min) | self.stored
         dry.flags.writeable = False
         return dry
 
@@ -84,8 +87,9 @@ class Grid:
         return self.U[1:-1]
 
 
-def make_grid(x_a: float, x_b: float, J: int, N: int, policy: WetDryPolicy, bed=None) -> Grid:
-    """Grid over (x_a, x_b) with J cells, zero-initialized states and bed slopes."""
+def make_grid(x_a: float, x_b: float, J: int, N: int, h_min: float, bed=None) -> Grid:
+    """Grid over (x_a, x_b) with J cells, zero-initialized states and bed slopes,
+    and the dry threshold h_min."""
     if J < 3:
         raise ValueError("need at least 3 cells")
     if not x_b > x_a:
@@ -98,7 +102,7 @@ def make_grid(x_a: float, x_b: float, J: int, N: int, policy: WetDryPolicy, bed=
         from .topography import cell_slope
 
         dbdx = np.asarray(cell_slope(bed, x - 0.5 * dx, x + 0.5 * dx), dtype=float)
-    return Grid(x=x, dx=dx, U=np.zeros((J + 2, N + 2)), dbdx=dbdx, policy=policy)
+    return Grid(x=x, dx=dx, U=np.zeros((J + 2, N + 2)), dbdx=dbdx, h_min=h_min)
 
 
 def _mirror_ghosts(grid: Grid, U: np.ndarray, stored: np.ndarray) -> Grid:
@@ -232,12 +236,11 @@ def _transport(grid: Grid, dt: float, eps: float, theta: float,
     return U[1:-1] - (dt / grid.dx) * (D_plus[:-1] + D_minus[1:])
 
 
-def _dry_after_transport(U_check: np.ndarray, was_dry: np.ndarray,
-                         policy: WetDryPolicy) -> np.ndarray:
+def _dry_after_transport(U_check: np.ndarray, was_dry: np.ndarray, h_min: float) -> np.ndarray:
     """Dryness of the post-transport state with the rewetting margin."""
     h_check = U_check[:, 0]
-    dry = is_dry(h_check, policy)
-    dry |= was_dry & (h_check <= WETTING_HYSTERESIS * policy.h_min)
+    dry = is_dry(h_check, h_min)
+    dry |= was_dry & (h_check <= WETTING_HYSTERESIS * h_min)
     return dry
 
 
@@ -317,7 +320,7 @@ def step_explicit(grid: Grid, dt: float, model, basis: MomentBasis,
     U_check = _transport(grid, dt, eps, theta, basis)
     _check_finite(U_check, "transport")
     was_dry = grid.dry()[1:-1]
-    dry_after = _dry_after_transport(U_check, was_dry, grid.policy)
+    dry_after = _dry_after_transport(U_check, was_dry, grid.h_min)
     apply_src = ~was_dry & ~dry_after
     U_new = U_check.copy()
     if np.any(apply_src):
@@ -335,7 +338,7 @@ FD_EPS = 1e-7
 
 def _residual_and_jacobian(V: np.ndarray, target: np.ndarray, dt: float, model,
                            eps: float, theta: float, dbdx: np.ndarray,
-                           basis: MomentBasis, policy: WetDryPolicy,
+                           basis: MomentBasis, h_min: float,
                            jacobian: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """Residual V - target - dt S(V) of the velocity rows and, if asked, its
     Jacobian (None otherwise).
@@ -357,13 +360,13 @@ def _residual_and_jacobian(V: np.ndarray, target: np.ndarray, dt: float, model,
         cols = np.arange(n)
         batch[1 + cols, :, 1 + cols] += step.T
         batch[1 + n + cols, :, 1 + cols] -= step.T
-    P = to_primitive(batch.reshape(-1, n + 1), policy)
+    P = to_primitive(batch.reshape(-1, n + 1), h_min)
     S = source_batch(P, model, eps, theta, np.tile(dbdx, batch.shape[0]), basis)
     R = (batch - target - dt * S.reshape(batch.shape))[:, :, 1:]
     if not jacobian:
         return R[0], None
     if not fd:
-        scale = dt * desingularization_factor(V[:, 0], policy)
+        scale = dt * desingularization_factor(V[:, 0], h_min)
         return R[0], np.eye(n) - scale[:, None, None] * source_jacobian_batch(P, model, theta, basis)
     jac = (R[1:n + 1] - R[n + 1:]) / (2.0 * step.T)[:, :, None]
     return R[0], jac.transpose(1, 2, 0)
@@ -382,14 +385,14 @@ def step_semi_implicit(grid: Grid, dt: float, model, basis: MomentBasis,
     _check_step_input(grid, dt)
     U_check = _transport(grid, dt, eps, theta, basis)
     _check_finite(U_check, "transport")
-    dry_after = _dry_after_transport(U_check, grid.dry()[1:-1], grid.policy)
+    dry_after = _dry_after_transport(U_check, grid.dry()[1:-1], grid.h_min)
     U_new = U_check.copy()
     iters_total = 0
     iters_max = 0
 
     def residual(rows: np.ndarray, jacobian: bool):
         return _residual_and_jacobian(U_new[rows], U_check[rows], dt, model, eps, theta,
-                                      grid.dbdx[rows], basis, grid.policy, jacobian)
+                                      grid.dbdx[rows], basis, grid.h_min, jacobian)
 
     rows = np.flatnonzero(~dry_after)
     # the first Jacobian comes in the same source call as the residual at

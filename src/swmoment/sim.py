@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .basis import MomentBasis, build_basis, reconstruct_velocity
+from .basis import MomentBasis, bottom_velocity, build_basis, reconstruct_velocity
 from .friction import (
     ConstantCoulomb,
     CoulombBottom,
@@ -21,7 +21,7 @@ from .friction import (
 )
 from .scheme import apply_transmissive_bc, cfl_dt, make_grid, step_explicit, step_semi_implicit
 # to_primitive is unused here, but perfbench/tracer.py wraps sim.to_primitive by name
-from .state import WetDryPolicy, to_conservative, to_primitive  # noqa: F401
+from .state import to_conservative, to_primitive  # noqa: F401
 from .topography import FlatBed, RunoffBed, TabulatedBed
 
 __all__ = [
@@ -42,6 +42,30 @@ __all__ = [
 ]
 
 _BLOCK_IC = {"kind": "block", "h": 0.08, "x_lo": 0.3, "x_hi": 0.5}
+# the keys each kind of initial condition needs
+_IC_REQUIRED = {"block": ("h", "x_lo", "x_hi"), "uniform": ("h",)}
+
+
+def _check_ic(ic: dict, N: int) -> None:
+    """Reject an initial condition that build_grid cannot build, naming its key."""
+    unknown = [f"ic.{key}" for key in ic if key not in _IC_KEYS]
+    if unknown:
+        raise ValueError(f"unknown initial-condition key {', '.join(unknown)}")
+    kind = ic.get("kind")
+    if kind not in _IC_REQUIRED:
+        raise ValueError(f"ic.kind must be one of {', '.join(_IC_REQUIRED)}, got {kind!r}")
+    missing = [f"ic.{key}" for key in _IC_REQUIRED[kind] if key not in ic]
+    if missing:
+        raise ValueError(f"initial condition {kind!r} needs {', '.join(missing)}")
+    if not 0.0 <= ic["h"] < math.inf:
+        raise ValueError(f"ic.h must be finite and nonnegative, got {ic['h']}")
+    if kind == "block" and not ic["x_lo"] < ic["x_hi"]:
+        raise ValueError(f"ic.x_lo must be below ic.x_hi, got {ic['x_lo']} and {ic['x_hi']}")
+    if len(ic.get("alpha", ())) > N:
+        raise ValueError(f"ic.alpha has {len(ic['alpha'])} entries, more than N = {N}")
+    if not all(math.isfinite(v) for v in (ic.get("u_m", 0.0), *ic.get("alpha", ()))):
+        raise ValueError(f"ic.u_m and ic.alpha must be finite, got {ic.get('u_m')} "
+                         f"and {ic.get('alpha')}")
 
 
 @dataclass(frozen=True)
@@ -101,6 +125,7 @@ class SimConfig:
             raise ValueError(f"quad_points must be at least 2, got {self.quad_points}")
         if self.profile_resolution is not None and self.profile_resolution < 2:
             raise ValueError(f"profile_resolution must be None or >= 2, got {self.profile_resolution}")
+        _check_ic(self.ic, self.N)
         times = tuple(float(t) for t in self.snapshot_times)
         if not times:
             raise ValueError("need at least one snapshot time")
@@ -244,7 +269,7 @@ def build_model(config: SimConfig):
     bottom_name = _BOTTOM_OF.get(kind) or p.get("bottom", "slip")
     needed = _FRICTION_KEYS[kind]
     if kind == "mu_i":
-        needed = needed[:4] + _MU_I_BOTTOM_KEYS.get(bottom_name, ())
+        needed = _MU_I_KEYS + _MU_I_BOTTOM_KEYS.get(bottom_name, ())
     missing = [f"model.{key}" for key in needed if _PARAM_OF.get(key, key) not in p]
     if missing:
         raise ValueError(f"friction model {kind!r} needs {', '.join(missing)}")
@@ -278,23 +303,22 @@ def build_grid(config: SimConfig, bed=None):
     """Grid with the configured initial condition in conservative variables."""
     if bed is None:
         bed = build_bed(config)
-    policy = WetDryPolicy(h_min=config.h_min)
-    grid = make_grid(config.x_a, config.x_b, config.J, config.N, policy, bed)
+    grid = make_grid(config.x_a, config.x_b, config.J, config.N, config.h_min, bed)
     ic = config.ic
     P = np.zeros((config.J, config.N + 2))
     if ic["kind"] == "block":
         # truly dry background: cells sitting exactly at h_min would turn wet
         # on any infinitesimal transport deposit
         inside = (grid.x >= ic["x_lo"]) & (grid.x <= ic["x_hi"])
+        if not np.any(inside):
+            raise ValueError(f"ic block [{ic['x_lo']}, {ic['x_hi']}] (ic.x_lo, ic.x_hi) "
+                             f"covers no cell centre of the grid")
         P[:, 0] = np.where(inside, ic["h"], 0.0)
-    elif ic["kind"] == "uniform":
+    else:
         P[:, 0] = ic["h"]
         P[:, 1] = ic.get("u_m", 0.0)
-        alpha = ic.get("alpha", ())
-        for j, a in enumerate(alpha):
+        for j, a in enumerate(ic.get("alpha", ())):
             P[:, 2 + j] = a
-    else:
-        raise ValueError(f"unknown initial condition {ic['kind']!r}")
     U = grid.U.copy()
     U[1:-1] = to_conservative(P)
     grid = replace(grid, U=U)
@@ -304,10 +328,8 @@ def build_grid(config: SimConfig, bed=None):
 def _snapshot(grid, t: float, bed) -> Snapshot:
     P = grid.primitive[1:-1]
     h = P[:, 0]
-    alpha = P[:, 2:]
-    u_bottom = P[:, 1] + np.sum(alpha, axis=1)
     return Snapshot(time=t, x=grid.x.copy(), h=h.copy(), u_m=P[:, 1].copy(),
-                    alpha=alpha.copy(), u_bottom=u_bottom, h_s=h + bed.b(grid.x))
+                    alpha=P[:, 2:].copy(), u_bottom=bottom_velocity(P), h_s=h + bed.b(grid.x))
 
 
 def run(config: SimConfig) -> RunResult:
@@ -533,17 +555,18 @@ _FILE_FIELDS = (
 )
 
 # [model] keys of each friction model's parameters; the moment order already
-# uses key "n", so the Manning coefficient gets the file key "manning_n"
+# uses key "n", so the Manning coefficient gets the file key "manning_n". A
+# model needs all its keys, but mu_i only the granular _MU_I_KEYS and those of
+# the bottom law it names in "bottom" (default slip, whose viscosity is eta0)
+_MU_I_KEYS = ("mu_s", "mu_2", "i0", "d_s")
+_MU_I_BOTTOM_KEYS = {"slip": ("lambda", "eta0"), "manning": ("manning_n",), "coulomb": ("delta",)}
 _FRICTION_KEYS = {
     "newtonian_slip": ("lambda", "eta"),
     "newtonian_manning": ("manning_n", "eta"),
     "savage_hutter": ("delta", "phi_int"),
     "coulomb": ("delta", "mu"),
-    "mu_i": ("mu_s", "mu_2", "i0", "d_s", "bottom", "lambda", "eta0", "manning_n", "delta"),
+    "mu_i": _MU_I_KEYS + ("bottom",) + sum(_MU_I_BOTTOM_KEYS.values(), ()),
 }
-# a model needs all its keys, but mu_i only its first four and those of the
-# bottom law it names in "bottom" (default slip, whose viscosity is eta0)
-_MU_I_BOTTOM_KEYS = {"slip": ("lambda", "eta0"), "manning": ("manning_n",), "coulomb": ("delta",)}
 _FILE_KEY = {"Lambda": "lambda", "I0": "i0", "n": "manning_n"}
 _PARAM_OF = {key: param for param, key in _FILE_KEY.items()}
 

@@ -1,11 +1,8 @@
 """Conservative/primitive state conversion, desingularization, dryness classification."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "WetDryPolicy",
     "to_primitive",
     "to_conservative",
     "is_dry",
@@ -14,46 +11,35 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WetDryPolicy:
-    """Minimum-height threshold for wet/dry classification."""
-
-    h_min: float
-
-    def __post_init__(self):
-        if not self.h_min > 0.0:
-            raise ValueError(f"h_min must be positive, got {self.h_min}")
-
-
-def is_dry(h, policy: WetDryPolicy):
+def is_dry(h, h_min: float):
     """A cell is dry iff h <= h_min (boundary included). Works elementwise."""
-    return np.asarray(h) <= policy.h_min
+    return np.asarray(h) <= h_min
 
 
-def _desingularization_terms(h: np.ndarray, policy: WetDryPolicy) -> tuple:
+def _desingularization_terms(h: np.ndarray, h_min: float) -> tuple:
     """Numerator 2h and denominator h^2 + max(h^2, h_min) of the
     desingularization factor, elementwise."""
-    return 2.0 * h, h * h + np.maximum(h * h, policy.h_min)
+    return 2.0 * h, h * h + np.maximum(h * h, h_min)
 
 
-def desingularization_factor(h, policy: WetDryPolicy) -> np.ndarray:
+def desingularization_factor(h, h_min: float) -> np.ndarray:
     """kappa(h) = 2h / (h^2 + max(h^2, h_min)), the factor to_primitive
     applies to each conservative velocity of a wet row: d v / d(h v) at fixed h.
     It is 1/h for h >= sqrt(h_min)."""
-    two_h, den = _desingularization_terms(np.asarray(h, dtype=float), policy)
+    two_h, den = _desingularization_terms(np.asarray(h, dtype=float), h_min)
     return two_h / den
 
 
-def desingularized_velocity(h, hv, policy: WetDryPolicy):
+def desingularized_velocity(h, hv, h_min: float):
     """Recover v from h*v as 2h*(hv)/(h^2 + max(h^2, h_min)).
 
     Equals exact division for h >= sqrt(h_min) and stays bounded for any h >= 0.
     """
     h = np.asarray(h, dtype=float)
-    return 2.0 * h * np.asarray(hv, dtype=float) / (h * h + np.maximum(h * h, policy.h_min))
+    return 2.0 * h * np.asarray(hv, dtype=float) / (h * h + np.maximum(h * h, h_min))
 
 
-def to_primitive(U, policy: WetDryPolicy) -> np.ndarray:
+def to_primitive(U, h_min: float) -> np.ndarray:
     """Map conservative rows (h, h*u_m, h*alpha_i) to primitive rows (h, u_m, alpha_i).
 
     Velocities are desingularized; dry cells (h <= h_min) get zero velocities.
@@ -67,12 +53,12 @@ def to_primitive(U, policy: WetDryPolicy) -> np.ndarray:
     # desingularized_velocity one component at a time, its row factors formed
     # once: the same operations in the same order, so the same bits, and 2-3x
     # faster than broadcasting the rows over the short component axis
-    two_h, den = _desingularization_terms(h, policy)
+    two_h, den = _desingularization_terms(h, h_min)
     for c in range(1, U.shape[-1]):
         v = P[..., c]
         np.multiply(two_h, U[..., c], out=v)
         np.divide(v, den, out=v)
-    P[is_dry(h, policy), 1:] = 0.0
+    P[is_dry(h, h_min), 1:] = 0.0
     return P
 
 

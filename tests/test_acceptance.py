@@ -36,19 +36,19 @@ from swmoment.scheme import (
     step_semi_implicit,
 )
 from swmoment.sim import SimConfig, build_grid, build_model, front_position, preset, run
-from swmoment.state import WetDryPolicy, is_dry, to_conservative, to_primitive
+from swmoment.state import is_dry, to_conservative, to_primitive
 from tests.conftest import random_wet_primitive
 
 EPS = 0.01
 THETA = math.pi / 4
-POLICY = WetDryPolicy(h_min=1e-6)
+H_MIN = 1e-6
 
 
 def _grid_with_state(J: int, N: int, P: np.ndarray) -> Grid:
-    grid = make_grid(0.0, 1.0, J, N, POLICY)
+    grid = make_grid(0.0, 1.0, J, N, H_MIN)
     U = grid.U.copy()
     U[1:-1] = to_conservative(P)
-    grid = Grid(x=grid.x, dx=grid.dx, U=U, dbdx=grid.dbdx, policy=POLICY)
+    grid = Grid(x=grid.x, dx=grid.dx, U=U, dbdx=grid.dbdx, h_min=H_MIN)
     return apply_transmissive_bc(grid)
 
 
@@ -176,7 +176,7 @@ def test_07_interface_matrix_consistency_path_quadrature_and_fluctuation_sum():
         P = random_wet_primitive(rng, 2, 2)
         # rows L, L, R: interface 0 is L|L, interface 1 is L|R
         U = to_conservative(P[[0, 0, 1]])
-        X, dry = to_primitive(U, POLICY), is_dry(U[:, 0], POLICY)
+        X, dry = to_primitive(U, H_MIN), is_dry(U[:, 0], H_MIN)
         A, _ = _path_matrices(X, dry, EPS, THETA, basis)
         np.testing.assert_allclose(A[0], system_matrix_batch(P[:1], EPS, THETA, basis)[0],
                                    rtol=0.0, atol=1e-14)
@@ -233,7 +233,7 @@ def test_11_stepper_splitting_difference_first_order_in_dt():
     model = Newtonian(nu=1e-4, bottom_law=SlipBottom(nu=1e-4, lam=1e-2))
 
     def solve(mode: str, dt: float) -> np.ndarray:
-        grid = make_grid(0.0, 1.0, 50, 1, POLICY)
+        grid = make_grid(0.0, 1.0, 50, 1, H_MIN)
         P = np.empty((50, 3))
         P[:, 0] = 0.05 + 0.01 * np.sin(2.0 * np.pi * grid.x)
         P[:, 1] = 0.1

@@ -10,6 +10,7 @@ from swmoment.basis import (
     MAX_ORDER,
     MomentBasis,
     build_basis,
+    eval_dphi,
     eval_phi,
     gauss_rule,
     reconstruct_velocity,
@@ -199,6 +200,45 @@ def test_eval_known_polynomials(basis2):
     assert eval_phi(basis2, 2, zeta) == pytest.approx(1.0 - 6.0 * zeta + 6.0 * zeta**2, abs=1e-14)
     # dphi holds the derivative coefficients: phi_2' = -6 + 12 zeta
     assert np.array_equal(basis2.dphi, [[-2.0, 0.0], [-6.0, 12.0]])
+
+
+def _dphi_at_xi_loop(basis, xi):
+    """The bulk quadrature's former evaluation of phi_j' at zeta = 1 - xi^2:
+    (N, k) for xi (k,), (M, N, k) for xi (M, k)."""
+    z = (1.0 - xi * xi)[..., None, :]
+    out = np.zeros(xi.shape[:-1] + (basis.N, xi.shape[-1]))
+    for c in basis.dphi[:, ::-1].T:
+        out = out * z + c[:, None]
+    return out
+
+
+def _phi_scalar_loop(basis, j, zeta):
+    """eval_phi's former per-value Horner loop."""
+    out = 0.0
+    for c in basis.phi[j - 1][::-1]:
+        out = out * zeta + c
+    return out
+
+
+@pytest.mark.parametrize("N", range(1, MAX_ORDER + 1))
+def test_eval_dphi_and_eval_phi_keep_the_bits_of_the_loops_they_replace(N):
+    # the mu(I) N=2 explicit state moves far past its reference gate on one
+    # ulp anywhere, so the shared Horner kernel must keep every bit
+    basis = build_basis(N)
+    rng = np.random.default_rng(100 + N)
+    xi, _ = gauss_rule(16)
+    per_row = rng.uniform(0.0, 1.0, (7, 16))
+    per_row[0] = [0.0, 1.0] * 8
+    for x in (xi, per_row):
+        got = eval_dphi(basis, 1.0 - x * x)
+        assert got.shape == x.shape[:-1] + (N, x.shape[-1])
+        assert got.tobytes() == _dphi_at_xi_loop(basis, x).tobytes()
+    zeta = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 30)])
+    for j in range(1, N + 1):
+        assert eval_phi(basis, j, zeta).tobytes() == _phi_scalar_loop(basis, j, zeta).tobytes()
+        for z in zeta[:4].tolist():
+            assert eval_phi(basis, j, z) == _phi_scalar_loop(basis, j, z)
+    assert eval_phi(basis, 1, zeta.reshape(4, 8)).shape == (4, 8)
 
 
 @given(st.floats(0.0, 1.0), st.integers(1, 6))

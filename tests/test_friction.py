@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swmoment.basis import build_basis, gauss_rule
+from swmoment.basis import MAX_ORDER, build_basis, gauss_rule
 from swmoment.friction import (
     ConstantCoulomb,
     CoulombBottom,
@@ -242,6 +242,36 @@ def test_savage_hutter_violation_counter(basis2):
     for h in (0.0, -1e-7):
         with pytest.raises(ValueError, match="non-positive height"):
             savage_hutter_violations(np.vstack([P, [h, -1.0, 0.5, 0.0]]), basis2)
+
+
+
+def _sh_violations_loop(P, basis):
+    """savage_hutter_violations with its former per-moment Horner loop."""
+    u_b = P[:, 1].copy()
+    for j in range(2, P.shape[1]):
+        u_b += P[:, j]
+    zeta = np.linspace(0.0, 1.0, 9)
+    shear = np.zeros((P.shape[0], len(zeta)))
+    for j in range(basis.N):
+        acc = np.zeros_like(zeta)
+        for c in basis.dphi[j, ::-1]:
+            acc = acc * zeta + c
+        shear += P[:, 2 + j][:, None] * acc[None, :]
+    return int(np.sum((u_b <= 0.0) | np.any(shear < 0.0, axis=1)))
+
+
+@pytest.mark.parametrize("N", range(1, MAX_ORDER + 1))
+def test_savage_hutter_violations_match_the_former_loop(N):
+    basis = build_basis(N)
+    rng = np.random.default_rng(60 + N)
+    P = random_wet_primitive(rng, N, 400, vel_scale=0.5)
+    P[::5, 2:] = 0.0  # zero shear everywhere
+    P[1::5, 2:] = -0.0
+    P[2::5, 2:] *= 1e-12
+    P[3::5, 1] = -np.sum(P[3::5, 2:], axis=1)  # u(0) at the edge of zero
+    for rows in (P, P[::5], P[3::5], P[:1]):
+        assert savage_hutter_violations(rows, basis) == _sh_violations_loop(rows, basis)
+    assert 0 < savage_hutter_violations(P, basis) < len(P)
 
 
 # --- granular mu(I) model ---------------------------------------------------

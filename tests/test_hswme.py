@@ -217,25 +217,16 @@ def test_wavespeeds_batch_positive(basis2):
 
 @pytest.mark.parametrize("N", [2, 6])
 def test_wavespeeds_batch_falls_back_when_eigvals_fails(N, basis2, basis6, monkeypatch):
-    # the batch solve fails, so each row is solved alone; row 3 fails alone
-    # too and gets the Gershgorin bound
+    # a failed eigen-solve gives the closed-form bound of the whole batch
     basis = {2: basis2, 6: basis6}[N]
     P = random_wet_primitive(np.random.default_rng(40 + N), N, 8)
-    A = system_matrix_batch(P, EPS, THETA, basis)
-    lam = np.max(np.abs(np.linalg.eigvals(A)), axis=-1)
-    eigvals = np.linalg.eigvals
 
     def failing(M):
-        if M.ndim == 3 or np.array_equal(M, A[3]):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return eigvals(M)
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigvals", failing)
     got = wavespeeds_batch(P, EPS, THETA, basis)
-    others = np.arange(8) != 3
-    assert np.array_equal(got[others], lam[others])
-    assert got[3] >= spectral_radius_batch(P[3:4], EPS, THETA)[0]
-    assert got[3] > lam[3]
+    assert got.tobytes() == spectral_radius_batch(P, EPS, THETA).tobytes()
 
 
 def test_spectral_radius_closed_form_matches_eigvals():

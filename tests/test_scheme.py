@@ -26,12 +26,12 @@ from swmoment.scheme import (
     viscosity_matrix,
 )
 from swmoment.sim import SimConfig, build_model, preset, run
-from swmoment.state import WetDryPolicy, is_dry, to_conservative, to_primitive
+from swmoment.state import is_dry, to_conservative, to_primitive
 from swmoment.topography import RunoffBed
 from tests.conftest import random_wet_primitive
 
 EPS, THETA = 0.01, math.pi / 4
-POLICY = WetDryPolicy(h_min=1e-6)
+H_MIN = 1e-6
 MODEL = Newtonian(nu=1.19e-3, bottom_law=SlipBottom(nu=1.19e-3, lam=1e-4))
 
 
@@ -45,7 +45,7 @@ def _rows(*U):
     the arguments _path_matrices and fluctuations take. Bare states have no
     step history, so here a row is dry iff h <= h_min."""
     U = np.stack(U)
-    return U, to_primitive(U, POLICY), is_dry(U[:, 0], POLICY)
+    return U, to_primitive(U, H_MIN), is_dry(U[:, 0], H_MIN)
 
 
 def _interface_matrix(U_L, U_R, basis):
@@ -105,7 +105,7 @@ def test_dry_interface_uses_wet_state_matrix(basis2):
     U_wet = to_conservative(np.array([0.05, 0.3, -0.1, 0.02]))
     U_dry = np.array([1e-7, 0.0, 0.0, 0.0])
     A = _interface_matrix(U_wet, U_dry, basis2)
-    P_wet = to_primitive(U_wet[None], POLICY)
+    P_wet = to_primitive(U_wet[None], H_MIN)
     np.testing.assert_allclose(A, system_matrix_batch(P_wet, EPS, THETA, basis2)[0],
                                rtol=0.0, atol=1e-14)
     # mirrored orientation
@@ -131,7 +131,7 @@ def test_viscosity_matrix_formula():
 
 
 def _uniform_grid(J, N, h, u_m=0.0, alpha=None, theta_bed=None):
-    grid = make_grid(0.0, 1.0, J, N, POLICY,
+    grid = make_grid(0.0, 1.0, J, N, H_MIN,
                      bed=None if theta_bed is None else RunoffBed(theta=theta_bed))
     P = np.zeros((J, N + 2))
     P[:, 0] = h
@@ -140,7 +140,7 @@ def _uniform_grid(J, N, h, u_m=0.0, alpha=None, theta_bed=None):
         P[:, 2:] = np.asarray(alpha)
     U = grid.U.copy()
     U[1:-1] = to_conservative(P)
-    grid = Grid(x=grid.x, dx=grid.dx, U=U, dbdx=grid.dbdx, policy=POLICY)
+    grid = Grid(x=grid.x, dx=grid.dx, U=U, dbdx=grid.dbdx, h_min=H_MIN)
     return apply_transmissive_bc(grid)
 
 
@@ -159,7 +159,7 @@ def test_uniform_rest_state_is_invariant(basis2):
 def test_thin_film_at_rest_is_wet(basis2):
     # a film at rest under the rewetting margin that no step has stored is
     # wet: zero velocities do not make a cell dry
-    grid = _uniform_grid(16, 2, h=10.0 * POLICY.h_min)
+    grid = _uniform_grid(16, 2, h=10.0 * H_MIN)
     for stepper, mode in ((step_explicit, "explicit"), (step_semi_implicit, "semi_implicit")):
         g, info = stepper(grid, 1e-3, MODEL, basis2, SimConfig(mode=mode, theta=0.0))
         assert info["dry_cells"] == 0
@@ -168,9 +168,9 @@ def test_thin_film_at_rest_is_wet(basis2):
 
 
 def test_stored_flags_default_ghosts_and_step(basis2):
-    grid = make_grid(0.0, 1.0, 12, 2, POLICY)
+    grid = make_grid(0.0, 1.0, 12, 2, H_MIN)
     assert grid.stored.shape == (14,) and not np.any(grid.stored)
-    bare = Grid(x=grid.x, dx=grid.dx, U=grid.U, dbdx=grid.dbdx, policy=POLICY)
+    bare = Grid(x=grid.x, dx=grid.dx, U=grid.U, dbdx=grid.dbdx, h_min=H_MIN)
     assert not np.any(bare.stored)
     flags = np.zeros(14, dtype=bool)
     flags[1] = True
@@ -186,18 +186,18 @@ def test_stored_flags_default_ghosts_and_step(basis2):
     for stepper, mode in ((step_explicit, "explicit"), (step_semi_implicit, "semi_implicit")):
         dt = cfl_dt(grid, SimConfig(mode=mode), basis2)
         U_check = _transport(grid, dt, EPS, THETA, basis2)
-        dry_after = _dry_after_transport(U_check, grid.dry()[1:-1], POLICY)
-        assert np.any(dry_after & (U_check[:, 0] > POLICY.h_min))
+        dry_after = _dry_after_transport(U_check, grid.dry()[1:-1], H_MIN)
+        assert np.any(dry_after & (U_check[:, 0] > H_MIN))
         g, info = stepper(grid, dt, MODEL, basis2, SimConfig(mode=mode))
         assert np.array_equal(g.stored[1:-1], dry_after)
         assert info["dry_cells"] == np.sum(dry_after)
         assert np.array_equal(g.stored[[0, -1]], g.stored[[1, -2]])
-        assert np.array_equal(g.dry()[1:-1], dry_after | (g.U[1:-1, 0] <= POLICY.h_min))
+        assert np.array_equal(g.dry()[1:-1], dry_after | (g.U[1:-1, 0] <= H_MIN))
 
 
 def test_grid_rejects_stored_of_wrong_shape_or_type():
-    grid = make_grid(0.0, 1.0, 20, 2, POLICY)
-    args = dict(x=grid.x, dx=grid.dx, U=grid.U, dbdx=grid.dbdx, policy=POLICY)
+    grid = make_grid(0.0, 1.0, 20, 2, H_MIN)
+    args = dict(x=grid.x, dx=grid.dx, U=grid.U, dbdx=grid.dbdx, h_min=H_MIN)
     with pytest.raises(ValueError, match=r"\(22,\).*\(5,\)"):
         Grid(**args, stored=np.zeros(5, dtype=bool))
     for bad in (np.zeros(22), np.zeros((22, 1), dtype=bool), [False] * 22):
@@ -208,15 +208,26 @@ def test_grid_rejects_stored_of_wrong_shape_or_type():
     assert Grid(**args, stored=np.zeros(22, dtype=bool)).stored.shape == (22,)
 
 
+@pytest.mark.parametrize("h_min", [0.0, -1.0, math.nan, math.inf])
+def test_grid_rejects_h_min_not_finite_and_positive(h_min):
+    grid = make_grid(0.0, 1.0, 20, 2, H_MIN)
+    with pytest.raises(ValueError, match="h_min must be finite and positive"):
+        make_grid(0.0, 1.0, 20, 2, h_min)
+    with pytest.raises(ValueError, match="h_min must be finite and positive"):
+        Grid(x=grid.x, dx=grid.dx, U=grid.U, dbdx=grid.dbdx, h_min=h_min)
+    with pytest.raises(ValueError, match="h_min must be finite and positive"):
+        replace(grid, h_min=h_min)
+
+
 def test_mass_is_conserved_by_transport_and_source(basis2):
     # block of material released on the slope; while the flow stays clear of
     # the boundaries the update telescopes and mass is exact
-    grid = make_grid(0.0, 1.0, 200, 2, POLICY)
+    grid = make_grid(0.0, 1.0, 200, 2, H_MIN)
     P = np.zeros((200, 4))
     P[:, 0] = np.where((grid.x >= 0.3) & (grid.x <= 0.5), 0.08, 1e-6)
     U = grid.U.copy()
     U[1:-1] = to_conservative(P)
-    grid = Grid(x=grid.x, dx=grid.dx, U=U, dbdx=grid.dbdx, policy=POLICY)
+    grid = Grid(x=grid.x, dx=grid.dx, U=U, dbdx=grid.dbdx, h_min=H_MIN)
     cfg = SimConfig(mode="explicit", cfl=0.05)
     mass0 = np.sum(grid.U[1:-1, 0])
     t = 0.0
@@ -226,26 +237,26 @@ def test_mass_is_conserved_by_transport_and_source(basis2):
         grid, _ = step_explicit(grid, dt, MODEL, basis2, cfg)
         t += dt
     # precondition: nothing reached the boundary cells
-    assert grid.U[1, 0] <= POLICY.h_min and grid.U[-2, 0] <= POLICY.h_min
+    assert grid.U[1, 0] <= H_MIN and grid.U[-2, 0] <= H_MIN
     drift = abs(np.sum(grid.U[1:-1, 0]) - mass0) / mass0
     assert drift < 1e-12
     assert np.all(grid.U[1:-1, 0] >= 0.0)
 
 
 def test_dry_cells_keep_zero_velocity(basis2):
-    grid = make_grid(0.0, 1.0, 40, 2, POLICY)
+    grid = make_grid(0.0, 1.0, 40, 2, H_MIN)
     P = np.zeros((40, 4))
     P[:, 0] = np.where((grid.x >= 0.3) & (grid.x <= 0.5), 0.08, 1e-6)
     U = grid.U.copy()
     U[1:-1] = to_conservative(P)
-    grid = Grid(x=grid.x, dx=grid.dx, U=U, dbdx=grid.dbdx, policy=POLICY)
+    grid = Grid(x=grid.x, dx=grid.dx, U=U, dbdx=grid.dbdx, h_min=H_MIN)
     cfg = SimConfig(mode="semi_implicit", cfl=0.05)
     grid = apply_transmissive_bc(grid)
     for _ in range(10):
         dt = cfl_dt(grid, cfg, basis2)
         grid, info = step_semi_implicit(grid, dt, MODEL, basis2, cfg)
     U_in = grid.U[1:-1]
-    dry = U_in[:, 0] <= POLICY.h_min
+    dry = U_in[:, 0] <= H_MIN
     assert np.any(dry)
     assert np.all(U_in[dry, 1:] == 0.0)
 
@@ -272,9 +283,9 @@ def test_cfl_dt_wet_and_dry(basis1):
     dry = _uniform_grid(10, 1, h=1e-7)
     assert cfl_dt(dry, cfg, basis1) == math.inf
     # a film above h_min is wet unless a step stored it
-    film = _uniform_grid(10, 1, h=10.0 * POLICY.h_min)
+    film = _uniform_grid(10, 1, h=10.0 * H_MIN)
     assert cfl_dt(film, cfg, basis1) == pytest.approx(
-        0.05 * grid.dx / math.sqrt(EPS * math.cos(THETA) * 10.0 * POLICY.h_min), rel=1e-12)
+        0.05 * grid.dx / math.sqrt(EPS * math.cos(THETA) * 10.0 * H_MIN), rel=1e-12)
     stored = replace(film, stored=np.ones(12, dtype=bool))
     assert cfl_dt(stored, cfg, basis1) == math.inf
 
@@ -291,7 +302,7 @@ def test_nonfinite_state_aborts_with_cell_index(basis2):
     for j, col in ((5, 1), (1, 0), (10, 3)):
         U = grid.U.copy()
         U[j, col] = np.nan
-        bad = Grid(x=grid.x, dx=grid.dx, U=U, dbdx=grid.dbdx, policy=POLICY)
+        bad = Grid(x=grid.x, dx=grid.dx, U=U, dbdx=grid.dbdx, h_min=H_MIN)
         for stepper, mode in ((step_explicit, "explicit"), (step_semi_implicit, "semi_implicit")):
             with pytest.raises(RuntimeError, match=f"^non-finite state after input in cell {j}$"):
                 stepper(bad, 1e-3, MODEL, basis2, SimConfig(mode=mode))
@@ -299,10 +310,10 @@ def test_nonfinite_state_aborts_with_cell_index(basis2):
 
 def test_transmissive_bc_idempotent(basis2):
     rng = np.random.default_rng(8)
-    grid = make_grid(0.0, 1.0, 12, 2, POLICY)
+    grid = make_grid(0.0, 1.0, 12, 2, H_MIN)
     U = grid.U.copy()
     U[1:-1] = to_conservative(random_wet_primitive(rng, 2, 12))
-    grid = Grid(x=grid.x, dx=grid.dx, U=U, dbdx=grid.dbdx, policy=POLICY)
+    grid = Grid(x=grid.x, dx=grid.dx, U=U, dbdx=grid.dbdx, h_min=H_MIN)
     once = apply_transmissive_bc(grid)
     twice = apply_transmissive_bc(once)
     assert np.array_equal(once.U, twice.U)
@@ -312,14 +323,14 @@ def test_transmissive_bc_idempotent(basis2):
 
 def test_make_grid_validation():
     with pytest.raises(ValueError):
-        make_grid(0.0, 1.0, 2, 1, POLICY)
+        make_grid(0.0, 1.0, 2, 1, H_MIN)
     with pytest.raises(ValueError):
-        make_grid(1.0, 0.0, 10, 1, POLICY)
+        make_grid(1.0, 0.0, 10, 1, H_MIN)
 
 
 def test_make_grid_bed_slopes():
     bed = RunoffBed(theta=0.4)
-    grid = make_grid(0.0, 1.0, 20, 1, POLICY, bed=bed)
+    grid = make_grid(0.0, 1.0, 20, 1, H_MIN, bed=bed)
     faces_l = grid.x - 0.5 * grid.dx
     faces_r = grid.x + 0.5 * grid.dx
     np.testing.assert_allclose(grid.dbdx, 0.5 * (bed.dbdx(faces_l) + bed.dbdx(faces_r)),
@@ -340,16 +351,16 @@ def _with_interior(grid, U_in):
     U = grid.U.copy()
     U[1:-1] = U_in
     return apply_transmissive_bc(Grid(x=grid.x, dx=grid.dx, U=U, dbdx=grid.dbdx,
-                                      policy=grid.policy))
+                                      h_min=grid.h_min))
 
 
 def _cfl_dt_all_rows(grid, config, basis):
     """cfl_dt as an eigen-solve over every wet row, with no screen."""
     U = grid.interior()
-    wet = U[:, 0] > grid.policy.h_min
+    wet = U[:, 0] > grid.h_min
     if not np.any(wet):
         return math.inf
-    lam = np.max(wavespeeds_batch(to_primitive(U[wet], grid.policy), config.eps, config.theta,
+    lam = np.max(wavespeeds_batch(to_primitive(U[wet], grid.h_min), config.eps, config.theta,
                                   basis))
     return config.cfl * grid.dx / float(lam)
 
@@ -359,7 +370,7 @@ def test_cfl_dt_screen_equals_brute_force_max(N, basis1, basis2, basis6):
     basis = {1: basis1, 2: basis2, 6: basis6}[N]
     cfg = SimConfig(mode="explicit", cfl=0.05)
     rng = np.random.default_rng(30 + N)
-    grid = make_grid(0.0, 1.0, 60, N, POLICY)
+    grid = make_grid(0.0, 1.0, 60, N, H_MIN)
     grids = []
     for _ in range(10):
         # depths from below h_min upward, so some rows are dry
@@ -383,7 +394,7 @@ def test_cfl_dt_screen_equals_brute_force_max(N, basis1, basis2, basis6):
 def _transport_full_width(grid, dt, eps, theta, basis):
     """The transport predictor with the fluctuations of every interface."""
     U = grid.U
-    D_minus, D_plus = fluctuations(U, to_primitive(U, grid.policy), grid.dry(), grid.dx, dt,
+    D_minus, D_plus = fluctuations(U, to_primitive(U, grid.h_min), grid.dry(), grid.dx, dt,
                                    eps, theta, basis)
     return U[1:-1] - (dt / grid.dx) * (D_plus[:-1] + D_minus[1:])
 
@@ -394,15 +405,15 @@ def _patch_grid(N, patches, stored=(), J=40, seed=0, h_range=(1e-2, 0.1)):
     under the rewetting margin."""
     rng = np.random.default_rng(seed)
     P = np.zeros((J, N + 2))
-    P[:, 0] = rng.uniform(0.0, POLICY.h_min, J)
+    P[:, 0] = rng.uniform(0.0, H_MIN, J)
     for lo, hi in patches:
         P[lo:hi] = random_wet_primitive(rng, N, hi - lo, h_range=h_range, vel_scale=0.5)
     flags = np.zeros(J + 2, dtype=bool)
     for j in stored:
         P[j] = 0.0
-        P[j, 0] = 0.5 * WETTING_HYSTERESIS * POLICY.h_min
+        P[j, 0] = 0.5 * WETTING_HYSTERESIS * H_MIN
         flags[j + 1] = True
-    grid = _with_interior(make_grid(0.0, 1.0, J, N, POLICY), to_conservative(P))
+    grid = _with_interior(make_grid(0.0, 1.0, J, N, H_MIN), to_conservative(P))
     return apply_transmissive_bc(replace(grid, stored=flags))
 
 
@@ -415,10 +426,10 @@ WINDOW_CASES = {
 }
 
 
-def _path_matrices_per_node(U, dry, policy, eps, theta, basis):
+def _path_matrices_per_node(U, dry, h_min, eps, theta, basis):
     """Path matrices with one system_matrix_batch call per Gauss node."""
     wet = ~dry
-    X = to_primitive(U, policy)
+    X = to_primitive(U, h_min)
     left = np.where(wet[:-1, None], X[:-1], X[1:])
     right = np.where(wet[1:, None], X[1:], X[:-1])
     A = np.zeros((U.shape[0] - 1, U.shape[1], U.shape[1]))
@@ -433,8 +444,8 @@ def _path_matrices_per_node(U, dry, policy, eps, theta, basis):
 def test_path_matrices_stacked_call_equals_per_node_calls(case, basis2):
     grid = _patch_grid(2, **WINDOW_CASES[case])
     dry = grid.dry()
-    A, inert = _path_matrices(to_primitive(grid.U, POLICY), dry, EPS, THETA, basis2)
-    assert np.array_equal(A, _path_matrices_per_node(grid.U, dry, POLICY, EPS, THETA, basis2))
+    A, inert = _path_matrices(to_primitive(grid.U, H_MIN), dry, EPS, THETA, basis2)
+    assert np.array_equal(A, _path_matrices_per_node(grid.U, dry, H_MIN, EPS, THETA, basis2))
     assert np.array_equal(inert, dry[:-1] & dry[1:])
 
 
@@ -514,9 +525,9 @@ def test_run_converts_each_grid_to_primitive_once(monkeypatch):
     rows, newton = [], []
     residual = scheme._residual_and_jacobian
 
-    def counted(U, policy):
+    def counted(U, h_min):
         rows.append(len(U))
-        return to_primitive(U, policy)
+        return to_primitive(U, h_min)
 
     def counted_residual(*args, **kwargs):
         newton.append(len(rows))
@@ -542,7 +553,7 @@ def test_run_converts_each_grid_to_primitive_once(monkeypatch):
 def test_grid_primitive_is_cached_and_grids_are_read_only(case, basis2):
     grid = _patch_grid(2, **WINDOW_CASES[case])
     assert grid.primitive is grid.primitive
-    assert grid.primitive.tobytes() == to_primitive(grid.U, POLICY).tobytes()
+    assert grid.primitive.tobytes() == to_primitive(grid.U, H_MIN).tobytes()
     for array in (grid.U, grid.stored, grid.primitive, grid.dry()):
         with pytest.raises(ValueError, match="read-only"):
             array[1] = 1
@@ -550,7 +561,7 @@ def test_grid_primitive_is_cached_and_grids_are_read_only(case, basis2):
     for stepper, mode in ((step_explicit, "explicit"), (step_semi_implicit, "semi_implicit")):
         cfg = SimConfig(mode=mode)
         g, _ = stepper(grid, _step_dt(grid, cfg, basis2), MODEL, basis2, cfg)
-        assert g.primitive.tobytes() == to_primitive(g.U, POLICY).tobytes()
+        assert g.primitive.tobytes() == to_primitive(g.U, H_MIN).tobytes()
         after = (grid.U, grid.stored, grid.primitive, grid.dry())
         assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
 
@@ -573,7 +584,7 @@ def _semi_implicit_reference(grid, dt, model, eps, theta, basis, config):
     columns are probed with unit steps, which are exact for its affine
     residual; the depth column keeps the FD_EPS step."""
     U_check = _transport_full_width(grid, dt, eps, theta, basis)
-    dry_after = _dry_after_transport(U_check, grid.dry()[1:-1], grid.policy)
+    dry_after = _dry_after_transport(U_check, grid.dry()[1:-1], grid.h_min)
     idx = np.flatnonzero(~dry_after)
     U_new = U_check.copy()
     iters_total = iters_max = 0
@@ -581,7 +592,7 @@ def _semi_implicit_reference(grid, dt, model, eps, theta, basis, config):
     dbdx = grid.dbdx[idx]
 
     def residual(V, sub):
-        S = source_batch(to_primitive(V, grid.policy), model, eps, theta, dbdx[sub], basis)
+        S = source_batch(to_primitive(V, grid.h_min), model, eps, theta, dbdx[sub], basis)
         return V - target[sub] - dt * S
 
     V = target.copy()
@@ -653,7 +664,7 @@ def test_semi_implicit_newton_matches_full_jacobian_reference(name, basis1, basi
         assert info["newton_iters_total"] == total_ref
         assert info["newton_iters_max"] == max_ref >= 1
         np.testing.assert_allclose(got.U[1:-1], U_ref, rtol=1e-10, atol=0.0)
-        wet = ~_dry_after_transport(U_check, grid.dry()[1:-1], POLICY)
+        wet = ~_dry_after_transport(U_check, grid.dry()[1:-1], H_MIN)
         assert np.any(~wet)
         assert np.array_equal(got.U[1:-1][wet, 0], U_check[wet, 0])
 
@@ -699,8 +710,8 @@ def test_exact_jacobian_on_films_thinner_than_sqrt_h_min(basis2):
         got, info = step_semi_implicit(grid, dt, MODEL, basis2, cfg)
         assert (info["newton_iters_total"], info["newton_iters_max"]) == (total_ref, max_ref)
         np.testing.assert_allclose(got.U[1:-1], U_ref, rtol=1e-10, atol=0.0)
-        wet = ~_dry_after_transport(U_check, grid.dry()[1:-1], POLICY)
-        thin += int(np.sum(wet & (U_check[:, 0] ** 2 < POLICY.h_min)))
+        wet = ~_dry_after_transport(U_check, grid.dry()[1:-1], H_MIN)
+        thin += int(np.sum(wet & (U_check[:, 0] ** 2 < H_MIN)))
     assert thin > 10
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from swmoment import cli, sim
-from swmoment.basis import reconstruct_velocity
+from swmoment.basis import bottom_velocity, build_basis, reconstruct_velocity
 from swmoment.friction import (
     ConstantCoulomb,
     CoulombBottom,
@@ -33,7 +34,7 @@ from swmoment.sim import (
     write_summary,
 )
 from swmoment.scheme import apply_transmissive_bc, cfl_dt, make_grid
-from swmoment.state import WetDryPolicy, to_conservative
+from swmoment.state import to_conservative
 
 PI4 = math.pi / 4
 
@@ -152,6 +153,62 @@ def test_config_validation():
     assert preset(4, quad_points=2, profile_resolution=2).quad_points == 2
 
 
+# initial conditions build_grid cannot build, with the key their error names;
+# before, these failed in the run ("'x_lo'", "index 4 is out of bounds") or
+# ran: x_lo > x_hi on an empty domain to exit 0, and a misspelt key as a
+# SimConfig without it
+BAD_IC = {
+    "unknown_kind": ({"kind": "wedge", "h": 0.05}, "ic.kind"),
+    "unknown_key": ({"kind": "uniform", "h": 0.05, "um": 0.3}, "ic.um"),
+    "block_without_x_lo_x_hi": ({"kind": "block", "h": 0.05}, "ic.x_lo, ic.x_hi"),
+    "block_without_h": ({"kind": "block", "x_lo": 0.3, "x_hi": 0.5}, "ic.h"),
+    "uniform_without_h": ({"kind": "uniform", "u_m": 0.1}, "ic.h"),
+    "x_lo_above_x_hi": ({"kind": "block", "h": 0.05, "x_lo": 0.6, "x_hi": 0.5}, "ic.x_lo"),
+    "x_lo_at_x_hi": ({"kind": "block", "h": 0.05, "x_lo": 0.5, "x_hi": 0.5}, "ic.x_lo"),
+    "negative_h": ({"kind": "block", "h": -0.05, "x_lo": 0.3, "x_hi": 0.5}, "ic.h"),
+    "nan_h": ({"kind": "uniform", "h": math.nan}, "ic.h"),
+    "inf_h": ({"kind": "block", "h": math.inf, "x_lo": 0.3, "x_hi": 0.5}, "ic.h"),
+    "alpha_longer_than_N": ({"kind": "uniform", "h": 0.05, "alpha": (0.1, 0.2, 0.3)}, "ic.alpha"),
+    "nan_u_m": ({"kind": "uniform", "h": 0.05, "u_m": math.nan}, "ic.u_m"),
+    "inf_alpha": ({"kind": "uniform", "h": 0.05, "alpha": (0.1, -math.inf)}, "ic.alpha"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_IC)
+def test_config_rejects_bad_initial_condition(case, tmp_path):
+    ic, key = BAD_IC[case]
+    with pytest.raises(ValueError, match=re.escape(key)):
+        preset(1, ic=ic)
+    lines = [f"{k} = {' '.join(map(str, v)) if isinstance(v, tuple) else v}"
+             for k, v in ic.items()]
+    path = tmp_path / "ic.ini"
+    path.write_text("[model]\nn = 2\n[ic]\n" + "\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(key)):
+        config_from_mapping(read_config_file(str(path)))
+
+
+def test_config_rejects_ic_without_kind_and_cli_names_the_key(capsys):
+    with pytest.raises(ValueError, match="ic.kind"):
+        preset(1, ic={"h": 0.05, "x_lo": 0.3, "x_hi": 0.5})
+    assert cli.main(["--preset", "1", "--override", "ic.x_lo=0.6"]) == 1
+    assert "ic.x_lo must be below ic.x_hi" in capsys.readouterr().err
+    # the edge values that stay valid: a block of zero height, N moments
+    assert preset(1, ic={"kind": "block", "h": 0.0, "x_lo": 0.3, "x_hi": 0.5}).ic["h"] == 0.0
+    assert len(preset(1, ic={"kind": "uniform", "h": 0.05, "alpha": (0.1, 0.2)}).ic["alpha"]) == 2
+
+
+@pytest.mark.parametrize("x_lo, x_hi", [(0.31, 0.34), (1.5, 2.0), (-1.0, -0.5)])
+def test_build_grid_rejects_block_that_covers_no_cell_centre(x_lo, x_hi, tmp_path):
+    # cell centres of J=10 on [0, 1] are 0.05, 0.15, ..., 0.95
+    cfg = preset(1, J=10, ic={"kind": "block", "h": 0.05, "x_lo": x_lo, "x_hi": x_hi})
+    with pytest.raises(ValueError, match="covers no cell centre"):
+        sim.build_grid(cfg)
+    path = tmp_path / "ic.ini"
+    path.write_text(f"[grid]\nj = 10\n[ic]\nh = 0.05\nx_lo = {x_lo}\nx_hi = {x_hi}\n")
+    with pytest.raises(ValueError, match=re.escape("(ic.x_lo, ic.x_hi)")):
+        sim.build_grid(config_from_mapping(read_config_file(str(path))))
+
+
 def test_run_zero_snapshot_echoes_initial_state():
     cfg = preset(1, J=40, snapshot_times=(0.0,))
     res = run(cfg)
@@ -220,11 +277,11 @@ def test_sh_violations_skip_stored_cells(basis2):
     # sliding-law assumptions (u(0) = 0.4 > 0, shear > 0) ends next to one
     # stored cell, at rest with depth above h_min
     assert isinstance(build_model(preset(3)).bottom_law, CoulombBottom)
-    policy = WetDryPolicy(h_min=1e-6)
-    grid = make_grid(0.0, 1.0, 20, 2, policy)
+    h_min = 1e-6
+    grid = make_grid(0.0, 1.0, 20, 2, h_min)
     P = np.zeros((20, 4))
     P[5:15] = [0.05, 0.5, -0.1, 0.0]
-    P[15, 0] = 10.0 * policy.h_min
+    P[15, 0] = 10.0 * h_min
     U = grid.U.copy()
     U[1:-1] = to_conservative(P)
     stored = np.zeros(22, dtype=bool)
@@ -390,13 +447,21 @@ def test_profile_constant_when_moments_vanish(basis2):
     np.testing.assert_allclose(rows[:, 2], 0.3, rtol=0.0, atol=1e-15)
 
 
-def test_profile_bottom_row_matches_bottom_velocity(basis2):
-    snap = _short_run()
-    res = 5
-    rows = emit_profile(snap, basis2, resolution=res)
+def test_profile_bottom_row_matches_bottom_velocity():
+    # the snapshot's u_bottom, the profile at zeta = 0 and the bottom laws'
+    # u_b are one sum to the bit; a pairwise np.sum of the moments differed
+    # from it in 76 of these 200 cells
+    snap = run(preset(1, N=6, J=200, snapshot_times=(0.2,))).snapshots[-1]
+    basis = build_basis(6)
+    rows = emit_profile(snap, basis, resolution=5)
     bottom = rows[rows[:, 1] == 0.0]
     assert len(bottom) == len(snap.x)
-    np.testing.assert_allclose(bottom[:, 2], snap.u_bottom, rtol=0.0, atol=1e-14)
+    assert bottom[:, 2].tobytes() == snap.u_bottom.tobytes()
+    P = np.column_stack([snap.h, snap.u_m, snap.alpha])
+    assert bottom_velocity(P).tobytes() == snap.u_bottom.tobytes()
+    wet = snap.h > 1e-6
+    slip = SlipBottom(nu=1.0, lam=1.0).stress(P[wet], basis, None)
+    assert slip.tobytes() == snap.u_bottom[wet].tobytes()
 
 
 def test_profile_shear_sign_follows_first_moment(basis1):
