@@ -14,7 +14,6 @@ from .friction import (
     MuIBottom,
     Newtonian,
     SlipBottom,
-    derive_dimensionless,
     savage_hutter_violations,
 )
 from .hswme import (

@@ -31,7 +31,6 @@ __all__ = [
     "muI_bulk_analytic_N1",
     "muI_bulk_analytic_N2",
     "muI_bulk_quadrature",
-    "derive_dimensionless",
     "savage_hutter_violations",
 ]
 
@@ -190,23 +189,24 @@ def _bracket(C1: np.ndarray) -> np.ndarray:
 
 
 def muI_bulk_analytic_N1(h, alpha_1, params: "MuI"):
-    """Closed-form bulk term for a linear velocity profile (alpha_1 <= 0).
+    """Closed-form bulk term for a linear velocity profile.
 
-    Returns the large-C1 limit -h*mu_s when |alpha_1| < 1e-12 * c_I * h^(3/2),
-    and 0 at exactly alpha_1 = 0 (zero shear, sign convention sgn(0) = 0).
+    The closed form is that of an increasing profile (alpha_1 < 0); a
+    decreasing one (alpha_1 > 0) gets its negative, by the exact oddness of
+    the bulk integral in alpha_1. Returns the large-C1 limit -h*mu_s (negated
+    for alpha_1 > 0) when |alpha_1| < 1e-12 * c_I * h^(3/2), and 0 at exactly
+    alpha_1 = 0 (zero shear, sign convention sgn(0) = 0).
     """
     h = np.asarray(h, dtype=float)
     alpha_1 = np.asarray(alpha_1, dtype=float)
     _require_wet(h)
-    if np.any(alpha_1 > 0.0):
-        raise ValueError("closed form requires alpha_1 <= 0 (increasing velocity profile)")
     a = np.abs(alpha_1)
     scale = params.c_I * h**1.5
     tiny = a < 1e-12 * scale
     C1 = scale / np.where(tiny, 1.0, 2.0 * a)
     T1 = -h * params.mu_s - 4.0 * h * (params.mu_2 - params.mu_s) * _bracket(C1)
     T1 = np.where(tiny, -h * params.mu_s, T1)
-    return np.where(alpha_1 == 0.0, 0.0, T1)[()]
+    return np.where(alpha_1 == 0.0, 0.0, np.where(alpha_1 > 0.0, -T1, T1))[()]
 
 
 def _stable_G(A: float, B: float, C: float) -> float:
@@ -284,9 +284,10 @@ def muI_bulk_analytic_N2(h: float, alpha_1: float, alpha_2: float, params: "MuI"
     """
     if h <= 0.0:
         raise ValueError("height must be positive")
-    alpha = np.array([alpha_1, alpha_2], dtype=float)
+    hs = np.array([h], dtype=float)
+    alpha = np.array([[alpha_1, alpha_2]], dtype=float)
     if alpha_2 == 0.0:
-        return tuple(muI_bulk_quadrature(h, alpha, params, basis))
+        return tuple(muI_bulk_quadrature(hs, alpha, params, basis)[0])
     zeta_star = 0.5 * (1.0 + alpha_1 / (3.0 * alpha_2))
     case_one = (alpha_2 > 0.0 and zeta_star <= 0.0) or (alpha_2 < 0.0 and zeta_star >= 1.0)
     if case_one:
@@ -295,11 +296,11 @@ def muI_bulk_analytic_N2(h: float, alpha_1: float, alpha_2: float, params: "MuI"
         C = params.c_I * h**1.5
         if _closed_form_conditioned(A, B, C):
             return _case_one_closed_form(h, A, B, C, params)
-        return tuple(muI_bulk_quadrature(h, alpha, params, basis, points=32))
+        return tuple(muI_bulk_quadrature(hs, alpha, params, basis, points=32)[0])
     if 0.0 < zeta_star < 1.0:
-        T = _split_quadrature(np.array([h]), alpha[None, :], np.array([zeta_star]), params, basis)
+        T = _split_quadrature(hs, alpha, np.array([zeta_star]), params, basis)
         return (T[0, 0], T[0, 1])
-    return tuple(muI_bulk_quadrature(h, alpha, params, basis))
+    return tuple(muI_bulk_quadrature(hs, alpha, params, basis)[0])
 
 
 def _split_quadrature(h: np.ndarray, alpha: np.ndarray, zeta_star: np.ndarray, params: "MuI",
@@ -370,8 +371,10 @@ def _bulk_quadrature_core(h: np.ndarray, alpha: np.ndarray, params: "MuI",
     return h[:, None] * (integrand[:, None, :] @ np.swapaxes(dphi, -1, -2))[:, 0, :]
 
 
-def muI_bulk_quadrature(h, alpha, params: "MuI", basis: MomentBasis, points: int | None = None):
-    """Gauss-Legendre approximation of the granular bulk integral.
+def muI_bulk_quadrature(h: np.ndarray, alpha: np.ndarray, params: "MuI", basis: MomentBasis,
+                        points: int | None = None) -> np.ndarray:
+    """Gauss-Legendre approximation of the granular bulk integral of rows
+    h (M,), alpha (M, N): T of shape (M, N).
 
     The integral is evaluated in the substituted variable xi = sqrt(1 - zeta),
     which removes the square-root endpoint singularity of the integrand's
@@ -382,14 +385,9 @@ def muI_bulk_quadrature(h, alpha, params: "MuI", basis: MomentBasis, points: int
         points = params.quad_points
     if points < 2:
         raise ValueError("bulk quadrature needs at least 2 points")
-    h_arr = np.atleast_1d(np.asarray(h, dtype=float))
-    alpha_arr = np.asarray(alpha, dtype=float)
-    single = alpha_arr.ndim == 1
-    alpha_arr = np.atleast_2d(alpha_arr)
-    _require_wet(h_arr)
+    _require_wet(h)
     xi, w = gauss_rule(points)
-    T = _bulk_quadrature_core(h_arr, alpha_arr, params, basis, xi, w)
-    return T[0] if single else T
+    return _bulk_quadrature_core(h, alpha, params, basis, xi, w)
 
 
 @dataclass(frozen=True)
@@ -420,19 +418,10 @@ class MuI(_Friction):
         h = P[:, 0]
         alpha = P[:, 2:]
         if basis.N == 1:
-            a1 = alpha[:, 0]
-            T = np.empty((P.shape[0], 1))
-            increasing = a1 <= 0.0
-            if np.any(increasing):
-                T[increasing, 0] = muI_bulk_analytic_N1(h[increasing], a1[increasing], self)
-            if np.any(~increasing):
-                # decreasing profiles via the exact oddness of the bulk integral
-                T[~increasing, 0] = -muI_bulk_analytic_N1(h[~increasing], -a1[~increasing], self)
-        elif basis.N == 2:
-            T = _muI_bulk_N2(h, alpha, self, basis)
-        else:
-            T = muI_bulk_quadrature(h, alpha, self, basis)
-        return T
+            return muI_bulk_analytic_N1(h, alpha[:, 0], self)[:, None]
+        if basis.N == 2:
+            return _muI_bulk_N2(h, alpha, self, basis)
+        return muI_bulk_quadrature(h, alpha, self, basis)
 
     def stresses(self, P: np.ndarray, basis: MomentBasis):
         """(tau_b, T) of the composed laws, with static mobilization at zero shear.
@@ -468,34 +457,3 @@ def savage_hutter_violations(P: np.ndarray, basis: MomentBasis) -> int:
         shear += P[:, 2 + j][:, None] * dphi[j]
     bad_profile = np.any(shear < 0.0, axis=1)
     return int(np.sum(bad_bottom | bad_profile))
-
-
-def derive_dimensionless(*, H: float, L: float, g: float, theta: float,
-                         rho: float | None = None, rho_s: float | None = None,
-                         eta: float | None = None,
-                         Lambda: float | None = None, n: float | None = None,
-                         I0: float | None = None, d_s: float | None = None) -> dict:
-    """Derive dimensionless friction parameters from physical (SI) inputs.
-
-    Returns U, eps, and whichever of nu, lam, n2, c_I the inputs permit; nu
-    is the viscosity eta scaled, for the Newtonian bulk or the slip bottom.
-    The velocity scale is U = sqrt(g L); stresses are scaled by rho g cos(theta) H.
-    """
-    if H <= 0.0 or L <= 0.0 or g <= 0.0:
-        raise ValueError("H, L, g must be positive")
-    if not 0.0 <= theta < math.pi / 2:
-        raise ValueError("inclination angle must lie in [0, pi/2)")
-    U = math.sqrt(g * L)
-    out = {"U": U, "eps": H / L}
-    cos_t = math.cos(theta)
-    if eta is not None:
-        out["nu"] = eta * U / (rho * g * cos_t * H * H)
-    if Lambda is not None:
-        out["lam"] = Lambda / H
-    if n is not None:
-        out["n2"] = n * n * U * U / (H ** (4.0 / 3.0) * cos_t)
-    if I0 is not None:
-        if d_s is None or d_s <= 0.0 or rho_s is None:
-            raise ValueError("the inertial scaling needs d_s > 0 and rho_s")
-        out["c_I"] = (I0 * H / d_s) * math.sqrt((rho / rho_s) * (H / L) * cos_t)
-    return out

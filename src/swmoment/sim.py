@@ -16,7 +16,6 @@ from .friction import (
     MuIBottom,
     Newtonian,
     SlipBottom,
-    derive_dimensionless,
     savage_hutter_violations,
 )
 from .scheme import apply_transmissive_bc, cfl_dt, make_grid, step_explicit, step_semi_implicit
@@ -68,12 +67,23 @@ def _check_ic(ic: dict, N: int) -> None:
                          f"and {ic.get('alpha')}")
 
 
+def _check_friction_params(friction: str, params: dict) -> None:
+    """Reject an unknown friction model, and a parameter that it does not read."""
+    if friction not in _FRICTION_KEYS:
+        raise ValueError(f"unknown friction model {friction!r}")
+    reads = [_PARAM_OF.get(key, key) for key in _FRICTION_KEYS[friction]]
+    unknown = ", ".join(repr(key) for key in params if key not in reads)
+    if unknown:
+        raise ValueError(f"friction model {friction!r} does not read {unknown}; "
+                         f"it reads {', '.join(reads)}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Complete description of one simulation run.
 
     Physical inputs (H, L, g, rho, friction parameters) are in SI units;
-    dimensionless groups are derived internally. Angles are in radians.
+    build_model derives the dimensionless groups. Angles are in radians.
     mode is "explicit" or "semi_implicit".
     """
 
@@ -109,6 +119,12 @@ class SimConfig:
             raise ValueError("N must be at least 1")
         if not 0.0 <= self.theta < math.pi / 2:
             raise ValueError("theta must lie in [0, pi/2)")
+        for name in ("H", "L", "g", "rho"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        if self.rho_s is not None and not 0.0 < self.rho_s < math.inf:
+            raise ValueError(f"rho_s must be None or finite and positive, got {self.rho_s}")
+        _check_friction_params(self.friction, self.friction_params)
         if self.mode not in ("explicit", "semi_implicit"):
             raise ValueError(f"unknown stepper mode {self.mode!r}")
         if not 0.0 < self.cfl <= 1.0:
@@ -243,29 +259,17 @@ _BOTTOM_OF = {"newtonian_slip": "slip", "newtonian_manning": "manning",
               "savage_hutter": "coulomb", "coulomb": "coulomb"}
 
 
-def _bottom_law(name: str, p: dict, d: dict):
-    """Bottom law `name` from the friction parameters p and the derived
-    dimensionless groups d."""
-    if name == "slip":
-        return SlipBottom(nu=d["nu"], lam=d["lam"])
-    if name == "manning":
-        return ManningBottom(n2=d["n2"])
-    if name == "coulomb":
-        return CoulombBottom(delta=p["delta"])
-    if name == "mu_i":
-        return MuIBottom()
-    raise ValueError(f"unknown granular bottom law {name!r}")
-
-
 def build_model(config: SimConfig):
-    """Instantiate the friction model with dimensionless parameters derived
-    from the configured SI inputs: the config name's bulk law (newtonian_* is
-    Newtonian, savage_hutter with mu = tan(phi_int) and coulomb are
-    ConstantCoulomb, mu_i is MuI) over its bottom law."""
+    """Instantiate the friction model of a config: the config name's bulk law
+    (newtonian_* is Newtonian, savage_hutter with mu = tan(phi_int) and
+    coulomb are ConstantCoulomb, mu_i is MuI) over its bottom law.
+
+    This is the one place where the SI inputs become the dimensionless groups
+    the laws take (the README's table of units and scales), with the velocity
+    scale U = sqrt(g L) and stresses scaled by rho g cos(theta) H.
+    """
     kind = config.friction
     p = config.friction_params
-    if kind not in _FRICTION_KEYS:
-        raise ValueError(f"unknown friction model {kind!r}")
     bottom_name = _BOTTOM_OF.get(kind) or p.get("bottom", "slip")
     needed = _FRICTION_KEYS[kind]
     if kind == "mu_i":
@@ -275,15 +279,30 @@ def build_model(config: SimConfig):
         raise ValueError(f"friction model {kind!r} needs {', '.join(missing)}")
     if kind == "savage_hutter" and not 0.0 <= p["delta"] <= p["phi_int"] < math.pi / 2:
         raise ValueError("require 0 <= delta <= phi_int < pi/2")
-    # the granular slip viscosity eta0 scales like the Newtonian eta
-    d = derive_dimensionless(H=config.H, L=config.L, g=config.g, theta=config.theta,
-                             rho=config.rho, rho_s=config.rho_s, eta=p.get("eta", p.get("eta0")),
-                             Lambda=p.get("Lambda"), n=p.get("n"), I0=p.get("I0"), d_s=p.get("d_s"))
-    bottom = _bottom_law(bottom_name, p, d)
+    H, L, g, rho = config.H, config.L, config.g, config.rho
+    cos_t = math.cos(config.theta)
+    U = math.sqrt(g * L)
+    # the Newtonian bulk and the slip bottom share one viscosity, which mu_i
+    # reads from eta0
+    eta = p.get("eta0" if kind == "mu_i" else "eta")
+    nu = None if eta is None else eta * U / (rho * g * cos_t * H * H)
+    if bottom_name == "slip":
+        bottom = SlipBottom(nu=nu, lam=p["Lambda"] / H)
+    elif bottom_name == "manning":
+        bottom = ManningBottom(n2=p["n"] * p["n"] * U * U / (H ** (4.0 / 3.0) * cos_t))
+    elif bottom_name == "coulomb":
+        bottom = CoulombBottom(delta=p["delta"])
+    elif bottom_name == "mu_i":
+        bottom = MuIBottom()
+    else:
+        raise ValueError(f"unknown granular bottom law {bottom_name!r}")
     if kind in ("newtonian_slip", "newtonian_manning"):
-        return Newtonian(nu=d["nu"], bottom_law=bottom)
+        return Newtonian(nu=nu, bottom_law=bottom)
     if kind == "mu_i":
-        return MuI(mu_s=p["mu_s"], mu_2=p["mu_2"], c_I=d["c_I"], bottom_law=bottom,
+        if not p["d_s"] > 0.0 or config.rho_s is None:
+            raise ValueError("the inertial scaling needs model.d_s > 0 and scaling.rho_s")
+        c_I = (p["I0"] * H / p["d_s"]) * math.sqrt((rho / config.rho_s) * (H / L) * cos_t)
+        return MuI(mu_s=p["mu_s"], mu_2=p["mu_2"], c_I=c_I, bottom_law=bottom,
                    quad_points=config.quad_points)
     mu = math.tan(p["phi_int"]) if kind == "savage_hutter" else p["mu"]
     return ConstantCoulomb(mu=mu, bottom_law=bottom)
@@ -625,13 +644,10 @@ def config_from_mapping(mapping: dict) -> SimConfig:
     kw = {name: _parse(section, key.lower(), parse, sections[section][key.lower()])
           for section, key, name, parse in _FILE_FIELDS
           if key.lower() in sections.get(section, {})}
-    friction = kw.get("friction", SimConfig.friction)
-    if friction not in _FRICTION_KEYS:
-        raise ValueError(f"unknown friction model {friction!r}")
-    model = sections.get("model", {})
+    reads = _FRICTION_KEYS.get(kw.get("friction", SimConfig.friction), ())
     kw["friction_params"] = {
         _PARAM_OF.get(key, key): raw if key == "bottom" else _parse("model", key, float, raw)
-        for key, raw in model.items() if key in _FRICTION_KEYS[friction]}
+        for key, raw in sections.get("model", {}).items() if key in reads}
     if sections.get("ic"):
         kw["ic"] = {"kind": "block",
                     **{k: _parse("ic", k, _IC_KEYS[k], v) for k, v in sections["ic"].items()}}

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,12 +15,12 @@ from swmoment.friction import (
     MuIBottom,
     Newtonian,
     SlipBottom,
-    derive_dimensionless,
     muI_bulk_analytic_N1,
     muI_bulk_analytic_N2,
     muI_bulk_quadrature,
     savage_hutter_violations,
 )
+from swmoment.sim import SimConfig, build_model, preset
 from tests.conftest import CONFIG_CASES, DELTA, GRAN_PARAMS, PHI, SCALES, config_model, random_wet_primitive
 
 # Example-4 granular constants (c_I from the 50-digit scaling computation)
@@ -68,32 +69,32 @@ def _reference_stresses(kind, p, P, basis):
     ub = P[:, 1].copy()
     for j in range(2, P.shape[1]):
         ub += P[:, j]
-    d = derive_dimensionless(**SCALES, eta=p.get("eta"), Lambda=p.get("Lambda"),
-                             n=p.get("n"), I0=p.get("I0"), d_s=p.get("d_s"))
+    H, L, g, rho, rho_s = (SCALES[k] for k in ("H", "L", "g", "rho", "rho_s"))
+    U, cos_t = math.sqrt(g * L), math.cos(SCALES["theta"])
+    # the granular slip viscosity eta0 is scaled like eta
+    nu = p.get("eta0" if kind == "mu_i" else "eta", 0.0) * U / (rho * g * cos_t * H * H)
+    if kind == "mu_i":
+        c_I = (p["I0"] * H / p["d_s"]) * math.sqrt((rho / rho_s) * (H / L) * cos_t)
     bottom = {"newtonian_slip": "slip", "newtonian_manning": "manning",
               "savage_hutter": "coulomb", "coulomb": "coulomb"}.get(kind, p.get("bottom"))
     if bottom == "slip":
-        if kind == "mu_i":  # the granular slip viscosity eta0, scaled like eta
-            nu = p["eta0"] * d["U"] / (SCALES["rho"] * SCALES["g"] * math.cos(SCALES["theta"])
-                                       * SCALES["H"] * SCALES["H"])
-        else:
-            nu = d["nu"]
-        tau_b = (nu / d["lam"]) * ub
+        tau_b = (nu / (p["Lambda"] / H)) * ub
     elif bottom == "manning":
-        tau_b = (d["n2"] / np.cbrt(h)) * ub * np.abs(ub)
+        n2 = p["n"] * p["n"] * U * U / (H ** (4.0 / 3.0) * cos_t)
+        tau_b = (n2 / np.cbrt(h)) * ub * np.abs(ub)
     elif bottom == "coulomb":
         tau_b = h * np.sign(ub) * math.tan(p["delta"])
     else:
         shear0 = alpha @ basis.dphi[:, 0]
         rate = np.abs(shear0)
-        mu = 0.48 + (0.73 - 0.48) * rate / (d["c_I"] * h**1.5 + rate)
+        mu = 0.48 + (0.73 - 0.48) * rate / (c_I * h**1.5 + rate)
         tau_b = mu * h * np.sign(shear0)
     if kind.startswith("newtonian"):
-        return tau_b, (d["nu"] / h)[:, None] * (alpha @ basis.C.T)
+        return tau_b, (nu / h)[:, None] * (alpha @ basis.C.T)
     if kind in ("savage_hutter", "coulomb"):
         mu = math.tan(p["phi_int"]) if kind == "savage_hutter" else p["mu"]
         return tau_b, np.broadcast_to((-mu * h)[:, None], alpha.shape).copy()
-    params = MuI(mu_s=0.48, mu_2=0.73, c_I=d["c_I"], bottom_law=MuIBottom())
+    params = MuI(mu_s=0.48, mu_2=0.73, c_I=c_I, bottom_law=MuIBottom())
     if basis.N == 1:
         T = np.empty((len(h), 1))
         inc = alpha[:, 0] <= 0.0
@@ -288,9 +289,21 @@ def test_muI_N1_zero_shear_limits():
     assert muI_bulk_analytic_N1(0.05, tiny, GRAN) == pytest.approx(-0.05 * 0.48, rel=1e-12)
 
 
-def test_muI_N1_rejects_positive_moment():
-    with pytest.raises(ValueError):
-        muI_bulk_analytic_N1(0.05, 0.1, GRAN)
+def test_muI_N1_is_odd_to_the_bit():
+    # a decreasing profile gets the negated closed form of the mirrored
+    # increasing one, on every branch: the series and direct brackets, the
+    # tiny-shear limit, and alpha_1 = +-0 (which give +0)
+    rng = np.random.default_rng(13)
+    h = 10.0 ** rng.uniform(-6, -1, 4000)
+    a = 10.0 ** rng.uniform(-14, 1, 4000)
+    a[:10] = 0.1 * 1e-12 * C_I * h[:10] ** 1.5
+    T_inc = muI_bulk_analytic_N1(h, -a, GRAN)
+    T_dec = muI_bulk_analytic_N1(h, a, GRAN)
+    assert np.array_equal(T_dec.view(np.int64), (-T_inc).view(np.int64))
+    assert np.all(T_inc < 0.0)
+    assert np.array_equal(T_inc[:10], -0.48 * h[:10])
+    zero = muI_bulk_analytic_N1(h[:2], np.array([0.0, -0.0]), GRAN)
+    assert np.array_equal(zero.view(np.int64), np.zeros(2).view(np.int64))
 
 
 def test_muI_N2_case1_matches_oracle(basis2):
@@ -309,8 +322,8 @@ def test_muI_N2_interior_sign_change_matches_oracle(basis2):
 
 def test_muI_N3_quadrature_matches_oracle(basis3):
     for h, a1, a2, a3, r1, r2, r3 in N3_ORACLE:
-        T = muI_bulk_quadrature(h, np.array([a1, a2, a3]), GRAN, basis3, points=32)
-        assert T == pytest.approx([r1, r2, r3], rel=1e-12)
+        T = muI_bulk_quadrature(np.array([h]), np.array([[a1, a2, a3]]), GRAN, basis3, points=32)
+        assert T[0] == pytest.approx([r1, r2, r3], rel=1e-12)
 
 
 def test_muI_quadrature_self_convergence():
@@ -357,7 +370,7 @@ def test_muI_conditioning_guard_fallback_agrees(basis2):
             continue
         found += 1
         t1, t2 = muI_bulk_analytic_N2(h, a1, a2, GRAN, basis2)
-        q1, q2 = muI_bulk_quadrature(h, np.array([a1, a2]), GRAN, basis2, points=64)
+        q1, q2 = muI_bulk_quadrature(np.array([h]), np.array([[a1, a2]]), GRAN, basis2, points=64)[0]
         assert t1 == pytest.approx(q1, rel=1e-9)
         assert t2 == pytest.approx(q2, rel=1e-9)
 
@@ -463,7 +476,7 @@ def test_muI_bulk_terms_row_independent(N, basis1, basis2, basis3, basis6):
 
 def test_muI_quadrature_needs_two_points(basis2):
     with pytest.raises(ValueError):
-        muI_bulk_quadrature(0.05, np.array([-0.1, 0.0]), GRAN, basis2, points=1)
+        muI_bulk_quadrature(np.array([0.05]), np.array([[-0.1, 0.0]]), GRAN, basis2, points=1)
 
 
 def test_muI_bottom_laws(basis2):
@@ -516,37 +529,94 @@ def test_muI_N1_bounded_by_friction_range(h, a1):
     assert -h * 0.73 - 1e-15 <= T1 <= -h * 0.48 + 1e-15
 
 
-# --- dimensionless parameter derivation -------------------------------------
+# --- dimensionless groups of build_model ------------------------------------
+
+# nu, lam, n2 and c_I as build_model made them of every preset and config case
+# when the scalings had a helper of their own; to the bit, since one ulp in nu
+# or c_I moves the round-off-chaotic muI_N2_explicit workload past its gate
+FROZEN_GROUPS = {
+    "preset 1": {"nu": "0x1.37eac663a9381p-10", "lam": "0x1.a36e2eb1c432dp-14"},
+    "preset 2 slip": {"nu": "0x1.37eac663a9381p-10", "lam": "0x1.89374bc6a7efap-10"},
+    "preset 2 manning": {"nu": "0x1.37eac663a9381p-10", "n2": "0x1.a0a26bfb6dc4ep-1"},
+    "preset 3": {},
+    "preset 4": {"c_I": "0x1.51cbc570d1799p+1", "nu": "0x1.825fed7d1a48dp-14",
+                 "lam": "0x1.0624dd2f1a9fcp-10"},
+    "newtonian_slip": {"nu": "0x1.e2f7e8dc60db0p-11", "lam": "0x1.a36e2eb1c432dp-14"},
+    "newtonian_manning": {"nu": "0x1.e2f7e8dc60db0p-11", "n2": "0x1.a0a26bfb6dc4ep-1"},
+    "savage_hutter": {},
+    "coulomb": {},
+    "mu_i-slip": {"c_I": "0x1.51cbc570d1799p+1", "nu": "0x1.825fed7d1a48dp-14",
+                  "lam": "0x1.0624dd2f1a9fcp-10"},
+    "mu_i-manning": {"c_I": "0x1.51cbc570d1799p+1", "n2": "0x1.a0a26bfb6dc4ep-1"},
+    "mu_i-coulomb": {"c_I": "0x1.51cbc570d1799p+1"},
+    "mu_i-mu_i": {"c_I": "0x1.51cbc570d1799p+1"},
+}
+PRESETS = {"preset 1": (1, {}), "preset 2 slip": (2, {}), "preset 2 manning": (2, {"law": "manning"}),
+           "preset 3": (3, {}), "preset 4": (4, {})}
+
+
+def _groups(model) -> dict:
+    """float.hex of the model's nu, lam, n2 and c_I; the bulk and the slip
+    bottom must share one nu."""
+    groups = {}
+    for law in (model, model.bottom_law):
+        for name in ("nu", "lam", "n2", "c_I"):
+            if hasattr(law, name):
+                value = float(getattr(law, name)).hex()
+                assert groups.setdefault(name, value) == value, name
+    return groups
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_GROUPS))
+def test_build_model_groups_keep_their_bits(case):
+    if case in PRESETS:
+        example, kwargs = PRESETS[case]
+        model = build_model(preset(example, **kwargs))
+    else:
+        model = config_model(*CONFIG_CASES[case])
+    assert _groups(model) == FROZEN_GROUPS[case]
+
+
+# the scalings of the former derive_dimensionless helper, now made in build_model
 
 def test_derive_velocity_scale():
-    d = derive_dimensionless(H=0.1, L=10.0, g=9.81, theta=math.pi / 4)
-    assert d["U"] == pytest.approx(9.9045444115315067, rel=1e-15)
-    assert d["eps"] == pytest.approx(0.01, rel=1e-15)
+    # U = sqrt(g L) enters nu = eta U / (rho g cos(theta) H^2)
+    model = config_model("newtonian_slip", {"Lambda": 1e-5, "eta": 0.01})
+    assert model.nu == pytest.approx(0.01 * 9.9045444115315067 / (
+        1550.0 * 9.81 * math.cos(math.pi / 4) * 0.1 * 0.1), rel=1e-15)
+    assert SimConfig(**SCALES).eps == pytest.approx(0.01, rel=1e-15)
 
 
 def test_derive_slip_length():
-    d = derive_dimensionless(H=0.1, L=10.0, g=9.81, theta=math.pi / 4, Lambda=1e-5)
-    assert d["lam"] == pytest.approx(1e-4, rel=1e-15)
+    model = config_model("newtonian_slip", {"Lambda": 1e-5, "eta": 0.01})
+    assert model.bottom_law.lam == pytest.approx(1e-4, rel=1e-15)
 
 
 def test_derive_viscosity_and_manning():
-    d = derive_dimensionless(H=0.1, L=10.0, g=9.81, theta=math.pi / 4, rho=1200.0,
-                             eta=0.01, n=0.0165)
-    assert d["nu"] == pytest.approx(0.0011898692691058871, rel=1e-14)
-    assert d["n2"] == pytest.approx(0.81373918003272109, rel=1e-14)
+    model = build_model(SimConfig(**dict(SCALES, rho=1200.0), friction="newtonian_manning",
+                                  friction_params={"n": 0.0165, "eta": 0.01}))
+    assert model.nu == pytest.approx(0.0011898692691058871, rel=1e-14)
+    assert model.bottom_law.n2 == pytest.approx(0.81373918003272109, rel=1e-14)
 
 
 def test_derive_inertial_scaling():
-    d = derive_dimensionless(H=0.1, L=10.0, g=9.81, theta=math.pi / 4, rho=1550.0,
-                             rho_s=2500.0, I0=0.279, d_s=7e-4, eta=0.001)
-    assert d["c_I"] == pytest.approx(C_I, rel=1e-14)
-    assert d["nu"] == pytest.approx(9.2118911156584804e-5, rel=1e-14)
+    # the granular slip bottom reads its viscosity from eta0
+    model = config_model("mu_i", dict(GRAN_PARAMS, bottom="slip"))
+    assert model.c_I == pytest.approx(C_I, rel=1e-14)
+    assert model.bottom_law.nu == pytest.approx(9.2118911156584804e-5, rel=1e-14)
 
 
 def test_derive_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        derive_dimensionless(H=0.0, L=10.0, g=9.81, theta=0.1)
-    with pytest.raises(ValueError):
-        derive_dimensionless(H=0.1, L=10.0, g=9.81, theta=math.pi / 2)
-    with pytest.raises(ValueError):
-        derive_dimensionless(H=0.1, L=10.0, g=9.81, theta=0.1, rho=1550.0, I0=0.279)
+    # the scales and the angle are checked as the config is built, the grain
+    # size and density of the inertial scaling by build_model
+    with pytest.raises(ValueError, match="^H must"):
+        SimConfig(**dict(SCALES, H=0.0))
+    with pytest.raises(ValueError, match="theta"):
+        SimConfig(**dict(SCALES, theta=math.pi / 2))
+    for scales, params in ((dict(SCALES, rho_s=None), GRAN_PARAMS),
+                           (SCALES, dict(GRAN_PARAMS, d_s=0.0)),
+                           (SCALES, dict(GRAN_PARAMS, d_s=-7e-4)),
+                           (SCALES, dict(GRAN_PARAMS, d_s=math.nan))):
+        cfg = SimConfig(**scales, friction="mu_i", friction_params=dict(params, bottom="mu_i"))
+        with pytest.raises(ValueError, match=re.escape("needs model.d_s > 0 and scaling.rho_s")):
+            build_model(cfg)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,6 +152,63 @@ def test_config_validation():
     # needs an iteration then aborts the step)
     assert preset(1, newton_max_iter=0, max_steps=1).newton_max_iter == 0
     assert preset(4, quad_points=2, profile_resolution=2).quad_points == 2
+
+
+@pytest.mark.parametrize("name, value", [
+    (name, value) for name in ("H", "L", "g", "rho") for value in (0.0, -1.0, math.nan, math.inf)
+] + [("rho_s", value) for value in (0.0, -5.0, math.nan, math.inf)])
+def test_config_rejects_bad_scales(name, value):
+    # before, rho = 0 and rho_s = 0 failed in build_model with ZeroDivisionError,
+    # rho_s < 0 with "math domain error", and g = nan built a model with nu = nan
+    example = 4 if name == "rho_s" else 1
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        preset(example, **{name: value})
+    mapping = config_to_mapping(preset(example))
+    mapping["scaling"][name] = str(value)
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        config_from_mapping(mapping)
+
+
+def test_config_rejects_friction_keys_the_model_does_not_read():
+    # before, "Eta" was dropped unread while config_to_mapping lowercased it
+    # onto eta, so summary.txt recorded model.eta = 5 for a run with eta = 0.01
+    with pytest.raises(ValueError, match="does not read 'Eta'; it reads Lambda, eta$"):
+        SimConfig(friction="newtonian_slip", friction_params={"Lambda": 1e-5, "eta": 0.01, "Eta": 5.0})
+    # the file key in place of the parameter name
+    with pytest.raises(ValueError, match="does not read 'lambda'; it reads Lambda, eta$"):
+        SimConfig(friction="newtonian_slip", friction_params={"lambda": 1e-5, "eta": 0.01})
+    # a key of another model, and eta under mu_i, whose slip viscosity is eta0
+    with pytest.raises(ValueError, match="'newtonian_manning' does not read 'Lambda'"):
+        preset(2, friction="newtonian_manning", friction_params={"Lambda": 1e-4, "n": 0.0165, "eta": 0.01})
+    with pytest.raises(ValueError, match="'mu_i' does not read 'eta'"):
+        preset(4, friction_params=dict(preset(4).friction_params, eta=0.001))
+    with pytest.raises(ValueError, match="unknown friction model 'tidal'"):
+        SimConfig(friction="tidal")
+    mapping = config_to_mapping(preset(1))
+    mapping["model"]["friction"] = "tidal"
+    with pytest.raises(ValueError, match="unknown friction model 'tidal'"):
+        config_from_mapping(mapping)
+
+
+def _readme_units_keys() -> set:
+    """The file keys in the README's table of units and scales."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = text.split("### Units and scales", 1)[1].split("\n| ", 1)[1].split("\n\n", 1)[0]
+    keys = set()
+    for row in rows.splitlines()[2:]:
+        keys.update(k.strip(" `").lower() for k in row.split("|")[2].split(","))
+    return keys
+
+
+def test_readme_units_table_covers_every_scale_and_friction_key():
+    # a friction parameter or a scale without a row in the table has no stated unit
+    wanted = ({f"scaling.{key.lower()}" for section, key, _, _ in sim._FILE_FIELDS
+               if section == "scaling"}
+              | {f"model.{key}" for keys in sim._FRICTION_KEYS.values() for key in keys
+                 if key != "bottom"})
+    table = _readme_units_keys()
+    assert not wanted - table, f"missing from the README units table: {sorted(wanted - table)}"
+    assert table <= {f"{section}.{key}" for section, key in sim._KNOWN_KEYS}
 
 
 # initial conditions build_grid cannot build, with the key their error names;
