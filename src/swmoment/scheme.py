@@ -334,6 +334,10 @@ def step_explicit(grid: Grid, dt: float, model, basis: MomentBasis,
 # relative central-difference step of the Newton Jacobian: the step for a
 # row's component v is FD_EPS * max(1, |v|)
 FD_EPS = 1e-7
+# a cell converges once each component of its residual is below NEWTON_TOL;
+# one still iterating after NEWTON_MAX_ITER updates aborts the step
+NEWTON_TOL = 1e-6
+NEWTON_MAX_ITER = 50
 
 
 def _residual_and_jacobian(V: np.ndarray, target: np.ndarray, dt: float, model,
@@ -380,7 +384,7 @@ def step_semi_implicit(grid: Grid, dt: float, model, basis: MomentBasis,
     transport skip the solve. A model that is linear_in_velocity has an
     affine residual with an exact Jacobian, so one Newton update solves it;
     any other model iterates with a central-difference Jacobian. config is
-    the run's SimConfig (eps, theta, newton_tol, newton_max_iter)."""
+    the run's SimConfig (eps, theta)."""
     eps, theta = config.eps, config.theta
     _check_step_input(grid, dt)
     U_check = _transport(grid, dt, eps, theta, basis)
@@ -402,11 +406,11 @@ def step_semi_implicit(grid: Grid, dt: float, model, basis: MomentBasis,
     # update, so it is not evaluated again.
     while rows.size:
         R, jac = residual(rows, jacobian=iters_max == 0)
-        active = np.max(np.abs(R), axis=1) >= config.newton_tol
+        active = np.max(np.abs(R), axis=1) >= NEWTON_TOL
         rows, R = rows[active], R[active]
         if not rows.size:
             break
-        if iters_max >= config.newton_max_iter:
+        if iters_max >= NEWTON_MAX_ITER:
             raise RuntimeError(
                 f"Newton solve did not converge in cell {rows[0] + 1}: "
                 f"residual {float(np.max(np.abs(R))):.3e}"

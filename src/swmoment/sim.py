@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .basis import MomentBasis, bottom_velocity, build_basis, reconstruct_velocity
+from .basis import MAX_ORDER, MomentBasis, bottom_velocity, build_basis, reconstruct_velocity
 from .friction import (
     ConstantCoulomb,
     CoulombBottom,
@@ -43,6 +43,8 @@ __all__ = [
 _BLOCK_IC = {"kind": "block", "h": 0.08, "x_lo": 0.3, "x_hi": 0.5}
 # the keys each kind of initial condition needs
 _IC_REQUIRED = {"block": ("h", "x_lo", "x_hi"), "uniform": ("h",)}
+# a run that needs more steps than this aborts instead of running on
+MAX_STEPS = 2_000_000
 
 
 def _check_ic(ic: dict, N: int) -> None:
@@ -67,14 +69,29 @@ def _check_ic(ic: dict, N: int) -> None:
                          f"and {ic.get('alpha')}")
 
 
-def _check_friction_params(friction: str, params: dict) -> None:
-    """Reject an unknown friction model, and a parameter that it does not read."""
-    if friction not in _FRICTION_KEYS:
+def _pairing(friction: str, params: dict) -> tuple[str, tuple]:
+    """The bottom law of a friction model and the [model] keys that the pair
+    reads. A config name fixes its bottom law; mu_i reads it from `bottom`
+    (default slip). Rejects an unknown model or bottom law by its key."""
+    laws = _FRICTION_KEYS.get(friction)
+    if laws is None:
         raise ValueError(f"unknown friction model {friction!r}")
-    reads = [_PARAM_OF.get(key, key) for key in _FRICTION_KEYS[friction]]
+    if len(laws) == 1:
+        return next(iter(laws.items()))
+    bottom = params.get("bottom", "slip")
+    if bottom not in laws:
+        raise ValueError(f"model.bottom must be one of {', '.join(laws)}, got {bottom!r}")
+    return bottom, laws[bottom] + ("bottom",)
+
+
+def _check_friction_params(friction: str, params: dict) -> None:
+    """Reject an unknown friction model or bottom law, and a parameter that
+    the pair does not read."""
+    bottom, reads = _pairing(friction, params)
     unknown = ", ".join(repr(key) for key in params if key not in reads)
     if unknown:
-        raise ValueError(f"friction model {friction!r} does not read {unknown}; "
+        under = f" with model.bottom = {bottom}" if "bottom" in reads else ""
+        raise ValueError(f"friction model {friction!r} does not read {unknown}{under}; "
                          f"it reads {', '.join(reads)}")
 
 
@@ -82,9 +99,9 @@ def _check_friction_params(friction: str, params: dict) -> None:
 class SimConfig:
     """Complete description of one simulation run.
 
-    Physical inputs (H, L, g, rho, friction parameters) are in SI units;
-    build_model derives the dimensionless groups. Angles are in radians.
-    mode is "explicit" or "semi_implicit".
+    Physical inputs (H, L, g, rho, friction_params, keyed by the [model]
+    file keys) are in SI units; build_model derives the dimensionless
+    groups. Angles are in radians. mode is "explicit" or "semi_implicit".
     """
 
     N: int = 2
@@ -101,8 +118,6 @@ class SimConfig:
     friction_params: dict = field(default_factory=dict)
     mode: str = "semi_implicit"
     cfl: float = 0.05
-    newton_tol: float = 1e-6
-    newton_max_iter: int = 50
     h_min: float = 1e-6
     quad_points: int = 32
     ic: dict = field(default_factory=lambda: dict(_BLOCK_IC))
@@ -110,13 +125,17 @@ class SimConfig:
     snapshot_times: tuple = (0.4, 0.6, 1.0)
     out_dir: str | None = None
     profile_resolution: int | None = None
-    max_steps: int = 2_000_000
 
     def __post_init__(self):
         if self.J < 3:
             raise ValueError("J must be at least 3")
-        if self.N < 1:
-            raise ValueError("N must be at least 1")
+        if not 1 <= self.N <= MAX_ORDER:
+            raise ValueError(f"N must lie in [1, {MAX_ORDER}], got {self.N}")
+        for name in ("x_a", "x_b"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not self.x_a < self.x_b:
+            raise ValueError(f"x_a must be below x_b, got {self.x_a} and {self.x_b}")
         if not 0.0 <= self.theta < math.pi / 2:
             raise ValueError("theta must lie in [0, pi/2)")
         for name in ("H", "L", "g", "rho"):
@@ -129,14 +148,8 @@ class SimConfig:
             raise ValueError(f"unknown stepper mode {self.mode!r}")
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError("CFL must lie in (0, 1]")
-        if not 0.0 < self.newton_tol < math.inf:
-            raise ValueError(f"newton_tol must be finite and positive, got {self.newton_tol}")
-        if self.newton_max_iter < 0:
-            raise ValueError(f"newton_max_iter must be >= 0, got {self.newton_max_iter}")
         if not 0.0 < self.h_min < math.inf:
             raise ValueError(f"h_min must be finite and positive, got {self.h_min}")
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be at least 1, got {self.max_steps}")
         if self.quad_points < 2:
             raise ValueError(f"quad_points must be at least 2, got {self.quad_points}")
         if self.profile_resolution is not None and self.profile_resolution < 2:
@@ -199,17 +212,17 @@ def preset(example: int, **overrides) -> SimConfig:
         base = dict(
             N=2,
             friction="newtonian_slip",
-            friction_params={"Lambda": 1e-4 * H, "eta": 0.01},
+            friction_params={"lambda": 1e-4 * H, "eta": 0.01},
             mode="semi_implicit",
             cfl=0.05,
         )
     elif example == 2:
         law = overrides.pop("law", "slip")
         if law == "slip":
-            params = {"Lambda": overrides.pop("Lambda", 0.0015) * H, "eta": 0.01}
+            params = {"lambda": overrides.pop("Lambda", 0.0015) * H, "eta": 0.01}
             friction = "newtonian_slip"
         elif law == "manning":
-            params = {"n": overrides.pop("n", 0.0165), "eta": 0.01}
+            params = {"manning_n": overrides.pop("n", 0.0165), "eta": 0.01}
             friction = "newtonian_manning"
         else:
             raise ValueError(f"unknown bottom-friction law {law!r}")
@@ -238,10 +251,10 @@ def preset(example: int, **overrides) -> SimConfig:
             friction_params={
                 "mu_s": 0.48,
                 "mu_2": 0.73,
-                "I0": 0.279,
+                "i0": 0.279,
                 "d_s": 7e-4,
                 "bottom": "slip",
-                "Lambda": 0.001 * H,
+                "lambda": 0.001 * H,
                 "eta0": 0.001,
             },
             mode="explicit",
@@ -252,11 +265,6 @@ def preset(example: int, **overrides) -> SimConfig:
         raise ValueError(f"unknown example id {example!r}")
     base.update(overrides)
     return SimConfig(**base)
-
-
-# the bottom law of each config name; mu_i names its own in `bottom`
-_BOTTOM_OF = {"newtonian_slip": "slip", "newtonian_manning": "manning",
-              "savage_hutter": "coulomb", "coulomb": "coulomb"}
 
 
 def build_model(config: SimConfig):
@@ -270,11 +278,8 @@ def build_model(config: SimConfig):
     """
     kind = config.friction
     p = config.friction_params
-    bottom_name = _BOTTOM_OF.get(kind) or p.get("bottom", "slip")
-    needed = _FRICTION_KEYS[kind]
-    if kind == "mu_i":
-        needed = _MU_I_KEYS + _MU_I_BOTTOM_KEYS.get(bottom_name, ())
-    missing = [f"model.{key}" for key in needed if _PARAM_OF.get(key, key) not in p]
+    bottom_name, reads = _pairing(kind, p)
+    missing = [f"model.{key}" for key in reads if key not in p and key != "bottom"]
     if missing:
         raise ValueError(f"friction model {kind!r} needs {', '.join(missing)}")
     if kind == "savage_hutter" and not 0.0 <= p["delta"] <= p["phi_int"] < math.pi / 2:
@@ -287,21 +292,20 @@ def build_model(config: SimConfig):
     eta = p.get("eta0" if kind == "mu_i" else "eta")
     nu = None if eta is None else eta * U / (rho * g * cos_t * H * H)
     if bottom_name == "slip":
-        bottom = SlipBottom(nu=nu, lam=p["Lambda"] / H)
+        bottom = SlipBottom(nu=nu, lam=p["lambda"] / H)
     elif bottom_name == "manning":
-        bottom = ManningBottom(n2=p["n"] * p["n"] * U * U / (H ** (4.0 / 3.0) * cos_t))
+        n = p["manning_n"]
+        bottom = ManningBottom(n2=n * n * U * U / (H ** (4.0 / 3.0) * cos_t))
     elif bottom_name == "coulomb":
         bottom = CoulombBottom(delta=p["delta"])
-    elif bottom_name == "mu_i":
-        bottom = MuIBottom()
     else:
-        raise ValueError(f"unknown granular bottom law {bottom_name!r}")
+        bottom = MuIBottom()
     if kind in ("newtonian_slip", "newtonian_manning"):
         return Newtonian(nu=nu, bottom_law=bottom)
     if kind == "mu_i":
         if not p["d_s"] > 0.0 or config.rho_s is None:
             raise ValueError("the inertial scaling needs model.d_s > 0 and scaling.rho_s")
-        c_I = (p["I0"] * H / p["d_s"]) * math.sqrt((rho / config.rho_s) * (H / L) * cos_t)
+        c_I = (p["i0"] * H / p["d_s"]) * math.sqrt((rho / config.rho_s) * (H / L) * cos_t)
         return MuI(mu_s=p["mu_s"], mu_2=p["mu_2"], c_I=c_I, bottom_law=bottom,
                    quad_points=config.quad_points)
     mu = math.tan(p["phi_int"]) if kind == "savage_hutter" else p["mu"]
@@ -376,8 +380,8 @@ def run(config: SimConfig) -> RunResult:
         t_target = pending[0]
         while t < t_target:
             steps += 1
-            if steps > config.max_steps:
-                raise RuntimeError(f"exceeded {config.max_steps} steps at t={t:.8g}")
+            if steps > MAX_STEPS:
+                raise RuntimeError(f"exceeded {MAX_STEPS} steps at t={t:.8g}")
             dt = cfl_dt(grid, config, basis)
             landed = t + dt >= t_target
             if landed:
@@ -563,31 +567,26 @@ _FILE_FIELDS = (
     ("grid", "bathymetry", "bathymetry", str),
     ("stepper", "mode", "mode", str),
     ("stepper", "cfl", "cfl", float),
-    ("stepper", "newton_tol", "newton_tol", float),
-    ("stepper", "newton_max_iter", "newton_max_iter", int),
     ("stepper", "h_min", "h_min", float),
     ("stepper", "quad_points", "quad_points", int),
-    ("stepper", "max_steps", "max_steps", int),
     ("output", "times", "snapshot_times", _floats),
     ("output", "dir", "out_dir", str),
     ("output", "profile_resolution", "profile_resolution", int),
 )
 
-# [model] keys of each friction model's parameters; the moment order already
-# uses key "n", so the Manning coefficient gets the file key "manning_n". A
-# model needs all its keys, but mu_i only the granular _MU_I_KEYS and those of
-# the bottom law it names in "bottom" (default slip, whose viscosity is eta0)
+# each friction model's bottom laws, with the [model] keys that the model
+# reads over each; these keys name the friction_params too. A model needs all
+# the keys of its pair. The moment order already uses key "n", so the Manning
+# coefficient is "manning_n"; mu_i's slip viscosity is "eta0"
 _MU_I_KEYS = ("mu_s", "mu_2", "i0", "d_s")
-_MU_I_BOTTOM_KEYS = {"slip": ("lambda", "eta0"), "manning": ("manning_n",), "coulomb": ("delta",)}
 _FRICTION_KEYS = {
-    "newtonian_slip": ("lambda", "eta"),
-    "newtonian_manning": ("manning_n", "eta"),
-    "savage_hutter": ("delta", "phi_int"),
-    "coulomb": ("delta", "mu"),
-    "mu_i": _MU_I_KEYS + ("bottom",) + sum(_MU_I_BOTTOM_KEYS.values(), ()),
+    "newtonian_slip": {"slip": ("lambda", "eta")},
+    "newtonian_manning": {"manning": ("manning_n", "eta")},
+    "savage_hutter": {"coulomb": ("delta", "phi_int")},
+    "coulomb": {"coulomb": ("delta", "mu")},
+    "mu_i": {"slip": _MU_I_KEYS + ("lambda", "eta0"), "manning": _MU_I_KEYS + ("manning_n",),
+             "coulomb": _MU_I_KEYS + ("delta",), "mu_i": _MU_I_KEYS},
 }
-_FILE_KEY = {"Lambda": "lambda", "I0": "i0", "n": "manning_n"}
-_PARAM_OF = {key: param for param, key in _FILE_KEY.items()}
 
 _IC_KEYS = {"kind": str, "h": float, "x_lo": float, "x_hi": float, "u_m": float,
             "alpha": _floats}
@@ -597,11 +596,12 @@ _IC_KEYS = {"kind": str, "h": float, "x_lo": float, "x_hi": float, "u_m": float,
 _REMOVED_KEYS = {("stepper", "path_variable"): "primitive",
                  ("output", "flip_topography_sign"): "false"}
 
-# every key some reader takes; keys of another friction model than the
-# configured one are accepted, so a file can switch models with one key
+# every key some reader takes; keys of another friction model or bottom law
+# than the configured one are accepted, so a file can switch with one key
 _KNOWN_KEYS = ({(section, key.lower()) for section, key, _, _ in _FILE_FIELDS}
-               | {("model", key) for keys in _FRICTION_KEYS.values() for key in keys}
-               | {("ic", key) for key in _IC_KEYS} | set(_REMOVED_KEYS))
+               | {("model", key) for laws in _FRICTION_KEYS.values()
+                  for keys in laws.values() for key in keys}
+               | {("model", "bottom")} | {("ic", key) for key in _IC_KEYS} | set(_REMOVED_KEYS))
 
 
 def config_to_mapping(config: SimConfig) -> dict:
@@ -612,7 +612,7 @@ def config_to_mapping(config: SimConfig) -> dict:
         if value is not None:
             mapping.setdefault(section, {})[key] = _fmt(value)
     for param, value in config.friction_params.items():
-        mapping["model"][_FILE_KEY.get(param, param.lower())] = _fmt(value)
+        mapping["model"][param] = _fmt(value)
     mapping["ic"] = {key: _fmt(value) for key, value in config.ic.items()}
     return mapping
 
@@ -644,10 +644,10 @@ def config_from_mapping(mapping: dict) -> SimConfig:
     kw = {name: _parse(section, key.lower(), parse, sections[section][key.lower()])
           for section, key, name, parse in _FILE_FIELDS
           if key.lower() in sections.get(section, {})}
-    reads = _FRICTION_KEYS.get(kw.get("friction", SimConfig.friction), ())
-    kw["friction_params"] = {
-        _PARAM_OF.get(key, key): raw if key == "bottom" else _parse("model", key, float, raw)
-        for key, raw in sections.get("model", {}).items() if key in reads}
+    model = sections.get("model", {})
+    reads = _pairing(kw.get("friction", SimConfig.friction), model)[1]
+    kw["friction_params"] = {key: raw if key == "bottom" else _parse("model", key, float, raw)
+                             for key, raw in model.items() if key in reads}
     if sections.get("ic"):
         kw["ic"] = {"kind": "block",
                     **{k: _parse("ic", k, _IC_KEYS[k], v) for k, v in sections["ic"].items()}}

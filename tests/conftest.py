@@ -38,17 +38,19 @@ def random_wet_primitive(rng, N, M, h_range=(1e-3, 0.1), vel_scale=1.0):
 
 # SI scales of the config-built models below (the Example-4 granular ones)
 SCALES = dict(H=0.1, L=10.0, g=9.81, theta=math.pi / 4, rho=1550.0, rho_s=2500.0)
-GRAN_PARAMS = {"mu_s": 0.48, "mu_2": 0.73, "I0": 0.279, "d_s": 7e-4, "eta0": 0.001,
-               "Lambda": 1e-4, "n": 0.0165, "delta": math.radians(15.0)}
+GRAN_PARAMS = {"mu_s": 0.48, "mu_2": 0.73, "i0": 0.279, "d_s": 7e-4}
 DELTA, PHI = math.radians(15.0), math.radians(20.0)
+# the parameters of each bottom law under mu_i
+GRAN_BOTTOM = {"slip": {"lambda": 1e-4, "eta0": 0.001}, "manning": {"manning_n": 0.0165},
+               "coulomb": {"delta": DELTA}, "mu_i": {}}
 # every config name, and mu_i with each of its bottom laws
 CONFIG_CASES = {
-    "newtonian_slip": ("newtonian_slip", {"Lambda": 1e-5, "eta": 0.01}),
-    "newtonian_manning": ("newtonian_manning", {"n": 0.0165, "eta": 0.01}),
+    "newtonian_slip": ("newtonian_slip", {"lambda": 1e-5, "eta": 0.01}),
+    "newtonian_manning": ("newtonian_manning", {"manning_n": 0.0165, "eta": 0.01}),
     "savage_hutter": ("savage_hutter", {"delta": DELTA, "phi_int": PHI}),
     "coulomb": ("coulomb", {"delta": DELTA, "mu": 0.4}),
-    **{f"mu_i-{b}": ("mu_i", dict(GRAN_PARAMS, bottom=b))
-       for b in ("slip", "manning", "coulomb", "mu_i")},
+    **{f"mu_i-{b}": ("mu_i", dict(GRAN_PARAMS, bottom=b, **keys))
+       for b, keys in GRAN_BOTTOM.items()},
 }
 
 

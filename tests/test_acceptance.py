@@ -117,8 +117,7 @@ def test_04_granular_equilibrium_preserved_on_incline():
     basis = build_basis(1)
     P = np.tile([0.05, 0.1, 0.0], (200, 1))
     grid = _grid_with_state(200, 1, P)
-    cfg = SimConfig(theta=theta, mode="semi_implicit", cfl=0.05, newton_tol=1e-12,
-                    newton_max_iter=60)
+    cfg = SimConfig(theta=theta, mode="semi_implicit", cfl=0.05)
     U0 = grid.interior().copy()
     for _ in range(100):
         dt = cfl_dt(grid, cfg, basis)
@@ -239,7 +238,7 @@ def test_11_stepper_splitting_difference_first_order_in_dt():
         P[:, 1] = 0.1
         P[:, 2] = -0.02
         grid = _grid_with_state(50, 1, P)
-        cfg = SimConfig(mode=mode, newton_tol=1e-12, newton_max_iter=100)
+        cfg = SimConfig(mode=mode)
         step = step_explicit if mode == "explicit" else step_semi_implicit
         for _ in range(round(0.2 / dt)):
             grid, _ = step(grid, dt, model, basis, cfg)

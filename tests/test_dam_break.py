@@ -35,7 +35,7 @@ RUNS = [(case, J) for case, spec in CASES.items() for J in spec["errors"]]
 def _solve(case: str, J: int):
     spec = CASES[case]
     cfg = preset(1, N=2, J=J, x_b=spec["x_b"], theta=spec["theta"], cfl=0.5,
-                 friction_params={"Lambda": 1e-5, "eta": 0.0},
+                 friction_params={"lambda": 1e-5, "eta": 0.0},
                  ic={"kind": "block", "h": H0, "x_lo": X_LO, "x_hi": X_HI},
                  snapshot_times=(spec["t"],))
     return cfg, run(cfg)

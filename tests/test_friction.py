@@ -74,13 +74,13 @@ def _reference_stresses(kind, p, P, basis):
     # the granular slip viscosity eta0 is scaled like eta
     nu = p.get("eta0" if kind == "mu_i" else "eta", 0.0) * U / (rho * g * cos_t * H * H)
     if kind == "mu_i":
-        c_I = (p["I0"] * H / p["d_s"]) * math.sqrt((rho / rho_s) * (H / L) * cos_t)
+        c_I = (p["i0"] * H / p["d_s"]) * math.sqrt((rho / rho_s) * (H / L) * cos_t)
     bottom = {"newtonian_slip": "slip", "newtonian_manning": "manning",
               "savage_hutter": "coulomb", "coulomb": "coulomb"}.get(kind, p.get("bottom"))
     if bottom == "slip":
-        tau_b = (nu / (p["Lambda"] / H)) * ub
+        tau_b = (nu / (p["lambda"] / H)) * ub
     elif bottom == "manning":
-        n2 = p["n"] * p["n"] * U * U / (H ** (4.0 / 3.0) * cos_t)
+        n2 = p["manning_n"] * p["manning_n"] * U * U / (H ** (4.0 / 3.0) * cos_t)
         tau_b = (n2 / np.cbrt(h)) * ub * np.abs(ub)
     elif bottom == "coulomb":
         tau_b = h * np.sign(ub) * math.tan(p["delta"])
@@ -182,14 +182,14 @@ def test_model_parameter_validation():
 
 
 @pytest.mark.parametrize("kind, params", [
-    ("mu_i", dict(GRAN_PARAMS, bottom="slip", Lambda=0.0)),  # slip length 0
-    ("mu_i", dict(GRAN_PARAMS, bottom="slip", eta0=-1e-3)),  # negative viscosity
-    ("newtonian_slip", {"Lambda": 0.0, "eta": 0.01}),
-    ("newtonian_manning", {"n": 0.01, "eta": -0.01}),
+    ("mu_i", {**CONFIG_CASES["mu_i-slip"][1], "lambda": 0.0}),  # slip length 0
+    ("mu_i", dict(CONFIG_CASES["mu_i-slip"][1], eta0=-1e-3)),  # negative viscosity
+    ("newtonian_slip", {"lambda": 0.0, "eta": 0.01}),
+    ("newtonian_manning", {"manning_n": 0.01, "eta": -0.01}),
     ("coulomb", {"delta": math.pi / 2, "mu": 0.4}),  # tan(delta) ~ 1.6e16
     ("coulomb", {"delta": -0.1, "mu": 0.4}),
-    ("mu_i", dict(GRAN_PARAMS, bottom="coulomb", delta=math.pi / 2)),
-    ("mu_i", dict(GRAN_PARAMS, bottom="coulomb", delta=-0.1)),
+    ("mu_i", dict(CONFIG_CASES["mu_i-coulomb"][1], delta=math.pi / 2)),
+    ("mu_i", dict(CONFIG_CASES["mu_i-coulomb"][1], delta=-0.1)),
 ])
 def test_build_model_checks_law_parameters(kind, params):
     # each law checks its own parameters, so every model that carries it does;
@@ -581,27 +581,27 @@ def test_build_model_groups_keep_their_bits(case):
 
 def test_derive_velocity_scale():
     # U = sqrt(g L) enters nu = eta U / (rho g cos(theta) H^2)
-    model = config_model("newtonian_slip", {"Lambda": 1e-5, "eta": 0.01})
+    model = config_model("newtonian_slip", {"lambda": 1e-5, "eta": 0.01})
     assert model.nu == pytest.approx(0.01 * 9.9045444115315067 / (
         1550.0 * 9.81 * math.cos(math.pi / 4) * 0.1 * 0.1), rel=1e-15)
     assert SimConfig(**SCALES).eps == pytest.approx(0.01, rel=1e-15)
 
 
 def test_derive_slip_length():
-    model = config_model("newtonian_slip", {"Lambda": 1e-5, "eta": 0.01})
+    model = config_model("newtonian_slip", {"lambda": 1e-5, "eta": 0.01})
     assert model.bottom_law.lam == pytest.approx(1e-4, rel=1e-15)
 
 
 def test_derive_viscosity_and_manning():
     model = build_model(SimConfig(**dict(SCALES, rho=1200.0), friction="newtonian_manning",
-                                  friction_params={"n": 0.0165, "eta": 0.01}))
+                                  friction_params={"manning_n": 0.0165, "eta": 0.01}))
     assert model.nu == pytest.approx(0.0011898692691058871, rel=1e-14)
     assert model.bottom_law.n2 == pytest.approx(0.81373918003272109, rel=1e-14)
 
 
 def test_derive_inertial_scaling():
     # the granular slip bottom reads its viscosity from eta0
-    model = config_model("mu_i", dict(GRAN_PARAMS, bottom="slip"))
+    model = config_model(*CONFIG_CASES["mu_i-slip"])
     assert model.c_I == pytest.approx(C_I, rel=1e-14)
     assert model.bottom_law.nu == pytest.approx(9.2118911156584804e-5, rel=1e-14)
 

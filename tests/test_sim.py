@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swmoment import cli, sim
+from swmoment import cli, scheme, sim
 from swmoment.basis import bottom_velocity, build_basis, reconstruct_velocity
 from swmoment.friction import (
     ConstantCoulomb,
@@ -128,8 +128,6 @@ def test_config_validation():
     # the numeric stepper and output options, each named in its error, as a
     # SimConfig and from a file, before a run solves anything
     bad = {"h_min": (0.0, -1e-6, math.nan, math.inf),
-           "max_steps": (0, -5), "newton_max_iter": (-1,),
-           "newton_tol": (0.0, math.nan, math.inf),
            "quad_points": (1, 0, -3), "profile_resolution": (1, 0, -2)}
     for name, values in bad.items():
         for value in values:
@@ -139,7 +137,7 @@ def test_config_validation():
             mapping["output" if name == "profile_resolution" else "stepper"][name] = str(value)
             with pytest.raises(ValueError, match=name):
                 config_from_mapping(mapping)
-    # a time that is not finite would step to max_steps (inf) or stamp a
+    # a time that is not finite would step to MAX_STEPS (inf) or stamp a
     # snapshot t=nan after no step
     for value in (math.inf, math.nan):
         with pytest.raises(ValueError, match="snapshot_times"):
@@ -148,10 +146,34 @@ def test_config_validation():
         mapping["output"]["times"] = f"0.1 {value}"
         with pytest.raises(ValueError, match="snapshot_times"):
             config_from_mapping(mapping)
-    # the edge values that stay valid: newton_max_iter = 0 (any cell that
-    # needs an iteration then aborts the step)
-    assert preset(1, newton_max_iter=0, max_steps=1).newton_max_iter == 0
+    # the edge values that stay valid
     assert preset(4, quad_points=2, profile_resolution=2).quad_points == 2
+
+
+# a domain or moment order that the run cannot build, as (field, value, file
+# key, start of the error); before, each built a config and failed in
+# make_grid or build_basis, naming no key (x_b = inf with an error about
+# ic.x_lo, ic.x_hi)
+BAD_DOMAIN = {
+    "x_b_inf": ("x_b", math.inf, "grid.x_b", "x_b must be finite"),
+    "x_a_minus_inf": ("x_a", -math.inf, "grid.x_a", "x_a must be finite"),
+    "x_a_nan": ("x_a", math.nan, "grid.x_a", "x_a must be finite"),
+    "x_a_at_x_b": ("x_a", 1.0, "grid.x_a", "x_a must be below x_b"),
+    "x_b_below_x_a": ("x_b", -0.5, "grid.x_b", "x_a must be below x_b"),
+    "N_above_max_order": ("N", 13, "model.n", "N must lie in [1, 12]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DOMAIN))
+def test_config_rejects_bad_domain_and_order(case):
+    name, value, key, error = BAD_DOMAIN[case]
+    with pytest.raises(ValueError, match="^" + re.escape(error)):
+        preset(1, **{name: value})
+    mapping = config_to_mapping(preset(1))
+    section, file_key = key.split(".")
+    mapping[section][file_key] = str(value)
+    with pytest.raises(ValueError, match="^" + re.escape(error)):
+        config_from_mapping(mapping)
 
 
 @pytest.mark.parametrize("name, value", [
@@ -172,14 +194,16 @@ def test_config_rejects_bad_scales(name, value):
 def test_config_rejects_friction_keys_the_model_does_not_read():
     # before, "Eta" was dropped unread while config_to_mapping lowercased it
     # onto eta, so summary.txt recorded model.eta = 5 for a run with eta = 0.01
-    with pytest.raises(ValueError, match="does not read 'Eta'; it reads Lambda, eta$"):
-        SimConfig(friction="newtonian_slip", friction_params={"Lambda": 1e-5, "eta": 0.01, "Eta": 5.0})
-    # the file key in place of the parameter name
-    with pytest.raises(ValueError, match="does not read 'lambda'; it reads Lambda, eta$"):
-        SimConfig(friction="newtonian_slip", friction_params={"lambda": 1e-5, "eta": 0.01})
+    with pytest.raises(ValueError, match="does not read 'Eta'; it reads lambda, eta$"):
+        SimConfig(friction="newtonian_slip", friction_params={"lambda": 1e-5, "eta": 0.01, "Eta": 5.0})
+    # the parameter names that the file keys replaced
+    for old in ("Lambda", "I0", "n"):
+        with pytest.raises(ValueError, match=f"does not read '{old}'"):
+            preset(4, friction_params=dict(preset(4).friction_params, **{old: 0.1}))
     # a key of another model, and eta under mu_i, whose slip viscosity is eta0
-    with pytest.raises(ValueError, match="'newtonian_manning' does not read 'Lambda'"):
-        preset(2, friction="newtonian_manning", friction_params={"Lambda": 1e-4, "n": 0.0165, "eta": 0.01})
+    with pytest.raises(ValueError, match="'newtonian_manning' does not read 'lambda'"):
+        preset(2, friction="newtonian_manning",
+               friction_params={"lambda": 1e-4, "manning_n": 0.0165, "eta": 0.01})
     with pytest.raises(ValueError, match="'mu_i' does not read 'eta'"):
         preset(4, friction_params=dict(preset(4).friction_params, eta=0.001))
     with pytest.raises(ValueError, match="unknown friction model 'tidal'"):
@@ -196,7 +220,7 @@ def _readme_units_keys() -> set:
     rows = text.split("### Units and scales", 1)[1].split("\n| ", 1)[1].split("\n\n", 1)[0]
     keys = set()
     for row in rows.splitlines()[2:]:
-        keys.update(k.strip(" `").lower() for k in row.split("|")[2].split(","))
+        keys.update(k.strip(" `").lower() for k in row.split("|")[1].split(","))
     return keys
 
 
@@ -204,8 +228,8 @@ def test_readme_units_table_covers_every_scale_and_friction_key():
     # a friction parameter or a scale without a row in the table has no stated unit
     wanted = ({f"scaling.{key.lower()}" for section, key, _, _ in sim._FILE_FIELDS
                if section == "scaling"}
-              | {f"model.{key}" for keys in sim._FRICTION_KEYS.values() for key in keys
-                 if key != "bottom"})
+              | {f"model.{key}" for laws in sim._FRICTION_KEYS.values()
+                 for keys in laws.values() for key in keys})
     table = _readme_units_keys()
     assert not wanted - table, f"missing from the README units table: {sorted(wanted - table)}"
     assert table <= {f"{section}.{key}" for section, key in sim._KNOWN_KEYS}
@@ -282,7 +306,7 @@ def test_run_zero_snapshot_echoes_initial_state():
 def test_run_uniform_equilibrium_is_stationary():
     # no inclination and zero velocity: transport and source both vanish
     cfg = SimConfig(N=2, J=16, theta=0.0, friction="newtonian_slip",
-                    friction_params={"Lambda": 1e-4 * 0.1, "eta": 0.01},
+                    friction_params={"lambda": 1e-4 * 0.1, "eta": 0.01},
                     ic={"kind": "uniform", "h": 0.05}, snapshot_times=(0.05,))
     res = run(cfg)
     snap = res.snapshots[-1]
@@ -413,15 +437,17 @@ def test_run_muI_N2_batched_bulk_equals_per_cell_law(monkeypatch):
         assert np.array_equal(a.alpha, b.alpha)
 
 
-def test_run_abort_reports_time_and_cell():
-    cfg = preset(1, J=20, newton_max_iter=0, snapshot_times=(0.01,))
+def test_run_abort_reports_time_and_cell(monkeypatch):
+    monkeypatch.setattr(scheme, "NEWTON_MAX_ITER", 0)
+    cfg = preset(1, J=20, snapshot_times=(0.01,))
     with pytest.raises(RuntimeError, match=r"aborted at t=.*cell"):
         run(cfg)
 
 
-def test_run_step_budget_guard():
-    cfg = preset(1, J=40, max_steps=2, snapshot_times=(1.0,))
-    with pytest.raises(RuntimeError, match="exceeded"):
+def test_run_step_budget_guard(monkeypatch):
+    monkeypatch.setattr(sim, "MAX_STEPS", 2)
+    cfg = preset(1, J=40, snapshot_times=(1.0,))
+    with pytest.raises(RuntimeError, match="exceeded 2 steps"):
         run(cfg)
 
 
@@ -496,7 +522,7 @@ def test_row_writers_equal_per_value_format(N, tmp_path):
 
 def test_profile_constant_when_moments_vanish(basis2):
     cfg = SimConfig(N=2, J=8, theta=0.0,
-                    friction_params={"Lambda": 1e-5, "eta": 0.01},
+                    friction_params={"lambda": 1e-5, "eta": 0.01},
                     ic={"kind": "uniform", "h": 0.05, "u_m": 0.3},
                     snapshot_times=(0.0,))
     snap = run(cfg).snapshots[0]
@@ -525,7 +551,7 @@ def test_profile_bottom_row_matches_bottom_velocity():
 def test_profile_shear_sign_follows_first_moment(basis1):
     # u(zeta) = u_m + alpha_1 (1 - 2 zeta): negative alpha_1 shears forward
     cfg = SimConfig(N=1, J=6, theta=0.0,
-                    friction_params={"Lambda": 1e-5, "eta": 0.01},
+                    friction_params={"lambda": 1e-5, "eta": 0.01},
                     ic={"kind": "uniform", "h": 0.05, "u_m": 0.2, "alpha": (-0.1,)},
                     snapshot_times=(0.0,))
     snap = run(cfg).snapshots[0]
@@ -658,7 +684,7 @@ def test_front_position_threshold():
     (2, {"law": "manning"}),
     (3, {"delta_deg": 18.0}),
     (4, {"bathymetry": "runoff"}),
-    (1, {"J": 40, "max_steps": 7}),
+    (1, {"J": 40, "h_min": 1e-7, "quad_points": 16}),
     # every optional field set; the tuples need all 17 digits
     (1, {"out_dir": "results/run 1", "profile_resolution": 17,
          "rho_s": 2600.0, "x_a": -0.5, "x_b": 2.25, "snapshot_times": (0.1 / 3, 0.2),
@@ -701,23 +727,22 @@ def test_config_unknown_key_raises():
     # keys are case-insensitive, within and across spellings of a section
     mixed = {"Grid": {"J": "24"}, "grid": {"x_b": "2"}}
     assert config_from_mapping(mixed) == SimConfig(J=24, x_b=2.0)
-    # the removed stepper.dt_max is a key that nothing reads
-    mapping = config_to_mapping(preset(1))
-    mapping["stepper"]["dt_max"] = "0.001"
-    with pytest.raises(ValueError, match="unknown config key stepper.dt_max"):
-        config_from_mapping(mapping)
-    # so is the removed stepper.dt_fixed (the step is always the CFL step)
-    mapping = config_to_mapping(preset(1))
-    mapping["stepper"]["dt_fixed"] = "2.5e-4"
-    with pytest.raises(ValueError, match="unknown config key stepper.dt_fixed"):
-        config_from_mapping(mapping)
-    assert not hasattr(SimConfig(), "dt_fixed")
+    # removed stepper keys are keys that nothing reads: dt_max, dt_fixed (the
+    # step is always the CFL step), and the constants scheme.NEWTON_TOL,
+    # scheme.NEWTON_MAX_ITER and sim.MAX_STEPS
+    for key, value in (("dt_max", "0.001"), ("dt_fixed", "2.5e-4"), ("newton_tol", "1e-9"),
+                       ("newton_max_iter", "100"), ("max_steps", "10")):
+        mapping = config_to_mapping(preset(1))
+        mapping["stepper"][key] = value
+        with pytest.raises(ValueError, match=f"unknown config key stepper.{key}$"):
+            config_from_mapping(mapping)
+        assert not hasattr(SimConfig(), key)
     # a key of another friction model is accepted (and not read)
     mapping = config_to_mapping(preset(2))
     mapping["model"]["friction"] = "newtonian_manning"
     mapping["model"]["manning_n"] = "0.0165"
     cfg = config_from_mapping(mapping)
-    assert cfg.friction_params == {"n": 0.0165, "eta": 0.01}
+    assert cfg.friction_params == {"manning_n": 0.0165, "eta": 0.01}
 
 
 def test_config_round_trip_through_file(tmp_path):
@@ -827,6 +852,53 @@ def _friction_mapping(case: str, drop: str | None = None) -> dict:
     keys = {k: v for k, v in MISSING_KEY_CASES[case].items() if k != drop}
     return {"model": {"friction": case.split("/")[0], **keys}, "scaling": {"rho_s": "2500"},
             "grid": {"j": "16"}, "output": {"times": "0.001"}}
+
+
+def test_missing_key_cases_cover_every_friction_pairing():
+    # a friction model or bottom law added to sim._FRICTION_KEYS needs a case,
+    # so that the missing-key, CLI and round-trip checks below cover it
+    covered = set()
+    for case in MISSING_KEY_CASES:
+        cfg = config_from_mapping(_friction_mapping(case))
+        covered.add((cfg.friction, sim._pairing(cfg.friction, cfg.friction_params)[0]))
+    assert covered == {(name, bottom) for name, laws in sim._FRICTION_KEYS.items()
+                       for bottom in laws}
+
+
+@pytest.mark.parametrize("case", sorted(MISSING_KEY_CASES))
+def test_friction_config_round_trip(case):
+    cfg = config_from_mapping(_friction_mapping(case))
+    assert cfg.friction_params == {k: v if k == "bottom" else float(v)
+                                   for k, v in MISSING_KEY_CASES[case].items()}
+    assert config_from_mapping(config_to_mapping(cfg)) == cfg
+
+
+def test_config_rejects_unknown_bottom_law(capsys):
+    # before, both built a config and the run failed in build_model with
+    # "unknown granular bottom law 'tidal'", naming no key
+    with pytest.raises(ValueError, match="^model.bottom must be one of slip, manning, "
+                                         "coulomb, mu_i, got 'tidal'$"):
+        preset(4, friction_params=dict(preset(4).friction_params, bottom="tidal"))
+    mapping = _friction_mapping("mu_i/mu_i")
+    mapping["model"]["bottom"] = "tidal"
+    with pytest.raises(ValueError, match="^model.bottom must be one of"):
+        config_from_mapping(mapping)
+    assert cli.main(["--preset", "4", "--override", "model.bottom=tidal"]) == 1
+    assert "model.bottom" in capsys.readouterr().err
+
+
+def test_config_reads_only_the_keys_of_its_bottom_law(tmp_path, capsys):
+    # before, a mu_i config took the keys of every bottom law, so a run with
+    # bottom = mu_i recorded the unread slip keys lambda and eta0
+    with pytest.raises(ValueError, match="'mu_i' does not read 'lambda', 'eta0' with model.bottom "
+                                         "= mu_i; it reads mu_s, mu_2, i0, d_s, bottom$"):
+        preset(4, friction_params=dict(preset(4).friction_params, bottom="mu_i"))
+    rc = cli.main(["--preset", "4", "--out", str(tmp_path), "--override", "model.bottom=mu_i",
+                   "--override", "grid.j=16", "--override", "output.times=0.001"])
+    assert rc == 0, capsys.readouterr().err
+    summary = (tmp_path / "summary.txt").read_text()
+    assert "model.bottom = mu_i" in summary
+    assert "model.lambda" not in summary and "model.eta0" not in summary
 
 
 @pytest.mark.parametrize("case", sorted(MISSING_KEY_CASES))
