@@ -272,11 +272,17 @@ def _check_finite(U: np.ndarray, stage: str) -> None:
     raise RuntimeError(f"non-finite state after {stage} in cell {j + 1}")
 
 
-def _check_step_input(grid: Grid, dt: float) -> None:
-    """A stepper's entry checks: dt finite and positive, a finite state."""
+def _predict(grid: Grid, dt: float, eps: float, theta: float,
+             basis: MomentBasis) -> tuple[np.ndarray, np.ndarray]:
+    """The transport predictor of both steppers: the interior states after
+    _transport and their dryness with the rewetting margin. Rejects a dt that
+    is not finite and positive, and a non-finite input or predictor."""
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValueError(f"time step dt must be finite and positive, got {dt}")
     _check_finite(grid.interior(), "input")
+    U_check = _transport(grid, dt, eps, theta, basis)
+    _check_finite(U_check, "transport")
+    return U_check, _dry_after_transport(U_check, grid.dry()[1:-1], grid.h_min)
 
 
 def _limited_source(P: np.ndarray, dt: float, model, eps: float, theta: float,
@@ -316,12 +322,8 @@ def step_explicit(grid: Grid, dt: float, model, basis: MomentBasis,
     SimConfig (eps, theta).
     """
     eps, theta = config.eps, config.theta
-    _check_step_input(grid, dt)
-    U_check = _transport(grid, dt, eps, theta, basis)
-    _check_finite(U_check, "transport")
-    was_dry = grid.dry()[1:-1]
-    dry_after = _dry_after_transport(U_check, was_dry, grid.h_min)
-    apply_src = ~was_dry & ~dry_after
+    U_check, dry_after = _predict(grid, dt, eps, theta, basis)
+    apply_src = ~grid.dry()[1:-1] & ~dry_after
     U_new = U_check.copy()
     if np.any(apply_src):
         S = _limited_source(grid.primitive[1:-1][apply_src], dt, model, eps, theta,
@@ -340,88 +342,72 @@ NEWTON_TOL = 1e-6
 NEWTON_MAX_ITER = 50
 
 
-def _residual_and_jacobian(V: np.ndarray, target: np.ndarray, dt: float, model,
-                           eps: float, theta: float, dbdx: np.ndarray,
-                           basis: MomentBasis, h_min: float,
-                           jacobian: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Residual V - target - dt S(V) of the velocity rows and, if asked, its
-    Jacobian (None otherwise).
-
-    The depth row of the source is zero, so the depth is fixed and the
-    unknowns are the n = N+1 velocity components. For a model that is
-    linear_in_velocity the residual is affine in them and its Jacobian is
-    exact: I - dt kappa(h) dS/dv, with kappa the desingularization factor of
-    to_primitive and dS/dv from source_jacobian_batch. For any other model it
-    is the central difference: each of the k rows of V is stacked with its n
-    forward and n backward copies into one (2n+1)k-row batch, so a single
-    source evaluation gives the residual (k, n) and the Jacobian (k, n, n).
-    """
+def _fd_jacobian(residual, V: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian (k, n, n) of a residual in the n = N+1
+    velocity components of the conservative rows V (k, N+2). The n forward
+    and then the n backward copies of V go to residual in one call, which
+    returns their residuals (2n k, n)."""
     n = V.shape[1] - 1
-    fd = jacobian and not model.linear_in_velocity
-    batch = np.repeat(V[None], 2 * n + 1 if fd else 1, axis=0)
-    if fd:
-        step = FD_EPS * np.maximum(1.0, np.abs(V[:, 1:]))
-        cols = np.arange(n)
-        batch[1 + cols, :, 1 + cols] += step.T
-        batch[1 + n + cols, :, 1 + cols] -= step.T
-    P = to_primitive(batch.reshape(-1, n + 1), h_min)
-    S = source_batch(P, model, eps, theta, np.tile(dbdx, batch.shape[0]), basis)
-    R = (batch - target - dt * S.reshape(batch.shape))[:, :, 1:]
-    if not jacobian:
-        return R[0], None
-    if not fd:
-        scale = dt * desingularization_factor(V[:, 0], h_min)
-        return R[0], np.eye(n) - scale[:, None, None] * source_jacobian_batch(P, model, theta, basis)
-    jac = (R[1:n + 1] - R[n + 1:]) / (2.0 * step.T)[:, :, None]
-    return R[0], jac.transpose(1, 2, 0)
+    step = FD_EPS * np.maximum(1.0, np.abs(V[:, 1:]))
+    cols = np.arange(n)
+    batch = np.repeat(V[None], 2 * n, axis=0)
+    batch[cols, :, 1 + cols] += step.T
+    batch[n + cols, :, 1 + cols] -= step.T
+    R = residual(batch.reshape(-1, n + 1)).reshape(2 * n, len(V), n)
+    return ((R[:n] - R[n:]) / (2.0 * step.T)[:, :, None]).transpose(1, 2, 0)
 
 
 def step_semi_implicit(grid: Grid, dt: float, model, basis: MomentBasis,
                        config) -> tuple[Grid, dict]:
     """Splitting step: explicit transport predictor, then a per-cell implicit
     source solve U = U_check + dt S(U) by Newton iteration. The depth keeps
-    its transported value (the source does not change it); cells dry after
-    transport skip the solve. A model that is linear_in_velocity has an
-    affine residual with an exact Jacobian, so one Newton update solves it;
-    any other model iterates with a central-difference Jacobian. config is
-    the run's SimConfig (eps, theta)."""
+    its transported value (the source does not change it), so the unknowns
+    are the N+1 velocity components; cells dry after transport skip the
+    solve. A model that is linear_in_velocity has an affine residual with the
+    exact Jacobian I - dt kappa(h) dS/dv (kappa the desingularization factor
+    of to_primitive, dS/dv from source_jacobian_batch), so one Newton update
+    solves it; any other model iterates with _fd_jacobian. config is the
+    run's SimConfig (eps, theta)."""
     eps, theta = config.eps, config.theta
-    _check_step_input(grid, dt)
-    U_check = _transport(grid, dt, eps, theta, basis)
-    _check_finite(U_check, "transport")
-    dry_after = _dry_after_transport(U_check, grid.dry()[1:-1], grid.h_min)
+    U_check, dry_after = _predict(grid, dt, eps, theta, basis)
     U_new = U_check.copy()
+    n = U_new.shape[1] - 1
     iters_total = 0
     iters_max = 0
 
-    def residual(rows: np.ndarray, jacobian: bool):
-        return _residual_and_jacobian(U_new[rows], U_check[rows], dt, model, eps, theta,
-                                      grid.dbdx[rows], basis, grid.h_min, jacobian)
+    def residual(V: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """V - U_check - dt S(V) in the velocity components of the states V
+        of the cells, from one source call, and the primitive rows of V."""
+        P = to_primitive(V, grid.h_min)
+        S = source_batch(P, model, eps, theta, grid.dbdx[cells], basis)
+        return (V - U_check[cells] - dt * S)[:, 1:], P
 
     rows = np.flatnonzero(~dry_after)
-    # the first Jacobian comes in the same source call as the residual at
-    # U_check; after an update most cells have converged, so the residual is
-    # evaluated alone and a Jacobian only for the cells still iterating. An
-    # affine residual is R - J dV = 0 up to round-off after its first
-    # update, so it is not evaluated again.
     while rows.size:
-        R, jac = residual(rows, jacobian=iters_max == 0)
-        active = np.max(np.abs(R), axis=1) >= NEWTON_TOL
-        rows, R = rows[active], R[active]
+        R, P = residual(U_new[rows], rows)
+        err = np.max(np.abs(R), axis=1)
+        # only a residual below NEWTON_TOL converges: a NaN one iterates on
+        active = ~(err < NEWTON_TOL)
+        rows, R, P, err = rows[active], R[active], P[active], err[active]
         if not rows.size:
             break
-        if iters_max >= NEWTON_MAX_ITER:
-            raise RuntimeError(
-                f"Newton solve did not converge in cell {rows[0] + 1}: "
-                f"residual {float(np.max(np.abs(R))):.3e}"
-            )
-        jac = residual(rows, jacobian=True)[1] if jac is None else jac[active]
+        worst = int(np.argmax(err))  # the first NaN, if any
+        if iters_max >= NEWTON_MAX_ITER or not np.isfinite(err[worst]):
+            raise RuntimeError(f"Newton solve did not converge in cell {rows[worst] + 1} "
+                               f"after {iters_max} updates: residual {err[worst]:.3e}")
+        V = U_new[rows]
+        if model.linear_in_velocity:
+            scale = dt * desingularization_factor(V[:, 0], grid.h_min)
+            jac = np.eye(n) - scale[:, None, None] * source_jacobian_batch(P, model, theta, basis)
+        else:
+            jac = _fd_jacobian(lambda batch: residual(batch, np.tile(rows, 2 * n))[0], V)
         try:
             U_new[rows, 1:] -= np.linalg.solve(jac, R[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"singular Newton Jacobian in cell {rows[0] + 1}") from exc
         iters_total += rows.size
         iters_max += 1
+        # an affine residual is zero up to round-off after one update
         if model.linear_in_velocity:
             break
     _check_finite(U_new, "implicit source")

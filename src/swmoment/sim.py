@@ -2,6 +2,7 @@
 
 import configparser
 import math
+import numbers
 import os
 from dataclasses import dataclass, field, replace
 
@@ -85,14 +86,17 @@ def _pairing(friction: str, params: dict) -> tuple[str, tuple]:
 
 
 def _check_friction_params(friction: str, params: dict) -> None:
-    """Reject an unknown friction model or bottom law, and a parameter that
-    the pair does not read."""
+    """Reject an unknown friction model or bottom law, a parameter that the
+    pair does not read, and a parameter that is not finite."""
     bottom, reads = _pairing(friction, params)
     unknown = ", ".join(repr(key) for key in params if key not in reads)
     if unknown:
         under = f" with model.bottom = {bottom}" if "bottom" in reads else ""
         raise ValueError(f"friction model {friction!r} does not read {unknown}{under}; "
                          f"it reads {', '.join(reads)}")
+    for key, value in params.items():
+        if key != "bottom" and not math.isfinite(value):
+            raise ValueError(f"model.{key} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -127,6 +131,14 @@ class SimConfig:
     profile_resolution: int | None = None
 
     def __post_init__(self):
+        # the sizes are ints from here on; a numpy integer is one too
+        for name in ("N", "J", "quad_points", "profile_resolution"):
+            value = getattr(self, name)
+            if value is None and name == "profile_resolution":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.J < 3:
             raise ValueError("J must be at least 3")
         if not 1 <= self.N <= MAX_ORDER:
@@ -370,14 +382,9 @@ def run(config: SimConfig) -> RunResult:
     if not _coulomb_bottom(model):
         del diag["sh_violations"]
     snapshots = []
-    pending = list(config.snapshot_times)
-    if pending[0] == 0.0:
-        snapshots.append(_snapshot(grid, 0.0, bed))
-        pending.pop(0)
     t = 0.0
     steps = 0
-    while pending:
-        t_target = pending[0]
+    for t_target in config.snapshot_times:
         while t < t_target:
             steps += 1
             if steps > MAX_STEPS:
@@ -393,7 +400,6 @@ def run(config: SimConfig) -> RunResult:
             t = t_target if landed else t + dt
             _record(diag, t, dt, grid, info, basis)
         snapshots.append(_snapshot(grid, t_target, bed))
-        pending.pop(0)
     return RunResult(snapshots=snapshots,
                      diagnostics={k: np.asarray(v) for k, v in diag.items()},
                      config=config, basis=basis)
@@ -591,17 +597,12 @@ _FRICTION_KEYS = {
 _IC_KEYS = {"kind": str, "h": float, "x_lo": float, "x_hi": float, "u_m": float,
             "alpha": _floats}
 
-# keys of removed options, with the one value that still loads: the
-# transport path is always primitive and the bed slope enters with one sign
-_REMOVED_KEYS = {("stepper", "path_variable"): "primitive",
-                 ("output", "flip_topography_sign"): "false"}
-
 # every key some reader takes; keys of another friction model or bottom law
 # than the configured one are accepted, so a file can switch with one key
 _KNOWN_KEYS = ({(section, key.lower()) for section, key, _, _ in _FILE_FIELDS}
                | {("model", key) for laws in _FRICTION_KEYS.values()
                   for keys in laws.values() for key in keys}
-               | {("model", "bottom")} | {("ic", key) for key in _IC_KEYS} | set(_REMOVED_KEYS))
+               | {("model", "bottom")} | {("ic", key) for key in _IC_KEYS})
 
 
 def config_to_mapping(config: SimConfig) -> dict:
@@ -627,20 +628,16 @@ def _parse(section: str, key: str, parse, raw: str):
 def config_from_mapping(mapping: dict) -> SimConfig:
     """Build a SimConfig from {section: {key: string}} (inverse of the above).
 
-    Raises ValueError naming section.key for a key that nothing reads, for a
-    value that does not parse, and for a removed option set to anything but
-    the value that still loads.
+    Raises ValueError naming section.key for a key that nothing reads and
+    for a value that does not parse.
     """
     sections = {}
     for section, kv in mapping.items():
         sections.setdefault(section.lower(), {}).update((k.lower(), v) for k, v in kv.items())
     for section, kv in sections.items():
-        for key, raw in kv.items():
+        for key in kv:
             if (section, key) not in _KNOWN_KEYS:
                 raise ValueError(f"unknown config key {section}.{key}")
-            allowed = _REMOVED_KEYS.get((section, key))
-            if allowed is not None and raw.strip().lower() != allowed:
-                raise ValueError(f"{section}.{key} was removed; only {allowed!r} still loads")
     kw = {name: _parse(section, key.lower(), parse, sections[section][key.lower()])
           for section, key, name, parse in _FILE_FIELDS
           if key.lower() in sections.get(section, {})}

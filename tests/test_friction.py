@@ -607,16 +607,19 @@ def test_derive_inertial_scaling():
 
 
 def test_derive_rejects_bad_inputs():
-    # the scales and the angle are checked as the config is built, the grain
-    # size and density of the inertial scaling by build_model
+    # the scales, the angle and the finiteness of the grain size are checked
+    # as the config is built, the sign of the grain size and the density of
+    # the inertial scaling by build_model
     with pytest.raises(ValueError, match="^H must"):
         SimConfig(**dict(SCALES, H=0.0))
     with pytest.raises(ValueError, match="theta"):
         SimConfig(**dict(SCALES, theta=math.pi / 2))
+    with pytest.raises(ValueError, match="^model.d_s must be finite, got nan$"):
+        SimConfig(**SCALES, friction="mu_i",
+                  friction_params=dict(GRAN_PARAMS, d_s=math.nan, bottom="mu_i"))
     for scales, params in ((dict(SCALES, rho_s=None), GRAN_PARAMS),
                            (SCALES, dict(GRAN_PARAMS, d_s=0.0)),
-                           (SCALES, dict(GRAN_PARAMS, d_s=-7e-4)),
-                           (SCALES, dict(GRAN_PARAMS, d_s=math.nan))):
+                           (SCALES, dict(GRAN_PARAMS, d_s=-7e-4))):
         cfg = SimConfig(**scales, friction="mu_i", friction_params=dict(params, bottom="mu_i"))
         with pytest.raises(ValueError, match=re.escape("needs model.d_s > 0 and scaling.rho_s")):
             build_model(cfg)

@@ -6,7 +6,15 @@ import pytest
 from dataclasses import replace
 
 from swmoment.basis import gauss_rule
-from swmoment.friction import ConstantCoulomb, CoulombBottom, MuI, MuIBottom, Newtonian, SlipBottom
+from swmoment.friction import (
+    ConstantCoulomb,
+    CoulombBottom,
+    ManningBottom,
+    MuI,
+    MuIBottom,
+    Newtonian,
+    SlipBottom,
+)
 from swmoment import scheme
 from swmoment.hswme import source_batch, system_matrix_batch, wavespeeds_batch
 from swmoment.scheme import (
@@ -298,6 +306,21 @@ def test_newton_abort_reports_cell(basis2, monkeypatch):
         step_semi_implicit(grid, 1e-3, MODEL, basis2, cfg)
 
 
+@pytest.mark.parametrize("law, value", [(law, value) for law in ("slip", "manning")
+                                        for value in (math.nan, math.inf)])
+def test_nonfinite_residual_fails_the_implicit_step(law, value, basis2):
+    # before, max|R| >= NEWTON_TOL was False for a NaN residual, so every row
+    # counted as converged and the step skipped the source, gravity included
+    if law == "slip":
+        model = Newtonian(nu=value, bottom_law=SlipBottom(nu=value, lam=1e-4))
+    else:
+        model = Newtonian(nu=1.19e-3, bottom_law=ManningBottom(n2=value))
+    grid = _uniform_grid(10, 2, h=0.08)
+    with pytest.raises(RuntimeError, match="^Newton solve did not converge in cell 1 after 0 "
+                                           "updates: residual nan$"), np.errstate(invalid="ignore"):
+        step_semi_implicit(grid, 1e-3, model, basis2, SimConfig(mode="semi_implicit"))
+
+
 def test_nonfinite_state_aborts_with_cell_index(basis2):
     grid = _uniform_grid(10, 2, h=0.05)
     for j, col in ((5, 1), (1, 0), (10, 3)):
@@ -519,33 +542,32 @@ def test_live_window_spans_every_interface_with_a_wet_side():
 
 def test_run_converts_each_grid_to_primitive_once(monkeypatch):
     # one full-grid conversion per grid (the initial one and one per step),
-    # shared by cfl_dt, the step and the diagnostics; the Newton batches
-    # convert their own perturbed rows
-    rows, newton = [], []
-    residual = scheme._residual_and_jacobian
+    # shared by cfl_dt, the step and the diagnostics; a Newton iteration
+    # converts its own rows, right before their one source evaluation
+    calls = []
 
     def counted(U, h_min):
-        rows.append(len(U))
+        calls.append(("to_primitive", len(U)))
         return to_primitive(U, h_min)
 
-    def counted_residual(*args, **kwargs):
-        newton.append(len(rows))
-        return residual(*args, **kwargs)
+    def counted_source(P, *args):
+        calls.append(("source_batch", len(P)))
+        return source_batch(P, *args)
 
     monkeypatch.setattr(scheme, "to_primitive", counted)
-    monkeypatch.setattr(scheme, "_residual_and_jacobian", counted_residual)
+    monkeypatch.setattr(scheme, "source_batch", counted_source)
     for mode in ("explicit", "semi_implicit"):
-        rows.clear()
-        newton.clear()
+        calls.clear()
         cfg = preset(1, J=60, mode=mode, snapshot_times=(0.0, 0.1, 0.2))
         steps = len(run(cfg).diagnostics["time"])
         assert steps > 2
-        assert len(rows) == steps + 1 + len(newton)
-        # newton holds the index in rows of each Newton batch's conversion
-        batches = set(newton)
-        grids = [n for i, n in enumerate(rows) if i not in batches]
+        newton = [i for i, call in enumerate(calls[:-1])
+                  if call[0] == "to_primitive" and calls[i + 1] == ("source_batch", call[1])]
+        grids = [n for i, (name, n) in enumerate(calls)
+                 if name == "to_primitive" and i not in newton]
         assert grids == [cfg.J + 2] * (steps + 1)
-        assert (len(newton) > 0) == (mode == "semi_implicit")
+        # newtonian_slip is linear in v: one Newton conversion per step
+        assert len(newton) == (steps if mode == "semi_implicit" else 0)
 
 
 @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
@@ -671,8 +693,9 @@ def test_semi_implicit_newton_matches_full_jacobian_reference(name, basis1, basi
 @pytest.mark.parametrize("law", ["slip", "manning"])
 def test_semi_implicit_source_rows_per_step(law, basis2, monkeypatch):
     # slip + Newtonian is linear in v: its exact Jacobian needs no probe
-    # copies, so the source sees each wet row once. Manning keeps the
-    # central-difference batch of 2n+1 copies of each row
+    # copies, so the source sees each wet row once. Manning evaluates the
+    # residual of the rows still iterating, then the central-difference batch
+    # of 2n copies of each row whose residual is not yet below NEWTON_TOL
     model = MODEL if law == "slip" else build_model(preset(2, law="manning"))
     assert model.linear_in_velocity == (law == "slip")
     grid = _patch_grid(2, patches=[(2, 15), (22, 38)], J=40, seed=1)
@@ -692,8 +715,12 @@ def test_semi_implicit_source_rows_per_step(law, basis2, monkeypatch):
         assert calls == [wet]
         assert info["newton_iters_max"] == 1
     else:
-        assert calls[0] == (2 * (basis2.N + 1) + 1) * wet
-        assert len(calls) > 1
+        # wet, then per update 2n * active and the residual of those active rows
+        active = calls[2::2]
+        assert calls[0] == wet
+        assert calls[1::2] == [2 * (basis2.N + 1) * k for k in active]
+        assert len(active) == info["newton_iters_max"] > 1
+        assert sum(active) == info["newton_iters_total"]
 
 
 def test_exact_jacobian_on_films_thinner_than_sqrt_h_min(basis2):

@@ -177,6 +177,28 @@ def test_config_rejects_bad_domain_and_order(case):
 
 
 @pytest.mark.parametrize("name, value", [
+    ("N", 2.0), ("N", True), ("J", 16.5), ("J", 40.0), ("J", "40"), ("quad_points", 8.0),
+    ("profile_resolution", 4.0), ("profile_resolution", False)])
+def test_config_rejects_non_integer_sizes(name, value):
+    # before, profile_resolution = 4.0 ran the whole solve and then failed in
+    # write_outputs with a TypeError, before summary.txt was written
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+        preset(1, **{name: value})
+
+
+def test_config_accepts_numpy_integer_sizes(tmp_path):
+    cfg = preset(1, N=np.int64(3), J=np.int32(16), quad_points=np.int64(8),
+                 profile_resolution=np.int16(4), snapshot_times=(0.001,))
+    assert all(type(getattr(cfg, name)) is int
+               for name in ("N", "J", "quad_points", "profile_resolution"))
+    assert config_from_mapping(config_to_mapping(cfg)) == cfg
+    written = sim.write_outputs(run(cfg), str(tmp_path))
+    assert [os.path.basename(p) for p in written] == [
+        "snapshot_t0.001.csv", "profile_t0.001.csv", "summary.txt"]
+    assert "output.profile_resolution = 4\n" in (tmp_path / "summary.txt").read_text()
+
+
+@pytest.mark.parametrize("name, value", [
     (name, value) for name in ("H", "L", "g", "rho") for value in (0.0, -1.0, math.nan, math.inf)
 ] + [("rho_s", value) for value in (0.0, -5.0, math.nan, math.inf)])
 def test_config_rejects_bad_scales(name, value):
@@ -301,6 +323,11 @@ def test_run_zero_snapshot_echoes_initial_state():
     np.testing.assert_array_equal(snap.h, np.where(inside, 0.08, 0.0))
     assert np.all(snap.u_m == 0.0) and np.all(snap.alpha == 0.0)
     assert len(res.diagnostics["time"]) == 0
+    # a 0.0 target before a later one takes no step either
+    res = run(dataclasses.replace(cfg, snapshot_times=(0.0, 0.001)))
+    assert [s.time for s in res.snapshots] == [0.0, 0.001]
+    np.testing.assert_array_equal(res.snapshots[0].h, snap.h)
+    assert res.diagnostics["time"][0] > 0.0 and res.diagnostics["time"][-1] == 0.001
 
 
 def test_run_uniform_equilibrium_is_stationary():
@@ -702,21 +729,6 @@ def test_config_file_table_covers_every_field():
     assert {f.name for f in dataclasses.fields(SimConfig)} == table | {"friction_params", "ic"}
 
 
-def test_config_path_variable_only_primitive():
-    # removed options: the transport path is always primitive and the bed
-    # slope has one sign. Files that give the one behaviour left still load;
-    # any other value fails instead of silently running without it
-    for section, key, kept, other in (("stepper", "path_variable", "primitive", "conservative"),
-                                      ("output", "flip_topography_sign", "false", "true")):
-        mapping = config_to_mapping(preset(1))
-        assert key not in mapping[section]
-        mapping[section][key] = kept
-        assert config_from_mapping(mapping) == preset(1)
-        mapping[section][key] = other
-        with pytest.raises(ValueError, match=f"{section}.{key}"):
-            config_from_mapping(mapping)
-
-
 def test_config_unknown_key_raises():
     mapping = config_to_mapping(preset(1))
     mapping["grid"]["jj"] = "24"
@@ -727,14 +739,21 @@ def test_config_unknown_key_raises():
     # keys are case-insensitive, within and across spellings of a section
     mixed = {"Grid": {"J": "24"}, "grid": {"x_b": "2"}}
     assert config_from_mapping(mixed) == SimConfig(J=24, x_b=2.0)
-    # removed stepper keys are keys that nothing reads: dt_max, dt_fixed (the
-    # step is always the CFL step), and the constants scheme.NEWTON_TOL,
-    # scheme.NEWTON_MAX_ITER and sim.MAX_STEPS
-    for key, value in (("dt_max", "0.001"), ("dt_fixed", "2.5e-4"), ("newton_tol", "1e-9"),
-                       ("newton_max_iter", "100"), ("max_steps", "10")):
+    # removed options are keys that nothing reads, whatever their value:
+    # dt_max, dt_fixed (the step is always the CFL step), the constants
+    # scheme.NEWTON_TOL, scheme.NEWTON_MAX_ITER and sim.MAX_STEPS, the
+    # transport path (always primitive) and the sign of the bed slope
+    for section, key, value in (("stepper", "dt_max", "0.001"), ("stepper", "dt_fixed", "2.5e-4"),
+                                ("stepper", "newton_tol", "1e-9"),
+                                ("stepper", "newton_max_iter", "100"),
+                                ("stepper", "max_steps", "10"),
+                                ("stepper", "path_variable", "primitive"),
+                                ("stepper", "path_variable", "conservative"),
+                                ("output", "flip_topography_sign", "false"),
+                                ("output", "flip_topography_sign", "true")):
         mapping = config_to_mapping(preset(1))
-        mapping["stepper"][key] = value
-        with pytest.raises(ValueError, match=f"unknown config key stepper.{key}$"):
+        mapping[section][key] = value
+        with pytest.raises(ValueError, match=f"^unknown config key {section}.{key}$"):
             config_from_mapping(mapping)
         assert not hasattr(SimConfig(), key)
     # a key of another friction model is accepted (and not read)
@@ -871,6 +890,22 @@ def test_friction_config_round_trip(case):
     assert cfg.friction_params == {k: v if k == "bottom" else float(v)
                                    for k, v in MISSING_KEY_CASES[case].items()}
     assert config_from_mapping(config_to_mapping(cfg)) == cfg
+
+
+@pytest.mark.parametrize("case", sorted(MISSING_KEY_CASES))
+def test_config_rejects_non_finite_friction_parameter(case):
+    # before, mu_2 = inf and lambda = inf ran to exit 0, and eta = nan or
+    # manning_n = nan made the implicit source solve skip its rows
+    cfg = config_from_mapping(_friction_mapping(case))
+    for key in sorted(set(MISSING_KEY_CASES[case]) - {"bottom"}):
+        for value in (math.nan, math.inf, -math.inf):
+            error = f"^model.{key} must be finite, got {value}$"
+            with pytest.raises(ValueError, match=error):
+                dataclasses.replace(cfg, friction_params=dict(cfg.friction_params, **{key: value}))
+            mapping = _friction_mapping(case)
+            mapping["model"][key] = str(value)
+            with pytest.raises(ValueError, match=error):
+                config_from_mapping(mapping)
 
 
 def test_config_rejects_unknown_bottom_law(capsys):
