@@ -49,10 +49,10 @@ class SlipBottom:
     linear = True
 
     def __post_init__(self):
-        if not self.lam > 0.0:
-            raise ValueError("slip length must be positive")
-        if self.nu < 0.0:
-            raise ValueError("viscosity must be nonnegative")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError(f"slip length must be finite and positive, got {self.lam}")
+        if not 0.0 <= self.nu < math.inf:
+            raise ValueError(f"viscosity must be finite and nonnegative, got {self.nu}")
 
     def stress(self, P: np.ndarray, basis: MomentBasis, model) -> np.ndarray:
         return (self.nu / self.lam) * bottom_velocity(P)
@@ -70,8 +70,8 @@ class ManningBottom:
     linear = False
 
     def __post_init__(self):
-        if self.n2 < 0.0:
-            raise ValueError("Manning factor must be nonnegative")
+        if not 0.0 <= self.n2 < math.inf:
+            raise ValueError(f"Manning factor must be finite and nonnegative, got {self.n2}")
 
     def stress(self, P: np.ndarray, basis: MomentBasis, model) -> np.ndarray:
         ub = bottom_velocity(P)
@@ -141,8 +141,8 @@ class Newtonian(_Friction):
     linear = True
 
     def __post_init__(self):
-        if self.nu < 0.0:
-            raise ValueError("viscosity must be nonnegative")
+        if not 0.0 <= self.nu < math.inf:
+            raise ValueError(f"viscosity must be finite and nonnegative, got {self.nu}")
 
     def bulk_terms(self, P: np.ndarray, basis: MomentBasis) -> np.ndarray:
         return (self.nu / P[:, 0])[:, None] * (P[:, 2:] @ basis.C.T)
@@ -163,8 +163,9 @@ class ConstantCoulomb(_Friction):
     bottom_law: object
 
     def __post_init__(self):
-        if self.mu < 0.0:
-            raise ValueError("bulk friction coefficient must be nonnegative")
+        if not 0.0 <= self.mu < math.inf:
+            raise ValueError(f"bulk friction coefficient must be finite and nonnegative, "
+                             f"got {self.mu}")
 
     def bulk_terms(self, P: np.ndarray, basis: MomentBasis) -> np.ndarray:
         return np.broadcast_to((-self.mu * P[:, 0])[:, None], (P.shape[0], basis.N)).copy()

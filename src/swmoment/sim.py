@@ -70,32 +70,20 @@ def _check_ic(ic: dict, N: int) -> None:
                          f"and {ic.get('alpha')}")
 
 
-def _pairing(friction: str, params: dict) -> tuple[str, tuple]:
-    """The bottom law of a friction model and the [model] keys that the pair
-    reads. A config name fixes its bottom law; mu_i reads it from `bottom`
-    (default slip). Rejects an unknown model or bottom law by its key."""
-    laws = _FRICTION_KEYS.get(friction)
-    if laws is None:
-        raise ValueError(f"unknown friction model {friction!r}")
-    if len(laws) == 1:
-        return next(iter(laws.items()))
-    bottom = params.get("bottom", "slip")
-    if bottom not in laws:
-        raise ValueError(f"model.bottom must be one of {', '.join(laws)}, got {bottom!r}")
-    return bottom, laws[bottom] + ("bottom",)
-
-
 def _check_friction_params(friction: str, params: dict) -> None:
-    """Reject an unknown friction model or bottom law, a parameter that the
-    pair does not read, and a parameter that is not finite."""
-    bottom, reads = _pairing(friction, params)
+    """Reject an unknown friction name, a parameter that the name does not
+    read, and a parameter that is not a finite real number."""
+    if friction not in _FRICTION:
+        raise ValueError(f"unknown friction model {friction!r}")
+    reads = _FRICTION[friction][2]
     unknown = ", ".join(repr(key) for key in params if key not in reads)
     if unknown:
-        under = f" with model.bottom = {bottom}" if "bottom" in reads else ""
-        raise ValueError(f"friction model {friction!r} does not read {unknown}{under}; "
+        raise ValueError(f"friction model {friction!r} does not read {unknown}; "
                          f"it reads {', '.join(reads)}")
     for key, value in params.items():
-        if key != "bottom" and not math.isfinite(value):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"model.{key} must be a number, got {value!r}")
+        if not math.isfinite(value):
             raise ValueError(f"model.{key} must be finite, got {value}")
 
 
@@ -212,8 +200,9 @@ def preset(example: int, **overrides) -> SimConfig:
     1: Newtonian slip, N=2, semi-implicit.  2: slip/Manning bottom-friction
     comparison, N=2 (pass law="manning" and/or Lambda=/n= to sweep).
     3: Savage-Hutter, N=2, explicit (pass delta_deg=15 or 18).
-    4: granular mu(I) with slip bottom, explicit, CFL=0.01, 8-point bulk
-    quadrature (pass N=3..6 and bathymetry="runoff" for the curved bed).
+    4: granular mu(I) with slip bottom (mu_i_slip), explicit, CFL=0.01,
+    8-point bulk quadrature (pass N=3..6 and bathymetry="runoff" for the
+    curved bed).
     All four take the grid, length scales and snapshot times from the
     SimConfig defaults.
     """
@@ -259,15 +248,14 @@ def preset(example: int, **overrides) -> SimConfig:
             N=3,
             rho=1550.0,
             rho_s=2500.0,
-            friction="mu_i",
+            friction="mu_i_slip",
             friction_params={
                 "mu_s": 0.48,
                 "mu_2": 0.73,
                 "i0": 0.279,
                 "d_s": 7e-4,
-                "bottom": "slip",
                 "lambda": 0.001 * H,
-                "eta0": 0.001,
+                "eta": 0.001,
             },
             mode="explicit",
             cfl=0.01,
@@ -280,47 +268,44 @@ def preset(example: int, **overrides) -> SimConfig:
 
 
 def build_model(config: SimConfig):
-    """Instantiate the friction model of a config: the config name's bulk law
-    (newtonian_* is Newtonian, savage_hutter with mu = tan(phi_int) and
-    coulomb are ConstantCoulomb, mu_i is MuI) over its bottom law.
+    """Instantiate the friction model of a config: the bulk law of its
+    friction name (_FRICTION) over the name's bottom law. A ConstantCoulomb
+    bulk takes mu = tan(phi_int) under savage_hutter.
 
     This is the one place where the SI inputs become the dimensionless groups
     the laws take (the README's table of units and scales), with the velocity
     scale U = sqrt(g L) and stresses scaled by rho g cos(theta) H.
     """
-    kind = config.friction
+    bulk, bottom_law, reads = _FRICTION[config.friction]
     p = config.friction_params
-    bottom_name, reads = _pairing(kind, p)
-    missing = [f"model.{key}" for key in reads if key not in p and key != "bottom"]
+    missing = [f"model.{key}" for key in reads if key not in p]
     if missing:
-        raise ValueError(f"friction model {kind!r} needs {', '.join(missing)}")
-    if kind == "savage_hutter" and not 0.0 <= p["delta"] <= p["phi_int"] < math.pi / 2:
+        raise ValueError(f"friction model {config.friction!r} needs {', '.join(missing)}")
+    if "phi_int" in reads and not 0.0 <= p["delta"] <= p["phi_int"] < math.pi / 2:
         raise ValueError("require 0 <= delta <= phi_int < pi/2")
     H, L, g, rho = config.H, config.L, config.g, config.rho
     cos_t = math.cos(config.theta)
     U = math.sqrt(g * L)
-    # the Newtonian bulk and the slip bottom share one viscosity, which mu_i
-    # reads from eta0
-    eta = p.get("eta0" if kind == "mu_i" else "eta")
-    nu = None if eta is None else eta * U / (rho * g * cos_t * H * H)
-    if bottom_name == "slip":
+    # the Newtonian bulk and the slip bottom share one viscosity
+    nu = p["eta"] * U / (rho * g * cos_t * H * H) if "eta" in reads else None
+    if bottom_law is SlipBottom:
         bottom = SlipBottom(nu=nu, lam=p["lambda"] / H)
-    elif bottom_name == "manning":
+    elif bottom_law is ManningBottom:
         n = p["manning_n"]
         bottom = ManningBottom(n2=n * n * U * U / (H ** (4.0 / 3.0) * cos_t))
-    elif bottom_name == "coulomb":
+    elif bottom_law is CoulombBottom:
         bottom = CoulombBottom(delta=p["delta"])
     else:
         bottom = MuIBottom()
-    if kind in ("newtonian_slip", "newtonian_manning"):
+    if bulk is Newtonian:
         return Newtonian(nu=nu, bottom_law=bottom)
-    if kind == "mu_i":
+    if bulk is MuI:
         if not p["d_s"] > 0.0 or config.rho_s is None:
             raise ValueError("the inertial scaling needs model.d_s > 0 and scaling.rho_s")
         c_I = (p["i0"] * H / p["d_s"]) * math.sqrt((rho / config.rho_s) * (H / L) * cos_t)
         return MuI(mu_s=p["mu_s"], mu_2=p["mu_2"], c_I=c_I, bottom_law=bottom,
                    quad_points=config.quad_points)
-    mu = math.tan(p["phi_int"]) if kind == "savage_hutter" else p["mu"]
+    mu = math.tan(p["phi_int"]) if "phi_int" in reads else p["mu"]
     return ConstantCoulomb(mu=mu, bottom_law=bottom)
 
 
@@ -379,7 +364,8 @@ def run(config: SimConfig) -> RunResult:
     diag = {k: [] for k in ("time", "dt", "mass", "max_speed", "dry_cells",
                             "sh_violations", "newton_iters", "newton_iters_max",
                             "clamped_mass")}
-    if not _coulomb_bottom(model):
+    # the Savage-Hutter sliding-law assumptions hold only over a Coulomb bottom
+    if _FRICTION[config.friction][1] is not CoulombBottom:
         del diag["sh_violations"]
     snapshots = []
     t = 0.0
@@ -403,12 +389,6 @@ def run(config: SimConfig) -> RunResult:
     return RunResult(snapshots=snapshots,
                      diagnostics={k: np.asarray(v) for k, v in diag.items()},
                      config=config, basis=basis)
-
-
-def _coulomb_bottom(model) -> bool:
-    """Whether the model has a Coulomb bottom, the setting of the Savage-Hutter
-    sliding-law assumptions that savage_hutter_violations checks."""
-    return isinstance(model.bottom_law, CoulombBottom)
 
 
 def _record(diag: dict, t: float, dt: float, grid, info: dict, basis) -> None:
@@ -580,29 +560,31 @@ _FILE_FIELDS = (
     ("output", "profile_resolution", "profile_resolution", int),
 )
 
-# each friction model's bottom laws, with the [model] keys that the model
-# reads over each; these keys name the friction_params too. A model needs all
-# the keys of its pair. The moment order already uses key "n", so the Manning
-# coefficient is "manning_n"; mu_i's slip viscosity is "eta0"
+# each friction name's bulk law, bottom law, and the [model] keys that the
+# pair reads; these keys name the friction_params too, and a model needs all
+# of them. The moment order already uses key "n", so the Manning coefficient
+# is "manning_n"; eta is the viscosity of the Newtonian bulk and of the slip
+# bottom alike
 _MU_I_KEYS = ("mu_s", "mu_2", "i0", "d_s")
-_FRICTION_KEYS = {
-    "newtonian_slip": {"slip": ("lambda", "eta")},
-    "newtonian_manning": {"manning": ("manning_n", "eta")},
-    "savage_hutter": {"coulomb": ("delta", "phi_int")},
-    "coulomb": {"coulomb": ("delta", "mu")},
-    "mu_i": {"slip": _MU_I_KEYS + ("lambda", "eta0"), "manning": _MU_I_KEYS + ("manning_n",),
-             "coulomb": _MU_I_KEYS + ("delta",), "mu_i": _MU_I_KEYS},
+_FRICTION = {
+    "newtonian_slip": (Newtonian, SlipBottom, ("lambda", "eta")),
+    "newtonian_manning": (Newtonian, ManningBottom, ("manning_n", "eta")),
+    "savage_hutter": (ConstantCoulomb, CoulombBottom, ("delta", "phi_int")),
+    "coulomb": (ConstantCoulomb, CoulombBottom, ("delta", "mu")),
+    "mu_i_slip": (MuI, SlipBottom, _MU_I_KEYS + ("lambda", "eta")),
+    "mu_i_manning": (MuI, ManningBottom, _MU_I_KEYS + ("manning_n",)),
+    "mu_i_coulomb": (MuI, CoulombBottom, _MU_I_KEYS + ("delta",)),
+    "mu_i": (MuI, MuIBottom, _MU_I_KEYS),
 }
 
 _IC_KEYS = {"kind": str, "h": float, "x_lo": float, "x_hi": float, "u_m": float,
             "alpha": _floats}
 
-# every key some reader takes; keys of another friction model or bottom law
-# than the configured one are accepted, so a file can switch with one key
+# every key some reader takes; keys of another friction name than the
+# configured one are accepted, so a file can switch with one key
 _KNOWN_KEYS = ({(section, key.lower()) for section, key, _, _ in _FILE_FIELDS}
-               | {("model", key) for laws in _FRICTION_KEYS.values()
-                  for keys in laws.values() for key in keys}
-               | {("model", "bottom")} | {("ic", key) for key in _IC_KEYS})
+               | {("model", key) for _, _, keys in _FRICTION.values() for key in keys}
+               | {("ic", key) for key in _IC_KEYS})
 
 
 def config_to_mapping(config: SimConfig) -> dict:
@@ -641,10 +623,11 @@ def config_from_mapping(mapping: dict) -> SimConfig:
     kw = {name: _parse(section, key.lower(), parse, sections[section][key.lower()])
           for section, key, name, parse in _FILE_FIELDS
           if key.lower() in sections.get(section, {})}
-    model = sections.get("model", {})
-    reads = _pairing(kw.get("friction", SimConfig.friction), model)[1]
-    kw["friction_params"] = {key: raw if key == "bottom" else _parse("model", key, float, raw)
-                             for key, raw in model.items() if key in reads}
+    # an unknown friction name reads nothing; SimConfig rejects it by name
+    friction = kw.get("friction", SimConfig.friction)
+    reads = _FRICTION[friction][2] if friction in _FRICTION else ()
+    kw["friction_params"] = {key: _parse("model", key, float, raw)
+                             for key, raw in sections.get("model", {}).items() if key in reads}
     if sections.get("ic"):
         kw["ic"] = {"kind": "block",
                     **{k: _parse("ic", k, _IC_KEYS[k], v) for k, v in sections["ic"].items()}}

@@ -40,18 +40,27 @@ def random_wet_primitive(rng, N, M, h_range=(1e-3, 0.1), vel_scale=1.0):
 SCALES = dict(H=0.1, L=10.0, g=9.81, theta=math.pi / 4, rho=1550.0, rho_s=2500.0)
 GRAN_PARAMS = {"mu_s": 0.48, "mu_2": 0.73, "i0": 0.279, "d_s": 7e-4}
 DELTA, PHI = math.radians(15.0), math.radians(20.0)
-# the parameters of each bottom law under mu_i
-GRAN_BOTTOM = {"slip": {"lambda": 1e-4, "eta0": 0.001}, "manning": {"manning_n": 0.0165},
-               "coulomb": {"delta": DELTA}, "mu_i": {}}
-# every config name, and mu_i with each of its bottom laws
+# the parameters of each mu(I) name besides GRAN_PARAMS
+GRAN_BOTTOM = {"mu_i_slip": {"lambda": 1e-4, "eta": 0.001}, "mu_i_manning": {"manning_n": 0.0165},
+               "mu_i_coulomb": {"delta": DELTA}, "mu_i": {}}
+# every friction name
 CONFIG_CASES = {
     "newtonian_slip": ("newtonian_slip", {"lambda": 1e-5, "eta": 0.01}),
     "newtonian_manning": ("newtonian_manning", {"manning_n": 0.0165, "eta": 0.01}),
     "savage_hutter": ("savage_hutter", {"delta": DELTA, "phi_int": PHI}),
     "coulomb": ("coulomb", {"delta": DELTA, "mu": 0.4}),
-    **{f"mu_i-{b}": ("mu_i", dict(GRAN_PARAMS, bottom=b, **keys))
-       for b, keys in GRAN_BOTTOM.items()},
+    **{name: (name, dict(GRAN_PARAMS, **keys)) for name, keys in GRAN_BOTTOM.items()},
 }
+# the bottom law of each mu(I) name; its cases keep the test ids they had when
+# a pair was spelt friction = mu_i plus model.bottom
+MU_I_BOTTOM = {"mu_i_slip": "slip", "mu_i_manning": "manning", "mu_i_coulomb": "coulomb",
+               "mu_i": "mu_i"}
+
+
+def case_ids(sep: str):
+    """pytest ids for cases keyed by friction name: a mu(I) name reads as
+    mu_i, sep and its bottom law (mu_i-slip), any other name as itself."""
+    return lambda name: f"mu_i{sep}{MU_I_BOTTOM[name]}" if name in MU_I_BOTTOM else name
 
 
 def config_model(kind, params, **overrides):

@@ -21,7 +21,17 @@ from swmoment.friction import (
     savage_hutter_violations,
 )
 from swmoment.sim import SimConfig, build_model, preset
-from tests.conftest import CONFIG_CASES, DELTA, GRAN_PARAMS, PHI, SCALES, config_model, random_wet_primitive
+from tests.conftest import (
+    CONFIG_CASES,
+    DELTA,
+    GRAN_PARAMS,
+    MU_I_BOTTOM,
+    PHI,
+    SCALES,
+    case_ids,
+    config_model,
+    random_wet_primitive,
+)
 
 # Example-4 granular constants (c_I from the 50-digit scaling computation)
 C_I = 2.6390311051245129
@@ -71,12 +81,11 @@ def _reference_stresses(kind, p, P, basis):
         ub += P[:, j]
     H, L, g, rho, rho_s = (SCALES[k] for k in ("H", "L", "g", "rho", "rho_s"))
     U, cos_t = math.sqrt(g * L), math.cos(SCALES["theta"])
-    # the granular slip viscosity eta0 is scaled like eta
-    nu = p.get("eta0" if kind == "mu_i" else "eta", 0.0) * U / (rho * g * cos_t * H * H)
-    if kind == "mu_i":
+    nu = p.get("eta", 0.0) * U / (rho * g * cos_t * H * H)
+    if kind in MU_I_BOTTOM:
         c_I = (p["i0"] * H / p["d_s"]) * math.sqrt((rho / rho_s) * (H / L) * cos_t)
     bottom = {"newtonian_slip": "slip", "newtonian_manning": "manning",
-              "savage_hutter": "coulomb", "coulomb": "coulomb"}.get(kind, p.get("bottom"))
+              "savage_hutter": "coulomb", "coulomb": "coulomb", **MU_I_BOTTOM}[kind]
     if bottom == "slip":
         tau_b = (nu / (p["lambda"] / H)) * ub
     elif bottom == "manning":
@@ -113,7 +122,7 @@ def _reference_stresses(kind, p, P, basis):
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
-@pytest.mark.parametrize("case", sorted(CONFIG_CASES))
+@pytest.mark.parametrize("case", sorted(CONFIG_CASES), ids=case_ids("-"))
 def test_composed_stresses_equal_former_per_model_laws(case, N, basis1, basis2, basis3):
     basis = {1: basis1, 2: basis2, 3: basis3}[N]
     kind, params = CONFIG_CASES[case]
@@ -181,19 +190,32 @@ def test_model_parameter_validation():
         MuI(mu_s=0.48, mu_2=0.73, c_I=0.0, bottom_law=MuIBottom())
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("law", [
+    lambda v: Newtonian(nu=v, bottom_law=MuIBottom()),
+    lambda v: SlipBottom(nu=v, lam=1e-3),
+    lambda v: ManningBottom(n2=v),
+    lambda v: ConstantCoulomb(mu=v, bottom_law=MuIBottom()),
+], ids=["Newtonian", "SlipBottom", "ManningBottom", "ConstantCoulomb"])
+def test_law_rejects_non_finite_parameter(law, value):
+    # before, each check was x < 0.0, which is False for nan and lets inf through
+    with pytest.raises(ValueError, match="must be finite and nonnegative"):
+        law(value)
+
+
 @pytest.mark.parametrize("kind, params", [
-    ("mu_i", {**CONFIG_CASES["mu_i-slip"][1], "lambda": 0.0}),  # slip length 0
-    ("mu_i", dict(CONFIG_CASES["mu_i-slip"][1], eta0=-1e-3)),  # negative viscosity
+    ("mu_i_slip", {**CONFIG_CASES["mu_i_slip"][1], "lambda": 0.0}),  # slip length 0
+    ("mu_i_slip", dict(CONFIG_CASES["mu_i_slip"][1], eta=-1e-3)),  # negative viscosity
     ("newtonian_slip", {"lambda": 0.0, "eta": 0.01}),
     ("newtonian_manning", {"manning_n": 0.01, "eta": -0.01}),
     ("coulomb", {"delta": math.pi / 2, "mu": 0.4}),  # tan(delta) ~ 1.6e16
     ("coulomb", {"delta": -0.1, "mu": 0.4}),
-    ("mu_i", dict(CONFIG_CASES["mu_i-coulomb"][1], delta=math.pi / 2)),
-    ("mu_i", dict(CONFIG_CASES["mu_i-coulomb"][1], delta=-0.1)),
+    ("mu_i_coulomb", dict(CONFIG_CASES["mu_i_coulomb"][1], delta=math.pi / 2)),
+    ("mu_i_coulomb", dict(CONFIG_CASES["mu_i_coulomb"][1], delta=-0.1)),
 ])
 def test_build_model_checks_law_parameters(kind, params):
     # each law checks its own parameters, so every model that carries it does;
-    # before, mu_i took a zero slip length (ZeroDivisionError at the first step)
+    # before, a mu(I) slip bottom took a zero slip length (ZeroDivisionError at the first step)
     # and coulomb bottoms took any delta
     with pytest.raises(ValueError):
         config_model(kind, params)
@@ -545,11 +567,11 @@ FROZEN_GROUPS = {
     "newtonian_manning": {"nu": "0x1.e2f7e8dc60db0p-11", "n2": "0x1.a0a26bfb6dc4ep-1"},
     "savage_hutter": {},
     "coulomb": {},
-    "mu_i-slip": {"c_I": "0x1.51cbc570d1799p+1", "nu": "0x1.825fed7d1a48dp-14",
+    "mu_i_slip": {"c_I": "0x1.51cbc570d1799p+1", "nu": "0x1.825fed7d1a48dp-14",
                   "lam": "0x1.0624dd2f1a9fcp-10"},
-    "mu_i-manning": {"c_I": "0x1.51cbc570d1799p+1", "n2": "0x1.a0a26bfb6dc4ep-1"},
-    "mu_i-coulomb": {"c_I": "0x1.51cbc570d1799p+1"},
-    "mu_i-mu_i": {"c_I": "0x1.51cbc570d1799p+1"},
+    "mu_i_manning": {"c_I": "0x1.51cbc570d1799p+1", "n2": "0x1.a0a26bfb6dc4ep-1"},
+    "mu_i_coulomb": {"c_I": "0x1.51cbc570d1799p+1"},
+    "mu_i": {"c_I": "0x1.51cbc570d1799p+1"},
 }
 PRESETS = {"preset 1": (1, {}), "preset 2 slip": (2, {}), "preset 2 manning": (2, {"law": "manning"}),
            "preset 3": (3, {}), "preset 4": (4, {})}
@@ -567,7 +589,7 @@ def _groups(model) -> dict:
     return groups
 
 
-@pytest.mark.parametrize("case", sorted(FROZEN_GROUPS))
+@pytest.mark.parametrize("case", sorted(FROZEN_GROUPS), ids=case_ids("-"))
 def test_build_model_groups_keep_their_bits(case):
     if case in PRESETS:
         example, kwargs = PRESETS[case]
@@ -600,8 +622,8 @@ def test_derive_viscosity_and_manning():
 
 
 def test_derive_inertial_scaling():
-    # the granular slip bottom reads its viscosity from eta0
-    model = config_model(*CONFIG_CASES["mu_i-slip"])
+    # the granular slip bottom reads its viscosity from eta, as the Newtonian one does
+    model = config_model(*CONFIG_CASES["mu_i_slip"])
     assert model.c_I == pytest.approx(C_I, rel=1e-14)
     assert model.bottom_law.nu == pytest.approx(9.2118911156584804e-5, rel=1e-14)
 
@@ -616,10 +638,10 @@ def test_derive_rejects_bad_inputs():
         SimConfig(**dict(SCALES, theta=math.pi / 2))
     with pytest.raises(ValueError, match="^model.d_s must be finite, got nan$"):
         SimConfig(**SCALES, friction="mu_i",
-                  friction_params=dict(GRAN_PARAMS, d_s=math.nan, bottom="mu_i"))
+                  friction_params=dict(GRAN_PARAMS, d_s=math.nan))
     for scales, params in ((dict(SCALES, rho_s=None), GRAN_PARAMS),
                            (SCALES, dict(GRAN_PARAMS, d_s=0.0)),
                            (SCALES, dict(GRAN_PARAMS, d_s=-7e-4))):
-        cfg = SimConfig(**scales, friction="mu_i", friction_params=dict(params, bottom="mu_i"))
+        cfg = SimConfig(**scales, friction="mu_i", friction_params=params)
         with pytest.raises(ValueError, match=re.escape("needs model.d_s > 0 and scaling.rho_s")):
             build_model(cfg)

@@ -14,7 +14,7 @@ from swmoment.hswme import (
     system_matrix_batch,
     wavespeeds_batch,
 )
-from tests.conftest import CONFIG_CASES, config_model, random_wet_primitive
+from tests.conftest import CONFIG_CASES, case_ids, config_model, random_wet_primitive
 
 EPS, THETA = 0.01, math.pi / 4
 
@@ -98,7 +98,7 @@ def test_source_moment_rows_savage_hutter(basis2):
     assert S[3] == pytest.approx(5.0 * base, rel=1e-14)
 
 
-@pytest.mark.parametrize("case", sorted(CONFIG_CASES))
+@pytest.mark.parametrize("case", sorted(CONFIG_CASES), ids=case_ids("-"))
 def test_source_split_rows(case, basis2):
     model = config_model(*CONFIG_CASES[case])
     rng = np.random.default_rng(19)
@@ -141,7 +141,7 @@ def test_source_jacobian_equals_unit_step_probes(N):
             np.testing.assert_allclose(jac[:, :, j], probe[:, 1:], rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("case", sorted(CONFIG_CASES))
+@pytest.mark.parametrize("case", sorted(CONFIG_CASES), ids=case_ids("-"))
 def test_only_slip_newtonian_is_linear_in_velocity(case):
     assert config_model(*CONFIG_CASES[case]).linear_in_velocity == (case == "newtonian_slip")
 

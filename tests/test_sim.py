@@ -36,6 +36,7 @@ from swmoment.sim import (
 )
 from swmoment.scheme import apply_transmissive_bc, cfl_dt, make_grid
 from swmoment.state import to_conservative
+from tests.conftest import case_ids
 
 PI4 = math.pi / 4
 
@@ -222,12 +223,12 @@ def test_config_rejects_friction_keys_the_model_does_not_read():
     for old in ("Lambda", "I0", "n"):
         with pytest.raises(ValueError, match=f"does not read '{old}'"):
             preset(4, friction_params=dict(preset(4).friction_params, **{old: 0.1}))
-    # a key of another model, and eta under mu_i, whose slip viscosity is eta0
+    # a key of another model, and eta0, the former granular slip viscosity
     with pytest.raises(ValueError, match="'newtonian_manning' does not read 'lambda'"):
         preset(2, friction="newtonian_manning",
                friction_params={"lambda": 1e-4, "manning_n": 0.0165, "eta": 0.01})
-    with pytest.raises(ValueError, match="'mu_i' does not read 'eta'"):
-        preset(4, friction_params=dict(preset(4).friction_params, eta=0.001))
+    with pytest.raises(ValueError, match="'mu_i_slip' does not read 'eta0'"):
+        preset(4, friction_params=dict(preset(4).friction_params, eta0=0.001))
     with pytest.raises(ValueError, match="unknown friction model 'tidal'"):
         SimConfig(friction="tidal")
     mapping = config_to_mapping(preset(1))
@@ -246,15 +247,29 @@ def _readme_units_keys() -> set:
     return keys
 
 
+def _readme_friction_table() -> dict:
+    """{name: (bulk law, bottom law)} from the README's model.friction table,
+    each law the first name in backticks of its cell."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = text.split("| `model.friction` | bulk law | bottom law |", 1)[1].split("\n- ", 1)[0]
+    table = {}
+    for row in rows.strip().splitlines()[1:]:
+        name, bulk, bottom = (re.search(r"`(\w+)", cell)[1] for cell in row.split("|")[1:4])
+        table[name] = (bulk, bottom)
+    return table
+
+
 def test_readme_units_table_covers_every_scale_and_friction_key():
     # a friction parameter or a scale without a row in the table has no stated unit
     wanted = ({f"scaling.{key.lower()}" for section, key, _, _ in sim._FILE_FIELDS
                if section == "scaling"}
-              | {f"model.{key}" for laws in sim._FRICTION_KEYS.values()
-                 for keys in laws.values() for key in keys})
+              | {f"model.{key}" for _, _, keys in sim._FRICTION.values() for key in keys})
     table = _readme_units_keys()
     assert not wanted - table, f"missing from the README units table: {sorted(wanted - table)}"
     assert table <= {f"{section}.{key}" for section, key in sim._KNOWN_KEYS}
+    # and the friction table lists each friction name with its two laws
+    assert _readme_friction_table() == {name: (bulk.__name__, bottom.__name__)
+                                        for name, (bulk, bottom, _) in sim._FRICTION.items()}
 
 
 # initial conditions build_grid cannot build, with the key their error names;
@@ -853,51 +868,46 @@ def test_cli_readme_friction_switch_loads(tmp_path, capsys):
 
 
 _GRANULAR_KEYS = {"mu_s": "0.48", "mu_2": "0.73", "i0": "0.279", "d_s": "7e-4"}
-# every friction config name, mu_i with each bottom law, and the [model] keys it needs
+# every friction name and the [model] keys it needs
 MISSING_KEY_CASES = {
     "newtonian_slip": {"lambda": "1e-4", "eta": "0.01"},
     "newtonian_manning": {"manning_n": "0.0165", "eta": "0.01"},
     "savage_hutter": {"delta": "0.26", "phi_int": "0.35"},
     "coulomb": {"delta": "0.26", "mu": "0.4"},
-    "mu_i": {**_GRANULAR_KEYS, "lambda": "1e-4", "eta0": "0.001"},
-    "mu_i/slip": {**_GRANULAR_KEYS, "bottom": "slip", "lambda": "1e-4", "eta0": "0.001"},
-    "mu_i/manning": {**_GRANULAR_KEYS, "bottom": "manning", "manning_n": "0.0165"},
-    "mu_i/coulomb": {**_GRANULAR_KEYS, "bottom": "coulomb", "delta": "0.26"},
-    "mu_i/mu_i": {**_GRANULAR_KEYS, "bottom": "mu_i"},
+    "mu_i_slip": {**_GRANULAR_KEYS, "lambda": "1e-4", "eta": "0.001"},
+    "mu_i_manning": {**_GRANULAR_KEYS, "manning_n": "0.0165"},
+    "mu_i_coulomb": {**_GRANULAR_KEYS, "delta": "0.26"},
+    "mu_i": _GRANULAR_KEYS,
 }
 
 
 def _friction_mapping(case: str, drop: str | None = None) -> dict:
     keys = {k: v for k, v in MISSING_KEY_CASES[case].items() if k != drop}
-    return {"model": {"friction": case.split("/")[0], **keys}, "scaling": {"rho_s": "2500"},
+    return {"model": {"friction": case, **keys}, "scaling": {"rho_s": "2500"},
             "grid": {"j": "16"}, "output": {"times": "0.001"}}
 
 
 def test_missing_key_cases_cover_every_friction_pairing():
-    # a friction model or bottom law added to sim._FRICTION_KEYS needs a case,
-    # so that the missing-key, CLI and round-trip checks below cover it
-    covered = set()
-    for case in MISSING_KEY_CASES:
-        cfg = config_from_mapping(_friction_mapping(case))
-        covered.add((cfg.friction, sim._pairing(cfg.friction, cfg.friction_params)[0]))
-    assert covered == {(name, bottom) for name, laws in sim._FRICTION_KEYS.items()
-                       for bottom in laws}
+    # a friction name added to sim._FRICTION needs a case, so that the
+    # missing-key, CLI and round-trip checks below cover it
+    assert set(MISSING_KEY_CASES) == set(sim._FRICTION)
+    for case, keys in MISSING_KEY_CASES.items():
+        assert set(keys) == set(sim._FRICTION[case][2])
 
 
-@pytest.mark.parametrize("case", sorted(MISSING_KEY_CASES))
+@pytest.mark.parametrize("case", sorted(MISSING_KEY_CASES), ids=case_ids("/"))
 def test_friction_config_round_trip(case):
     cfg = config_from_mapping(_friction_mapping(case))
-    assert cfg.friction_params == {k: v if k == "bottom" else float(v)
-                                   for k, v in MISSING_KEY_CASES[case].items()}
+    assert cfg.friction_params == {k: float(v) for k, v in MISSING_KEY_CASES[case].items()}
     assert config_from_mapping(config_to_mapping(cfg)) == cfg
 
 
-@pytest.mark.parametrize("case", sorted(MISSING_KEY_CASES))
+@pytest.mark.parametrize("case", sorted(MISSING_KEY_CASES), ids=case_ids("/"))
 def test_config_rejects_non_finite_friction_parameter(case):
     # before, mu_2 = inf and lambda = inf ran to exit 0, and eta = nan or
     # manning_n = nan made the implicit source solve skip its rows
     cfg = config_from_mapping(_friction_mapping(case))
-    for key in sorted(set(MISSING_KEY_CASES[case]) - {"bottom"}):
+    for key in sorted(MISSING_KEY_CASES[case]):
         for value in (math.nan, math.inf, -math.inf):
             error = f"^model.{key} must be finite, got {value}$"
             with pytest.raises(ValueError, match=error):
@@ -909,49 +919,48 @@ def test_config_rejects_non_finite_friction_parameter(case):
 
 
 def test_config_rejects_unknown_bottom_law(capsys):
-    # before, both built a config and the run failed in build_model with
-    # "unknown granular bottom law 'tidal'", naming no key
-    with pytest.raises(ValueError, match="^model.bottom must be one of slip, manning, "
-                                         "coulomb, mu_i, got 'tidal'$"):
-        preset(4, friction_params=dict(preset(4).friction_params, bottom="tidal"))
-    mapping = _friction_mapping("mu_i/mu_i")
-    mapping["model"]["bottom"] = "tidal"
-    with pytest.raises(ValueError, match="^model.bottom must be one of"):
-        config_from_mapping(mapping)
-    assert cli.main(["--preset", "4", "--override", "model.bottom=tidal"]) == 1
-    assert "model.bottom" in capsys.readouterr().err
+    # a friction name picks its bottom law, so model.bottom and eta0, the
+    # former mu_i slip viscosity, are keys that nothing reads
+    for key, value in (("bottom", "mu_i"), ("bottom", "tidal"), ("eta0", "0.001")):
+        mapping = _friction_mapping("mu_i_slip")
+        mapping["model"][key] = value
+        with pytest.raises(ValueError, match=f"^unknown config key model.{key}$"):
+            config_from_mapping(mapping)
+    assert cli.main(["--preset", "4", "--override", "model.bottom=mu_i"]) == 1
+    assert "unknown config key model.bottom" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="'mu_i_slip' does not read 'bottom'"):
+        preset(4, friction_params=dict(preset(4).friction_params, bottom="mu_i"))
 
 
 def test_config_reads_only_the_keys_of_its_bottom_law(tmp_path, capsys):
-    # before, a mu_i config took the keys of every bottom law, so a run with
-    # bottom = mu_i recorded the unread slip keys lambda and eta0
-    with pytest.raises(ValueError, match="'mu_i' does not read 'lambda', 'eta0' with model.bottom "
-                                         "= mu_i; it reads mu_s, mu_2, i0, d_s, bottom$"):
-        preset(4, friction_params=dict(preset(4).friction_params, bottom="mu_i"))
-    rc = cli.main(["--preset", "4", "--out", str(tmp_path), "--override", "model.bottom=mu_i",
+    # the mu(I) bottom reads no slip keys: a SimConfig rejects them, and a
+    # file that switches preset 4 to mu_i does not record them
+    with pytest.raises(ValueError, match="^friction model 'mu_i' does not read 'lambda', 'eta'; "
+                                         "it reads mu_s, mu_2, i0, d_s$"):
+        preset(4, friction="mu_i")
+    rc = cli.main(["--preset", "4", "--out", str(tmp_path), "--override", "model.friction=mu_i",
                    "--override", "grid.j=16", "--override", "output.times=0.001"])
     assert rc == 0, capsys.readouterr().err
     summary = (tmp_path / "summary.txt").read_text()
-    assert "model.bottom = mu_i" in summary
-    assert "model.lambda" not in summary and "model.eta0" not in summary
+    assert "model.friction = mu_i\n" in summary
+    assert "model.lambda" not in summary and "model.eta" not in summary
 
 
-@pytest.mark.parametrize("case", sorted(MISSING_KEY_CASES))
+@pytest.mark.parametrize("case", sorted(MISSING_KEY_CASES), ids=case_ids("/"))
 def test_build_model_names_missing_friction_parameter(case):
     build_model(config_from_mapping(_friction_mapping(case)))
-    name = case.split("/")[0]
-    for key in sorted(set(MISSING_KEY_CASES[case]) - {"bottom"}):
+    for key in sorted(MISSING_KEY_CASES[case]):
         cfg = config_from_mapping(_friction_mapping(case, drop=key))
-        with pytest.raises(ValueError, match=f"'{name}' needs model.{key}$"):
+        with pytest.raises(ValueError, match=f"'{case}' needs model.{key}$"):
             build_model(cfg)
     # a config with no parameters still constructs; the model names them all
     with pytest.raises(ValueError, match="needs model.*, model."):
-        build_model(SimConfig(friction=name))
+        build_model(SimConfig(friction=case))
 
 
-@pytest.mark.parametrize("case", sorted(MISSING_KEY_CASES))
+@pytest.mark.parametrize("case", sorted(MISSING_KEY_CASES), ids=case_ids("/"))
 def test_cli_missing_friction_parameter_names_key(case, tmp_path, capsys):
-    for key in sorted(set(MISSING_KEY_CASES[case]) - {"bottom"}):
+    for key in sorted(MISSING_KEY_CASES[case]):
         path = tmp_path / "run.ini"
         path.write_text("".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
                                 for section, kv in _friction_mapping(case, drop=key).items()))
@@ -959,6 +968,32 @@ def test_cli_missing_friction_parameter_names_key(case, tmp_path, capsys):
         assert cli.main(["--config", str(path), "--out", str(out)]) == 1
         assert f"model.{key}" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["1e-5", True])
+def test_config_rejects_friction_parameter_that_is_not_a_number(value):
+    # before, a str raised "TypeError: must be real number, not str" naming no
+    # key, and True was taken as 1.0
+    with pytest.raises(ValueError, match=f"^model.lambda must be a number, got {re.escape(repr(value))}$"):
+        SimConfig(friction="newtonian_slip", friction_params={"lambda": value, "eta": 0.01})
+    # a numpy float is a real number
+    SimConfig(friction="newtonian_slip", friction_params={"lambda": np.float64(1e-5), "eta": 0.01})
+
+
+@pytest.mark.parametrize("case", sorted(MISSING_KEY_CASES))
+def test_every_friction_name_runs(case):
+    # each name on preset 4's block, stepped explicitly (the mu(I) names
+    # still abort at t = 0 when semi-implicit); only a Coulomb bottom records
+    # the Savage-Hutter sliding-law check
+    mapping = config_to_mapping(preset(4, J=40, snapshot_times=(0.05,)))
+    mapping["model"].update(friction=case, **MISSING_KEY_CASES[case])
+    mapping["stepper"]["mode"] = "explicit"
+    result = run(config_from_mapping(mapping))
+    snap = result.snapshots[-1]
+    assert snap.time == 0.05
+    assert np.all(np.isfinite(np.column_stack([snap.h, snap.u_m, snap.alpha])))
+    coulomb_bottom = case in ("savage_hutter", "coulomb", "mu_i_coulomb")
+    assert ("sh_violations" in result.diagnostics) == coulomb_bottom
 
 
 def test_cli_module_invocation(tmp_path):
