@@ -18,6 +18,8 @@ __all__ = [
 ]
 
 MAX_ORDER = 12
+# the most points gauss_rule gives
+MAX_GAUSS_POINTS = 64
 
 
 def _phi_ints(j: int) -> list[int]:
@@ -182,8 +184,8 @@ def _legendre_and_deriv(k: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _gauss_cached(k: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    if not isinstance(k, int) or k < 1 or k > 64:
-        raise ValueError(f"point count must be an integer in [1, 64], got {k}")
+    if not isinstance(k, int) or k < 1 or k > MAX_GAUSS_POINTS:
+        raise ValueError(f"point count must be an integer in [1, {MAX_GAUSS_POINTS}], got {k}")
     if k == 1:
         return (0.5,), (1.0,)
     # Newton iteration from the Chebyshev-like initial guess, tolerance 1e-15.
@@ -203,6 +205,6 @@ def _gauss_cached(k: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 
 def gauss_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """k-point Gauss-Legendre nodes and weights on [0,1], k in 1..64."""
+    """k-point Gauss-Legendre nodes and weights on [0,1], k in 1..MAX_GAUSS_POINTS."""
     nodes, weights = _gauss_cached(k)
     return np.array(nodes), np.array(weights)

@@ -68,7 +68,7 @@ def main(argv=None) -> int:
         print(f"completed {len(d['time'])} steps to t={final.time:g}")
         print(f"mass {d['mass'][-1]:.12g} (started {mass0:.12g})" if len(d["mass"])
               else "no steps taken")
-        print(f"front position {front_position(final, config.h_min):g}")
+        print(f"front position {front_position(final):g}")
         for name in written:
             print(f"wrote {name}")
         return 0

@@ -410,10 +410,10 @@ class MuI(_Friction):
     quad_points: int = 32
 
     def __post_init__(self):
-        if not 0.0 < self.mu_s < self.mu_2:
-            raise ValueError("require 0 < mu_s < mu_2")
-        if not self.c_I > 0.0:
-            raise ValueError("c_I must be positive")
+        if not 0.0 < self.mu_s < self.mu_2 < math.inf:
+            raise ValueError(f"require 0 < mu_s < mu_2 < inf, got {self.mu_s} and {self.mu_2}")
+        if not 0.0 < self.c_I < math.inf:
+            raise ValueError(f"c_I must be finite and positive, got {self.c_I}")
 
     def bulk_terms(self, P: np.ndarray, basis: MomentBasis) -> np.ndarray:
         h = P[:, 0]

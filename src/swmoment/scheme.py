@@ -5,6 +5,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import state
 from .basis import MomentBasis
 from .hswme import (
     source_batch,
@@ -33,9 +34,9 @@ class Grid:
     """Uniform 1-D grid: J interior cells plus one ghost cell on each side.
 
     U holds conservative rows (J+2, N+2); row 0 and row J+1 are ghosts.
-    dbdx holds interior cell slopes (J,). h_min is the dry threshold: a row
-    with h <= h_min is dry. stored, bool (J+2,), flags the rows the last step
-    held at rest as dry; the default None means none.
+    dbdx holds interior cell slopes (J,). A row with h <= state.H_MIN is
+    dry. stored, bool (J+2,), flags the rows the last step held at rest as
+    dry; the default None means none.
 
     A grid is immutable: U and stored are made read-only, and a step returns
     a new grid. So primitive and dry() are computed once, on first read.
@@ -45,12 +46,9 @@ class Grid:
     dx: float
     U: np.ndarray
     dbdx: np.ndarray
-    h_min: float
     stored: np.ndarray | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.h_min < np.inf:
-            raise ValueError(f"h_min must be finite and positive, got {self.h_min}")
         if self.stored is None:
             object.__setattr__(self, "stored", np.zeros(len(self.U), dtype=bool))
         if not (isinstance(self.stored, np.ndarray) and self.stored.dtype == bool
@@ -69,27 +67,26 @@ class Grid:
         """Primitive rows of every row of U (read-only). The conversion is
         elementwise per row, so a slice of it has the bits of converting the
         slice alone."""
-        P = to_primitive(self.U, self.h_min)
+        P = to_primitive(self.U)
         P.flags.writeable = False
         return P
 
     @cached_property
     def _dry(self) -> np.ndarray:
-        dry = is_dry(self.U[:, 0], self.h_min) | self.stored
+        dry = is_dry(self.U[:, 0]) | self.stored
         dry.flags.writeable = False
         return dry
 
     def dry(self) -> np.ndarray:
-        """Dryness of every row of U (read-only): h <= h_min, or stored."""
+        """Dryness of every row of U (read-only): h <= state.H_MIN, or stored."""
         return self._dry
 
     def interior(self) -> np.ndarray:
         return self.U[1:-1]
 
 
-def make_grid(x_a: float, x_b: float, J: int, N: int, h_min: float, bed=None) -> Grid:
-    """Grid over (x_a, x_b) with J cells, zero-initialized states and bed slopes,
-    and the dry threshold h_min."""
+def make_grid(x_a: float, x_b: float, J: int, N: int, bed=None) -> Grid:
+    """Grid over (x_a, x_b) with J cells, zero-initialized states and bed slopes."""
     if J < 3:
         raise ValueError("need at least 3 cells")
     if not x_b > x_a:
@@ -102,7 +99,7 @@ def make_grid(x_a: float, x_b: float, J: int, N: int, h_min: float, bed=None) ->
         from .topography import cell_slope
 
         dbdx = np.asarray(cell_slope(bed, x - 0.5 * dx, x + 0.5 * dx), dtype=float)
-    return Grid(x=x, dx=dx, U=np.zeros((J + 2, N + 2)), dbdx=dbdx, h_min=h_min)
+    return Grid(x=x, dx=dx, U=np.zeros((J + 2, N + 2)), dbdx=dbdx)
 
 
 def _mirror_ghosts(grid: Grid, U: np.ndarray, stored: np.ndarray) -> Grid:
@@ -120,12 +117,12 @@ def apply_transmissive_bc(grid: Grid) -> Grid:
 
 
 # activation margin for rewetting: a dry cell turns wet only once its
-# transported depth clears this multiple of h_min, while a wet cell dries at
-# h_min itself. Sub-threshold interface-viscosity deposits then accumulate as
-# stored mass (flagged in Grid.stored, held at rest) instead of creeping one
-# cell per step, which arrests the spurious upslope tail a quasi-static
-# draining front would otherwise pump out; resolved fronts deposit far above
-# the margin and are unaffected.
+# transported depth clears this multiple of state.H_MIN, while a wet cell
+# dries at state.H_MIN itself. Sub-threshold interface-viscosity deposits
+# then accumulate as stored mass (flagged in Grid.stored, held at rest)
+# instead of creeping one cell per step, which arrests the spurious upslope
+# tail a quasi-static draining front would otherwise pump out; resolved
+# fronts deposit far above the margin and are unaffected.
 WETTING_HYSTERESIS = 50.0
 
 
@@ -157,8 +154,8 @@ def _path_matrices(X: np.ndarray, dry: np.ndarray, eps: float, theta: float,
 
 def viscosity_matrix(A: np.ndarray, dx: float, dt: float) -> np.ndarray:
     """Q = (dx / 2 dt) I + (dt / 2 dx) A^2 (works on a matrix or a batch)."""
-    if dx <= 0.0 or dt <= 0.0:
-        raise ValueError("dx and dt must be positive")
+    if not (0.0 < dx < np.inf and 0.0 < dt < np.inf):
+        raise ValueError(f"dx and dt must be finite and positive, got dx={dx}, dt={dt}")
     A = np.asarray(A, dtype=float)
     eye = np.eye(A.shape[-1])
     return (dx / (2.0 * dt)) * eye + (dt / (2.0 * dx)) * (A @ A)
@@ -236,11 +233,11 @@ def _transport(grid: Grid, dt: float, eps: float, theta: float,
     return U[1:-1] - (dt / grid.dx) * (D_plus[:-1] + D_minus[1:])
 
 
-def _dry_after_transport(U_check: np.ndarray, was_dry: np.ndarray, h_min: float) -> np.ndarray:
+def _dry_after_transport(U_check: np.ndarray, was_dry: np.ndarray) -> np.ndarray:
     """Dryness of the post-transport state with the rewetting margin."""
     h_check = U_check[:, 0]
-    dry = is_dry(h_check, h_min)
-    dry |= was_dry & (h_check <= WETTING_HYSTERESIS * h_min)
+    dry = is_dry(h_check)
+    dry |= was_dry & (h_check <= WETTING_HYSTERESIS * state.H_MIN)
     return dry
 
 
@@ -282,7 +279,7 @@ def _predict(grid: Grid, dt: float, eps: float, theta: float,
     _check_finite(grid.interior(), "input")
     U_check = _transport(grid, dt, eps, theta, basis)
     _check_finite(U_check, "transport")
-    return U_check, _dry_after_transport(U_check, grid.dry()[1:-1], grid.h_min)
+    return U_check, _dry_after_transport(U_check, grid.dry()[1:-1])
 
 
 def _limited_source(P: np.ndarray, dt: float, model, eps: float, theta: float,
@@ -378,7 +375,7 @@ def step_semi_implicit(grid: Grid, dt: float, model, basis: MomentBasis,
     def residual(V: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """V - U_check - dt S(V) in the velocity components of the states V
         of the cells, from one source call, and the primitive rows of V."""
-        P = to_primitive(V, grid.h_min)
+        P = to_primitive(V)
         S = source_batch(P, model, eps, theta, grid.dbdx[cells], basis)
         return (V - U_check[cells] - dt * S)[:, 1:], P
 
@@ -397,7 +394,7 @@ def step_semi_implicit(grid: Grid, dt: float, model, basis: MomentBasis,
                                f"after {iters_max} updates: residual {err[worst]:.3e}")
         V = U_new[rows]
         if model.linear_in_velocity:
-            scale = dt * desingularization_factor(V[:, 0], grid.h_min)
+            scale = dt * desingularization_factor(V[:, 0])
             jac = np.eye(n) - scale[:, None, None] * source_jacobian_batch(P, model, theta, basis)
         else:
             jac = _fd_jacobian(lambda batch: residual(batch, np.tile(rows, 2 * n))[0], V)

@@ -5,10 +5,19 @@ import math
 import numbers
 import os
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
-from .basis import MAX_ORDER, MomentBasis, bottom_velocity, build_basis, reconstruct_velocity
+from . import state
+from .basis import (
+    MAX_GAUSS_POINTS,
+    MAX_ORDER,
+    MomentBasis,
+    bottom_velocity,
+    build_basis,
+    reconstruct_velocity,
+)
 from .friction import (
     ConstantCoulomb,
     CoulombBottom,
@@ -59,6 +68,11 @@ def _check_ic(ic: dict, N: int) -> None:
     missing = [f"ic.{key}" for key in _IC_REQUIRED[kind] if key not in ic]
     if missing:
         raise ValueError(f"initial condition {kind!r} needs {', '.join(missing)}")
+    for key in ("h", "x_lo", "x_hi", "u_m"):
+        if key in ic:
+            _check_real(f"ic.{key}", ic[key])
+    for value in ic.get("alpha", ()):
+        _check_real("ic.alpha", value)
     if not 0.0 <= ic["h"] < math.inf:
         raise ValueError(f"ic.h must be finite and nonnegative, got {ic['h']}")
     if kind == "block" and not ic["x_lo"] < ic["x_hi"]:
@@ -68,6 +82,12 @@ def _check_ic(ic: dict, N: int) -> None:
     if not all(math.isfinite(v) for v in (ic.get("u_m", 0.0), *ic.get("alpha", ()))):
         raise ValueError(f"ic.u_m and ic.alpha must be finite, got {ic.get('u_m')} "
                          f"and {ic.get('alpha')}")
+
+
+def _check_real(name: str, value) -> None:
+    """Reject a value that is not a real number, or is a bool, naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 def _check_friction_params(friction: str, params: dict) -> None:
@@ -81,8 +101,7 @@ def _check_friction_params(friction: str, params: dict) -> None:
         raise ValueError(f"friction model {friction!r} does not read {unknown}; "
                          f"it reads {', '.join(reads)}")
     for key, value in params.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"model.{key} must be a number, got {value!r}")
+        _check_real(f"model.{key}", value)
         if not math.isfinite(value):
             raise ValueError(f"model.{key} must be finite, got {value}")
 
@@ -110,13 +129,15 @@ class SimConfig:
     friction_params: dict = field(default_factory=dict)
     mode: str = "semi_implicit"
     cfl: float = 0.05
-    h_min: float = 1e-6
     quad_points: int = 32
     ic: dict = field(default_factory=lambda: dict(_BLOCK_IC))
     bathymetry: str = "flat"
     snapshot_times: tuple = (0.4, 0.6, 1.0)
     out_dir: str | None = None
     profile_resolution: int | None = None
+    # the dry threshold state.H_MIN, for readers of a config; a class
+    # attribute, not a field, so no run sets it
+    h_min: ClassVar[float] = state.H_MIN
 
     def __post_init__(self):
         # the sizes are ints from here on; a numpy integer is one too
@@ -148,10 +169,9 @@ class SimConfig:
             raise ValueError(f"unknown stepper mode {self.mode!r}")
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError("CFL must lie in (0, 1]")
-        if not 0.0 < self.h_min < math.inf:
-            raise ValueError(f"h_min must be finite and positive, got {self.h_min}")
-        if self.quad_points < 2:
-            raise ValueError(f"quad_points must be at least 2, got {self.quad_points}")
+        if not 2 <= self.quad_points <= MAX_GAUSS_POINTS:
+            raise ValueError(f"quad_points must lie in [2, {MAX_GAUSS_POINTS}], "
+                             f"got {self.quad_points}")
         if self.profile_resolution is not None and self.profile_resolution < 2:
             raise ValueError(f"profile_resolution must be None or >= 2, got {self.profile_resolution}")
         _check_ic(self.ic, self.N)
@@ -303,6 +323,9 @@ def build_model(config: SimConfig):
         if not p["d_s"] > 0.0 or config.rho_s is None:
             raise ValueError("the inertial scaling needs model.d_s > 0 and scaling.rho_s")
         c_I = (p["i0"] * H / p["d_s"]) * math.sqrt((rho / config.rho_s) * (H / L) * cos_t)
+        if not math.isfinite(c_I):
+            raise ValueError(f"the inertial scaling of model.i0 = {p['i0']} and "
+                             f"model.d_s = {p['d_s']} overflows (c_I = {c_I})")
         return MuI(mu_s=p["mu_s"], mu_2=p["mu_2"], c_I=c_I, bottom_law=bottom,
                    quad_points=config.quad_points)
     mu = math.tan(p["phi_int"]) if "phi_int" in reads else p["mu"]
@@ -323,11 +346,11 @@ def build_grid(config: SimConfig, bed=None):
     """Grid with the configured initial condition in conservative variables."""
     if bed is None:
         bed = build_bed(config)
-    grid = make_grid(config.x_a, config.x_b, config.J, config.N, config.h_min, bed)
+    grid = make_grid(config.x_a, config.x_b, config.J, config.N, bed)
     ic = config.ic
     P = np.zeros((config.J, config.N + 2))
     if ic["kind"] == "block":
-        # truly dry background: cells sitting exactly at h_min would turn wet
+        # truly dry background: cells sitting exactly at H_MIN would turn wet
         # on any infinitesimal transport deposit
         inside = (grid.x >= ic["x_lo"]) & (grid.x <= ic["x_hi"])
         if not np.any(inside):
@@ -488,8 +511,9 @@ def _write_profile_rows(f, x: np.ndarray, zeta: np.ndarray, u: np.ndarray) -> No
         f.write("".join(blocks))
 
 
-def front_position(snapshot: Snapshot, h_min: float) -> float:
-    """Largest x whose height exceeds 10 * h_min (-inf if the flow is all dry).
+def front_position(snapshot: Snapshot) -> float:
+    """Largest x whose height exceeds 10 * state.H_MIN (-inf if the flow is
+    all dry).
 
     The factor 10 keeps desingularization noise in nearly-dry cells from
     registering as flow.
@@ -497,9 +521,9 @@ def front_position(snapshot: Snapshot, h_min: float) -> float:
     The value saturates at the last cell centre once the flow reaches the
     right boundary, so fronts that got there tie whatever their speed. A
     comparison of fronts needs interior fronts: check that the last cell is
-    dry (``snapshot.h[-1] <= h_min``) before comparing.
+    dry (``snapshot.h[-1] <= state.H_MIN``) before comparing.
     """
-    mask = snapshot.h > 10.0 * h_min
+    mask = snapshot.h > 10.0 * state.H_MIN
     if not np.any(mask):
         return -math.inf
     return float(snapshot.x[np.flatnonzero(mask)[-1]])
@@ -553,7 +577,6 @@ _FILE_FIELDS = (
     ("grid", "bathymetry", "bathymetry", str),
     ("stepper", "mode", "mode", str),
     ("stepper", "cfl", "cfl", float),
-    ("stepper", "h_min", "h_min", float),
     ("stepper", "quad_points", "quad_points", int),
     ("output", "times", "snapshot_times", _floats),
     ("output", "dir", "out_dir", str),

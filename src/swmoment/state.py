@@ -10,39 +10,43 @@ __all__ = [
     "desingularized_velocity",
 ]
 
+# the dry threshold: a cell is dry at h <= H_MIN, and H_MIN is the h^2 floor
+# of the desingularization. Read at call time, so a test can patch it
+H_MIN = 1e-6
 
-def is_dry(h, h_min: float):
-    """A cell is dry iff h <= h_min (boundary included). Works elementwise."""
-    return np.asarray(h) <= h_min
+
+def is_dry(h):
+    """A cell is dry iff h <= H_MIN (boundary included). Works elementwise."""
+    return np.asarray(h) <= H_MIN
 
 
-def _desingularization_terms(h: np.ndarray, h_min: float) -> tuple:
-    """Numerator 2h and denominator h^2 + max(h^2, h_min) of the
+def _desingularization_terms(h: np.ndarray) -> tuple:
+    """Numerator 2h and denominator h^2 + max(h^2, H_MIN) of the
     desingularization factor, elementwise."""
-    return 2.0 * h, h * h + np.maximum(h * h, h_min)
+    return 2.0 * h, h * h + np.maximum(h * h, H_MIN)
 
 
-def desingularization_factor(h, h_min: float) -> np.ndarray:
-    """kappa(h) = 2h / (h^2 + max(h^2, h_min)), the factor to_primitive
+def desingularization_factor(h) -> np.ndarray:
+    """kappa(h) = 2h / (h^2 + max(h^2, H_MIN)), the factor to_primitive
     applies to each conservative velocity of a wet row: d v / d(h v) at fixed h.
-    It is 1/h for h >= sqrt(h_min)."""
-    two_h, den = _desingularization_terms(np.asarray(h, dtype=float), h_min)
+    It is 1/h for h >= sqrt(H_MIN)."""
+    two_h, den = _desingularization_terms(np.asarray(h, dtype=float))
     return two_h / den
 
 
-def desingularized_velocity(h, hv, h_min: float):
-    """Recover v from h*v as 2h*(hv)/(h^2 + max(h^2, h_min)).
+def desingularized_velocity(h, hv):
+    """Recover v from h*v as 2h*(hv)/(h^2 + max(h^2, H_MIN)).
 
-    Equals exact division for h >= sqrt(h_min) and stays bounded for any h >= 0.
+    Equals exact division for h >= sqrt(H_MIN) and stays bounded for any h >= 0.
     """
     h = np.asarray(h, dtype=float)
-    return 2.0 * h * np.asarray(hv, dtype=float) / (h * h + np.maximum(h * h, h_min))
+    return 2.0 * h * np.asarray(hv, dtype=float) / (h * h + np.maximum(h * h, H_MIN))
 
 
-def to_primitive(U, h_min: float) -> np.ndarray:
+def to_primitive(U) -> np.ndarray:
     """Map conservative rows (h, h*u_m, h*alpha_i) to primitive rows (h, u_m, alpha_i).
 
-    Velocities are desingularized; dry cells (h <= h_min) get zero velocities.
+    Velocities are desingularized; dry cells (h <= H_MIN) get zero velocities.
     """
     U = np.asarray(U, dtype=float)
     if not np.isfinite(U).all():
@@ -53,12 +57,12 @@ def to_primitive(U, h_min: float) -> np.ndarray:
     # desingularized_velocity one component at a time, its row factors formed
     # once: the same operations in the same order, so the same bits, and 2-3x
     # faster than broadcasting the rows over the short component axis
-    two_h, den = _desingularization_terms(h, h_min)
+    two_h, den = _desingularization_terms(h)
     for c in range(1, U.shape[-1]):
         v = P[..., c]
         np.multiply(two_h, U[..., c], out=v)
         np.divide(v, den, out=v)
-    P[is_dry(h, h_min), 1:] = 0.0
+    P[is_dry(h), 1:] = 0.0
     return P
 
 

@@ -36,19 +36,18 @@ from swmoment.scheme import (
     step_semi_implicit,
 )
 from swmoment.sim import SimConfig, build_grid, build_model, front_position, preset, run
-from swmoment.state import is_dry, to_conservative, to_primitive
+from swmoment.state import H_MIN, is_dry, to_conservative, to_primitive
 from tests.conftest import random_wet_primitive
 
 EPS = 0.01
 THETA = math.pi / 4
-H_MIN = 1e-6
 
 
 def _grid_with_state(J: int, N: int, P: np.ndarray) -> Grid:
-    grid = make_grid(0.0, 1.0, J, N, H_MIN)
+    grid = make_grid(0.0, 1.0, J, N)
     U = grid.U.copy()
     U[1:-1] = to_conservative(P)
-    grid = Grid(x=grid.x, dx=grid.dx, U=U, dbdx=grid.dbdx, h_min=H_MIN)
+    grid = Grid(x=grid.x, dx=grid.dx, U=U, dbdx=grid.dbdx)
     return apply_transmissive_bc(grid)
 
 
@@ -134,7 +133,7 @@ def test_05_mass_conserved_explicit_block_release():
     result = run(cfg)
     snap = result.snapshots[-1]
     # the drift bound presumes the support never touches the open boundaries
-    assert snap.h[0] <= cfg.h_min and snap.h[-1] <= cfg.h_min
+    assert snap.h[0] <= H_MIN and snap.h[-1] <= H_MIN
     m_end = float(result.diagnostics["mass"][-1])
     assert abs(m_end - m0) / m0 < 1e-8
     assert time.perf_counter() - start < 30.0
@@ -175,7 +174,7 @@ def test_07_interface_matrix_consistency_path_quadrature_and_fluctuation_sum():
         P = random_wet_primitive(rng, 2, 2)
         # rows L, L, R: interface 0 is L|L, interface 1 is L|R
         U = to_conservative(P[[0, 0, 1]])
-        X, dry = to_primitive(U, H_MIN), is_dry(U[:, 0], H_MIN)
+        X, dry = to_primitive(U), is_dry(U[:, 0])
         A, _ = _path_matrices(X, dry, EPS, THETA, basis)
         np.testing.assert_allclose(A[0], system_matrix_batch(P[:1], EPS, THETA, basis)[0],
                                    rtol=0.0, atol=1e-14)
@@ -210,8 +209,8 @@ def test_09_front_position_increases_with_inclination():
         cfg = preset(1, J=400, x_b=2.0, N=2, theta=theta, snapshot_times=(1.0,))
         snap = run(cfg).snapshots[-1]
         assert np.all(np.isfinite(snap.h)) and np.all(snap.h >= 0.0)
-        front = front_position(snap, cfg.h_min)
-        assert snap.h[-1] <= cfg.h_min and front < snap.x[-1], (
+        front = front_position(snap)
+        assert snap.h[-1] <= H_MIN and front < snap.x[-1], (
             f"front at theta={theta:.4f} reached the right boundary: {front}")
         fronts.append(front)
     assert time.perf_counter() - start < 300.0
@@ -232,7 +231,7 @@ def test_11_stepper_splitting_difference_first_order_in_dt():
     model = Newtonian(nu=1e-4, bottom_law=SlipBottom(nu=1e-4, lam=1e-2))
 
     def solve(mode: str, dt: float) -> np.ndarray:
-        grid = make_grid(0.0, 1.0, 50, 1, H_MIN)
+        grid = make_grid(0.0, 1.0, 50, 1)
         P = np.empty((50, 3))
         P[:, 0] = 0.05 + 0.01 * np.sin(2.0 * np.pi * grid.x)
         P[:, 1] = 0.1
@@ -256,6 +255,6 @@ def test_12_runoff_wet_dry_robustness():
     result = run(cfg)  # raises if any step aborts
     for snap in result.snapshots:
         assert np.all(np.isfinite(snap.h)) and np.all(snap.h >= 0.0)
-        dry = snap.h <= cfg.h_min
+        dry = snap.h <= H_MIN
         assert np.all(snap.u_m[dry] == 0.0)
         assert np.all(snap.alpha[dry] == 0.0)

@@ -191,15 +191,20 @@ def test_model_parameter_validation():
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
-@pytest.mark.parametrize("law", [
-    lambda v: Newtonian(nu=v, bottom_law=MuIBottom()),
-    lambda v: SlipBottom(nu=v, lam=1e-3),
-    lambda v: ManningBottom(n2=v),
-    lambda v: ConstantCoulomb(mu=v, bottom_law=MuIBottom()),
-], ids=["Newtonian", "SlipBottom", "ManningBottom", "ConstantCoulomb"])
-def test_law_rejects_non_finite_parameter(law, value):
-    # before, each check was x < 0.0, which is False for nan and lets inf through
-    with pytest.raises(ValueError, match="must be finite and nonnegative"):
+@pytest.mark.parametrize("law, error", [
+    (lambda v: Newtonian(nu=v, bottom_law=MuIBottom()), "must be finite and nonnegative"),
+    (lambda v: SlipBottom(nu=v, lam=1e-3), "must be finite and nonnegative"),
+    (lambda v: ManningBottom(n2=v), "must be finite and nonnegative"),
+    (lambda v: ConstantCoulomb(mu=v, bottom_law=MuIBottom()), "must be finite and nonnegative"),
+    (lambda v: MuI(mu_s=0.48, mu_2=v, c_I=1.0, bottom_law=MuIBottom()),
+     re.escape("require 0 < mu_s < mu_2 < inf")),
+    (lambda v: MuI(mu_s=0.48, mu_2=0.73, c_I=v, bottom_law=MuIBottom()),
+     "c_I must be finite and positive"),
+], ids=["Newtonian", "SlipBottom", "ManningBottom", "ConstantCoulomb", "MuI.mu_2", "MuI.c_I"])
+def test_law_rejects_non_finite_parameter(law, error, value):
+    # before, each check was x < 0.0 (MuI: mu_s < mu_2 and c_I > 0), which is
+    # False for nan and lets inf through; MuI then ran on mu = mu_s
+    with pytest.raises(ValueError, match=error):
         law(value)
 
 
@@ -645,3 +650,7 @@ def test_derive_rejects_bad_inputs():
         cfg = SimConfig(**scales, friction="mu_i", friction_params=params)
         with pytest.raises(ValueError, match=re.escape("needs model.d_s > 0 and scaling.rho_s")):
             build_model(cfg)
+    # a grain size so small that i0 H / d_s overflows used to build c_I = inf
+    cfg = preset(4, friction_params=dict(preset(4).friction_params, d_s=1e-320))
+    with pytest.raises(ValueError, match="model.i0 = 0.279 and model.d_s = 1e-320 overflows"):
+        build_model(cfg)

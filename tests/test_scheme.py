@@ -15,7 +15,7 @@ from swmoment.friction import (
     Newtonian,
     SlipBottom,
 )
-from swmoment import scheme
+from swmoment import scheme, state
 from swmoment.hswme import source_batch, system_matrix_batch, wavespeeds_batch
 from swmoment.scheme import (
     WETTING_HYSTERESIS,
@@ -33,13 +33,12 @@ from swmoment.scheme import (
     step_semi_implicit,
     viscosity_matrix,
 )
-from swmoment.sim import SimConfig, build_model, preset, run
-from swmoment.state import is_dry, to_conservative, to_primitive
+from swmoment.sim import SimConfig, build_model, front_position, preset, run
+from swmoment.state import H_MIN, is_dry, to_conservative, to_primitive
 from swmoment.topography import RunoffBed
 from tests.conftest import random_wet_primitive
 
 EPS, THETA = 0.01, math.pi / 4
-H_MIN = 1e-6
 MODEL = Newtonian(nu=1.19e-3, bottom_law=SlipBottom(nu=1.19e-3, lam=1e-4))
 
 
@@ -51,9 +50,9 @@ def _wet_pair(rng, N=2):
 def _rows(*U):
     """Consecutive conservative rows with their primitive rows and dryness,
     the arguments _path_matrices and fluctuations take. Bare states have no
-    step history, so here a row is dry iff h <= h_min."""
+    step history, so here a row is dry iff h <= H_MIN."""
     U = np.stack(U)
-    return U, to_primitive(U, H_MIN), is_dry(U[:, 0], H_MIN)
+    return U, to_primitive(U), is_dry(U[:, 0])
 
 
 def _interface_matrix(U_L, U_R, basis):
@@ -113,7 +112,7 @@ def test_dry_interface_uses_wet_state_matrix(basis2):
     U_wet = to_conservative(np.array([0.05, 0.3, -0.1, 0.02]))
     U_dry = np.array([1e-7, 0.0, 0.0, 0.0])
     A = _interface_matrix(U_wet, U_dry, basis2)
-    P_wet = to_primitive(U_wet[None], H_MIN)
+    P_wet = to_primitive(U_wet[None])
     np.testing.assert_allclose(A, system_matrix_batch(P_wet, EPS, THETA, basis2)[0],
                                rtol=0.0, atol=1e-14)
     # mirrored orientation
@@ -132,14 +131,16 @@ def test_viscosity_matrix_formula():
     Q = viscosity_matrix(A, dx, dt)
     np.testing.assert_allclose(Q, (dx / (2 * dt)) * np.eye(2) + (dt / (2 * dx)) * A @ A,
                                rtol=0.0, atol=0.0)
-    with pytest.raises(ValueError):
-        viscosity_matrix(A, 0.0, dt)
-    with pytest.raises(ValueError):
-        viscosity_matrix(A, dx, -1e-3)
+    # NaN passed the old dx <= 0 or dt <= 0 check and gave a NaN Q, inf an inf Q
+    for bad in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ValueError, match="dx and dt must be finite and positive"):
+            viscosity_matrix(A, bad, dt)
+        with pytest.raises(ValueError, match="dx and dt must be finite and positive"):
+            viscosity_matrix(A, dx, bad)
 
 
 def _uniform_grid(J, N, h, u_m=0.0, alpha=None, theta_bed=None):
-    grid = make_grid(0.0, 1.0, J, N, H_MIN,
+    grid = make_grid(0.0, 1.0, J, N,
                      bed=None if theta_bed is None else RunoffBed(theta=theta_bed))
     P = np.zeros((J, N + 2))
     P[:, 0] = h
@@ -148,7 +149,7 @@ def _uniform_grid(J, N, h, u_m=0.0, alpha=None, theta_bed=None):
         P[:, 2:] = np.asarray(alpha)
     U = grid.U.copy()
     U[1:-1] = to_conservative(P)
-    grid = Grid(x=grid.x, dx=grid.dx, U=U, dbdx=grid.dbdx, h_min=H_MIN)
+    grid = Grid(x=grid.x, dx=grid.dx, U=U, dbdx=grid.dbdx)
     return apply_transmissive_bc(grid)
 
 
@@ -176,9 +177,9 @@ def test_thin_film_at_rest_is_wet(basis2):
 
 
 def test_stored_flags_default_ghosts_and_step(basis2):
-    grid = make_grid(0.0, 1.0, 12, 2, H_MIN)
+    grid = make_grid(0.0, 1.0, 12, 2)
     assert grid.stored.shape == (14,) and not np.any(grid.stored)
-    bare = Grid(x=grid.x, dx=grid.dx, U=grid.U, dbdx=grid.dbdx, h_min=H_MIN)
+    bare = Grid(x=grid.x, dx=grid.dx, U=grid.U, dbdx=grid.dbdx)
     assert not np.any(bare.stored)
     flags = np.zeros(14, dtype=bool)
     flags[1] = True
@@ -189,12 +190,12 @@ def test_stored_flags_default_ghosts_and_step(basis2):
     flags[-2] = True
     g = apply_transmissive_bc(replace(grid, stored=flags))
     assert g.stored[-1] and not g.stored[0]
-    # a step stores exactly its dry_after cells, stored mass above h_min included
+    # a step stores exactly its dry_after cells, stored mass above H_MIN included
     grid = _patch_grid(2, **WINDOW_CASES["stored_next_to_front"])
     for stepper, mode in ((step_explicit, "explicit"), (step_semi_implicit, "semi_implicit")):
         dt = cfl_dt(grid, SimConfig(mode=mode), basis2)
         U_check = _transport(grid, dt, EPS, THETA, basis2)
-        dry_after = _dry_after_transport(U_check, grid.dry()[1:-1], H_MIN)
+        dry_after = _dry_after_transport(U_check, grid.dry()[1:-1])
         assert np.any(dry_after & (U_check[:, 0] > H_MIN))
         g, info = stepper(grid, dt, MODEL, basis2, SimConfig(mode=mode))
         assert np.array_equal(g.stored[1:-1], dry_after)
@@ -203,9 +204,24 @@ def test_stored_flags_default_ghosts_and_step(basis2):
         assert np.array_equal(g.dry()[1:-1], dry_after | (g.U[1:-1, 0] <= H_MIN))
 
 
+def test_dry_threshold_is_read_at_call_time(monkeypatch):
+    # state.H_MIN is the one dry threshold: the grid, the rewetting margin,
+    # the desingularization and the front all look it up when called
+    monkeypatch.setattr(state, "H_MIN", 1e-3)
+    grid = _uniform_grid(8, 1, h=2e-3, u_m=0.5)
+    assert not grid.dry()[1:-1].any()
+    assert grid.primitive[1, 1] == 2.0 * 2e-3 * 1e-3 / (2e-3 ** 2 + 1e-3)
+    # below the 50 H_MIN margin a dry cell stays dry, a wet one stays wet
+    h = grid.interior()[:, :1]
+    assert _dry_after_transport(h, np.ones(8, dtype=bool)).all()
+    assert not _dry_after_transport(h, np.zeros(8, dtype=bool)).any()
+    snap = run(preset(1, J=8, snapshot_times=(0.0,), ic={"kind": "uniform", "h": 5e-3}))
+    assert front_position(snap.snapshots[0]) == -math.inf
+
+
 def test_grid_rejects_stored_of_wrong_shape_or_type():
-    grid = make_grid(0.0, 1.0, 20, 2, H_MIN)
-    args = dict(x=grid.x, dx=grid.dx, U=grid.U, dbdx=grid.dbdx, h_min=H_MIN)
+    grid = make_grid(0.0, 1.0, 20, 2)
+    args = dict(x=grid.x, dx=grid.dx, U=grid.U, dbdx=grid.dbdx)
     with pytest.raises(ValueError, match=r"\(22,\).*\(5,\)"):
         Grid(**args, stored=np.zeros(5, dtype=bool))
     for bad in (np.zeros(22), np.zeros((22, 1), dtype=bool), [False] * 22):
@@ -216,26 +232,15 @@ def test_grid_rejects_stored_of_wrong_shape_or_type():
     assert Grid(**args, stored=np.zeros(22, dtype=bool)).stored.shape == (22,)
 
 
-@pytest.mark.parametrize("h_min", [0.0, -1.0, math.nan, math.inf])
-def test_grid_rejects_h_min_not_finite_and_positive(h_min):
-    grid = make_grid(0.0, 1.0, 20, 2, H_MIN)
-    with pytest.raises(ValueError, match="h_min must be finite and positive"):
-        make_grid(0.0, 1.0, 20, 2, h_min)
-    with pytest.raises(ValueError, match="h_min must be finite and positive"):
-        Grid(x=grid.x, dx=grid.dx, U=grid.U, dbdx=grid.dbdx, h_min=h_min)
-    with pytest.raises(ValueError, match="h_min must be finite and positive"):
-        replace(grid, h_min=h_min)
-
-
 def test_mass_is_conserved_by_transport_and_source(basis2):
     # block of material released on the slope; while the flow stays clear of
     # the boundaries the update telescopes and mass is exact
-    grid = make_grid(0.0, 1.0, 200, 2, H_MIN)
+    grid = make_grid(0.0, 1.0, 200, 2)
     P = np.zeros((200, 4))
     P[:, 0] = np.where((grid.x >= 0.3) & (grid.x <= 0.5), 0.08, 1e-6)
     U = grid.U.copy()
     U[1:-1] = to_conservative(P)
-    grid = Grid(x=grid.x, dx=grid.dx, U=U, dbdx=grid.dbdx, h_min=H_MIN)
+    grid = Grid(x=grid.x, dx=grid.dx, U=U, dbdx=grid.dbdx)
     cfg = SimConfig(mode="explicit", cfl=0.05)
     mass0 = np.sum(grid.U[1:-1, 0])
     t = 0.0
@@ -252,12 +257,12 @@ def test_mass_is_conserved_by_transport_and_source(basis2):
 
 
 def test_dry_cells_keep_zero_velocity(basis2):
-    grid = make_grid(0.0, 1.0, 40, 2, H_MIN)
+    grid = make_grid(0.0, 1.0, 40, 2)
     P = np.zeros((40, 4))
     P[:, 0] = np.where((grid.x >= 0.3) & (grid.x <= 0.5), 0.08, 1e-6)
     U = grid.U.copy()
     U[1:-1] = to_conservative(P)
-    grid = Grid(x=grid.x, dx=grid.dx, U=U, dbdx=grid.dbdx, h_min=H_MIN)
+    grid = Grid(x=grid.x, dx=grid.dx, U=U, dbdx=grid.dbdx)
     cfg = SimConfig(mode="semi_implicit", cfl=0.05)
     grid = apply_transmissive_bc(grid)
     for _ in range(10):
@@ -290,7 +295,7 @@ def test_cfl_dt_wet_and_dry(basis1):
         0.05 * grid.dx / lam, rel=1e-12)
     dry = _uniform_grid(10, 1, h=1e-7)
     assert cfl_dt(dry, cfg, basis1) == math.inf
-    # a film above h_min is wet unless a step stored it
+    # a film above H_MIN is wet unless a step stored it
     film = _uniform_grid(10, 1, h=10.0 * H_MIN)
     assert cfl_dt(film, cfg, basis1) == pytest.approx(
         0.05 * grid.dx / math.sqrt(EPS * math.cos(THETA) * 10.0 * H_MIN), rel=1e-12)
@@ -333,7 +338,7 @@ def test_nonfinite_state_aborts_with_cell_index(basis2):
     for j, col in ((5, 1), (1, 0), (10, 3)):
         U = grid.U.copy()
         U[j, col] = np.nan
-        bad = Grid(x=grid.x, dx=grid.dx, U=U, dbdx=grid.dbdx, h_min=H_MIN)
+        bad = Grid(x=grid.x, dx=grid.dx, U=U, dbdx=grid.dbdx)
         for stepper, mode in ((step_explicit, "explicit"), (step_semi_implicit, "semi_implicit")):
             with pytest.raises(RuntimeError, match=f"^non-finite state after input in cell {j}$"):
                 stepper(bad, 1e-3, MODEL, basis2, SimConfig(mode=mode))
@@ -341,10 +346,10 @@ def test_nonfinite_state_aborts_with_cell_index(basis2):
 
 def test_transmissive_bc_idempotent(basis2):
     rng = np.random.default_rng(8)
-    grid = make_grid(0.0, 1.0, 12, 2, H_MIN)
+    grid = make_grid(0.0, 1.0, 12, 2)
     U = grid.U.copy()
     U[1:-1] = to_conservative(random_wet_primitive(rng, 2, 12))
-    grid = Grid(x=grid.x, dx=grid.dx, U=U, dbdx=grid.dbdx, h_min=H_MIN)
+    grid = Grid(x=grid.x, dx=grid.dx, U=U, dbdx=grid.dbdx)
     once = apply_transmissive_bc(grid)
     twice = apply_transmissive_bc(once)
     assert np.array_equal(once.U, twice.U)
@@ -354,14 +359,14 @@ def test_transmissive_bc_idempotent(basis2):
 
 def test_make_grid_validation():
     with pytest.raises(ValueError):
-        make_grid(0.0, 1.0, 2, 1, H_MIN)
+        make_grid(0.0, 1.0, 2, 1)
     with pytest.raises(ValueError):
-        make_grid(1.0, 0.0, 10, 1, H_MIN)
+        make_grid(1.0, 0.0, 10, 1)
 
 
 def test_make_grid_bed_slopes():
     bed = RunoffBed(theta=0.4)
-    grid = make_grid(0.0, 1.0, 20, 1, H_MIN, bed=bed)
+    grid = make_grid(0.0, 1.0, 20, 1, bed=bed)
     faces_l = grid.x - 0.5 * grid.dx
     faces_r = grid.x + 0.5 * grid.dx
     np.testing.assert_allclose(grid.dbdx, 0.5 * (bed.dbdx(faces_l) + bed.dbdx(faces_r)),
@@ -379,18 +384,16 @@ def test_stepper_config_validation():
 def _with_interior(grid, U_in):
     U = grid.U.copy()
     U[1:-1] = U_in
-    return apply_transmissive_bc(Grid(x=grid.x, dx=grid.dx, U=U, dbdx=grid.dbdx,
-                                      h_min=grid.h_min))
+    return apply_transmissive_bc(Grid(x=grid.x, dx=grid.dx, U=U, dbdx=grid.dbdx))
 
 
 def _cfl_dt_all_rows(grid, config, basis):
     """cfl_dt as an eigen-solve over every wet row, with no screen."""
     U = grid.interior()
-    wet = U[:, 0] > grid.h_min
+    wet = U[:, 0] > H_MIN
     if not np.any(wet):
         return math.inf
-    lam = np.max(wavespeeds_batch(to_primitive(U[wet], grid.h_min), config.eps, config.theta,
-                                  basis))
+    lam = np.max(wavespeeds_batch(to_primitive(U[wet]), config.eps, config.theta, basis))
     return config.cfl * grid.dx / float(lam)
 
 
@@ -399,10 +402,10 @@ def test_cfl_dt_screen_equals_brute_force_max(N, basis1, basis2, basis6):
     basis = {1: basis1, 2: basis2, 6: basis6}[N]
     cfg = SimConfig(mode="explicit", cfl=0.05)
     rng = np.random.default_rng(30 + N)
-    grid = make_grid(0.0, 1.0, 60, N, H_MIN)
+    grid = make_grid(0.0, 1.0, 60, N)
     grids = []
     for _ in range(10):
-        # depths from below h_min upward, so some rows are dry
+        # depths from below H_MIN upward, so some rows are dry
         P = random_wet_primitive(rng, N, 60, h_range=(1e-7, 0.1))
         grids.append(_with_interior(grid, to_conservative(P)))
     # every row ties for the maximum
@@ -423,14 +426,14 @@ def test_cfl_dt_screen_equals_brute_force_max(N, basis1, basis2, basis6):
 def _transport_full_width(grid, dt, eps, theta, basis):
     """The transport predictor with the fluctuations of every interface."""
     U = grid.U
-    D_minus, D_plus = fluctuations(U, to_primitive(U, grid.h_min), grid.dry(), grid.dx, dt,
+    D_minus, D_plus = fluctuations(U, to_primitive(U), grid.dry(), grid.dx, dt,
                                    eps, theta, basis)
     return U[1:-1] - (dt / grid.dx) * (D_plus[:-1] + D_minus[1:])
 
 
 def _patch_grid(N, patches, stored=(), J=40, seed=0, h_range=(1e-2, 0.1)):
     """Wet patches [lo, hi) of random flow, depths in h_range, on a dry grid
-    (h below h_min, at rest); stored cells are flagged and hold depth at rest
+    (h below H_MIN, at rest); stored cells are flagged and hold depth at rest
     under the rewetting margin."""
     rng = np.random.default_rng(seed)
     P = np.zeros((J, N + 2))
@@ -442,7 +445,7 @@ def _patch_grid(N, patches, stored=(), J=40, seed=0, h_range=(1e-2, 0.1)):
         P[j] = 0.0
         P[j, 0] = 0.5 * WETTING_HYSTERESIS * H_MIN
         flags[j + 1] = True
-    grid = _with_interior(make_grid(0.0, 1.0, J, N, H_MIN), to_conservative(P))
+    grid = _with_interior(make_grid(0.0, 1.0, J, N), to_conservative(P))
     return apply_transmissive_bc(replace(grid, stored=flags))
 
 
@@ -455,10 +458,10 @@ WINDOW_CASES = {
 }
 
 
-def _path_matrices_per_node(U, dry, h_min, eps, theta, basis):
+def _path_matrices_per_node(U, dry, eps, theta, basis):
     """Path matrices with one system_matrix_batch call per Gauss node."""
     wet = ~dry
-    X = to_primitive(U, h_min)
+    X = to_primitive(U)
     left = np.where(wet[:-1, None], X[:-1], X[1:])
     right = np.where(wet[1:, None], X[1:], X[:-1])
     A = np.zeros((U.shape[0] - 1, U.shape[1], U.shape[1]))
@@ -473,8 +476,8 @@ def _path_matrices_per_node(U, dry, h_min, eps, theta, basis):
 def test_path_matrices_stacked_call_equals_per_node_calls(case, basis2):
     grid = _patch_grid(2, **WINDOW_CASES[case])
     dry = grid.dry()
-    A, inert = _path_matrices(to_primitive(grid.U, H_MIN), dry, EPS, THETA, basis2)
-    assert np.array_equal(A, _path_matrices_per_node(grid.U, dry, H_MIN, EPS, THETA, basis2))
+    A, inert = _path_matrices(to_primitive(grid.U), dry, EPS, THETA, basis2)
+    assert np.array_equal(A, _path_matrices_per_node(grid.U, dry, EPS, THETA, basis2))
     assert np.array_equal(inert, dry[:-1] & dry[1:])
 
 
@@ -553,9 +556,9 @@ def test_run_converts_each_grid_to_primitive_once(monkeypatch):
     # converts its own rows, right before their one source evaluation
     calls = []
 
-    def counted(U, h_min):
+    def counted(U):
         calls.append(("to_primitive", len(U)))
-        return to_primitive(U, h_min)
+        return to_primitive(U)
 
     def counted_source(P, *args):
         calls.append(("source_batch", len(P)))
@@ -581,7 +584,7 @@ def test_run_converts_each_grid_to_primitive_once(monkeypatch):
 def test_grid_primitive_is_cached_and_grids_are_read_only(case, basis2):
     grid = _patch_grid(2, **WINDOW_CASES[case])
     assert grid.primitive is grid.primitive
-    assert grid.primitive.tobytes() == to_primitive(grid.U, H_MIN).tobytes()
+    assert grid.primitive.tobytes() == to_primitive(grid.U).tobytes()
     for array in (grid.U, grid.stored, grid.primitive, grid.dry()):
         with pytest.raises(ValueError, match="read-only"):
             array[1] = 1
@@ -589,7 +592,7 @@ def test_grid_primitive_is_cached_and_grids_are_read_only(case, basis2):
     for stepper, mode in ((step_explicit, "explicit"), (step_semi_implicit, "semi_implicit")):
         cfg = SimConfig(mode=mode)
         g, _ = stepper(grid, _step_dt(grid, cfg, basis2), MODEL, basis2, cfg)
-        assert g.primitive.tobytes() == to_primitive(g.U, H_MIN).tobytes()
+        assert g.primitive.tobytes() == to_primitive(g.U).tobytes()
         after = (grid.U, grid.stored, grid.primitive, grid.dry())
         assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
 
@@ -612,7 +615,7 @@ def _semi_implicit_reference(grid, dt, model, eps, theta, basis):
     columns are probed with unit steps, which are exact for its affine
     residual; the depth column keeps the FD_EPS step."""
     U_check = _transport_full_width(grid, dt, eps, theta, basis)
-    dry_after = _dry_after_transport(U_check, grid.dry()[1:-1], grid.h_min)
+    dry_after = _dry_after_transport(U_check, grid.dry()[1:-1])
     idx = np.flatnonzero(~dry_after)
     U_new = U_check.copy()
     iters_total = iters_max = 0
@@ -620,7 +623,7 @@ def _semi_implicit_reference(grid, dt, model, eps, theta, basis):
     dbdx = grid.dbdx[idx]
 
     def residual(V, sub):
-        S = source_batch(to_primitive(V, grid.h_min), model, eps, theta, dbdx[sub], basis)
+        S = source_batch(to_primitive(V), model, eps, theta, dbdx[sub], basis)
         return V - target[sub] - dt * S
 
     V = target.copy()
@@ -692,7 +695,7 @@ def test_semi_implicit_newton_matches_full_jacobian_reference(name, basis1, basi
         assert info["newton_iters_total"] == total_ref
         assert info["newton_iters_max"] == max_ref >= 1
         np.testing.assert_allclose(got.U[1:-1], U_ref, rtol=1e-10, atol=0.0)
-        wet = ~_dry_after_transport(U_check, grid.dry()[1:-1], H_MIN)
+        wet = ~_dry_after_transport(U_check, grid.dry()[1:-1])
         assert np.any(~wet)
         assert np.array_equal(got.U[1:-1][wet, 0], U_check[wet, 0])
 
@@ -731,7 +734,7 @@ def test_semi_implicit_source_rows_per_step(law, basis2, monkeypatch):
 
 
 def test_exact_jacobian_on_films_thinner_than_sqrt_h_min(basis2):
-    # below h = sqrt(h_min) the desingularization factor kappa(h) is not 1/h;
+    # below h = sqrt(H_MIN) the desingularization factor kappa(h) is not 1/h;
     # the one update must still solve the implicit source exactly
     cfg = SimConfig(mode="semi_implicit")
     thin = 0
@@ -743,7 +746,7 @@ def test_exact_jacobian_on_films_thinner_than_sqrt_h_min(basis2):
         got, info = step_semi_implicit(grid, dt, MODEL, basis2, cfg)
         assert (info["newton_iters_total"], info["newton_iters_max"]) == (total_ref, max_ref)
         np.testing.assert_allclose(got.U[1:-1], U_ref, rtol=1e-10, atol=0.0)
-        wet = ~_dry_after_transport(U_check, grid.dry()[1:-1], H_MIN)
+        wet = ~_dry_after_transport(U_check, grid.dry()[1:-1])
         thin += int(np.sum(wet & (U_check[:, 0] ** 2 < H_MIN)))
     assert thin > 10
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from swmoment import cli, scheme, sim
-from swmoment.basis import bottom_velocity, build_basis, reconstruct_velocity
+from swmoment.basis import MAX_GAUSS_POINTS, bottom_velocity, build_basis, reconstruct_velocity
 from swmoment.friction import (
     ConstantCoulomb,
     CoulombBottom,
@@ -35,7 +35,7 @@ from swmoment.sim import (
     write_summary,
 )
 from swmoment.scheme import apply_transmissive_bc, cfl_dt, make_grid
-from swmoment.state import to_conservative
+from swmoment.state import H_MIN, to_conservative
 from tests.conftest import case_ids
 
 PI4 = math.pi / 4
@@ -128,8 +128,8 @@ def test_config_validation():
         config_from_mapping(mapping)
     # the numeric stepper and output options, each named in its error, as a
     # SimConfig and from a file, before a run solves anything
-    bad = {"h_min": (0.0, -1e-6, math.nan, math.inf),
-           "quad_points": (1, 0, -3), "profile_resolution": (1, 0, -2)}
+    # quad_points = 65 used to fail in basis.gauss_rule, naming no key
+    bad = {"quad_points": (1, 0, -3, MAX_GAUSS_POINTS + 1), "profile_resolution": (1, 0, -2)}
     for name, values in bad.items():
         for value in values:
             with pytest.raises(ValueError, match=name):
@@ -149,6 +149,7 @@ def test_config_validation():
             config_from_mapping(mapping)
     # the edge values that stay valid
     assert preset(4, quad_points=2, profile_resolution=2).quad_points == 2
+    assert preset(4, quad_points=MAX_GAUSS_POINTS).quad_points == MAX_GAUSS_POINTS
 
 
 # a domain or moment order that the run cannot build, as (field, value, file
@@ -306,6 +307,19 @@ def test_config_rejects_bad_initial_condition(case, tmp_path):
         config_from_mapping(read_config_file(str(path)))
 
 
+@pytest.mark.parametrize("value", ["0.1", True])
+@pytest.mark.parametrize("key", ["h", "x_lo", "x_hi", "u_m", "alpha"])
+def test_config_rejects_ic_value_that_is_not_a_number(key, value):
+    # before, a str raised "TypeError: '<=' not supported between instances
+    # of 'float' and 'str'" naming no key, and True was taken as 1.0
+    ic = {"kind": "block", "h": 0.1, "x_lo": 0.3, "x_hi": 0.5, "u_m": 0.0, "alpha": (0.0,)}
+    bad = dict(ic, **{key: (value,) if key == "alpha" else value})
+    with pytest.raises(ValueError, match=f"^ic.{key} must be a number, got {re.escape(repr(value))}$"):
+        preset(1, ic=bad)
+    # a numpy float is a real number
+    preset(1, ic=dict(ic, **{key: (np.float64(0.0),) if key == "alpha" else np.float64(ic[key])}))
+
+
 def test_config_rejects_ic_without_kind_and_cli_names_the_key(capsys):
     with pytest.raises(ValueError, match="ic.kind"):
         preset(1, ic={"h": 0.05, "x_lo": 0.3, "x_hi": 0.5})
@@ -399,13 +413,12 @@ def test_run_diagnostics_series(tmp_path):
 def test_sh_violations_skip_stored_cells(basis2):
     # a Coulomb-bottom run records sh_violations; a flow patch that meets the
     # sliding-law assumptions (u(0) = 0.4 > 0, shear > 0) ends next to one
-    # stored cell, at rest with depth above h_min
+    # stored cell, at rest with depth above H_MIN
     assert isinstance(build_model(preset(3)).bottom_law, CoulombBottom)
-    h_min = 1e-6
-    grid = make_grid(0.0, 1.0, 20, 2, h_min)
+    grid = make_grid(0.0, 1.0, 20, 2)
     P = np.zeros((20, 4))
     P[5:15] = [0.05, 0.5, -0.1, 0.0]
-    P[15, 0] = 10.0 * h_min
+    P[15, 0] = 10.0 * H_MIN
     U = grid.U.copy()
     U[1:-1] = to_conservative(P)
     stored = np.zeros(22, dtype=bool)
@@ -714,11 +727,11 @@ def test_front_position_threshold():
     zeros = np.zeros(4)
     snap = Snapshot(time=0.0, x=x, h=np.array([0.05, 2e-5, 5e-6, 0.0]),
                     u_m=zeros, alpha=np.zeros((4, 1)), u_bottom=zeros, h_s=zeros)
-    # 5e-6 sits below 10*h_min and must not register as flow
-    assert front_position(snap, h_min=1e-6) == 0.2
+    # 5e-6 sits below 10*H_MIN and must not register as flow
+    assert front_position(snap) == 0.2
     dry = Snapshot(time=0.0, x=x, h=np.full(4, 1e-6), u_m=zeros,
                    alpha=np.zeros((4, 1)), u_bottom=zeros, h_s=zeros)
-    assert front_position(dry, h_min=1e-6) == -math.inf
+    assert front_position(dry) == -math.inf
 
 
 @pytest.mark.parametrize("example,kwargs", [
@@ -726,7 +739,7 @@ def test_front_position_threshold():
     (2, {"law": "manning"}),
     (3, {"delta_deg": 18.0}),
     (4, {"bathymetry": "runoff"}),
-    (1, {"J": 40, "h_min": 1e-7, "quad_points": 16}),
+    (1, {"J": 40, "quad_points": 16}),
     # every optional field set; the tuples need all 17 digits
     (1, {"out_dir": "results/run 1", "profile_resolution": 17,
          "rho_s": 2600.0, "x_a": -0.5, "x_b": 2.25, "snapshot_times": (0.1 / 3, 0.2),
@@ -756,12 +769,14 @@ def test_config_unknown_key_raises():
     assert config_from_mapping(mixed) == SimConfig(J=24, x_b=2.0)
     # removed options are keys that nothing reads, whatever their value:
     # dt_max, dt_fixed (the step is always the CFL step), the constants
-    # scheme.NEWTON_TOL, scheme.NEWTON_MAX_ITER and sim.MAX_STEPS, the
-    # transport path (always primitive) and the sign of the bed slope
+    # scheme.NEWTON_TOL, scheme.NEWTON_MAX_ITER, sim.MAX_STEPS and the dry
+    # threshold state.H_MIN, the transport path (always primitive) and the
+    # sign of the bed slope. None of them is a SimConfig argument either
     for section, key, value in (("stepper", "dt_max", "0.001"), ("stepper", "dt_fixed", "2.5e-4"),
                                 ("stepper", "newton_tol", "1e-9"),
                                 ("stepper", "newton_max_iter", "100"),
                                 ("stepper", "max_steps", "10"),
+                                ("stepper", "h_min", "1e-6"),
                                 ("stepper", "path_variable", "primitive"),
                                 ("stepper", "path_variable", "conservative"),
                                 ("output", "flip_topography_sign", "false"),
@@ -770,7 +785,8 @@ def test_config_unknown_key_raises():
         mapping[section][key] = value
         with pytest.raises(ValueError, match=f"^unknown config key {section}.{key}$"):
             config_from_mapping(mapping)
-        assert not hasattr(SimConfig(), key)
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{key}'"):
+            SimConfig(**{key: value})
     # a key of another friction model is accepted (and not read)
     mapping = config_to_mapping(preset(2))
     mapping["model"]["friction"] = "newtonian_manning"

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from swmoment.state import (
+    H_MIN,
     desingularization_factor,
     desingularized_velocity,
     is_dry,
@@ -10,42 +11,40 @@ from swmoment.state import (
     to_primitive,
 )
 
-H_MIN = 1e-6
-
 
 def test_is_dry_boundary_inclusive():
-    assert is_dry(1e-6, H_MIN)
-    assert is_dry(0.0, H_MIN)
-    assert not is_dry(1.0000001e-6, H_MIN)
-    assert list(is_dry(np.array([0.0, 1e-6, 2e-6]), H_MIN)) == [True, True, False]
+    assert is_dry(1e-6)
+    assert is_dry(0.0)
+    assert not is_dry(1.0000001e-6)
+    assert list(is_dry(np.array([0.0, 1e-6, 2e-6]))) == [True, True, False]
 
 
 def test_round_trip_wet_state():
     P = np.array([0.05, 0.3, -0.1, 0.02])
     U = to_conservative(P)
     assert U == pytest.approx([0.05, 0.015, -0.005, 0.001], abs=1e-18)
-    back = to_primitive(U, H_MIN)
+    back = to_primitive(U)
     assert back == pytest.approx(P, rel=1e-12)
 
 
 def test_dry_cells_get_zero_velocities():
     U = np.array([[1e-7, 3e-8, -1e-8], [0.0, 0.0, 0.0], [0.02, 0.01, 0.0]])
-    P = to_primitive(U, H_MIN)
+    P = to_primitive(U)
     assert np.all(P[:2, 1:] == 0.0)
     assert P[0, 0] == 1e-7
     assert P[2, 1] == pytest.approx(0.5, rel=1e-12)
 
 
 def test_desingularized_velocity_wet_exact():
-    # for h^2 >= h_min the formula reduces to hv / h exactly
+    # for h^2 >= H_MIN the formula reduces to hv / h exactly
     h, v = 0.05, 0.7
-    assert desingularized_velocity(h, h * v, H_MIN) == pytest.approx(v, rel=1e-14)
+    assert desingularized_velocity(h, h * v) == pytest.approx(v, rel=1e-14)
 
 
 def test_desingularized_velocity_vanishes_with_height():
     h = np.array([1e-10, 1e-8, 1e-7])
-    v = desingularized_velocity(h, h * 1.0, H_MIN)
-    # below the threshold the formula reads 2h^2/(h^2 + h_min) -> 0 as h -> 0
+    v = desingularized_velocity(h, h * 1.0)
+    # below the threshold the formula reads 2h^2/(h^2 + H_MIN) -> 0 as h -> 0
     assert v == pytest.approx(2.0 * h * h / (h * h + 1e-6), rel=1e-12)
     assert v[0] < 1e-13
 
@@ -58,19 +57,19 @@ def test_to_primitive_bit_identical_to_broadcast_desingularization():
         U[..., 0] = np.abs(U[..., 0])
         U.reshape(-1, shape[-1])[::3, 1:] = -0.0
         h = U[..., 0]
-        ref = np.concatenate([h[..., None], desingularized_velocity(h[..., None], U[..., 1:],
-                                                                    H_MIN)], axis=-1)
-        ref[..., 1:] = np.where(is_dry(h, H_MIN)[..., None], 0.0, ref[..., 1:])
-        assert to_primitive(U, H_MIN).tobytes() == ref.tobytes()
+        ref = np.concatenate([h[..., None], desingularized_velocity(h[..., None], U[..., 1:])],
+                             axis=-1)
+        ref[..., 1:] = np.where(is_dry(h)[..., None], 0.0, ref[..., 1:])
+        assert to_primitive(U).tobytes() == ref.tobytes()
 
 
 def test_desingularization_factor_is_the_slope_of_to_primitive():
-    # the Newton Jacobian's d v / d(h v): wet rows only, across sqrt(h_min)
+    # the Newton Jacobian's d v / d(h v): wet rows only, across sqrt(H_MIN)
     rng = np.random.default_rng(5)
     h = 10.0 ** rng.uniform(-5.5, -1.0, 200)
     U = np.column_stack([h, rng.uniform(-0.1, 0.1, (200, 3))])
-    kappa = desingularization_factor(h, H_MIN)
-    np.testing.assert_allclose(kappa[:, None] * U[:, 1:], to_primitive(U, H_MIN)[:, 1:],
+    kappa = desingularization_factor(h)
+    np.testing.assert_allclose(kappa[:, None] * U[:, 1:], to_primitive(U)[:, 1:],
                                rtol=4e-16, atol=0.0)
     above = h * h >= H_MIN
     assert np.any(above) and np.any(~above)
@@ -79,9 +78,9 @@ def test_desingularization_factor_is_the_slope_of_to_primitive():
 
 def test_to_primitive_rejects_nonfinite():
     with pytest.raises(ValueError):
-        to_primitive(np.array([0.05, np.nan, 0.0]), H_MIN)
+        to_primitive(np.array([0.05, np.nan, 0.0]))
     with pytest.raises(ValueError):
-        to_primitive(np.array([np.inf, 0.0, 0.0]), H_MIN)
+        to_primitive(np.array([np.inf, 0.0, 0.0]))
 
 
 def test_to_conservative_rejects_negative_height():
@@ -95,9 +94,9 @@ def test_to_conservative_rejects_negative_height():
     st.floats(-10.0, 10.0),
 )
 def test_round_trip_property(h, u_m, a1):
-    # exact only above sqrt(h_min), where the desingularization is plain division
+    # exact only above sqrt(H_MIN), where the desingularization is plain division
     P = np.array([h, u_m, a1])
-    back = to_primitive(to_conservative(P), H_MIN)
+    back = to_primitive(to_conservative(P))
     assert back == pytest.approx(P, rel=1e-10, abs=1e-12)
 
 
@@ -105,4 +104,4 @@ def test_batch_shapes():
     P = np.tile([0.05, 0.3, -0.1], (4, 1))
     U = to_conservative(P)
     assert U.shape == (4, 3)
-    assert to_primitive(U, H_MIN).shape == (4, 3)
+    assert to_primitive(U).shape == (4, 3)
