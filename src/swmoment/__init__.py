@@ -23,7 +23,6 @@ from .hswme import (
 )
 from .scheme import (
     Grid,
-    apply_transmissive_bc,
     cfl_dt,
     fluctuations,
     make_grid,

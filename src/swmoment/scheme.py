@@ -20,7 +20,6 @@ from .state import desingularization_factor, is_dry, to_primitive
 __all__ = [
     "Grid",
     "make_grid",
-    "apply_transmissive_bc",
     "viscosity_matrix",
     "fluctuations",
     "cfl_dt",
@@ -31,12 +30,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform 1-D grid: J interior cells plus one ghost cell on each side.
+    """Uniform 1-D grid of J cells with centres x.
 
-    U holds conservative rows (J+2, N+2); row 0 and row J+1 are ghosts.
-    dbdx holds interior cell slopes (J,). A row with h <= state.H_MIN is
-    dry. stored, bool (J+2,), flags the rows the last step held at rest as
-    dry; the default None means none.
+    U holds the conservative rows (J, N+2), one per cell, and dbdx the cell
+    slopes (J,). A row with h <= state.H_MIN is dry. stored, bool (J,), flags
+    the cells the last step held at rest as dry; the default None means none.
+    The boundary is transmissive (waves exit freely): it has no ghost cells,
+    and its two faces carry no fluctuation (see _transport).
 
     A grid is immutable: U and stored are made read-only, and a step returns
     a new grid. So primitive and dry() are computed once, on first read.
@@ -49,12 +49,19 @@ class Grid:
     stored: np.ndarray | None = None
 
     def __post_init__(self):
+        J = self.J
+        if not (np.ndim(self.U) == 2 and len(self.U) == J):
+            raise ValueError(f"U must hold one row per cell, shape (J, N+2) with J = {J}; "
+                             f"got {np.shape(self.U)}")
+        if np.shape(self.dbdx) != (J,):
+            raise ValueError(f"dbdx must hold one slope per cell, shape ({J},); "
+                             f"got {np.shape(self.dbdx)}")
         if self.stored is None:
-            object.__setattr__(self, "stored", np.zeros(len(self.U), dtype=bool))
+            object.__setattr__(self, "stored", np.zeros(J, dtype=bool))
         if not (isinstance(self.stored, np.ndarray) and self.stored.dtype == bool
-                and self.stored.shape == (len(self.U),)):
-            raise ValueError(f"stored must be a boolean array of shape ({len(self.U)},), one "
-                             f"flag per row of U; got {np.shape(self.stored)}")
+                and self.stored.shape == (J,)):
+            raise ValueError(f"stored must be a boolean array of shape ({J},), one "
+                             f"flag per cell; got {np.shape(self.stored)}")
         self.U.flags.writeable = False
         self.stored.flags.writeable = False
 
@@ -64,7 +71,7 @@ class Grid:
 
     @cached_property
     def primitive(self) -> np.ndarray:
-        """Primitive rows of every row of U (read-only). The conversion is
+        """Primitive rows of every cell (read-only). The conversion is
         elementwise per row, so a slice of it has the bits of converting the
         slice alone."""
         P = to_primitive(self.U)
@@ -78,11 +85,12 @@ class Grid:
         return dry
 
     def dry(self) -> np.ndarray:
-        """Dryness of every row of U (read-only): h <= state.H_MIN, or stored."""
+        """Dryness of every cell (read-only): h <= state.H_MIN, or stored."""
         return self._dry
 
     def interior(self) -> np.ndarray:
-        return self.U[1:-1]
+        """U itself; perfbench/gates.py reads the cells by this name."""
+        return self.U
 
 
 def make_grid(x_a: float, x_b: float, J: int, N: int, bed=None) -> Grid:
@@ -99,21 +107,7 @@ def make_grid(x_a: float, x_b: float, J: int, N: int, bed=None) -> Grid:
         from .topography import cell_slope
 
         dbdx = np.asarray(cell_slope(bed, x - 0.5 * dx, x + 0.5 * dx), dtype=float)
-    return Grid(x=x, dx=dx, U=np.zeros((J + 2, N + 2)), dbdx=dbdx)
-
-
-def _mirror_ghosts(grid: Grid, U: np.ndarray, stored: np.ndarray) -> Grid:
-    """grid with rows U and flags stored, whose boundary cells this copies
-    into their ghost cells in place (transmissive: waves exit freely)."""
-    for rows in (U, stored):
-        rows[0] = rows[1]
-        rows[-1] = rows[-2]
-    return replace(grid, U=U, stored=stored)
-
-
-def apply_transmissive_bc(grid: Grid) -> Grid:
-    """Copy the boundary cells into the ghost cells (waves exit freely)."""
-    return _mirror_ghosts(grid, grid.U.copy(), grid.stored.copy())
+    return Grid(x=x, dx=dx, U=np.zeros((J, N + 2)), dbdx=dbdx)
 
 
 # activation margin for rewetting: a dry cell turns wet only once its
@@ -183,11 +177,11 @@ def cfl_dt(grid: Grid, config, basis: MomentBasis) -> float:
     """CFL time step cfl * dx / max wavespeed over the cells not grid.dry();
     inf if there are none (every interface is inert, nothing moves). config is
     the run's SimConfig."""
-    wet = ~grid.dry()[1:-1]
+    wet = ~grid.dry()
     if not np.any(wet):
         return np.inf
     eps, theta = config.eps, config.theta
-    P = grid.primitive[1:-1][wet]
+    P = grid.primitive[wet]
     # the eigen-solve stays the value of the step, so dt is the same to the
     # bit; the closed form only screens out rows that cannot hold the maximum.
     # The 1e-8 margin rests on the closed form matching max |eigvals| to a
@@ -216,21 +210,25 @@ def _live_window(dry: np.ndarray) -> slice:
 
 def _transport(grid: Grid, dt: float, eps: float, theta: float,
                basis: MomentBasis) -> np.ndarray:
-    """Transport-only predictor for the interior cells.
+    """Transport-only predictor of the cells.
 
-    The matrices are built on the _live_window of grid.dry() only; outside it
-    the fluctuations stay exactly zero.
+    Face f lies between cells f-1 and f, so the J+1 faces include the two
+    boundary faces 0 and J. These carry no fluctuation: the transmissive
+    boundary sees the boundary cell on both sides, a zero jump, and a
+    consistent scheme has D(U, U) = 0. The matrices are built on the
+    _live_window of grid.dry() only; outside it the fluctuations stay
+    exactly zero.
     """
     U = grid.U
-    D_minus = np.zeros((U.shape[0] - 1, U.shape[1]))
+    D_minus = np.zeros((U.shape[0] + 1, U.shape[1]))
     D_plus = np.zeros_like(D_minus)
     dry = grid.dry()
     window = _live_window(dry)
     if window.stop:
-        lo, hi = window.start, window.stop - 1
-        D_minus[lo:hi], D_plus[lo:hi] = fluctuations(
+        faces = slice(window.start + 1, window.stop)
+        D_minus[faces], D_plus[faces] = fluctuations(
             U[window], grid.primitive[window], dry[window], grid.dx, dt, eps, theta, basis)
-    return U[1:-1] - (dt / grid.dx) * (D_plus[:-1] + D_minus[1:])
+    return U - (dt / grid.dx) * (D_plus[:-1] + D_minus[1:])
 
 
 def _dry_after_transport(U_check: np.ndarray, was_dry: np.ndarray) -> np.ndarray:
@@ -243,20 +241,16 @@ def _dry_after_transport(U_check: np.ndarray, was_dry: np.ndarray) -> np.ndarray
 
 def _finalize(grid: Grid, U_new: np.ndarray, dry_after: np.ndarray,
               iters_total: int = 0, iters_max: int = 0) -> tuple[Grid, dict]:
-    """The grid after a step to interior states U_new, with its ghost rows
-    mirrored by _mirror_ghosts, and the step's info: the dry_after cells keep
-    their transported depth at rest and are flagged stored; clamp negatives."""
-    U, stored = grid.U.copy(), grid.stored.copy()
-    stored[1:-1] = dry_after
-    out = U[1:-1]
-    out[:] = U_new
-    out[dry_after, 1:] = 0.0
+    """The grid after a step to the states U_new, which this takes over and
+    edits in place, and the step's info: the dry_after cells keep their
+    transported depth at rest and are flagged stored; clamp negatives."""
+    U_new[dry_after, 1:] = 0.0
     clamped = 0.0
-    negative = out[:, 0] < 0.0
+    negative = U_new[:, 0] < 0.0
     if np.any(negative):
-        clamped = float(-np.sum(out[negative, 0]))
-        out[negative, 0] = 0.0
-    return _mirror_ghosts(grid, U, stored), {
+        clamped = float(-np.sum(U_new[negative, 0]))
+        U_new[negative, 0] = 0.0
+    return replace(grid, U=U_new, stored=dry_after), {
         "dry_cells": int(np.sum(dry_after)), "clamped_mass": clamped,
         "newton_iters_total": iters_total, "newton_iters_max": iters_max}
 
@@ -271,15 +265,15 @@ def _check_finite(U: np.ndarray, stage: str) -> None:
 
 def _predict(grid: Grid, dt: float, eps: float, theta: float,
              basis: MomentBasis) -> tuple[np.ndarray, np.ndarray]:
-    """The transport predictor of both steppers: the interior states after
-    _transport and their dryness with the rewetting margin. Rejects a dt that
-    is not finite and positive, and a non-finite input or predictor."""
+    """The transport predictor of both steppers: the states after _transport
+    and their dryness with the rewetting margin. Rejects a dt that is not
+    finite and positive, and a non-finite input or predictor."""
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValueError(f"time step dt must be finite and positive, got {dt}")
-    _check_finite(grid.interior(), "input")
+    _check_finite(grid.U, "input")
     U_check = _transport(grid, dt, eps, theta, basis)
     _check_finite(U_check, "transport")
-    return U_check, _dry_after_transport(U_check, grid.dry()[1:-1])
+    return U_check, _dry_after_transport(U_check, grid.dry())
 
 
 def _limited_source(P: np.ndarray, dt: float, model, eps: float, theta: float,
@@ -320,10 +314,10 @@ def step_explicit(grid: Grid, dt: float, model, basis: MomentBasis,
     """
     eps, theta = config.eps, config.theta
     U_check, dry_after = _predict(grid, dt, eps, theta, basis)
-    apply_src = ~grid.dry()[1:-1] & ~dry_after
+    apply_src = ~grid.dry() & ~dry_after
     U_new = U_check.copy()
     if np.any(apply_src):
-        S = _limited_source(grid.primitive[1:-1][apply_src], dt, model, eps, theta,
+        S = _limited_source(grid.primitive[apply_src], dt, model, eps, theta,
                             grid.dbdx[apply_src], basis)
         U_new[apply_src] += dt * S
     _check_finite(U_new, "source")

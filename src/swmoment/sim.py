@@ -28,10 +28,14 @@ from .friction import (
     SlipBottom,
     savage_hutter_violations,
 )
-from .scheme import apply_transmissive_bc, cfl_dt, make_grid, step_explicit, step_semi_implicit
+from .scheme import cfl_dt, make_grid, step_explicit, step_semi_implicit
 # to_primitive is unused here, but perfbench/tracer.py wraps sim.to_primitive by name
 from .state import to_conservative, to_primitive  # noqa: F401
 from .topography import FlatBed, RunoffBed, TabulatedBed
+
+# a grid has no ghost cells to fill, so nothing calls this name, but
+# perfbench/tracer.py wraps sim.apply_transmissive_bc by name
+apply_transmissive_bc = None
 
 __all__ = [
     "SimConfig",
@@ -71,7 +75,10 @@ def _check_ic(ic: dict, N: int) -> None:
     for key in ("h", "x_lo", "x_hi", "u_m"):
         if key in ic:
             _check_real(f"ic.{key}", ic[key])
-    for value in ic.get("alpha", ()):
+    alpha = ic.get("alpha", ())
+    if not isinstance(alpha, (tuple, list)):
+        raise ValueError(f"ic.alpha must be a tuple or list of numbers, got {alpha!r}")
+    for value in alpha:
         _check_real("ic.alpha", value)
     if not 0.0 <= ic["h"] < math.inf:
         raise ValueError(f"ic.h must be finite and nonnegative, got {ic['h']}")
@@ -306,13 +313,23 @@ def build_model(config: SimConfig):
     H, L, g, rho = config.H, config.L, config.g, config.rho
     cos_t = math.cos(config.theta)
     U = math.sqrt(g * L)
+
+    def scaled(key: str, num: float, den: float) -> float:
+        """num / den, the dimensionless group of model.key; rejects one that
+        overflows, or underflows to 0 from a nonzero input, naming scaling.H."""
+        group = num / den if den != 0.0 else math.inf
+        if not math.isfinite(group) or (group == 0.0 and p[key] != 0.0):
+            raise ValueError(f"model.{key} = {p[key]} scales to {group} at scaling.H = {H}; "
+                             f"the scaled group underflows or overflows")
+        return group
+
     # the Newtonian bulk and the slip bottom share one viscosity
-    nu = p["eta"] * U / (rho * g * cos_t * H * H) if "eta" in reads else None
+    nu = scaled("eta", p["eta"] * U, rho * g * cos_t * H * H) if "eta" in reads else None
     if bottom_law is SlipBottom:
-        bottom = SlipBottom(nu=nu, lam=p["lambda"] / H)
+        bottom = SlipBottom(nu=nu, lam=scaled("lambda", p["lambda"], H))
     elif bottom_law is ManningBottom:
         n = p["manning_n"]
-        bottom = ManningBottom(n2=n * n * U * U / (H ** (4.0 / 3.0) * cos_t))
+        bottom = ManningBottom(n2=scaled("manning_n", n * n * U * U, H ** (4.0 / 3.0) * cos_t))
     elif bottom_law is CoulombBottom:
         bottom = CoulombBottom(delta=p["delta"])
     else:
@@ -362,14 +379,11 @@ def build_grid(config: SimConfig, bed=None):
         P[:, 1] = ic.get("u_m", 0.0)
         for j, a in enumerate(ic.get("alpha", ())):
             P[:, 2 + j] = a
-    U = grid.U.copy()
-    U[1:-1] = to_conservative(P)
-    grid = replace(grid, U=U)
-    return apply_transmissive_bc(grid)
+    return replace(grid, U=to_conservative(P))
 
 
 def _snapshot(grid, t: float, bed) -> Snapshot:
-    P = grid.primitive[1:-1]
+    P = grid.primitive
     h = P[:, 0]
     return Snapshot(time=t, x=grid.x.copy(), h=h.copy(), u_m=P[:, 1].copy(),
                     alpha=P[:, 2:].copy(), u_bottom=bottom_velocity(P), h_s=h + bed.b(grid.x))
@@ -377,8 +391,7 @@ def _snapshot(grid, t: float, bed) -> Snapshot:
 
 def run(config: SimConfig) -> RunResult:
     """Time loop: pick the CFL step (capped to land exactly on snapshot times),
-    step, and record diagnostics. A step returns its grid with the ghost rows
-    mirrored, so the boundary condition is applied once, in build_grid."""
+    step, and record diagnostics."""
     basis = build_basis(config.N)
     model = build_model(config)
     bed = build_bed(config)
@@ -415,9 +428,9 @@ def run(config: SimConfig) -> RunResult:
 
 
 def _record(diag: dict, t: float, dt: float, grid, info: dict, basis) -> None:
-    U = grid.interior()
-    P = grid.primitive[1:-1]
-    wet = ~grid.dry()[1:-1]
+    U = grid.U
+    P = grid.primitive
+    wet = ~grid.dry()
     diag["time"].append(t)
     diag["dt"].append(dt)
     diag["mass"].append(float(np.sum(U[:, 0]) * grid.dx))
@@ -431,7 +444,7 @@ def _record(diag: dict, t: float, dt: float, grid, info: dict, basis) -> None:
 
 
 def write_snapshot(snapshot: Snapshot, path: str) -> None:
-    """CSV with 17 significant digits, one row per interior cell."""
+    """CSV with 17 significant digits, one row per cell."""
     N = snapshot.alpha.shape[1]
     header = ["x", "h", "u_m"] + [f"alpha_{i}" for i in range(1, N + 1)] + ["u_bottom", "h_s"]
     cols = np.column_stack([snapshot.x, snapshot.h, snapshot.u_m, snapshot.alpha,

@@ -28,7 +28,6 @@ from swmoment.hswme import source_batch, system_matrix_batch
 from swmoment.scheme import (
     Grid,
     _path_matrices,
-    apply_transmissive_bc,
     cfl_dt,
     fluctuations,
     make_grid,
@@ -45,10 +44,7 @@ THETA = math.pi / 4
 
 def _grid_with_state(J: int, N: int, P: np.ndarray) -> Grid:
     grid = make_grid(0.0, 1.0, J, N)
-    U = grid.U.copy()
-    U[1:-1] = to_conservative(P)
-    grid = Grid(x=grid.x, dx=grid.dx, U=U, dbdx=grid.dbdx)
-    return apply_transmissive_bc(grid)
+    return Grid(x=grid.x, dx=grid.dx, U=to_conservative(P), dbdx=grid.dbdx)
 
 
 def test_01_basis_orthogonality_symmetry_and_endpoints():
@@ -117,11 +113,11 @@ def test_04_granular_equilibrium_preserved_on_incline():
     P = np.tile([0.05, 0.1, 0.0], (200, 1))
     grid = _grid_with_state(200, 1, P)
     cfg = SimConfig(theta=theta, mode="semi_implicit", cfl=0.05)
-    U0 = grid.interior().copy()
+    U0 = grid.U.copy()
     for _ in range(100):
         dt = cfl_dt(grid, cfg, basis)
         grid, _ = step_semi_implicit(grid, dt, model, basis, cfg)
-    np.testing.assert_allclose(grid.interior(), U0, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(grid.U, U0, rtol=0.0, atol=1e-12)
     assert time.perf_counter() - start < 5.0
 
 
@@ -129,7 +125,7 @@ def test_05_mass_conserved_explicit_block_release():
     start = time.perf_counter()
     cfg = preset(1, J=200, mode="explicit", snapshot_times=(0.5,))
     grid = build_grid(cfg)
-    m0 = float(np.sum(grid.interior()[:, 0]) * grid.dx)
+    m0 = float(np.sum(grid.U[:, 0]) * grid.dx)
     result = run(cfg)
     snap = result.snapshots[-1]
     # the drift bound presumes the support never touches the open boundaries
@@ -241,7 +237,7 @@ def test_11_stepper_splitting_difference_first_order_in_dt():
         step = step_explicit if mode == "explicit" else step_semi_implicit
         for _ in range(round(0.2 / dt)):
             grid, _ = step(grid, dt, model, basis, cfg)
-        return grid.interior().copy()
+        return grid.U.copy()
 
     diffs = []
     for dt in (2e-3, 1e-3):

@@ -34,9 +34,9 @@ from swmoment.sim import (
     write_snapshot,
     write_summary,
 )
-from swmoment.scheme import apply_transmissive_bc, cfl_dt, make_grid
+from swmoment.scheme import cfl_dt, make_grid
 from swmoment.state import H_MIN, to_conservative
-from tests.conftest import case_ids
+from tests.conftest import GRAN_PARAMS, case_ids
 
 PI4 = math.pi / 4
 
@@ -215,6 +215,21 @@ def test_config_rejects_bad_scales(name, value):
         config_from_mapping(mapping)
 
 
+@pytest.mark.parametrize("example, overrides, key", [
+    (1, {"H": 1e-200}, "eta"),  # H * H underflows to 0
+    (1, {"H": 1e200}, "eta"),  # the viscosity underflows to 0
+    (2, {"law": "manning", "H": 1e-250}, "eta"),
+    (4, {"friction": "mu_i_manning", "H": 1e-250,  # H ** (4/3) underflows to 0
+         "friction_params": dict(GRAN_PARAMS, manning_n=0.0165)}, "manning_n"),
+    (1, {"H": 1e-3, "friction_params": {"lambda": 1e308, "eta": 0.0}}, "lambda"),  # overflows
+])
+def test_build_model_names_scaling_h_when_a_group_underflows_or_overflows(example, overrides,
+                                                                          key):
+    # before, the first three raised ZeroDivisionError, naming no key
+    with pytest.raises(ValueError, match=rf"^model\.{key} = .* at scaling\.H = "):
+        build_model(preset(example, **overrides))
+
+
 def test_config_rejects_friction_keys_the_model_does_not_read():
     # before, "Eta" was dropped unread while config_to_mapping lowercased it
     # onto eta, so summary.txt recorded model.eta = 5 for a run with eta = 0.01
@@ -320,6 +335,18 @@ def test_config_rejects_ic_value_that_is_not_a_number(key, value):
     preset(1, ic=dict(ic, **{key: (np.float64(0.0),) if key == "alpha" else np.float64(ic[key])}))
 
 
+@pytest.mark.parametrize("alpha", [0.1, "0.1 0.2", {0.1}, np.array([0.1, 0.2])],
+                         ids=["float", "str", "set", "ndarray"])
+def test_config_rejects_ic_alpha_that_is_not_a_sequence(alpha):
+    # before, a float raised "TypeError: 'float' object is not iterable", and
+    # an ndarray built a config whose mapping wrote alpha as "[0.1 0.2]",
+    # which config_from_mapping cannot parse
+    with pytest.raises(ValueError, match=f"^ic.alpha must be a tuple or list of numbers, "
+                                         f"got {re.escape(repr(alpha))}$"):
+        preset(1, ic={"kind": "uniform", "h": 0.05, "alpha": alpha})
+    assert preset(1, ic={"kind": "uniform", "h": 0.05, "alpha": [0.1, 0.2]}).ic["alpha"] == [0.1, 0.2]
+
+
 def test_config_rejects_ic_without_kind_and_cli_names_the_key(capsys):
     with pytest.raises(ValueError, match="ic.kind"):
         preset(1, ic={"h": 0.05, "x_lo": 0.3, "x_hi": 0.5})
@@ -419,11 +446,9 @@ def test_sh_violations_skip_stored_cells(basis2):
     P = np.zeros((20, 4))
     P[5:15] = [0.05, 0.5, -0.1, 0.0]
     P[15, 0] = 10.0 * H_MIN
-    U = grid.U.copy()
-    U[1:-1] = to_conservative(P)
-    stored = np.zeros(22, dtype=bool)
-    stored[16] = True
-    grid = apply_transmissive_bc(dataclasses.replace(grid, U=U, stored=stored))
+    stored = np.zeros(20, dtype=bool)
+    stored[15] = True
+    grid = dataclasses.replace(grid, U=to_conservative(P), stored=stored)
     diag = {k: [] for k in ("time", "dt", "mass", "max_speed", "dry_cells", "sh_violations",
                             "newton_iters", "newton_iters_max", "clamped_mass")}
     info = {"dry_cells": 11, "clamped_mass": 0.0, "newton_iters_total": 0, "newton_iters_max": 0}
@@ -431,23 +456,9 @@ def test_sh_violations_skip_stored_cells(basis2):
     assert diag["sh_violations"] == [0]
     assert diag["max_speed"] == [0.5]
     # the same film, not stored, is a wet cell at rest: it violates u(0) > 0
-    wet_film = dataclasses.replace(grid, stored=np.zeros(22, dtype=bool))
+    wet_film = dataclasses.replace(grid, stored=np.zeros(20, dtype=bool))
     sim._record(diag, 0.2, 1e-3, wet_film, dict(info, dry_cells=10), basis2)
     assert diag["sh_violations"] == [0, 1]
-
-
-def test_run_applies_the_boundary_condition_once(monkeypatch):
-    # build_grid applies it; each step returns its grid with mirrored ghosts
-    calls = []
-
-    def counted(grid):
-        calls.append(grid)
-        return apply_transmissive_bc(grid)
-
-    monkeypatch.setattr(sim, "apply_transmissive_bc", counted)
-    res = run(preset(1, J=40, snapshot_times=(0.05, 0.1)))
-    assert len(res.diagnostics["time"]) > 2
-    assert len(calls) == 1
 
 
 def test_run_on_all_dry_grid_takes_one_step_per_snapshot():
@@ -462,7 +473,7 @@ def test_run_on_all_dry_grid_takes_one_step_per_snapshot():
     assert list(res.diagnostics["dt"]) == [0.5, 0.5]
     assert list(res.diagnostics["dry_cells"]) == [16, 16]
     for snap in res.snapshots:
-        assert np.array_equal(snap.h, grid.interior()[:, 0])
+        assert np.array_equal(snap.h, grid.U[:, 0])
         assert not np.any(snap.u_m) and not np.any(snap.alpha)
 
 
