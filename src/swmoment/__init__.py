@@ -41,7 +41,6 @@ from .sim import (
     write_snapshot,
 )
 from .state import (
-    desingularized_velocity,
     is_dry,
     to_conservative,
     to_primitive,

@@ -29,7 +29,6 @@ __all__ = [
     "CoulombBottom",
     "MuIBottom",
     "muI_bulk_analytic_N1",
-    "muI_bulk_analytic_N2",
     "muI_bulk_quadrature",
     "savage_hutter_violations",
 ]
@@ -273,37 +272,6 @@ def _case_one_closed_form(h: float, A: float, B: float, C: float, params: "MuI")
     return (-h * params.mu_s - 4.0 * h * dmu * J1, -h * params.mu_s - 12.0 * h * dmu * J2)
 
 
-def muI_bulk_analytic_N2(h: float, alpha_1: float, alpha_2: float, params: "MuI",
-                         basis: MomentBasis) -> tuple[float, float]:
-    """Bulk terms (T_1, T_2) for a quadratic velocity profile.
-
-    Single-signed increasing profiles use the rational closed form when it is
-    well-conditioned (|A| >= 0.5 * max(|B|, C); below that the division by A
-    amplifies rounding up to ~1e11) and 32-point quadrature otherwise. An
-    interior shear sign change is integrated per subinterval, split at the
-    critical depth. All other regimes fall back to plain quadrature.
-    """
-    if h <= 0.0:
-        raise ValueError("height must be positive")
-    hs = np.array([h], dtype=float)
-    alpha = np.array([[alpha_1, alpha_2]], dtype=float)
-    if alpha_2 == 0.0:
-        return tuple(muI_bulk_quadrature(hs, alpha, params, basis)[0])
-    zeta_star = 0.5 * (1.0 + alpha_1 / (3.0 * alpha_2))
-    case_one = (alpha_2 > 0.0 and zeta_star <= 0.0) or (alpha_2 < 0.0 and zeta_star >= 1.0)
-    if case_one:
-        A = 12.0 * alpha_2
-        B = 2.0 * alpha_1 - 6.0 * alpha_2
-        C = params.c_I * h**1.5
-        if _closed_form_conditioned(A, B, C):
-            return _case_one_closed_form(h, A, B, C, params)
-        return tuple(muI_bulk_quadrature(hs, alpha, params, basis, points=32)[0])
-    if 0.0 < zeta_star < 1.0:
-        T = _split_quadrature(hs, alpha, np.array([zeta_star]), params, basis)
-        return (T[0, 0], T[0, 1])
-    return tuple(muI_bulk_quadrature(hs, alpha, params, basis)[0])
-
-
 def _split_quadrature(h: np.ndarray, alpha: np.ndarray, zeta_star: np.ndarray, params: "MuI",
                       basis: MomentBasis) -> np.ndarray:
     """N=2 bulk quadrature of rows whose shear changes sign at 0 < zeta_star < 1.
@@ -321,9 +289,13 @@ def _split_quadrature(h: np.ndarray, alpha: np.ndarray, zeta_star: np.ndarray, p
 
 
 def _muI_bulk_N2(h: np.ndarray, alpha: np.ndarray, params: "MuI", basis: MomentBasis) -> np.ndarray:
-    """muI_bulk_analytic_N2 of rows h (M,), alpha (M, 2), with its bits in every row.
+    """Bulk terms (T_1, T_2) of quadratic-profile rows h (M,), alpha (M, 2).
 
-    Rows are sorted into its regimes by array masks, and each quadrature
+    Rows are sorted by array masks on the shear's root zeta*. A single-signed
+    increasing profile takes the rational closed form where it is
+    well-conditioned (_closed_form_conditioned) and 32-point quadrature
+    otherwise; an interior shear sign change is integrated per subinterval,
+    split at zeta*; every other row takes plain quadrature. Each quadrature
     regime is integrated in one batch. Only the closed form runs per row, on
     Python floats: it rests on scalar `** 1.5`, `math.atan` and `math.log1p`,
     which can differ from numpy's array loops in the last bit.
@@ -397,9 +369,9 @@ class MuI(_Friction):
 
     The friction coefficient interpolates between mu_s and mu_2 with the local
     shear rate; c_I collects the dimensionless inertial scaling. The bulk uses
-    the closed form at N=1, the regimes of muI_bulk_analytic_N2 at N=2
-    (quadrature rows batched, closed-form rows per cell) and quad_points-node
-    quadrature above. Each row of bulk_terms has the bits it would have if
+    the closed form at N=1, the regimes of _muI_bulk_N2 at N=2 (quadrature
+    rows batched, closed-form rows per cell) and quad_points-node quadrature
+    above. Each row of bulk_terms has the bits it would have if
     evaluated alone.
     """
 

@@ -106,7 +106,10 @@ def make_grid(x_a: float, x_b: float, J: int, N: int, bed=None) -> Grid:
     else:
         from .topography import cell_slope
 
-        dbdx = np.asarray(cell_slope(bed, x - 0.5 * dx, x + 0.5 * dx), dtype=float)
+        # clipped, so the end faces lie in [x_a, x_b] and not one rounding outside
+        left = np.maximum(x - 0.5 * dx, x_a)
+        right = np.minimum(x + 0.5 * dx, x_b)
+        dbdx = np.asarray(cell_slope(bed, left, right), dtype=float)
     return Grid(x=x, dx=dx, U=np.zeros((J, N + 2)), dbdx=dbdx)
 
 

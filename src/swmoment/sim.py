@@ -111,6 +111,9 @@ def _check_friction_params(friction: str, params: dict) -> None:
         _check_real(f"model.{key}", value)
         if not math.isfinite(value):
             raise ValueError(f"model.{key} must be finite, got {value}")
+        text, within = _PARAM_RANGES[key]
+        if not within(value):
+            raise ValueError(f"model.{key} must be {text}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -233,9 +236,9 @@ def preset(example: int, **overrides) -> SimConfig:
     All four take the grid, length scales and snapshot times from the
     SimConfig defaults.
     """
-    H = SimConfig.H
+    H = overrides.get("H", SimConfig.H)
     # slip lengths are quoted dimensionless; the stored value is the physical
-    # length in meters (dimensionless again after dividing by H internally)
+    # length in meters at the run's H (dimensionless again in build_model)
     if example == 1:
         base = dict(
             N=2,
@@ -337,8 +340,8 @@ def build_model(config: SimConfig):
     if bulk is Newtonian:
         return Newtonian(nu=nu, bottom_law=bottom)
     if bulk is MuI:
-        if not p["d_s"] > 0.0 or config.rho_s is None:
-            raise ValueError("the inertial scaling needs model.d_s > 0 and scaling.rho_s")
+        if config.rho_s is None:
+            raise ValueError("the inertial scaling needs scaling.rho_s")
         c_I = (p["i0"] * H / p["d_s"]) * math.sqrt((rho / config.rho_s) * (H / L) * cos_t)
         if not math.isfinite(c_I):
             raise ValueError(f"the inertial scaling of model.i0 = {p['i0']} and "
@@ -350,13 +353,22 @@ def build_model(config: SimConfig):
 
 
 def build_bed(config: SimConfig):
-    """Bathymetry object from the config: flat, runoff, or a sample file path."""
+    """Bathymetry object from the config: flat, runoff, or the path of a file
+    of bed samples (TabulatedBed.from_file) that spans the grid's domain."""
     spec = config.bathymetry
     if spec == "flat":
         return FlatBed()
     if spec == "runoff":
         return RunoffBed(theta=config.theta)
-    return TabulatedBed.from_file(spec)
+    try:
+        bed = TabulatedBed.from_file(spec)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"grid.bathymetry must be flat, runoff or a file of bed samples, "
+                         f"got {spec!r}: {exc}") from exc
+    if not bed.x[0] <= config.x_a < config.x_b <= bed.x[-1]:
+        raise ValueError(f"grid.bathymetry file {spec!r} spans [{bed.x[0]}, {bed.x[-1]}], "
+                         f"not the grid's domain [{config.x_a}, {config.x_b}]")
+    return bed
 
 
 def build_grid(config: SimConfig, bed=None):
@@ -611,6 +623,14 @@ _FRICTION = {
     "mu_i_manning": (MuI, ManningBottom, _MU_I_KEYS + ("manning_n",)),
     "mu_i_coulomb": (MuI, CoulombBottom, _MU_I_KEYS + ("delta",)),
     "mu_i": (MuI, MuIBottom, _MU_I_KEYS),
+}
+# the range of each [model] key, checked with the key's name before any law
+# sees its scaled group; the laws check their own ranges too, and the
+# relations mu_s < mu_2 (MuI) and delta <= phi_int (build_model)
+_PARAM_RANGES = {
+    **dict.fromkeys(("lambda", "i0", "d_s", "mu_s", "mu_2"), ("positive", lambda v: v > 0.0)),
+    **dict.fromkeys(("eta", "manning_n", "mu"), ("nonnegative", lambda v: v >= 0.0)),
+    **dict.fromkeys(("delta", "phi_int"), ("in [0, pi/2)", lambda v: 0.0 <= v < math.pi / 2)),
 }
 
 _IC_KEYS = {"kind": str, "h": float, "x_lo": float, "x_hi": float, "u_m": float,

@@ -7,7 +7,6 @@ __all__ = [
     "to_conservative",
     "is_dry",
     "desingularization_factor",
-    "desingularized_velocity",
 ]
 
 # the dry threshold: a cell is dry at h <= H_MIN, and H_MIN is the h^2 floor
@@ -34,19 +33,12 @@ def desingularization_factor(h) -> np.ndarray:
     return two_h / den
 
 
-def desingularized_velocity(h, hv):
-    """Recover v from h*v as 2h*(hv)/(h^2 + max(h^2, H_MIN)).
-
-    Equals exact division for h >= sqrt(H_MIN) and stays bounded for any h >= 0.
-    """
-    h = np.asarray(h, dtype=float)
-    return 2.0 * h * np.asarray(hv, dtype=float) / (h * h + np.maximum(h * h, H_MIN))
-
-
 def to_primitive(U) -> np.ndarray:
     """Map conservative rows (h, h*u_m, h*alpha_i) to primitive rows (h, u_m, alpha_i).
 
-    Velocities are desingularized; dry cells (h <= H_MIN) get zero velocities.
+    Velocities are desingularized, v = (2h * hv) / (h^2 + max(h^2, H_MIN)):
+    exact division for h >= sqrt(H_MIN), bounded for any h >= 0. Dry cells
+    (h <= H_MIN) get zero velocities.
     """
     U = np.asarray(U, dtype=float)
     if not np.isfinite(U).all():
@@ -54,9 +46,9 @@ def to_primitive(U) -> np.ndarray:
     h = U[..., 0]
     P = np.empty_like(U)
     P[..., 0] = h
-    # desingularized_velocity one component at a time, its row factors formed
-    # once: the same operations in the same order, so the same bits, and 2-3x
-    # faster than broadcasting the rows over the short component axis
+    # the formula one component at a time, its row factors formed once: the
+    # same operations in the same order, so the same bits, and 2-3x faster
+    # than broadcasting the rows over the short component axis
     two_h, den = _desingularization_terms(h)
     for c in range(1, U.shape[-1]):
         v = P[..., c]

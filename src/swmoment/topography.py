@@ -68,7 +68,8 @@ class TabulatedBed:
     def _check_domain(self, xq):
         xq = np.asarray(xq, dtype=float)
         if np.any(xq < self.x[0]) or np.any(xq > self.x[-1]):
-            raise ValueError("query point outside the tabulated bed's range")
+            raise ValueError(f"tabulated bed queried on [{np.min(xq)}, {np.max(xq)}], outside "
+                             f"its samples [{self.x[0]}, {self.x[-1]}]")
         return xq
 
     def b(self, xq):
@@ -81,6 +82,8 @@ class TabulatedBed:
 
     @classmethod
     def from_file(cls, path) -> "TabulatedBed":
+        """Read the samples from a text file of two whitespace-separated
+        columns, x and b, one sample per line ("#" starts a comment)."""
         data = np.loadtxt(path)
         if data.ndim != 2 or data.shape[1] != 2:
             raise ValueError(f"expected two whitespace-separated columns in {path}")

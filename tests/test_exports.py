@@ -9,9 +9,6 @@ import swmoment
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(swmoment.__path__) if m.name != "cli")
 ROOT = Path(__file__).resolve().parents[1]
-# exported references that the tests compare the solver's kernels against;
-# every other exported name must have a caller outside the tests
-TEST_REFERENCES = ("desingularized_velocity", "muI_bulk_analytic_N2")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -47,6 +44,5 @@ def test_every_exported_name_has_a_caller_outside_the_tests():
                          if not f.name.startswith(("test_", "conftest"))))
     exported = {name for module in MODULES
                 for name in importlib.import_module(f"swmoment.{module}").__all__}
-    assert set(TEST_REFERENCES) <= exported - used
-    uncalled = sorted(exported - used - set(TEST_REFERENCES))
+    uncalled = sorted(exported - used)
     assert not uncalled, f"exported names with no caller in src/swmoment or perfbench: {uncalled}"

@@ -16,7 +16,6 @@ from swmoment.friction import (
     Newtonian,
     SlipBottom,
     muI_bulk_analytic_N1,
-    muI_bulk_analytic_N2,
     muI_bulk_quadrature,
     savage_hutter_violations,
 )
@@ -110,7 +109,7 @@ def _reference_stresses(kind, p, P, basis):
         T[inc, 0] = muI_bulk_analytic_N1(h[inc], alpha[inc, 0], params)
         T[~inc, 0] = -muI_bulk_analytic_N1(h[~inc], -alpha[~inc, 0], params)
     elif basis.N == 2:
-        T = np.array([muI_bulk_analytic_N2(r[0], r[2], r[3], params, basis) for r in P])
+        T = params.bulk_terms(P, basis)
     else:
         T = muI_bulk_quadrature(h, alpha, params, basis)
     static = np.all(alpha == 0.0, axis=1)
@@ -333,16 +332,21 @@ def test_muI_N1_is_odd_to_the_bit():
     assert np.array_equal(zero.view(np.int64), np.zeros(2).view(np.int64))
 
 
+def _bulk_N2(h, a1, a2, basis2):
+    """GRAN's N=2 bulk terms (T_1, T_2) of one state, a 1-row batch."""
+    return GRAN.bulk_terms(np.array([[h, 0.0, a1, a2]]), basis2)[0]
+
+
 def test_muI_N2_case1_matches_oracle(basis2):
     for h, a1, a2, r1, r2 in N2_CASE1_ORACLE:
-        t1, t2 = muI_bulk_analytic_N2(h, a1, a2, GRAN, basis2)
+        t1, t2 = _bulk_N2(h, a1, a2, basis2)
         assert t1 == pytest.approx(r1, rel=1e-12)
         assert t2 == pytest.approx(r2, rel=1e-12)
 
 
 def test_muI_N2_interior_sign_change_matches_oracle(basis2):
     for h, a1, a2, r1, r2 in N2_CASE2_ORACLE:
-        t1, t2 = muI_bulk_analytic_N2(h, a1, a2, GRAN, basis2)
+        t1, t2 = _bulk_N2(h, a1, a2, basis2)
         assert t1 == pytest.approx(r1, rel=1e-8)
         assert t2 == pytest.approx(r2, rel=1e-8)
 
@@ -378,7 +382,7 @@ def test_muI_N1_N2_continuity(basis2):
     # the N=2 closed form limits to the N=1 formula as alpha_2 -> 0
     for h, a1 in [(0.05, -0.3), (0.01, -0.05), (0.1, -1.0)]:
         ref = muI_bulk_analytic_N1(h, a1, GRAN)
-        t1, _ = muI_bulk_analytic_N2(h, a1, 1e-8, GRAN, basis2)
+        t1, _ = _bulk_N2(h, a1, 1e-8, basis2)
         assert t1 == pytest.approx(float(ref), rel=1e-4)
 
 
@@ -396,14 +400,14 @@ def test_muI_conditioning_guard_fallback_agrees(basis2):
         if not 0.4 <= ratio <= 0.6:
             continue
         found += 1
-        t1, t2 = muI_bulk_analytic_N2(h, a1, a2, GRAN, basis2)
+        t1, t2 = _bulk_N2(h, a1, a2, basis2)
         q1, q2 = muI_bulk_quadrature(np.array([h]), np.array([[a1, a2]]), GRAN, basis2, points=64)[0]
         assert t1 == pytest.approx(q1, rel=1e-9)
         assert t2 == pytest.approx(q2, rel=1e-9)
 
 
 def _N2_regime_rows(rng, per_regime=500):
-    """Primitive N=2 rows covering every branch of muI_bulk_analytic_N2.
+    """Primitive N=2 rows covering every regime of the N=2 bulk terms.
 
     With zeta* = (1 + a1/(3 a2))/2: a2 = 0 (plain quadrature), |a1| < 3|a2|
     (interior sign change, split quadrature), a1 <= -3|a2| (case one, closed
@@ -428,21 +432,6 @@ def _N2_regime_rows(rng, per_regime=500):
     return np.vstack([P, edges])
 
 
-@pytest.mark.parametrize("quad_points", [8, 32])
-def test_muI_N2_batch_equals_scalar_law_in_every_regime(basis2, quad_points):
-    model = MuI(mu_s=0.48, mu_2=0.73, c_I=C_I, bottom_law=MuIBottom(), quad_points=quad_points)
-    P = _N2_regime_rows(np.random.default_rng(17))
-    h, a1, a2 = P[:, 0], P[:, 2], P[:, 3]
-    A, B, C = 12.0 * np.abs(a2), np.abs(2.0 * a1 - 6.0 * a2), C_I * h**1.5
-    case_one = a1 <= -3.0 * np.abs(a2)
-    well = (A >= 0.5 * np.maximum(B, C)) & (B >= 1e-8 * np.maximum(A, C))
-    # the draw reaches both conditioning branches of case one
-    assert np.sum(case_one & (a2 != 0.0) & well) >= 10
-    assert np.sum(case_one & (a2 != 0.0) & ~well) >= 10
-    scalar = np.array([muI_bulk_analytic_N2(p[0], p[2], p[3], model, basis2) for p in P])
-    assert np.array_equal(model.stresses(P, basis2)[1], scalar)
-
-
 def _one_row_quadrature(h, alpha, params, basis, lo, hi, points):
     """Bulk quadrature of one row on xi in [lo, hi], written with plain 2-D
     products on a (1, N) row: the reference the batched forms must equal."""
@@ -463,7 +452,7 @@ def _one_row_quadrature(h, alpha, params, basis, lo, hi, points):
 
 
 @pytest.mark.parametrize("quad_points", [8, 32])
-def test_muI_quadrature_matches_one_row_products(basis2, basis3, quad_points):
+def test_muI_quadrature_matches_one_row_products(basis2, basis3, basis6, quad_points):
     # einsum or a 2-D matmul over many rows rounds differently from these
     # one-row products; the batched law must keep their bits
     model = MuI(mu_s=0.48, mu_2=0.73, c_I=C_I, bottom_law=MuIBottom(), quad_points=quad_points)
@@ -483,9 +472,45 @@ def test_muI_quadrature_matches_one_row_products(basis2, basis3, quad_points):
     rows = split | plain
     assert np.sum(split) >= 10 and np.sum(plain & (a2 != 0.0)) >= 10
     assert np.array_equal(model.stresses(P[rows], basis2)[1], ref[rows])
-    P3 = random_wet_primitive(np.random.default_rng(37), 3, 40, h_range=(1e-6, 0.1))
-    ref3 = [_one_row_quadrature(p[0], p[2:], model, basis3, 0.0, 1.0, quad_points) for p in P3]
-    assert np.array_equal(model.stresses(P3, basis3)[1], np.array(ref3))
+    # at N = 6 (not at N <= 3) einsum also rounds the shear differently
+    for basis, seed in ((basis3, 37), (basis6, 43)):
+        Pn = random_wet_primitive(np.random.default_rng(seed), basis.N, 40, h_range=(1e-6, 0.1))
+        ref = [_one_row_quadrature(p[0], p[2:], model, basis, 0.0, 1.0, quad_points) for p in Pn]
+        assert np.array_equal(model.stresses(Pn, basis)[1], np.array(ref))
+
+
+def _graded_quadrature(h, alpha, params, basis):
+    """One row's bulk terms by a 64-point rule on each of 16 pieces of xi in
+    [0, 1], graded geometrically toward both ends: it resolves the
+    near-singularity that a shear root just outside the column puts at an end."""
+    g = np.geomspace(1e-12, 0.5, 8)
+    edges = np.concatenate([[0.0], g, 1.0 - g[-2::-1], [1.0]])
+    return sum(_one_row_quadrature(h, alpha, params, basis, lo, hi, 64)
+               for lo, hi in zip(edges[:-1], edges[1:]))
+
+
+@pytest.mark.parametrize("quad_points", [8, 32])
+def test_muI_N2_case_one_takes_the_closed_form_or_32_points(basis2, quad_points):
+    # a single-signed shear takes the closed form where it is well-conditioned
+    # and the 32-point rule where it is not, whatever quad_points is. The
+    # closed form meets the graded reference to 1e-12 (measured: 1.4e-13),
+    # which the 32-point rule misses by more than 1e-8 on some rows
+    model = MuI(mu_s=0.48, mu_2=0.73, c_I=C_I, bottom_law=MuIBottom(), quad_points=quad_points)
+    P = _N2_regime_rows(np.random.default_rng(17))
+    h, a1, a2 = P[:, 0], P[:, 2], P[:, 3]
+    A, B, C = 12.0 * np.abs(a2), np.abs(2.0 * a1 - 6.0 * a2), C_I * h**1.5
+    case_one = (a2 != 0.0) & (a1 <= -3.0 * np.abs(a2))
+    well = (A >= 0.5 * np.maximum(B, C)) & (B >= 1e-8 * np.maximum(A, C))
+    closed, ill = np.flatnonzero(case_one & well), np.flatnonzero(case_one & ~well)
+    assert len(closed) >= 10 and len(ill) >= 10
+    T = model.stresses(P, basis2)[1]
+    ref32 = [_one_row_quadrature(h[i], P[i, 2:], model, basis2, 0.0, 1.0, 32) for i in ill]
+    assert np.array_equal(T[ill], np.array(ref32))
+    ref = np.array([_graded_quadrature(h[i], P[i, 2:], model, basis2) for i in closed])
+    scale = np.max(np.abs(ref), axis=1)
+    assert np.all(np.max(np.abs(T[closed] - ref), axis=1) <= 1e-12 * scale)
+    T32 = muI_bulk_quadrature(h[closed], P[closed, 2:], model, basis2, points=32)
+    assert np.sum(np.max(np.abs(T32 - ref), axis=1) > 1e-8 * scale) >= 10
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 6])
@@ -634,9 +659,9 @@ def test_derive_inertial_scaling():
 
 
 def test_derive_rejects_bad_inputs():
-    # the scales, the angle and the finiteness of the grain size are checked
-    # as the config is built, the sign of the grain size and the density of
-    # the inertial scaling by build_model
+    # the scales, the angle and the grain size (finite and positive) are
+    # checked as the config is built, the density of the inertial scaling by
+    # build_model
     with pytest.raises(ValueError, match="^H must"):
         SimConfig(**dict(SCALES, H=0.0))
     with pytest.raises(ValueError, match="theta"):
@@ -644,12 +669,12 @@ def test_derive_rejects_bad_inputs():
     with pytest.raises(ValueError, match="^model.d_s must be finite, got nan$"):
         SimConfig(**SCALES, friction="mu_i",
                   friction_params=dict(GRAN_PARAMS, d_s=math.nan))
-    for scales, params in ((dict(SCALES, rho_s=None), GRAN_PARAMS),
-                           (SCALES, dict(GRAN_PARAMS, d_s=0.0)),
-                           (SCALES, dict(GRAN_PARAMS, d_s=-7e-4))):
-        cfg = SimConfig(**scales, friction="mu_i", friction_params=params)
-        with pytest.raises(ValueError, match=re.escape("needs model.d_s > 0 and scaling.rho_s")):
-            build_model(cfg)
+    for d_s in (0.0, -7e-4):
+        with pytest.raises(ValueError, match=f"^model.d_s must be positive, got {d_s}$"):
+            SimConfig(**SCALES, friction="mu_i", friction_params=dict(GRAN_PARAMS, d_s=d_s))
+    cfg = SimConfig(**dict(SCALES, rho_s=None), friction="mu_i", friction_params=GRAN_PARAMS)
+    with pytest.raises(ValueError, match="^the inertial scaling needs scaling.rho_s$"):
+        build_model(cfg)
     # a grain size so small that i0 H / d_s overflows used to build c_I = inf
     cfg = preset(4, friction_params=dict(preset(4).friction_params, d_s=1e-320))
     with pytest.raises(ValueError, match="model.i0 = 0.279 and model.d_s = 1e-320 overflows"):

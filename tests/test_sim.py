@@ -18,7 +18,6 @@ from swmoment.friction import (
     MuI,
     Newtonian,
     SlipBottom,
-    muI_bulk_analytic_N2,
 )
 from swmoment.sim import (
     SimConfig,
@@ -91,6 +90,14 @@ def test_preset_rheology_defaults():
     assert isinstance(model.bottom_law, SlipBottom)
     assert model.bottom_law.nu == pytest.approx(9.2118911156584804e-5, rel=1e-14)
     assert model.bottom_law.lam == pytest.approx(1e-3, rel=1e-14)
+
+
+@pytest.mark.parametrize("H", [0.05, 0.1, 0.2])
+@pytest.mark.parametrize("example, quoted", [(1, 1e-4), (2, 1.5e-3), (4, 1e-3)])
+def test_preset_slip_length_is_quoted_at_the_run_depth_scale(example, quoted, H):
+    # before, a preset stored lambda = quoted * 0.1, the default H, whatever
+    # H it was given, so preset(1, H=0.2) ran at lambda/H = 5e-5
+    assert build_model(preset(example, H=H)).bottom_law.lam == pytest.approx(quoted, rel=1e-14)
 
 
 def test_preset_unknown_id_rejected():
@@ -369,6 +376,33 @@ def test_build_grid_rejects_block_that_covers_no_cell_centre(x_lo, x_hi, tmp_pat
         sim.build_grid(config_from_mapping(read_config_file(str(path))))
 
 
+def test_bathymetry_errors_name_the_key_and_the_file(tmp_path, capsys):
+    # before, a typo failed with only "error: Flat not found.", comma-separated
+    # samples with numpy's parse error, and samples that do not span the domain
+    # with "query point outside the tabulated bed's range"
+    assert cli.main(["--preset", "1", "--override", "grid.bathymetry=Flat"]) == 1
+    assert ("error: grid.bathymetry must be flat, runoff or a file of bed samples, got 'Flat': "
+            in capsys.readouterr().err)
+    commas = tmp_path / "commas.csv"
+    commas.write_text("0,0\n1,0.1\n")
+    with pytest.raises(ValueError, match=f"^grid.bathymetry must be .*, got {re.escape(repr(str(commas)))}: "):
+        sim.build_bed(preset(1, bathymetry=str(commas)))
+    short = tmp_path / "short.txt"
+    short.write_text("0 0\n0.8 0.1\n")
+    with pytest.raises(ValueError, match=re.escape(f"grid.bathymetry file {str(short)!r} spans "
+                                                   f"[0.0, 0.8], not the grid's domain [0.0, 1.0]")):
+        sim.build_bed(preset(1, bathymetry=str(short)))
+
+
+def test_bed_file_that_spans_the_domain_exactly_builds_the_grid(tmp_path):
+    # the end faces are clipped to [x_a, x_b]; before, at J = 91 the last face
+    # rounded above x_b = 1 and the bed refused it
+    path = tmp_path / "bed.txt"
+    path.write_text("# x b\n0 0\n1 0.25\n")
+    grid = sim.build_grid(preset(1, J=91, bathymetry=str(path)))
+    assert np.allclose(grid.dbdx, 0.25, rtol=1e-12, atol=0.0)
+
+
 def test_run_zero_snapshot_echoes_initial_state():
     cfg = preset(1, J=40, snapshot_times=(0.0,))
     res = run(cfg)
@@ -492,8 +526,11 @@ def test_run_muI_N2_batched_bulk_equals_per_cell_law(monkeypatch):
     cfg = preset(4, N=2, J=40)
     batched = run(cfg)
 
+    batch_bulk = MuI.bulk_terms
+
     def per_cell_bulk(self, P, basis):
-        return np.array([muI_bulk_analytic_N2(p[0], p[2], p[3], self, basis) for p in P])
+        # each cell alone, a 1-row batch
+        return np.vstack([batch_bulk(self, p[None], basis) for p in P])
 
     monkeypatch.setattr(MuI, "bulk_terms", per_cell_bulk)
     per_cell = run(cfg)
@@ -995,6 +1032,35 @@ def test_cli_missing_friction_parameter_names_key(case, tmp_path, capsys):
         assert cli.main(["--config", str(path), "--out", str(out)]) == 1
         assert f"model.{key}" in capsys.readouterr().err
         assert not out.exists()
+
+
+# a value out of range for each [model] key, under a friction name that
+# reads it, and the range its error names
+OUT_OF_RANGE = {
+    "lambda": ("newtonian_slip", 0.0, "positive"),
+    "eta": ("newtonian_slip", -1.0, "nonnegative"),
+    "manning_n": ("newtonian_manning", -0.0165, "nonnegative"),
+    "mu": ("coulomb", -0.4, "nonnegative"),
+    "delta": ("coulomb", -0.1, "in [0, pi/2)"),
+    "phi_int": ("savage_hutter", math.pi / 2, "in [0, pi/2)"),
+    "mu_s": ("mu_i", 0.0, "positive"),
+    "mu_2": ("mu_i", -0.73, "positive"),
+    "i0": ("mu_i", -0.279, "positive"),
+    "d_s": ("mu_i", -7e-4, "positive"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(OUT_OF_RANGE))
+def test_config_rejects_out_of_range_friction_parameter(key):
+    # before, manning_n = -0.0165 ran as +0.0165 (the scaling squares n), and
+    # the laws' errors named no key (mu < 0, mu_s, delta), or a scaled group:
+    # eta = -1 gave nu = -0.119, i0 < 0 a negative c_I, lambda = 0 "slip length"
+    assert set(OUT_OF_RANGE) == {key for _, _, keys in sim._FRICTION.values() for key in keys}
+    case, value, text = OUT_OF_RANGE[key]
+    mapping = _friction_mapping(case)
+    mapping["model"][key] = repr(value)
+    with pytest.raises(ValueError, match=f"^model.{key} must be {re.escape(text)}, got {value}$"):
+        config_from_mapping(mapping)
 
 
 @pytest.mark.parametrize("value", ["1e-5", True])

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 from swmoment.state import (
     H_MIN,
     desingularization_factor,
-    desingularized_velocity,
     is_dry,
     to_conservative,
     to_primitive,
@@ -35,18 +34,25 @@ def test_dry_cells_get_zero_velocities():
     assert P[2, 1] == pytest.approx(0.5, rel=1e-12)
 
 
+def _desingularized_velocity(h, hv):
+    """The desingularized velocity 2h hv / (h^2 + max(h^2, H_MIN)), written
+    out as the reference for to_primitive."""
+    return 2.0 * h * hv / (h * h + np.maximum(h * h, H_MIN))
+
+
 def test_desingularized_velocity_wet_exact():
     # for h^2 >= H_MIN the formula reduces to hv / h exactly
     h, v = 0.05, 0.7
-    assert desingularized_velocity(h, h * v) == pytest.approx(v, rel=1e-14)
+    assert to_primitive(np.array([h, h * v]))[1] == pytest.approx(v, rel=1e-14)
 
 
 def test_desingularized_velocity_vanishes_with_height():
-    h = np.array([1e-10, 1e-8, 1e-7])
-    v = desingularized_velocity(h, h * 1.0)
-    # below the threshold the formula reads 2h^2/(h^2 + H_MIN) -> 0 as h -> 0
+    # above the dry threshold but below sqrt(H_MIN), where the formula reads
+    # 2h^2/(h^2 + H_MIN) -> 0 as h -> 0
+    h = np.array([1.5e-6, 1e-5, 1e-4])
+    v = to_primitive(np.column_stack([h, h * 1.0]))[:, 1]
     assert v == pytest.approx(2.0 * h * h / (h * h + 1e-6), rel=1e-12)
-    assert v[0] < 1e-13
+    assert v[0] < 5e-6
 
 
 def test_to_primitive_bit_identical_to_broadcast_desingularization():
@@ -57,7 +63,7 @@ def test_to_primitive_bit_identical_to_broadcast_desingularization():
         U[..., 0] = np.abs(U[..., 0])
         U.reshape(-1, shape[-1])[::3, 1:] = -0.0
         h = U[..., 0]
-        ref = np.concatenate([h[..., None], desingularized_velocity(h[..., None], U[..., 1:])],
+        ref = np.concatenate([h[..., None], _desingularized_velocity(h[..., None], U[..., 1:])],
                              axis=-1)
         ref[..., 1:] = np.where(is_dry(h)[..., None], 0.0, ref[..., 1:])
         assert to_primitive(U).tobytes() == ref.tobytes()

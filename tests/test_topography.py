@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -53,6 +54,10 @@ def test_tabulated_bed_validation():
         TabulatedBed(x=np.array([0.0, 1.0]), values=np.zeros(3))
     with pytest.raises(ValueError):
         TabulatedBed(x=np.array([0.5]), values=np.array([0.0]))
+    bed = TabulatedBed(x=np.array([0.0, 1.0]), values=np.zeros(2))
+    with pytest.raises(ValueError, match=re.escape("queried on [-0.5, 0.5], outside its samples "
+                                                   "[0.0, 1.0]")):
+        bed.dbdx(np.array([-0.5, 0.5]))
 
 
 def test_cell_slope_mean_of_faces():
