@@ -8,9 +8,10 @@ T_i = int_0^1 phi_i' tau dzeta of rows (M, N+2). The free surface carries no
 stress. Callers must skip dry cells; heights must be positive here.
 
 A law whose stress is linear in the velocity v = (u_m, alpha_1..alpha_N) at
-fixed depth says so with `linear = True` and gives its exact gradient in v
-(SlipBottom.stress_jacobian, Newtonian.bulk_jacobian); the model's
-linear_in_velocity holds when both of its laws are linear.
+fixed depth, and so zero at v = 0, says so with `linear = True`; the model's
+linear_in_velocity holds when both of its laws are linear. Each law defines
+its stress only: the implicit stage reads the source matrix of a linear model
+off the stresses at unit velocities (hswme.linear_source_batch).
 """
 
 import math
@@ -55,10 +56,6 @@ class SlipBottom:
 
     def stress(self, P: np.ndarray, basis: MomentBasis, model) -> np.ndarray:
         return (self.nu / self.lam) * bottom_velocity(P)
-
-    def stress_jacobian(self, P: np.ndarray, basis: MomentBasis) -> np.ndarray:
-        """d tau_b / d v = (nu / lam) (1, ..., 1) per row: (M, N+1)."""
-        return np.full((P.shape[0], basis.N + 1), self.nu / self.lam)
 
 
 @dataclass(frozen=True)
@@ -110,7 +107,7 @@ class MuIBottom:
 class _Friction:
     """A bulk law (the subclass's bulk_terms on wet rows) composed with the
     bottom law in its bottom_law field. A subclass whose bulk_terms is linear
-    in v sets linear = True and defines bulk_jacobian."""
+    in v sets linear = True."""
 
     linear = False
 
@@ -123,12 +120,6 @@ class _Friction:
     def linear_in_velocity(self) -> bool:
         """Whether tau_b and T are both linear in v = (u_m, alpha) at fixed h."""
         return self.linear and self.bottom_law.linear
-
-    def velocity_jacobian(self, P: np.ndarray, basis: MomentBasis):
-        """(d tau_b / d v, d T / d v), shapes (M, N+1) and (M, N, N+1), at wet
-        primitive rows (M, N+2) of a model that is linear_in_velocity."""
-        _require_wet(P[:, 0])
-        return self.bottom_law.stress_jacobian(P, basis), self.bulk_jacobian(P, basis)
 
 
 @dataclass(frozen=True)
@@ -145,12 +136,6 @@ class Newtonian(_Friction):
 
     def bulk_terms(self, P: np.ndarray, basis: MomentBasis) -> np.ndarray:
         return (self.nu / P[:, 0])[:, None] * (P[:, 2:] @ basis.C.T)
-
-    def bulk_jacobian(self, P: np.ndarray, basis: MomentBasis) -> np.ndarray:
-        """d T / d v = (nu / h) [0 | C] per row: (M, N, N+1)."""
-        jac = np.zeros((P.shape[0], basis.N, basis.N + 1))
-        jac[:, :, 1:] = (self.nu / P[:, 0])[:, None, None] * basis.C
-        return jac
 
 
 @dataclass(frozen=True)

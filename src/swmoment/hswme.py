@@ -9,7 +9,7 @@ from .basis import MomentBasis
 __all__ = [
     "system_matrix_batch",
     "source_batch",
-    "source_jacobian_batch",
+    "linear_source_batch",
     "spectral_radius_batch",
     "wavespeeds_batch",
 ]
@@ -22,26 +22,28 @@ def system_matrix_batch(P: np.ndarray, eps: float, theta: float, basis: MomentBa
     couplings, so moment row i has first column -2 u_m alpha_1 [i=1] - A_i11 alpha_1^2,
     second column 2 alpha_1 [i=1], and band entries u_m on the diagonal plus
     (2 A_il1 + B_il1) alpha_1 elsewhere.
+
+    The result is the transposed view of an (N+2, N+2, M) buffer, so it is not
+    C-contiguous: each entry is filled as one contiguous vector over the rows,
+    with the operation order of an entry-by-entry build and so its bits.
     """
     P = np.asarray(P, dtype=float)
     M = P.shape[0]
     m = basis.N + 2
     h, u_m, a1 = P[:, 0], P[:, 1], P[:, 2]
-    A = np.zeros((M, m, m))
-    A[:, 0, 1] = 1.0
-    A[:, 1, 0] = eps * math.cos(theta) * h - u_m * u_m - a1 * a1 / 3.0
-    A[:, 1, 1] = 2.0 * u_m
-    A[:, 1, 2] = (2.0 / 3.0) * a1
+    A = np.zeros((m, m, M))
+    A[0, 1] = 1.0
+    A[1, 0] = eps * math.cos(theta) * h - u_m * u_m - a1 * a1 / 3.0
+    A[1, 1] = 2.0 * u_m
+    A[1, 2] = (2.0 / 3.0) * a1
     coup = 2.0 * basis.A[:, :, 0] + basis.B[:, :, 0]  # (N, N), couples alpha_1
-    # whole-block assignments with each entry's operation order kept, so
-    # every entry has the bits of an entry-by-entry build
-    A[:, 2:, 0] = -basis.A[:, 0, 0] * a1[:, None] * a1[:, None]
-    A[:, 2, 0] -= 2.0 * u_m * a1
-    A[:, 2, 1] = 2.0 * a1
-    A[:, 2:, 2:] = coup * a1[:, None, None]
+    A[2:, 0] = -basis.A[:, 0, 0][:, None] * a1 * a1
+    A[2, 0] -= 2.0 * u_m * a1
+    A[2, 1] = 2.0 * a1
+    A[2:, 2:] = coup[:, :, None] * a1
     diag = np.arange(2, m)
-    A[:, diag, diag] += u_m[:, None]
-    return A
+    A[diag, diag] += u_m
+    return A.transpose(2, 0, 1)
 
 
 def _friction_factors(N: int, theta: float) -> list:
@@ -78,19 +80,24 @@ def source_split_batch(P: np.ndarray, model, eps: float, theta: float,
     return drive, fric
 
 
-def source_jacobian_batch(P: np.ndarray, model, theta: float,
-                          basis: MomentBasis) -> np.ndarray:
-    """Exact d S / d v of the velocity components of the source at wet
-    primitive rows (M, N+2), v = (u_m, alpha_1..alpha_N): (M, N+1, N+1).
+def linear_source_batch(h: np.ndarray, dbdx: np.ndarray, model, eps: float, theta: float,
+                        basis: MomentBasis) -> tuple:
+    """The source of a model that is linear_in_velocity as S(v) = d + K v in
+    the velocity components v = (u_m, alpha_1..alpha_N) of wet rows of depth
+    h (M,): the drive d (M, N+1) and the friction matrix K (M, N+1, N+1).
 
-    For a model that is linear_in_velocity only. The drive does not depend on
-    v, so this is the friction part of source_split_batch differentiated
-    with the same factors.
+    A linear law vanishes at v = 0, so the friction part of
+    source_split_batch at the unit velocity e_k is column k of K. One call
+    evaluates the N+1 blocks of rows (h, e_k); the drive does not depend on v,
+    and d is that of the first block.
     """
-    dtau_b, dT = model.velocity_jacobian(np.asarray(P, dtype=float), basis)
-    jac = np.repeat(dtau_b[:, None, :], basis.N + 1, axis=1)
-    jac[:, 1:] += dT
-    return np.array(_friction_factors(basis.N, theta))[:, None] * jac
+    M, n = len(h), basis.N + 1
+    P = np.zeros((n, M, n + 1))
+    P[:, :, 0] = h
+    P[np.arange(n), :, 1 + np.arange(n)] = 1.0
+    drive, fric = source_split_batch(P.reshape(n * M, n + 1), model, eps, theta,
+                                     np.tile(dbdx, n), basis)
+    return drive[:M, 1:], fric.reshape(n, M, n + 1)[:, :, 1:].transpose(1, 2, 0)
 
 
 def source_batch(P: np.ndarray, model, eps: float, theta: float, dbdx: np.ndarray,

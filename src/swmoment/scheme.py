@@ -8,8 +8,8 @@ import numpy as np
 from . import state
 from .basis import MomentBasis
 from .hswme import (
+    linear_source_batch,
     source_batch,
-    source_jacobian_batch,
     source_split_batch,
     spectral_radius_batch,
     system_matrix_batch,
@@ -34,7 +34,8 @@ class Grid:
 
     U holds the conservative rows (J, N+2), one per cell, and dbdx the cell
     slopes (J,). A row with h <= state.H_MIN is dry. stored, bool (J,), flags
-    the cells the last step held at rest as dry; the default None means none.
+    the cells the last step held at rest as dry, with zero momenta; the
+    default None means none.
     The boundary is transmissive (waves exit freely): it has no ghost cells,
     and its two faces carry no fluctuation (see _transport).
 
@@ -71,10 +72,15 @@ class Grid:
 
     @cached_property
     def primitive(self) -> np.ndarray:
-        """Primitive rows of every cell (read-only). The conversion is
-        elementwise per row, so a slice of it has the bits of converting the
-        slice alone."""
-        P = to_primitive(self.U)
+        """Primitive rows of every cell (read-only), with the bits of
+        to_primitive(U). Only the rows of the _live_window of dry() are
+        converted: every other row is dry or stored, and to_primitive gives
+        such a row (h, 0, ..., 0). The conversion is elementwise per row, so a
+        slice of it has the bits of converting the slice alone."""
+        P = np.zeros_like(self.U)
+        P[:, 0] = self.U[:, 0]
+        window = _live_window(self.dry())
+        P[window] = to_primitive(self.U[window])
         P.flags.writeable = False
         return P
 
@@ -218,20 +224,22 @@ def _transport(grid: Grid, dt: float, eps: float, theta: float,
     Face f lies between cells f-1 and f, so the J+1 faces include the two
     boundary faces 0 and J. These carry no fluctuation: the transmissive
     boundary sees the boundary cell on both sides, a zero jump, and a
-    consistent scheme has D(U, U) = 0. The matrices are built on the
-    _live_window of grid.dry() only; outside it the fluctuations stay
-    exactly zero.
+    consistent scheme has D(U, U) = 0. Only the faces and rows of the
+    _live_window of grid.dry() are computed: outside it every fluctuation
+    is exactly zero, and U - (dt/dx) 0 is U to the bit.
     """
-    U = grid.U
-    D_minus = np.zeros((U.shape[0] + 1, U.shape[1]))
-    D_plus = np.zeros_like(D_minus)
+    U_check = grid.U.copy()
     dry = grid.dry()
     window = _live_window(dry)
     if window.stop:
-        faces = slice(window.start + 1, window.stop)
-        D_minus[faces], D_plus[faces] = fluctuations(
-            U[window], grid.primitive[window], dry[window], grid.dx, dt, eps, theta, basis)
-    return U - (dt / grid.dx) * (D_plus[:-1] + D_minus[1:])
+        U = grid.U[window]
+        # the window's faces, its two end faces (zero) included
+        D_minus = np.zeros((U.shape[0] + 1, U.shape[1]))
+        D_plus = np.zeros_like(D_minus)
+        D_minus[1:-1], D_plus[1:-1] = fluctuations(
+            U, grid.primitive[window], dry[window], grid.dx, dt, eps, theta, basis)
+        U_check[window] = U - (dt / grid.dx) * (D_plus[:-1] + D_minus[1:])
+    return U_check
 
 
 def _dry_after_transport(U_check: np.ndarray, was_dry: np.ndarray) -> np.ndarray:
@@ -351,61 +359,92 @@ def _fd_jacobian(residual, V: np.ndarray) -> np.ndarray:
     return ((R[:n] - R[n:]) / (2.0 * step.T)[:, :, None]).transpose(1, 2, 0)
 
 
-def step_semi_implicit(grid: Grid, dt: float, model, basis: MomentBasis,
-                       config) -> tuple[Grid, dict]:
-    """Splitting step: explicit transport predictor, then a per-cell implicit
-    source solve U = U_check + dt S(U) by Newton iteration. The depth keeps
-    its transported value (the source does not change it), so the unknowns
-    are the N+1 velocity components; cells dry after transport skip the
-    solve. A model that is linear_in_velocity has an affine residual with the
-    exact Jacobian I - dt kappa(h) dS/dv (kappa the desingularization factor
-    of to_primitive, dS/dv from source_jacobian_batch), so one Newton update
-    solves it; any other model iterates with _fd_jacobian. config is the
-    run's SimConfig (eps, theta)."""
-    eps, theta = config.eps, config.theta
-    U_check, dry_after = _predict(grid, dt, eps, theta, basis)
-    U_new = U_check.copy()
+def _linear_source_solve(U_new: np.ndarray, rows: np.ndarray, dt: float, dbdx: np.ndarray,
+                        model, eps: float, theta: float, basis: MomentBasis) -> tuple[int, int]:
+    """Backward Euler of the source of a model that is linear_in_velocity in
+    the wet cells rows of U_new, in place, as one batched linear solve.
+
+    With S = d + K v (linear_source_batch) and v = kappa(h) q, kappa the
+    desingularization factor of to_primitive, the step q = q_check + dt S
+    in the velocity components q = (h u_m, h alpha) is
+    (I - dt kappa K) q = q_check + dt d. Returns the info's Newton counts:
+    one update per row.
+    """
+    if not rows.size:
+        return 0, 0
+    h = U_new[rows, 0]
+    d, K = linear_source_batch(h, dbdx[rows], model, eps, theta, basis)
+    if not (np.isfinite(d).all() and np.isfinite(K).all()):
+        bad = ~(np.isfinite(d).all(axis=1) & np.isfinite(K).all(axis=(1, 2)))
+        raise RuntimeError(f"non-finite linear source in cell {rows[np.argmax(bad)] + 1}")
+    scale = dt * desingularization_factor(h)
+    jac = np.eye(K.shape[1]) - scale[:, None, None] * K
+    rhs = U_new[rows, 1:] + dt * d
+    try:
+        U_new[rows, 1:] = np.linalg.solve(jac, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"singular Newton Jacobian in cell {rows[0] + 1}") from exc
+    return rows.size, 1
+
+
+def _newton_source_solve(U_new: np.ndarray, U_check: np.ndarray, rows: np.ndarray, dt: float,
+                         dbdx: np.ndarray, model, eps: float, theta: float,
+                         basis: MomentBasis) -> tuple[int, int]:
+    """Newton iteration of U = U_check + dt S(U) in the wet cells rows of
+    U_new, in place, with the Jacobian of _fd_jacobian. A cell stops once its
+    residual is below NEWTON_TOL. Returns the info's Newton counts: the
+    updates summed over cells, and the most any cell took."""
     n = U_new.shape[1] - 1
     iters_total = 0
     iters_max = 0
 
-    def residual(V: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def residual(V: np.ndarray, cells: np.ndarray) -> np.ndarray:
         """V - U_check - dt S(V) in the velocity components of the states V
-        of the cells, from one source call, and the primitive rows of V."""
-        P = to_primitive(V)
-        S = source_batch(P, model, eps, theta, grid.dbdx[cells], basis)
-        return (V - U_check[cells] - dt * S)[:, 1:], P
+        of the cells, from one source call."""
+        S = source_batch(to_primitive(V), model, eps, theta, dbdx[cells], basis)
+        return (V - U_check[cells] - dt * S)[:, 1:]
 
-    rows = np.flatnonzero(~dry_after)
     while rows.size:
-        R, P = residual(U_new[rows], rows)
+        R = residual(U_new[rows], rows)
         err = np.max(np.abs(R), axis=1)
         # only a residual below NEWTON_TOL converges: a NaN one iterates on
         active = ~(err < NEWTON_TOL)
-        rows, R, P, err = rows[active], R[active], P[active], err[active]
+        rows, R, err = rows[active], R[active], err[active]
         if not rows.size:
             break
         worst = int(np.argmax(err))  # the first NaN, if any
         if iters_max >= NEWTON_MAX_ITER or not np.isfinite(err[worst]):
             raise RuntimeError(f"Newton solve did not converge in cell {rows[worst] + 1} "
                                f"after {iters_max} updates: residual {err[worst]:.3e}")
-        V = U_new[rows]
-        if model.linear_in_velocity:
-            scale = dt * desingularization_factor(V[:, 0])
-            jac = np.eye(n) - scale[:, None, None] * source_jacobian_batch(P, model, theta, basis)
-        else:
-            jac = _fd_jacobian(lambda batch: residual(batch, np.tile(rows, 2 * n))[0], V)
+        jac = _fd_jacobian(lambda batch: residual(batch, np.tile(rows, 2 * n)), U_new[rows])
         try:
             U_new[rows, 1:] -= np.linalg.solve(jac, R[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"singular Newton Jacobian in cell {rows[0] + 1}") from exc
         iters_total += rows.size
         iters_max += 1
-        # an affine residual is zero up to round-off after one update
-        if model.linear_in_velocity:
-            break
+    return iters_total, iters_max
+
+
+def step_semi_implicit(grid: Grid, dt: float, model, basis: MomentBasis,
+                       config) -> tuple[Grid, dict]:
+    """Splitting step: explicit transport predictor, then a per-cell implicit
+    source solve U = U_check + dt S(U). The depth keeps its transported value
+    (the source does not change it), so the unknowns are the N+1 velocity
+    components; cells dry after transport skip the solve. A model that is
+    linear_in_velocity makes it one linear solve (_linear_source_solve); any
+    other model iterates Newton (_newton_source_solve). config is the run's
+    SimConfig (eps, theta)."""
+    eps, theta = config.eps, config.theta
+    U_check, dry_after = _predict(grid, dt, eps, theta, basis)
+    U_new = U_check.copy()
+    rows = np.flatnonzero(~dry_after)
+    if model.linear_in_velocity:
+        iters = _linear_source_solve(U_new, rows, dt, grid.dbdx, model, eps, theta, basis)
+    else:
+        iters = _newton_source_solve(U_new, U_check, rows, dt, grid.dbdx, model, eps, theta, basis)
     _check_finite(U_new, "implicit source")
-    return _finalize(grid, U_new, dry_after, iters_total, iters_max)
+    return _finalize(grid, U_new, dry_after, *iters)
 
 
 _SQRT15_OVER5 = np.sqrt(15.0) / 5.0

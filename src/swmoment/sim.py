@@ -158,6 +158,12 @@ class SimConfig:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
+        for name in ("x_a", "x_b", "theta", "H", "L", "g", "rho", "cfl"):
+            _check_real(name, getattr(self, name))
+        if self.rho_s is not None:
+            _check_real("rho_s", self.rho_s)
+        for t in self.snapshot_times:
+            _check_real("snapshot_times", t)
         if self.J < 3:
             raise ValueError("J must be at least 3")
         if not 1 <= self.N <= MAX_ORDER:

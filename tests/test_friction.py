@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from swmoment import friction
 from swmoment.basis import MAX_ORDER, build_basis, gauss_rule
 from swmoment.friction import (
     ConstantCoulomb,
@@ -627,6 +628,40 @@ def test_build_model_groups_keep_their_bits(case):
     else:
         model = config_model(*CONFIG_CASES[case])
     assert _groups(model) == FROZEN_GROUPS[case]
+
+
+# one instance of each law that declares linear = True
+LINEAR_LAWS = (SlipBottom(nu=3e-3, lam=0.05), Newtonian(nu=0.02, bottom_law=ManningBottom(n2=0.8)))
+
+
+def _law_stress(law, P, basis):
+    """tau_b of a bottom law, or the bulk terms T of a bulk law."""
+    return law.bulk_terms(P, basis) if hasattr(law, "bulk_terms") else law.stress(P, basis, None)
+
+
+@pytest.mark.parametrize("law", LINEAR_LAWS, ids=lambda law: type(law).__name__)
+@pytest.mark.parametrize("N", [1, 2, 6])
+def test_linear_law_is_additive_and_vanishes_at_rest(law, N):
+    # the implicit stage reads S = d + K v off the stresses at the unit
+    # velocities, which holds for a law that is additive in v at fixed depth
+    # and zero at v = 0; the stress is then the law's one definition
+    laws = {cls for cls in vars(friction).values()
+            if isinstance(cls, type) and getattr(cls, "linear", False)}
+    assert laws == {type(law) for law in LINEAR_LAWS}
+    assert not [name for name in dir(law) if name.endswith("_jacobian")]
+    basis = build_basis(N)
+    rng = np.random.default_rng(60 + N)
+    P1 = random_wet_primitive(rng, N, 50)
+    P2 = random_wet_primitive(rng, N, 50)
+    P2[:, 0] = P1[:, 0]
+    rest = P1.copy()
+    rest[:, 1:] = 0.0
+    assert not np.any(_law_stress(law, rest, basis))
+    both = P1.copy()
+    both[:, 1:] += P2[:, 1:]
+    f1, f2 = _law_stress(law, P1, basis), _law_stress(law, P2, basis)
+    assert np.all(np.abs(_law_stress(law, both, basis) - (f1 + f2))
+                  <= 1e-13 * (np.abs(f1) + np.abs(f2)))
 
 
 # the scalings of the former derive_dimensionless helper, now made in build_model

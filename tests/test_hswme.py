@@ -7,8 +7,8 @@ import pytest
 from swmoment.basis import build_basis
 from swmoment.friction import ConstantCoulomb, CoulombBottom, MuI, MuIBottom, Newtonian, SlipBottom
 from swmoment.hswme import (
+    linear_source_batch,
     source_batch,
-    source_jacobian_batch,
     source_split_batch,
     spectral_radius_batch,
     system_matrix_batch,
@@ -122,7 +122,8 @@ def test_source_split_rows(case, basis2):
 @pytest.mark.parametrize("N", range(1, 13))
 def test_source_jacobian_equals_unit_step_probes(N):
     # the source of a model linear in v is affine in v, so a unit step in
-    # each velocity component gives its Jacobian column to round-off
+    # each velocity component gives its matrix column to round-off, and
+    # d + K v is the source itself
     basis = _basis(N)
     rng = np.random.default_rng(N)
     P = random_wet_primitive(rng, N, 30)
@@ -130,15 +131,19 @@ def test_source_jacobian_equals_unit_step_probes(N):
     for model in (_slip(nu=1.19e-3, lam=1e-4),
                   Newtonian(nu=0.02, bottom_law=SlipBottom(nu=3e-3, lam=0.05))):
         assert model.linear_in_velocity
-        jac = source_jacobian_batch(P, model, THETA, basis)
-        assert jac.shape == (len(P), N + 1, N + 1)
+        d, K = linear_source_batch(P[:, 0], dbdx, model, EPS, THETA, basis)
+        assert d.shape == (len(P), N + 1) and K.shape == (len(P), N + 1, N + 1)
         S = source_batch(P, model, EPS, THETA, dbdx, basis)
         for j in range(N + 1):
             shifted = P.copy()
             shifted[:, 1 + j] += 1.0
             probe = source_batch(shifted, model, EPS, THETA, dbdx, basis) - S
             assert not np.any(probe[:, 0])
-            np.testing.assert_allclose(jac[:, :, j], probe[:, 1:], rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(K[:, :, j], probe[:, 1:], rtol=1e-12, atol=0.0)
+        # to round-off of the terms summed, which may cancel
+        v = P[:, 1:, None]
+        scale = np.abs(d) + (np.abs(K) @ np.abs(v))[:, :, 0]
+        assert np.all(np.abs(d + (K @ v)[:, :, 0] - S[:, 1:]) <= 1e-12 * scale)
 
 
 @pytest.mark.parametrize("case", sorted(CONFIG_CASES), ids=case_ids("-"))
@@ -270,9 +275,14 @@ def _system_matrix_entrywise(P, eps, theta, basis):
 
 
 def test_system_matrix_batch_equals_entrywise_build():
+    # the same bytes: array_equal would take -0.0 == 0.0, and a zero coupling
+    # times a negative alpha_1 gives -0.0
     rng = np.random.default_rng(41)
     for N in range(1, 13):
         P = random_wet_primitive(rng, N, 100, h_range=(1e-6, 0.1))
         P[::5, 2] = 0.0
         expected = _system_matrix_entrywise(P, EPS, THETA, _basis(N))
-        assert np.array_equal(system_matrix_batch(P, EPS, THETA, _basis(N)), expected), f"N={N}"
+        got = system_matrix_batch(P, EPS, THETA, _basis(N))
+        assert got.shape == expected.shape
+        assert np.ascontiguousarray(got).tobytes() == expected.tobytes(), f"N={N}"
+        assert np.any((expected == 0.0) & np.signbit(expected)), f"N={N}"

@@ -9,18 +9,18 @@ alpha_1..alpha_N) at fixed depth h.
 import numpy as np
 
 from swmoment.basis import build_basis, reconstruct_velocity
-from swmoment.hswme import source_batch, source_jacobian_batch
+from swmoment.hswme import linear_source_batch
 from swmoment.scheme import step_semi_implicit
 from swmoment.sim import build_grid, build_model, preset
 
 
 def _exact_moment_ode(P, model, config, basis, t):
-    """v(t) of h v' = S(0) + K v from rest, K = dS/dv (the source is affine
-    in v for Newtonian + slip): v(t) = (e^{At} - I) A^{-1} b with A = K / h
-    and b = S(0) / h, through the eigen-decomposition of A."""
+    """v(t) of h v' = d + K v from rest, S = d + K v the source (affine in v
+    for Newtonian + slip, linear_source_batch): v(t) = (e^{At} - I) A^{-1} b
+    with A = K / h and b = d / h, through the eigen-decomposition of A."""
     h = P[0, 0]
-    A = source_jacobian_batch(P, model, config.theta, basis)[0] / h
-    b = source_batch(P, model, config.eps, config.theta, np.zeros(1), basis)[0, 1:] / h
+    d, K = linear_source_batch(P[:, 0], np.zeros(1), model, config.eps, config.theta, basis)
+    A, b = K[0] / h, d[0] / h
     w, V = np.linalg.eig(A)
     assert np.all(w.real < 0.0)
     return np.real(V @ (np.expm1(w * t) / w * np.linalg.solve(V, b)))

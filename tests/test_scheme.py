@@ -15,8 +15,14 @@ from swmoment.friction import (
     Newtonian,
     SlipBottom,
 )
-from swmoment import scheme, state
-from swmoment.hswme import source_batch, system_matrix_batch, wavespeeds_batch
+from swmoment import hswme, scheme, sim, state
+from swmoment.hswme import (
+    linear_source_batch,
+    source_batch,
+    source_split_batch,
+    system_matrix_batch,
+    wavespeeds_batch,
+)
 from swmoment.scheme import (
     WETTING_HYSTERESIS,
     Grid,
@@ -158,7 +164,8 @@ def test_uniform_rest_state_is_invariant(basis2):
     cfg = SimConfig(mode="semi_implicit", theta=0.0)
     g2, info = step_semi_implicit(grid, 1e-3, MODEL, basis2, cfg)
     assert np.array_equal(g2.U, grid.U)
-    assert info["newton_iters_total"] == 0
+    # the linear model's one solve covers every wet cell
+    assert (info["newton_iters_total"], info["newton_iters_max"]) == (16, 1)
 
 
 def test_thin_film_at_rest_is_wet(basis2):
@@ -300,11 +307,14 @@ def test_cfl_dt_wet_and_dry(basis1):
 
 
 def test_newton_abort_reports_cell(basis2, monkeypatch):
+    # a nonlinear law: a linear one is solved without Newton iteration
     grid = _uniform_grid(10, 2, h=0.08)
-    cfg = SimConfig(mode="semi_implicit")
+    cfg = preset(2, law="manning")
+    model = build_model(cfg)
+    assert not model.linear_in_velocity
     monkeypatch.setattr(scheme, "NEWTON_MAX_ITER", 0)
     with pytest.raises(RuntimeError, match="Newton .* cell"):
-        step_semi_implicit(grid, 1e-3, MODEL, basis2, cfg)
+        step_semi_implicit(grid, 1e-3, model, basis2, cfg)
 
 
 @pytest.mark.parametrize("law, value", [(law, value) for law in ("slip", "manning")
@@ -312,7 +322,8 @@ def test_newton_abort_reports_cell(basis2, monkeypatch):
 def test_nonfinite_residual_fails_the_implicit_step(law, value, basis2):
     # before, max|R| >= NEWTON_TOL was False for a NaN residual, so every row
     # counted as converged and the step skipped the source, gravity included.
-    # The laws refuse a non-finite parameter, so it is set past their checks
+    # The laws refuse a non-finite parameter, so it is set past their checks.
+    # The linear slip law fails its one solve, the Manning law its Newton
     def unchecked(law, **fields):
         for name, v in fields.items():
             object.__setattr__(law, name, v)
@@ -324,8 +335,9 @@ def test_nonfinite_residual_fails_the_implicit_step(law, value, basis2):
     else:
         model = Newtonian(nu=1.19e-3, bottom_law=unchecked(ManningBottom(n2=0.8), n2=value))
     grid = _uniform_grid(10, 2, h=0.08)
-    with pytest.raises(RuntimeError, match="^Newton solve did not converge in cell 1 after 0 "
-                                           "updates: residual nan$"), np.errstate(invalid="ignore"):
+    message = ("^non-finite linear source in cell 1$" if law == "slip" else
+               "^Newton solve did not converge in cell 1 after 0 updates: residual nan$")
+    with pytest.raises(RuntimeError, match=message), np.errstate(invalid="ignore"):
         step_semi_implicit(grid, 1e-3, model, basis2, SimConfig(mode="semi_implicit"))
 
 
@@ -487,8 +499,35 @@ def test_transport_window_bit_identical_to_full_width(case, basis2):
     for dt in (1e-4, 7.3e-4):
         got = _transport(grid, dt, EPS, THETA, basis2)
         assert np.array_equal(got, _transport_full_width(grid, dt, EPS, THETA, basis2))
+        # outside the window the rows are copied, not computed: U - (dt/dx) 0 is U
+        window = _live_window(grid.dry())
+        outside = np.ones(grid.J, dtype=bool)
+        outside[window] = False
+        assert got[outside].tobytes() == grid.U[outside].tobytes()
     if case == "all_dry":
         assert np.array_equal(got, grid.U)
+
+
+@pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+def test_grid_primitive_converts_the_window_with_the_bits_of_to_primitive(case, monkeypatch):
+    # the dry rows outside the window carry momenta, -0.0 among them, which
+    # to_primitive zeroes; the stored rows hold theirs at zero
+    grid = _patch_grid(2, **WINDOW_CASES[case])
+    U = grid.U.copy()
+    dry_film = U[:, 0] <= H_MIN
+    U[dry_film, 1:] = np.random.default_rng(3).uniform(-1e-7, 1e-7, (np.sum(dry_film), 3))
+    U[dry_film, 2] = -0.0
+    grid = replace(grid, U=U)
+    calls = []
+
+    def counted(U):
+        calls.append(len(U))
+        return to_primitive(U)
+
+    monkeypatch.setattr(scheme, "to_primitive", counted)
+    assert grid.primitive.tobytes() == to_primitive(grid.U).tobytes()
+    window = _live_window(grid.dry())
+    assert calls == [window.stop - window.start]
 
 
 def _step_dt(grid, config, basis):
@@ -575,33 +614,34 @@ def test_live_window_spans_every_interface_with_a_wet_side():
 
 
 def test_run_converts_each_grid_to_primitive_once(monkeypatch):
-    # one full-grid conversion per grid (the initial one and one per step),
-    # shared by cfl_dt, the step and the diagnostics; a Newton iteration
-    # converts its own rows, right before their one source evaluation
-    calls = []
+    # one conversion per grid (the initial one and one per step), of the rows
+    # of its live window, shared by cfl_dt, the step and the diagnostics; the
+    # linear implicit stage of newtonian_slip converts nothing
+    calls, grids = [], []
 
     def counted(U):
-        calls.append(("to_primitive", len(U)))
+        calls.append(len(U))
         return to_primitive(U)
 
-    def counted_source(P, *args):
-        calls.append(("source_batch", len(P)))
-        return source_batch(P, *args)
+    def kept(build):
+        def wrapper(*args):
+            out = build(*args)
+            grids.append(out if isinstance(out, Grid) else out[0])
+            return out
+        return wrapper
 
     monkeypatch.setattr(scheme, "to_primitive", counted)
-    monkeypatch.setattr(scheme, "source_batch", counted_source)
+    for name in ("build_grid", "step_explicit", "step_semi_implicit"):
+        monkeypatch.setattr(sim, name, kept(getattr(sim, name)))
     for mode in ("explicit", "semi_implicit"):
         calls.clear()
+        grids.clear()
         cfg = preset(1, J=60, mode=mode, snapshot_times=(0.0, 0.1, 0.2))
         steps = len(run(cfg).diagnostics["time"])
-        assert steps > 2
-        newton = [i for i, call in enumerate(calls[:-1])
-                  if call[0] == "to_primitive" and calls[i + 1] == ("source_batch", call[1])]
-        grids = [n for i, (name, n) in enumerate(calls)
-                 if name == "to_primitive" and i not in newton]
-        assert grids == [cfg.J] * (steps + 1)
-        # newtonian_slip is linear in v: one Newton conversion per step
-        assert len(newton) == (steps if mode == "semi_implicit" else 0)
+        assert steps > 2 and len(grids) == steps + 1
+        windows = [len(g.U[_live_window(g.dry())]) for g in grids]
+        assert calls == windows
+        assert 0 < min(windows) and max(windows) < cfg.J
 
 
 @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
@@ -726,8 +766,9 @@ def test_semi_implicit_newton_matches_full_jacobian_reference(name, basis1, basi
 
 @pytest.mark.parametrize("law", ["slip", "manning"])
 def test_semi_implicit_source_rows_per_step(law, basis2, monkeypatch):
-    # slip + Newtonian is linear in v: its exact Jacobian needs no probe
-    # copies, so the source sees each wet row once. Manning evaluates the
+    # slip + Newtonian is linear in v: one source_split_batch call on the N+1
+    # unit-velocity copies of each wet row gives its drive and matrix, and
+    # the source is never evaluated at the state. Manning evaluates the
     # residual of the rows still iterating, then the central-difference batch
     # of 2n copies of each row whose residual is not yet below NEWTON_TOL
     model = MODEL if law == "slip" else build_model(preset(2, law="manning"))
@@ -735,19 +776,25 @@ def test_semi_implicit_source_rows_per_step(law, basis2, monkeypatch):
     grid = _patch_grid(2, patches=[(2, 15), (22, 38)], J=40, seed=1)
     cfg = SimConfig(mode="semi_implicit")
     dt = 0.5 * cfl_dt(grid, cfg, basis2)
-    calls = []
+    calls, split_calls = [], []
 
     def counted(P, *args):
         calls.append(len(P))
         return source_batch(P, *args)
 
+    def counted_split(P, *args):
+        split_calls.append(len(P))
+        return source_split_batch(P, *args)
+
     monkeypatch.setattr(scheme, "source_batch", counted)
+    monkeypatch.setattr(hswme, "source_split_batch", counted_split)
     _, info = step_semi_implicit(grid, dt, model, basis2, cfg)
     wet = len(grid.x) - info["dry_cells"]
     assert info["newton_iters_total"] > 0
     if law == "slip":
-        assert calls == [wet]
-        assert info["newton_iters_max"] == 1
+        assert calls == []
+        assert split_calls == [(basis2.N + 1) * wet]
+        assert (info["newton_iters_total"], info["newton_iters_max"]) == (wet, 1)
     else:
         # wet, then per update 2n * active and the residual of those active rows
         active = calls[2::2]
@@ -755,6 +802,36 @@ def test_semi_implicit_source_rows_per_step(law, basis2, monkeypatch):
         assert calls[1::2] == [2 * (basis2.N + 1) * k for k in active]
         assert len(active) == info["newton_iters_max"] > 1
         assert sum(active) == info["newton_iters_total"]
+        assert split_calls == calls
+
+
+@pytest.mark.parametrize("h_range", [(1e-2, 0.1), (1e-5, 1e-3)], ids=["deep", "thin"])
+def test_linear_implicit_stage_solves_backward_euler_in_every_wet_row(h_range, basis2):
+    # S = d + K v holds exactly for a linear law, so the state after the step
+    # satisfies q = q_check + dt S(q) to round-off in every wet row. The tiny
+    # dt leaves residuals at U_check below NEWTON_TOL, which a Newton screen
+    # would accept unsolved. The thin films have kappa(h) != 1/h
+    cfg = SimConfig(mode="semi_implicit")
+    below = above = 0
+    for seed in range(2):
+        grid = _patch_grid(2, patches=[(2, 15), (22, 38)], J=40, seed=seed, h_range=h_range)
+        for dt in (0.5 * cfl_dt(grid, cfg, basis2), 1e-10):
+            U_check = _transport(grid, dt, EPS, THETA, basis2)
+            wet = ~_dry_after_transport(U_check, grid.dry())
+            g, info = step_semi_implicit(grid, dt, MODEL, basis2, cfg)
+            assert (info["newton_iters_total"], info["newton_iters_max"]) == (np.sum(wet), 1)
+            dbdx, q_check, q = grid.dbdx[wet], U_check[wet, 1:], g.U[wet, 1:]
+            S_check = source_batch(to_primitive(U_check[wet]), MODEL, EPS, THETA, dbdx, basis2)
+            err = dt * np.max(np.abs(S_check[:, 1:]), axis=1)
+            below += np.sum(err < scheme.NEWTON_TOL)
+            above += np.sum(err >= scheme.NEWTON_TOL)
+            P = to_primitive(g.U[wet])
+            S = source_batch(P, MODEL, EPS, THETA, dbdx, basis2)[:, 1:]
+            d, K = linear_source_batch(P[:, 0], dbdx, MODEL, EPS, THETA, basis2)
+            scale = (np.abs(q) + np.abs(q_check)
+                     + dt * (np.abs(d) + (np.abs(K) @ np.abs(P[:, 1:, None]))[:, :, 0]))
+            assert np.all(np.abs(q - q_check - dt * S) <= 1e-12 * scale)
+    assert below > 20 and above > 20
 
 
 def test_exact_jacobian_on_films_thinner_than_sqrt_h_min(basis2):

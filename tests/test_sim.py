@@ -222,6 +222,19 @@ def test_config_rejects_bad_scales(name, value):
         config_from_mapping(mapping)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("theta", True), ("g", True), ("cfl", True), ("snapshot_times", (True,)),
+    ("snapshot_times", ("0.1",)), ("H", "0.1"), ("cfl", "0.1"), ("x_b", "2"), ("rho_s", "3")])
+def test_config_rejects_float_field_that_is_not_a_number(name, value):
+    # before, each bool was accepted as 1.0, and each str raised a TypeError
+    # naming no field (or, in snapshot_times, was converted by float())
+    shown = value[0] if name == "snapshot_times" else value
+    with pytest.raises(ValueError, match=f"^{name} must be a number, got {re.escape(repr(shown))}$"):
+        SimConfig(**{name: value})
+    # a numpy float is a real number
+    SimConfig(**{name: (np.float64(0.1),) if name == "snapshot_times" else np.float64(0.5)})
+
+
 @pytest.mark.parametrize("example, overrides, key", [
     (1, {"H": 1e-200}, "eta"),  # H * H underflows to 0
     (1, {"H": 1e200}, "eta"),  # the viscosity underflows to 0
@@ -541,8 +554,10 @@ def test_run_muI_N2_batched_bulk_equals_per_cell_law(monkeypatch):
 
 
 def test_run_abort_reports_time_and_cell(monkeypatch):
+    # a nonlinear law, so that the implicit stage iterates Newton
     monkeypatch.setattr(scheme, "NEWTON_MAX_ITER", 0)
-    cfg = preset(1, J=20, snapshot_times=(0.01,))
+    cfg = preset(2, law="manning", J=20, snapshot_times=(0.01,))
+    assert cfg.mode == "semi_implicit"
     with pytest.raises(RuntimeError, match=r"aborted at t=.*cell"):
         run(cfg)
 
