@@ -47,4 +47,4 @@ from .state import (
 )
 from .topography import FlatBed, RunoffBed, TabulatedBed, cell_slope
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

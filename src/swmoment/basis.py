@@ -1,9 +1,9 @@
-"""Shifted Legendre basis on [0,1]: polynomials, coupling tensors, quadrature rules."""
+"""Shifted Legendre basis on [0,1]: polynomials, the alpha_1 coupling band, quadrature rules."""
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, lcm
-from operator import mul
+from math import comb
 
 import numpy as np
 
@@ -22,28 +22,17 @@ MAX_ORDER = 12
 MAX_GAUSS_POINTS = 64
 
 
+def _check_int(what: str, value, lo: int, hi: int) -> int:
+    """value as an int in [lo, hi]; a numpy integer is one too, a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not lo <= value <= hi:
+        raise ValueError(f"{what} must be an integer in [{lo}, {hi}], got {value!r}")
+    return int(value)
+
+
 def _phi_ints(j: int) -> list[int]:
     """Integer monomial coefficients of phi_j(z) = P_j(1 - 2z), ascending powers:
     the z^k coefficient is (-1)^k C(j,k) C(j+k,k)."""
     return [(-1) ** k * comb(j, k) * comb(j + k, k) for k in range(j + 1)]
-
-
-def _poly_mul(p: list[int], q: list[int]) -> list[int]:
-    out = [0] * (len(p) + len(q) - 1)
-    for a, ca in enumerate(p):
-        for b, cb in enumerate(q):
-            out[a + b] += ca * cb
-    return out
-
-
-def _weighted_moments(p: list[int], w: list[int], n: int) -> list[int]:
-    """v_b = sum_a p_a w_(a+b) for b < n: with w_m = L / (m+1), v_b is
-    L * int_0^1 p(z) z^b dz, so L * int_0^1 p q = sum_b q_b v_b."""
-    return [sum(c * w[a + b] for a, c in enumerate(p)) for b in range(n)]
-
-
-def _dot(q: list[int], v: list[int]) -> int:
-    return sum(map(mul, q, v))
 
 
 @dataclass(frozen=True)
@@ -51,66 +40,48 @@ class MomentBasis:
     """Precomputed basis data for a moment order N.
 
     phi/dphi hold monomial coefficients row-wise (row j-1 for phi_j, ascending
-    powers, zero padded). A and B are the rank-3 coupling tensors, C the
-    derivative Gram matrix; all exact-rational results stored as floats.
+    powers, zero padded). A and B are the alpha_1 slices A_ij1 and B_ij1 of the
+    coupling tensors, the only ones the regularized system reads; C is the
+    derivative Gram matrix. Every entry is a ratio of integers rounded once.
     """
 
     N: int
     phi: np.ndarray  # (N, N+1)
     dphi: np.ndarray  # (N, N)
-    A: np.ndarray  # (N, N, N)
-    B: np.ndarray  # (N, N, N)
+    A: np.ndarray  # (N, N): A_ij1
+    B: np.ndarray  # (N, N): B_ij1
     C: np.ndarray  # (N, N)
 
 
 def build_basis(N: int) -> MomentBasis:
-    """Build the order-N basis with exact tensor integration.
+    """Build the order-N basis; A, B and C in closed form.
 
-    A_ijk = (2i+1) int phi_i phi_j phi_k, B_ijk = (2i+1) int phi_i' (int_0^z phi_j) phi_k,
-    C_ij = int phi_i' phi_j', all over [0,1].
-
-    Every integrand is an integer polynomial of degree <= 3N, so L = lcm(1..3N+1)
-    times its integral is an integer. Each entry is one exact integer ratio,
-    rounded once to the nearest float (Python's int / int is correctly
-    rounded), so any exact evaluation order gives the same bits. B uses
-    int_0^z phi_j = (phi_(j-1) - phi_(j+1)) / (2(2j+1)).
+    A_ij1 = (2i+1) int phi_i phi_j phi_1, B_ij1 = (2i+1) int phi_i' (int_0^z phi_j) phi_1,
+    C_ij = int phi_i' phi_j', all over [0,1]. The Legendre recurrence
+    phi_1 phi_j = ((j+1) phi_(j+1) + j phi_(j-1)) / (2j+1) and orthogonality
+    (int phi_i phi_j = delta_ij / (2i+1)) leave A_ij1 = (j+1)/(2j+1) at
+    i = j+1 and j/(2j+1) at i = j-1. One integration by parts, with
+    int_0^z phi_j = (phi_(j-1) - phi_(j+1)) / (2(2j+1)), gives
+    B_ij1 = -A_ij1 + (delta_(i,j-1) - delta_(i,j+1)) / (2j+1). C_ij is
+    2m(m+1) with m = min(i, j) when i+j is even, else 0. Each entry is one
+    integer ratio, correctly rounded by Python's int / int, so it has the
+    bits of any exact build; the zeros are +0.0.
     """
-    if not isinstance(N, int) or N < 1 or N > MAX_ORDER:
-        raise ValueError(f"moment order must be an integer in [1, {MAX_ORDER}], got {N}")
-    phis = [_phi_ints(j) for j in range(N + 2)]
-    dphis = [[m * c for m, c in enumerate(p)][1:] for p in phis[1:N + 1]]
-    L = lcm(*range(1, 3 * N + 2))
-    w = [L // (m + 1) for m in range(3 * N + 1)]
-    # phi_a phi_k for a = 0..N+1 and k = 1..N, each product formed once
-    pair = {}
-    for a in range(N + 2):
-        for k in range(1, N + 1):
-            pair[a, k] = pair[k, a] if (k, a) in pair else _poly_mul(phis[a], phis[k])
-
-    A = np.zeros((N, N, N))
-    B = np.zeros((N, N, N))
-    C = np.zeros((N, N))
-    for i in range(1, N + 1):
-        s = 2 * i + 1
-        v = _weighted_moments(phis[i], w, 2 * N + 1)
-        dv = _weighted_moments(dphis[i - 1], w, 2 * N + 2)
-        for j in range(1, N + 1):
-            for k in range(j, N + 1):
-                A[i - 1, j - 1, k - 1] = A[i - 1, k - 1, j - 1] = s * _dot(pair[j, k], v) / L
-        # L * int phi_i' phi_a phi_k, for B_ijk with a = j-1 and a = j+1
-        inner = {key: _dot(q, dv) for key, q in pair.items()}
-        for j in range(1, N + 1):
-            den = 2 * (2 * j + 1) * L
-            for k in range(1, N + 1):
-                B[i - 1, j - 1, k - 1] = s * (inner[j - 1, k] - inner[j + 1, k]) / den
-            C[i - 1, j - 1] = _dot(dphis[j - 1], dv) / L
-
-    phi_arr = np.zeros((N, N + 1))
-    dphi_arr = np.zeros((N, N))
-    for r in range(N):
-        phi_arr[r, : r + 2] = phis[r + 1]
-        dphi_arr[r, : r + 1] = dphis[r]
-    return MomentBasis(N=N, phi=phi_arr, dphi=dphi_arr, A=A, B=B, C=C)
+    N = _check_int("moment order", N, 1, MAX_ORDER)
+    phi, dphi = np.zeros((N, N + 1)), np.zeros((N, N))
+    A, B, C = np.zeros((N, N)), np.zeros((N, N)), np.zeros((N, N))
+    for j in range(1, N + 1):
+        p = _phi_ints(j)
+        phi[j - 1, : j + 1] = p
+        dphi[j - 1, :j] = [m * c for m, c in enumerate(p)][1:]
+        s = 2 * j + 1
+        if j < N:  # row i = j+1
+            A[j, j - 1], B[j, j - 1] = (j + 1) / s, -(j + 2) / s
+        if j > 1:  # row i = j-1
+            A[j - 2, j - 1], B[j - 2, j - 1] = j / s, -(j - 1) / s
+        for i in range(j, N + 1, 2):
+            C[i - 1, j - 1] = C[j - 1, i - 1] = 2 * j * (j + 1)
+    return MomentBasis(N=N, phi=phi, dphi=dphi, A=A, B=B, C=C)
 
 
 def _horner(coeffs: np.ndarray, zeta: np.ndarray) -> np.ndarray:
@@ -125,17 +96,17 @@ def _horner(coeffs: np.ndarray, zeta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_eval_args(basis: MomentBasis, j: int, zeta) -> None:
-    if not 1 <= j <= basis.N:
-        raise ValueError(f"basis index must be in [1, {basis.N}], got {j}")
+def _check_eval_args(basis: MomentBasis, j: int, zeta) -> int:
+    j = _check_int("basis index", j, 1, basis.N)
     z = np.asarray(zeta)
     if np.any(z < 0.0) or np.any(z > 1.0):
         raise ValueError("evaluation point must lie in [0, 1]")
+    return j
 
 
 def eval_phi(basis: MomentBasis, j: int, zeta):
     """Evaluate phi_j at zeta in [0,1] (scalar or array) by Horner's rule."""
-    _check_eval_args(basis, j, zeta)
+    j = _check_eval_args(basis, j, zeta)
     return _horner(basis.phi[j - 1:j], np.asarray(zeta, dtype=float)[..., None])[..., 0, 0][()]
 
 
@@ -170,11 +141,9 @@ def bottom_velocity(P: np.ndarray) -> np.ndarray:
 
 
 def _legendre_and_deriv(k: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Legendre P_k and P_k' on [-1,1] by the three-term recurrence."""
+    """Legendre P_k and P_k' on [-1,1], k >= 1, by the three-term recurrence."""
     p_prev = np.ones_like(x)
     p = x.copy()
-    if k == 0:
-        return p_prev, np.zeros_like(x)
     for n in range(1, k):
         p_next = ((2 * n + 1) * x * p - n * p_prev) / (n + 1)
         p_prev, p = p, p_next
@@ -184,8 +153,6 @@ def _legendre_and_deriv(k: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _gauss_cached(k: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    if not isinstance(k, int) or k < 1 or k > MAX_GAUSS_POINTS:
-        raise ValueError(f"point count must be an integer in [1, {MAX_GAUSS_POINTS}], got {k}")
     if k == 1:
         return (0.5,), (1.0,)
     # Newton iteration from the Chebyshev-like initial guess, tolerance 1e-15.
@@ -206,5 +173,5 @@ def _gauss_cached(k: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 def gauss_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
     """k-point Gauss-Legendre nodes and weights on [0,1], k in 1..MAX_GAUSS_POINTS."""
-    nodes, weights = _gauss_cached(k)
+    nodes, weights = _gauss_cached(_check_int("point count", k, 1, MAX_GAUSS_POINTS))
     return np.array(nodes), np.array(weights)

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import MomentBasis, bottom_velocity, eval_dphi, gauss_rule
+from .basis import (MAX_GAUSS_POINTS, MomentBasis, _check_int, bottom_velocity, eval_dphi,
+                    gauss_rule)
 
 __all__ = [
     "Newtonian",
@@ -356,8 +357,8 @@ class MuI(_Friction):
     shear rate; c_I collects the dimensionless inertial scaling. The bulk uses
     the closed form at N=1, the regimes of _muI_bulk_N2 at N=2 (quadrature
     rows batched, closed-form rows per cell) and quad_points-node quadrature
-    above. Each row of bulk_terms has the bits it would have if
-    evaluated alone.
+    above, quad_points an integer in [2, MAX_GAUSS_POINTS]. Each row of
+    bulk_terms has the bits it would have if evaluated alone.
     """
 
     mu_s: float
@@ -371,6 +372,8 @@ class MuI(_Friction):
             raise ValueError(f"require 0 < mu_s < mu_2 < inf, got {self.mu_s} and {self.mu_2}")
         if not 0.0 < self.c_I < math.inf:
             raise ValueError(f"c_I must be finite and positive, got {self.c_I}")
+        object.__setattr__(self, "quad_points",
+                           _check_int("quad_points", self.quad_points, 2, MAX_GAUSS_POINTS))
 
     def bulk_terms(self, P: np.ndarray, basis: MomentBasis) -> np.ndarray:
         h = P[:, 0]

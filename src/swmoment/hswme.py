@@ -18,10 +18,11 @@ __all__ = [
 def system_matrix_batch(P: np.ndarray, eps: float, theta: float, basis: MomentBasis) -> np.ndarray:
     """Transport matrices for primitive rows (M, N+2) -> (M, N+2, N+2).
 
-    Built from the coupling tensors; the regularization keeps only alpha_1
-    couplings, so moment row i has first column -2 u_m alpha_1 [i=1] - A_i11 alpha_1^2,
-    second column 2 alpha_1 [i=1], and band entries u_m on the diagonal plus
-    (2 A_il1 + B_il1) alpha_1 elsewhere.
+    The regularization keeps only alpha_1 couplings, so the matrix reads the
+    basis's alpha_1 band A_il1, B_il1: moment row i has first column
+    -2 u_m alpha_1 [i=1] - A_i11 alpha_1^2, second column 2 alpha_1 [i=1], and
+    band entries u_m on the diagonal plus (2 A_il1 + B_il1) alpha_1 elsewhere
+    (Koellermeier & Rominger, Commun. Comput. Phys. 2020).
 
     The result is the transposed view of an (N+2, N+2, M) buffer, so it is not
     C-contiguous: each entry is filled as one contiguous vector over the rows,
@@ -36,8 +37,10 @@ def system_matrix_batch(P: np.ndarray, eps: float, theta: float, basis: MomentBa
     A[1, 0] = eps * math.cos(theta) * h - u_m * u_m - a1 * a1 / 3.0
     A[1, 1] = 2.0 * u_m
     A[1, 2] = (2.0 / 3.0) * a1
-    coup = 2.0 * basis.A[:, :, 0] + basis.B[:, :, 0]  # (N, N), couples alpha_1
-    A[2:, 0] = -basis.A[:, 0, 0][:, None] * a1 * a1
+    # the float sum, not its correctly rounded value: the two differ by an ulp
+    # in some entries, and the mu(I) N=2 explicit state is chaotic at round-off
+    coup = 2.0 * basis.A + basis.B  # (N, N), couples alpha_1
+    A[2:, 0] = -basis.A[:, 0][:, None] * a1 * a1
     A[2, 0] -= 2.0 * u_m * a1
     A[2, 1] = 2.0 * a1
     A[2:, 2:] = coup[:, :, None] * a1

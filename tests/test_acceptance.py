@@ -56,7 +56,9 @@ def test_01_basis_orthogonality_symmetry_and_endpoints():
     expected = np.diag(1.0 / (2.0 * np.arange(7) + 1.0))
     np.testing.assert_allclose(gram, expected, rtol=0.0, atol=1e-13)
     assert np.array_equal(basis.C, basis.C.T)
-    assert np.array_equal(basis.A, np.swapaxes(basis.A, 1, 2))
+    # the alpha_1 slice keeps (2j+1) A_ij1 = (2i+1) A_ji1
+    s = 2.0 * np.arange(1, 7) + 1.0
+    assert np.array_equal(basis.A * s, s[:, None] * basis.A.T)
     for j in range(1, 7):
         assert eval_phi(basis, j, 0.0) == 1.0
         assert eval_phi(basis, j, 1.0) == (-1.0) ** j

@@ -50,15 +50,16 @@ def test_orthogonality_exact_rationals():
 
 def test_tensor_fixtures():
     basis = build_basis(2)
-    # A_ijk = (2i+1) int phi_i phi_j phi_k, B_ijk = (2i+1) int phi_i' (int_0^zeta phi_j) phi_k
-    assert basis.A[0, 0, 0] == 0.0
-    assert basis.B[0, 0, 0] == 0.0
-    assert basis.A[0, 1, 0] == pytest.approx(2.0 / 5.0, abs=1e-15)
-    assert basis.B[0, 1, 0] == pytest.approx(-1.0 / 5.0, abs=1e-15)
-    assert basis.A[1, 0, 0] == pytest.approx(2.0 / 3.0, abs=1e-15)
-    assert basis.B[1, 0, 0] == pytest.approx(-1.0, abs=1e-15)
-    assert basis.A[1, 1, 0] == 0.0
-    assert basis.B[1, 1, 0] == 0.0
+    # A_ij1 = (2i+1) int phi_i phi_j phi_1, B_ij1 = (2i+1) int phi_i' (int_0^zeta phi_j) phi_1
+    assert basis.A.shape == basis.B.shape == (2, 2)
+    assert basis.A[0, 0] == 0.0
+    assert basis.B[0, 0] == 0.0
+    assert basis.A[0, 1] == pytest.approx(2.0 / 5.0, abs=1e-15)
+    assert basis.B[0, 1] == pytest.approx(-1.0 / 5.0, abs=1e-15)
+    assert basis.A[1, 0] == pytest.approx(2.0 / 3.0, abs=1e-15)
+    assert basis.B[1, 0] == pytest.approx(-1.0, abs=1e-15)
+    assert basis.A[1, 1] == 0.0
+    assert basis.B[1, 1] == 0.0
 
 
 def test_dissipation_tensor_fixtures():
@@ -74,7 +75,9 @@ def test_tensor_symmetries():
     for N in range(1, MAX_ORDER + 1):
         basis = build_basis(N)
         assert np.array_equal(basis.C, basis.C.T)
-        assert np.array_equal(basis.A, np.swapaxes(basis.A, 1, 2))
+        # (2j+1) A_ij1 = (2i+1) A_ji1 = (2i+1)(2j+1) int phi_i phi_j phi_1
+        s = 2.0 * np.arange(1, N + 1) + 1.0
+        assert np.array_equal(basis.A * s, s[:, None] * basis.A.T)
 
 
 def test_dissipation_tensor_closed_form():
@@ -85,8 +88,9 @@ def test_dissipation_tensor_closed_form():
         assert np.array_equal(build_basis(N).C, np.where((i + j) % 2 == 0, 2.0 * m * (m + 1), 0.0))
 
 
-# The reference builder: every tensor entry as a Fraction, from polynomial
-# products of the Rodrigues-formula coefficients, converted to float once.
+# The reference builder: every entry as a Fraction, from polynomial products
+# of the Rodrigues-formula coefficients, converted to float once. A and B are
+# the k = 1 slices A_ij1, B_ij1 of the coupling tensors.
 def _ref_phi(j):
     coeffs = [Fraction(0)] * (j + 1)
     for k in range(j + 1):
@@ -112,14 +116,13 @@ def _ref_basis(N):
     phis = [_ref_phi(j) for j in range(1, N + 1)]
     dphis = [[c * m for m, c in enumerate(p)][1:] for p in phis]
     antis = [[Fraction(0)] + [c / (m + 1) for m, c in enumerate(p)] for p in phis]
-    A, B, C = np.zeros((N, N, N)), np.zeros((N, N, N)), np.zeros((N, N))
+    A, B, C = np.zeros((N, N)), np.zeros((N, N)), np.zeros((N, N))
     for i in range(N):
+        s = 2 * (i + 1) + 1
         for j in range(N):
             C[i, j] = float(_ref_int01(_ref_mul(dphis[i], dphis[j])))
-            for k in range(N):
-                s = 2 * (i + 1) + 1
-                A[i, j, k] = float(s * _ref_int01(_ref_mul(_ref_mul(phis[i], phis[j]), phis[k])))
-                B[i, j, k] = float(s * _ref_int01(_ref_mul(_ref_mul(dphis[i], antis[j]), phis[k])))
+            A[i, j] = float(s * _ref_int01(_ref_mul(_ref_mul(phis[i], phis[j]), phis[0])))
+            B[i, j] = float(s * _ref_int01(_ref_mul(_ref_mul(dphis[i], antis[j]), phis[0])))
     phi, dphi = np.zeros((N, N + 1)), np.zeros((N, N))
     for r in range(N):
         phi[r, : r + 2] = [float(c) for c in phis[r]]
@@ -140,6 +143,7 @@ def test_build_basis_bit_identical_to_fraction_reference(N):
     basis = build_basis(N)
     for name, ref in zip(("phi", "dphi", "A", "B", "C"), _ref_basis(N)):
         got = getattr(basis, name)
+        assert got.shape == ref.shape, name
         assert np.array_equal(got, ref), name
         assert np.array_equal(np.signbit(got), np.signbit(ref)), name
 
@@ -181,6 +185,27 @@ def test_build_basis_rejects_bad_order():
         build_basis(0)
     with pytest.raises(ValueError):
         build_basis(13)
+
+
+@pytest.mark.parametrize("call", [
+    lambda b, n: build_basis(n(2)).A,
+    lambda b, n: gauss_rule(n(8))[0],
+    lambda b, n: eval_phi(b, n(2), 0.25),
+], ids=["build_basis", "gauss_rule", "eval_phi"])
+def test_basis_entry_points_take_numpy_integers(basis2, call):
+    # a numpy integer is an integer, as in SimConfig
+    assert np.asarray(call(basis2, np.int64)).tobytes() == np.asarray(call(basis2, int)).tobytes()
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda b: build_basis(True), r"^moment order must be an integer in \[1, 12\], got True$"),
+    (lambda b: gauss_rule(True), r"^point count must be an integer in \[1, 64\], got True$"),
+    (lambda b: eval_phi(b, 1.5, 0.5), r"^basis index must be an integer in \[1, 2\], got 1.5$"),
+], ids=["build_basis", "gauss_rule", "eval_phi"])
+def test_basis_entry_points_reject_non_integers_by_name(basis2, call, error):
+    # a bool is not a size, and a float index has no slice
+    with pytest.raises(ValueError, match=error):
+        call(basis2)
 
 
 def test_eval_rejects_out_of_range(basis2):

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -46,3 +47,9 @@ def test_every_exported_name_has_a_caller_outside_the_tests():
                 for name in importlib.import_module(f"swmoment.{module}").__all__}
     uncalled = sorted(exported - used)
     assert not uncalled, f"exported names with no caller in src/swmoment or perfbench: {uncalled}"
+
+
+def test_version_matches_pyproject():
+    # the package and its build metadata give one version number
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    assert re.search(r'^version = "([^"]+)"$', pyproject, re.M)[1] == swmoment.__version__

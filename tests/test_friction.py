@@ -190,6 +190,17 @@ def test_model_parameter_validation():
         MuI(mu_s=0.48, mu_2=0.73, c_I=0.0, bottom_law=MuIBottom())
 
 
+@pytest.mark.parametrize("points", [1, 65, 100, 8.0, True])
+def test_muI_rejects_bad_quad_points_when_constructed(points):
+    # checked where the law is built: a bad count would otherwise first fail
+    # mid-step, at the first N >= 3 bulk evaluation, naming no field
+    error = f"quad_points must be an integer in [2, 64], got {points!r}"
+    with pytest.raises(ValueError, match=re.escape(error)):
+        MuI(mu_s=0.48, mu_2=0.73, c_I=1.0, bottom_law=MuIBottom(), quad_points=points)
+    model = MuI(mu_s=0.48, mu_2=0.73, c_I=1.0, bottom_law=MuIBottom(), quad_points=np.int64(2))
+    assert type(model.quad_points) is int and model.quad_points == 2
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize("law, error", [
     (lambda v: Newtonian(nu=v, bottom_law=MuIBottom()), "must be finite and nonnegative"),

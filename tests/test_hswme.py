@@ -50,6 +50,36 @@ def test_system_matrix_N2_structure(basis2):
     np.testing.assert_allclose(A, expected, rtol=0.0, atol=1e-15)
 
 
+def _hswme_matrix(h, u, a1, N):
+    """The HSWME transport matrix of one state, typed from Koellermeier &
+    Rominger, Commun. Comput. Phys. 2020, in the variables (h, hu_m,
+    h alpha_1..h alpha_N) and with the driving term eps cos(theta) h."""
+    A = np.zeros((N + 2, N + 2))
+    A[0, 1] = 1.0
+    A[1, :3] = [EPS * math.cos(THETA) * h - u * u - a1 * a1 / 3.0, 2.0 * u, 2.0 * a1 / 3.0]
+    A[2, 0], A[2, 1] = -2.0 * u * a1, 2.0 * a1
+    if N >= 2:
+        A[3, 0] = -(2.0 / 3.0) * a1 * a1
+    for i in range(1, N + 1):
+        A[i + 1, i + 1] = u
+        if i < N:
+            A[i + 1, i + 2] = (i + 2) / (2 * i + 3) * a1
+        if i >= 2:
+            A[i + 1, i] = (i - 1) / (2 * i - 1) * a1
+    return A
+
+
+@pytest.mark.parametrize("N", range(1, 13))
+def test_system_matrix_matches_the_published_hswme_matrix(N):
+    # an oracle independent of the basis: N = 1 and 2 have structure tests,
+    # this covers every order the basis builds
+    P = random_wet_primitive(np.random.default_rng(60 + N), N, 20)
+    got = system_matrix_batch(P, EPS, THETA, _basis(N))
+    for row, A in zip(P, got):
+        expected = _hswme_matrix(row[0], row[1], row[2], N)
+        np.testing.assert_allclose(A, expected, rtol=1e-15, atol=0.0)
+
+
 def test_system_matrix_higher_moments_regularized(basis3):
     # only alpha_1 enters the coupling; alpha_2, alpha_3 appear nowhere
     P = np.array([0.05, 0.3, -0.1, 0.7, -0.4])
@@ -260,10 +290,10 @@ def _system_matrix_entrywise(P, eps, theta, basis):
     A[:, 1, 0] = eps * math.cos(theta) * h - u_m * u_m - a1 * a1 / 3.0
     A[:, 1, 1] = 2.0 * u_m
     A[:, 1, 2] = (2.0 / 3.0) * a1
-    coup = 2.0 * basis.A[:, :, 0] + basis.B[:, :, 0]
+    coup = 2.0 * basis.A + basis.B
     for i in range(N):
         row = i + 2
-        A[:, row, 0] = -basis.A[i, 0, 0] * a1 * a1
+        A[:, row, 0] = -basis.A[i, 0] * a1 * a1
         if i == 0:
             A[:, row, 0] -= 2.0 * u_m * a1
             A[:, row, 1] = 2.0 * a1
