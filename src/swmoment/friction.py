@@ -16,11 +16,12 @@ off the stresses at unit velocities (hswme.linear_source_batch).
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .basis import (MAX_GAUSS_POINTS, MomentBasis, _check_int, bottom_velocity, eval_dphi,
-                    gauss_rule)
+from .basis import (MAX_GAUSS_POINTS, MomentBasis, _check_int, _horner, bottom_velocity,
+                    eval_dphi, gauss_rule)
 
 __all__ = [
     "Newtonian",
@@ -269,8 +270,9 @@ def _split_quadrature(h: np.ndarray, alpha: np.ndarray, zeta_star: np.ndarray, p
     xi_star = np.sqrt(1.0 - zeta_star)
     lo = np.concatenate([np.zeros_like(xi_star), xi_star])[:, None]
     hi = np.concatenate([xi_star, np.ones_like(xi_star)])[:, None]
+    xi, w = lo + (hi - lo) * xi, (hi - lo) * w
     T = _bulk_quadrature_core(np.concatenate([h, h]), np.concatenate([alpha, alpha]), params,
-                              basis, lo + (hi - lo) * xi, (hi - lo) * w)
+                              xi, *_quadrature_table(basis.dphi, xi, w))
     return T[:len(h)] + T[len(h):]
 
 
@@ -311,21 +313,39 @@ def _muI_bulk_N2(h: np.ndarray, alpha: np.ndarray, params: "MuI", basis: MomentB
     return T
 
 
-def _bulk_quadrature_core(h: np.ndarray, alpha: np.ndarray, params: "MuI",
-                          basis: MomentBasis, xi: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Bulk quadrature of rows h (M,), alpha (M, N) on nodes shared (k,) or per row (M, k).
+def _quadrature_table(dphi: np.ndarray, xi: np.ndarray, w: np.ndarray) -> tuple:
+    """phi_j'(1 - xi^2) (N, k) or (M, N, k), by Horner's rule on the basis's
+    coefficients dphi as in eval_dphi, and the weights w 2 xi^3, of quadrature
+    nodes xi and weights w, shared (k,) or per row (M, k)."""
+    # d zeta = -2 xi d xi and (1 - zeta) = xi^2; orientation flip absorbed
+    return _horner(dphi, 1.0 - xi * xi), w * 2.0 * xi**3
+
+
+@lru_cache(maxsize=64)
+def _fixed_rule_table(dphi: bytes, N: int, points: int) -> tuple:
+    """(xi, dphi, weight) of the points-node Gauss rule at order N, read-only:
+    its nodes and their _quadrature_table, the same at every call. dphi is
+    the bytes of the basis's coefficients, the cache key."""
+    xi, w = gauss_rule(points)
+    table = (xi, *_quadrature_table(np.frombuffer(dphi).reshape(N, N), xi, w))
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
+def _bulk_quadrature_core(h: np.ndarray, alpha: np.ndarray, params: "MuI", xi: np.ndarray,
+                          dphi: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Bulk quadrature of rows h (M,), alpha (M, N) on nodes xi shared (k,) or
+    per row (M, k), with their _quadrature_table dphi and weight.
 
     Both contractions are stacked one-row matmuls, which run the same kernel
     for every row whatever M is, so a row gets the same bits alone as in any
     batch (a 2-D matmul over rows or einsum would not).
     """
-    dphi = eval_dphi(basis, 1.0 - xi * xi)  # (N, k) or (M, N, k)
     shear = (alpha[:, None, :] @ dphi)[:, 0, :]  # (M, k)
     rate = np.abs(shear)
     denom = (params.c_I * h**1.5)[:, None] * xi + rate
     mu = params.mu_s + (params.mu_2 - params.mu_s) * rate / denom
-    # d zeta = -2 xi d xi and (1 - zeta) = xi^2; orientation flip absorbed
-    weight = w * 2.0 * xi**3
     integrand = mu * np.sign(shear) * weight
     return h[:, None] * (integrand[:, None, :] @ np.swapaxes(dphi, -1, -2))[:, 0, :]
 
@@ -338,15 +358,17 @@ def muI_bulk_quadrature(h: np.ndarray, alpha: np.ndarray, params: "MuI", basis: 
     The integral is evaluated in the substituted variable xi = sqrt(1 - zeta),
     which removes the square-root endpoint singularity of the integrand's
     denominator (measured: 8 points reach ~4e-8 relative accuracy vs ~7e-6 in
-    the unsubstituted variable). sgn(0) = 0 inside the integrand.
+    the unsubstituted variable). sgn(0) = 0 inside the integrand. The nodes,
+    phi_j' at them and the weights of an (N, points) rule are tabulated once,
+    read-only (_fixed_rule_table).
     """
     if points is None:
         points = params.quad_points
     if points < 2:
         raise ValueError("bulk quadrature needs at least 2 points")
     _require_wet(h)
-    xi, w = gauss_rule(points)
-    return _bulk_quadrature_core(h, alpha, params, basis, xi, w)
+    table = _fixed_rule_table(basis.dphi.tobytes(), basis.N, points)
+    return _bulk_quadrature_core(h, alpha, params, *table)
 
 
 @dataclass(frozen=True)

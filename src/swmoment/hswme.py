@@ -1,12 +1,14 @@
 """Hyperbolic moment-system transport matrix, source vector, and wavespeeds."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from .basis import MomentBasis
 
 __all__ = [
+    "transport_entries",
     "system_matrix_batch",
     "source_batch",
     "linear_source_batch",
@@ -15,37 +17,83 @@ __all__ = [
 ]
 
 
-def system_matrix_batch(P: np.ndarray, eps: float, theta: float, basis: MomentBasis) -> np.ndarray:
-    """Transport matrices for primitive rows (M, N+2) -> (M, N+2, N+2).
-
-    The regularization keeps only alpha_1 couplings, so the matrix reads the
-    basis's alpha_1 band A_il1, B_il1: moment row i has first column
-    -2 u_m alpha_1 [i=1] - A_i11 alpha_1^2, second column 2 alpha_1 [i=1], and
-    band entries u_m on the diagonal plus (2 A_il1 + B_il1) alpha_1 elsewhere
-    (Koellermeier & Rominger, Commun. Comput. Phys. 2020).
-
-    The result is the transposed view of an (N+2, N+2, M) buffer, so it is not
-    C-contiguous: each entry is filled as one contiguous vector over the rows,
-    with the operation order of an entry-by-entry build and so its bits.
-    """
-    P = np.asarray(P, dtype=float)
-    M = P.shape[0]
-    m = basis.N + 2
-    h, u_m, a1 = P[:, 0], P[:, 1], P[:, 2]
-    A = np.zeros((m, m, M))
-    A[0, 1] = 1.0
-    A[1, 0] = eps * math.cos(theta) * h - u_m * u_m - a1 * a1 / 3.0
-    A[1, 1] = 2.0 * u_m
-    A[1, 2] = (2.0 / 3.0) * a1
+@lru_cache(maxsize=64)
+def _entry_layout(N: int, A: bytes, B: bytes, zero_couplings: bool) -> tuple:
+    """(rows, cols) of the entries of transport_entries, in its order, and
+    the coefficients of its three groups, read-only: the entries linear in
+    alpha_1 ((1, 2), (2, 1) and the band), column 0 of the moment rows
+    (-A_i11) and their diagonal. A and B are the bytes of the basis's (N, N)
+    slices, the cache key."""
+    A, B = (np.frombuffer(x).reshape(N, N) for x in (A, B))
     # the float sum, not its correctly rounded value: the two differ by an ulp
     # in some entries, and the mu(I) N=2 explicit state is chaotic at round-off
-    coup = 2.0 * basis.A + basis.B  # (N, N), couples alpha_1
-    A[2:, 0] = -basis.A[:, 0][:, None] * a1 * a1
-    A[2, 0] -= 2.0 * u_m * a1
-    A[2, 1] = 2.0 * a1
-    A[2:, 2:] = coup[:, :, None] * a1
-    diag = np.arange(2, m)
-    A[diag, diag] += u_m
+    coup = 2.0 * A + B
+    diag = np.arange(N)
+    off_diag = ~np.eye(N, dtype=bool)
+    band_r, band_c = np.nonzero(off_diag if zero_couplings else off_diag & (coup != 0.0))
+    rows = np.concatenate([[0, 1, 1, 1, 2], 2 + band_r, 2 + diag, 2 + diag])
+    cols = np.concatenate([[1, 0, 1, 2, 1], 2 + band_c, np.zeros_like(diag), 2 + diag])
+    linear = np.concatenate([[2.0 / 3.0, 2.0], coup[band_r, band_c]])
+    layout = (rows, cols, linear, -A[:, 0], coup[diag, diag])
+    for a in layout:
+        a.flags.writeable = False
+    return (rows, cols), *layout[2:]
+
+
+def transport_entries(h, u_m, a1, eps: float, theta: float, basis: MomentBasis,
+                      zero_couplings: bool = False) -> tuple:
+    """The entries of the transport matrix that can be nonzero, at states with
+    depth h, mean velocity u_m and first moment a1, arrays of one shape S.
+
+    Returns (rows, cols), E: entry e sits at (rows[e], cols[e]) and E[e], of
+    shape S, holds its values. The regularization keeps only alpha_1
+    couplings, so the matrix reads the basis's alpha_1 band A_il1, B_il1:
+    moment row i has first column -2 u_m alpha_1 [i=1] - A_i11 alpha_1^2,
+    second column 2 alpha_1 [i=1], and u_m on the diagonal plus
+    (2 A_il1 + B_il1) alpha_1 elsewhere (Koellermeier & Rominger, Commun.
+    Comput. Phys. 2020). Row 0 holds (0, 1) and row 1 columns 0..2. Every
+    other entry is zero, and so are the couplings off the band;
+    zero_couplings adds those, 0 * alpha_1 = +-0.0.
+
+    Each entry is computed as one vector over the states, with the operation
+    order of an entry-by-entry build and so its bits.
+    """
+    index, linear, col0, diag = _entry_layout(basis.N, basis.A.tobytes(), basis.B.tobytes(),
+                                              zero_couplings)
+    n, N = len(linear), basis.N
+    E = np.empty((3 + n + 2 * N,) + np.shape(a1))
+    # a coefficient per entry, broadcast over the states
+    per_entry = (slice(None),) + (None,) * np.ndim(a1)
+    E[0] = 1.0
+    E_10 = E[1]
+    np.multiply(eps * math.cos(theta), h, out=E_10)
+    E_10 -= u_m * u_m
+    E_10 -= a1 * a1 / 3.0
+    np.multiply(2.0, u_m, out=E[2])
+    np.multiply(linear[per_entry], a1, out=E[3:3 + n])
+    E_col0 = E[3 + n:3 + n + N]
+    np.multiply(col0[per_entry], a1, out=E_col0)
+    E_col0 *= a1
+    E_col0[0] -= 2.0 * u_m * a1
+    E_diag = E[3 + n + N:]
+    np.multiply(diag[per_entry], a1, out=E_diag)
+    E_diag += u_m
+    return index, E
+
+
+def system_matrix_batch(P: np.ndarray, eps: float, theta: float, basis: MomentBasis) -> np.ndarray:
+    """Transport matrices for primitive rows (M, N+2) -> (M, N+2, N+2): the
+    entries of transport_entries, the zero couplings included for their sign.
+
+    The result is the transposed view of an (N+2, N+2, M) buffer, so it is not
+    C-contiguous: each entry is filled as one contiguous vector over the rows.
+    """
+    P = np.asarray(P, dtype=float)
+    m = basis.N + 2
+    A = np.zeros((m, m, P.shape[0]))
+    index, E = transport_entries(P[:, 0], P[:, 1], P[:, 2], eps, theta, basis,
+                                 zero_couplings=True)
+    A[index] = E
     return A.transpose(2, 0, 1)
 
 

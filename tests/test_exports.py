@@ -53,3 +53,9 @@ def test_version_matches_pyproject():
     # the package and its build metadata give one version number
     pyproject = (ROOT / "pyproject.toml").read_text()
     assert re.search(r'^version = "([^"]+)"$', pyproject, re.M)[1] == swmoment.__version__
+
+
+def test_pyproject_names_the_distribution_swmoment():
+    # an install registers the package under the name it is imported by
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    assert re.search(r'^name = "([^"]+)"$', pyproject, re.M)[1] == "swmoment"

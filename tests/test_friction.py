@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from swmoment import friction
-from swmoment.basis import MAX_ORDER, build_basis, gauss_rule
+from swmoment.basis import MAX_ORDER, build_basis, eval_dphi, gauss_rule
 from swmoment.friction import (
     ConstantCoulomb,
     CoulombBottom,
@@ -442,6 +442,23 @@ def _N2_regime_rows(rng, per_regime=500):
     edges = np.array([[0.05, 0.1, -0.75, 0.25], [0.05, 0.1, 0.75, 0.25],
                       [0.01, 0.1, -0.75, -0.25], [0.01, 0.1, 0.75, -0.25]])
     return np.vstack([P, edges])
+
+
+@pytest.mark.parametrize("N", [1, 3, 6, MAX_ORDER])
+def test_muI_fixed_rule_table_is_a_read_only_fresh_evaluation(N):
+    basis = build_basis(N)
+    for points in (2, 8, 32):
+        table = friction._fixed_rule_table(basis.dphi.tobytes(), N, points)
+        xi, w = gauss_rule(points)
+        fresh = (xi, eval_dphi(basis, 1.0 - xi * xi), w * 2.0 * xi**3)
+        for got, expected in zip(table, fresh):
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0] = 0.0
+        # tabulated once: a second call returns the same arrays
+        again = friction._fixed_rule_table(build_basis(N).dphi.tobytes(), N, points)
+        assert all(a is b for a, b in zip(again, table))
 
 
 def _one_row_quadrature(h, alpha, params, basis, lo, hi, points):

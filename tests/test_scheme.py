@@ -5,7 +5,7 @@ import pytest
 
 from dataclasses import replace
 
-from swmoment.basis import build_basis, gauss_rule
+from swmoment.basis import MAX_ORDER, build_basis, gauss_rule
 from swmoment.friction import (
     ConstantCoulomb,
     CoulombBottom,
@@ -418,6 +418,42 @@ def test_cfl_dt_screen_equals_brute_force_max(N, basis1, basis2, basis6):
     assert cfl_dt(dry, cfg, basis) == math.inf
 
 
+@pytest.mark.parametrize("N", [1, 2, 6])
+def test_cfl_dt_solves_each_run_of_equal_rows_once(N, monkeypatch):
+    basis = build_basis(N)
+    cfg = SimConfig(mode="explicit", cfl=0.05)
+    rng = np.random.default_rng(60 + N)
+    J = 60
+    # the fastest state, so its rows are the candidates of the screen
+    fast = np.concatenate([[0.05, 0.5], 0.1 * 0.5 ** np.arange(N)])
+    block = np.zeros((J, N + 2))
+    block[:, 0] = 0.5 * H_MIN
+    block[20:40] = fast
+    plateaus = random_wet_primitive(rng, N, J, vel_scale=0.1)
+    plateaus[5:15] = fast
+    plateaus[40:52] = fast
+    # the screen keeps the candidates in grid order, so two plateaus of one
+    # state become one run; a candidate between them, as fast but moving
+    # left, splits it into two
+    split = plateaus.copy()
+    split[30] = fast * np.r_[1.0, -1.0, np.ones(N)]
+    cases = {"uniform block": (block, 1), "two plateaus": (plateaus, 1),
+             "two plateaus, split": (split, 3), "all equal and wet": (np.tile(fast, (J, 1)), 1)}
+    solved = []
+
+    def counting(P, *args):
+        solved.append(len(P))
+        return wavespeeds_batch(P, *args)
+
+    monkeypatch.setattr(scheme, "wavespeeds_batch", counting)
+    grid = make_grid(0.0, 1.0, J, N)
+    for name, (P, runs) in cases.items():
+        g = _with_state(grid, to_conservative(P))
+        expected = np.float64(_cfl_dt_all_rows(g, cfg, basis))
+        assert np.float64(cfl_dt(g, cfg, basis)).tobytes() == expected.tobytes(), name
+        assert solved[-1] == runs, name
+
+
 def _transport_full_width(grid, dt, eps, theta, basis):
     """The transport predictor with the fluctuations of every interface
     between two cells; the two boundary faces carry none."""
@@ -485,12 +521,17 @@ def _path_matrices_per_node(U, dry, eps, theta, basis):
 
 # the ids name the path (primitive variables) the cases run on
 @pytest.mark.parametrize("case", sorted(WINDOW_CASES), ids=lambda c: f"{c}-primitive")
-def test_path_matrices_stacked_call_equals_per_node_calls(case, basis2):
-    grid = _patch_grid(2, **WINDOW_CASES[case])
-    dry = grid.dry()
-    A, inert = _path_matrices(to_primitive(grid.U), dry, EPS, THETA, basis2)
-    assert np.array_equal(A, _path_matrices_per_node(grid.U, dry, EPS, THETA, basis2))
-    assert np.array_equal(inert, dry[:-1] & dry[1:])
+def test_path_matrices_stacked_call_equals_per_node_calls(case):
+    # the average over the entries that can be nonzero has the bytes of the
+    # average of whole node matrices, at every order and dry-wet interface
+    for N in range(1, MAX_ORDER + 1):
+        basis = build_basis(N)
+        grid = _patch_grid(N, **WINDOW_CASES[case])
+        dry = grid.dry()
+        A, inert = _path_matrices(to_primitive(grid.U), dry, EPS, THETA, basis)
+        expected = _path_matrices_per_node(grid.U, dry, EPS, THETA, basis)
+        assert A.shape == expected.shape and A.tobytes() == expected.tobytes(), f"N={N}"
+        assert np.array_equal(inert, dry[:-1] & dry[1:])
 
 
 @pytest.mark.parametrize("case", sorted(WINDOW_CASES), ids=lambda c: f"{c}-primitive")

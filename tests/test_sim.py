@@ -484,6 +484,18 @@ def test_run_diagnostics_series(tmp_path):
     assert np.array_equal(explicit["newton_iters_max"], np.zeros(n))
 
 
+def test_max_speed_of_uniform_upslope_flow_is_its_speed():
+    # every cell keeps one state, moving up the slope (u_m < 0) for the whole
+    # run; the diagnostic is a speed, |u_m|, not the largest signed u_m
+    cfg = preset(1, J=16, ic={"kind": "uniform", "h": 0.05, "u_m": -0.3},
+                 snapshot_times=(0.01,))
+    res = run(cfg)
+    u_m = res.snapshots[-1].u_m
+    assert np.all(u_m == u_m[0]) and u_m[0] < 0.0
+    assert res.diagnostics["max_speed"][-1] == -u_m[0]
+    assert np.all(res.diagnostics["max_speed"] > 0.0)
+
+
 def test_sh_violations_skip_stored_cells(basis2):
     # a Coulomb-bottom run records sh_violations; a flow patch that meets the
     # sliding-law assumptions (u(0) = 0.4 > 0, shear > 0) ends next to one
