@@ -9,6 +9,7 @@ from .basis import MomentBasis
 
 __all__ = [
     "transport_entries",
+    "entry_matrices",
     "system_matrix_batch",
     "source_batch",
     "linear_source_batch",
@@ -18,7 +19,7 @@ __all__ = [
 
 
 @lru_cache(maxsize=64)
-def _entry_layout(N: int, A: bytes, B: bytes, zero_couplings: bool) -> tuple:
+def _entry_layout(N: int, A: bytes, B: bytes) -> tuple:
     """(rows, cols) of the entries of transport_entries, in its order, and
     the coefficients of its three groups, read-only: the entries linear in
     alpha_1 ((1, 2), (2, 1) and the band), column 0 of the moment rows
@@ -29,8 +30,7 @@ def _entry_layout(N: int, A: bytes, B: bytes, zero_couplings: bool) -> tuple:
     # in some entries, and the mu(I) N=2 explicit state is chaotic at round-off
     coup = 2.0 * A + B
     diag = np.arange(N)
-    off_diag = ~np.eye(N, dtype=bool)
-    band_r, band_c = np.nonzero(off_diag if zero_couplings else off_diag & (coup != 0.0))
+    band_r, band_c = np.nonzero(~np.eye(N, dtype=bool) & (coup != 0.0))
     rows = np.concatenate([[0, 1, 1, 1, 2], 2 + band_r, 2 + diag, 2 + diag])
     cols = np.concatenate([[1, 0, 1, 2, 1], 2 + band_c, np.zeros_like(diag), 2 + diag])
     linear = np.concatenate([[2.0 / 3.0, 2.0], coup[band_r, band_c]])
@@ -40,8 +40,7 @@ def _entry_layout(N: int, A: bytes, B: bytes, zero_couplings: bool) -> tuple:
     return (rows, cols), *layout[2:]
 
 
-def transport_entries(h, u_m, a1, eps: float, theta: float, basis: MomentBasis,
-                      zero_couplings: bool = False) -> tuple:
+def transport_entries(h, u_m, a1, eps: float, theta: float, basis: MomentBasis) -> tuple:
     """The entries of the transport matrix that can be nonzero, at states with
     depth h, mean velocity u_m and first moment a1, arrays of one shape S.
 
@@ -52,14 +51,12 @@ def transport_entries(h, u_m, a1, eps: float, theta: float, basis: MomentBasis,
     second column 2 alpha_1 [i=1], and u_m on the diagonal plus
     (2 A_il1 + B_il1) alpha_1 elsewhere (Koellermeier & Rominger, Commun.
     Comput. Phys. 2020). Row 0 holds (0, 1) and row 1 columns 0..2. Every
-    other entry is zero, and so are the couplings off the band;
-    zero_couplings adds those, 0 * alpha_1 = +-0.0.
+    other entry is zero, and so are the couplings off the band.
 
     Each entry is computed as one vector over the states, with the operation
     order of an entry-by-entry build and so its bits.
     """
-    index, linear, col0, diag = _entry_layout(basis.N, basis.A.tobytes(), basis.B.tobytes(),
-                                              zero_couplings)
+    index, linear, col0, diag = _entry_layout(basis.N, basis.A.tobytes(), basis.B.tobytes())
     n, N = len(linear), basis.N
     E = np.empty((3 + n + 2 * N,) + np.shape(a1))
     # a coefficient per entry, broadcast over the states
@@ -81,20 +78,21 @@ def transport_entries(h, u_m, a1, eps: float, theta: float, basis: MomentBasis,
     return index, E
 
 
-def system_matrix_batch(P: np.ndarray, eps: float, theta: float, basis: MomentBasis) -> np.ndarray:
-    """Transport matrices for primitive rows (M, N+2) -> (M, N+2, N+2): the
-    entries of transport_entries, the zero couplings included for their sign.
+def entry_matrices(index: tuple, E: np.ndarray, m: int) -> np.ndarray:
+    """(M, m, m) matrices of the entries of transport_entries at M states:
+    entry e holds E[e] (M,) at (rows[e], cols[e]) of index = (rows, cols),
+    and every other entry is +0.0."""
+    rows, cols = index
+    A = np.zeros((E.shape[1], m * m))
+    A[:, rows * m + cols] = E.T
+    return A.reshape(-1, m, m)
 
-    The result is the transposed view of an (N+2, N+2, M) buffer, so it is not
-    C-contiguous: each entry is filled as one contiguous vector over the rows.
-    """
+
+def system_matrix_batch(P: np.ndarray, eps: float, theta: float, basis: MomentBasis) -> np.ndarray:
+    """Transport matrices for primitive rows (M, N+2) -> (M, N+2, N+2)."""
     P = np.asarray(P, dtype=float)
-    m = basis.N + 2
-    A = np.zeros((m, m, P.shape[0]))
-    index, E = transport_entries(P[:, 0], P[:, 1], P[:, 2], eps, theta, basis,
-                                 zero_couplings=True)
-    A[index] = E
-    return A.transpose(2, 0, 1)
+    index, E = transport_entries(P[:, 0], P[:, 1], P[:, 2], eps, theta, basis)
+    return entry_matrices(index, E, basis.N + 2)
 
 
 def _friction_factors(N: int, theta: float) -> list:

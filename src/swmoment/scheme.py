@@ -8,6 +8,7 @@ import numpy as np
 from . import state
 from .basis import MomentBasis
 from .hswme import (
+    entry_matrices,
     linear_source_batch,
     source_batch,
     source_split_batch,
@@ -142,8 +143,7 @@ def _path_matrices(X: np.ndarray, dry: np.ndarray, eps: float, theta: float,
     Only the O(N) entries of transport_entries can be nonzero, so only they
     are evaluated, at the Gauss-node states of h, u_m and alpha_1 (all the
     matrix reads), and averaged in node order from zero: the bits of
-    averaging the node matrices of system_matrix_batch, whose other entries
-    are +-0.0 and average to +0.0.
+    averaging the node matrices of system_matrix_batch.
     """
     wet = ~dry
     wet_l, wet_r = wet[:-1], wet[1:]
@@ -153,14 +153,11 @@ def _path_matrices(X: np.ndarray, dry: np.ndarray, eps: float, theta: float,
     right = np.where(wet_r, X[:, 1:], X[:, :-1])
     nodes, weights = _PATH_RULE
     h, u_m, a1 = left[:, None] + nodes[:, None] * (right - left)[:, None]  # (node, M) each
-    (rows, cols), E = transport_entries(h, u_m, a1, eps, theta, basis)
+    index, E = transport_entries(h, u_m, a1, eps, theta, basis)
     mean = np.zeros((len(E), len(inert)))
     for k, w in enumerate(weights):
         mean += w * E[:, k]
-    m = basis.N + 2
-    A = np.zeros((len(inert), m * m))
-    A[:, rows * m + cols] = mean.T
-    return A.reshape(-1, m, m), inert
+    return entry_matrices(index, mean, basis.N + 2), inert
 
 
 def viscosity_matrix(A: np.ndarray, dx: float, dt: float) -> np.ndarray:

@@ -63,6 +63,8 @@ MAX_STEPS = 2_000_000
 
 def _check_ic(ic: dict, N: int) -> None:
     """Reject an initial condition that build_grid cannot build, naming its key."""
+    if not isinstance(ic, dict):
+        raise ValueError(f"ic must be a dict, got {ic!r}")
     unknown = [f"ic.{key}" for key in ic if key not in _IC_KEYS]
     if unknown:
         raise ValueError(f"unknown initial-condition key {', '.join(unknown)}")
@@ -72,48 +74,50 @@ def _check_ic(ic: dict, N: int) -> None:
     missing = [f"ic.{key}" for key in _IC_REQUIRED[kind] if key not in ic]
     if missing:
         raise ValueError(f"initial condition {kind!r} needs {', '.join(missing)}")
-    for key in ("h", "x_lo", "x_hi", "u_m"):
-        if key in ic:
-            _check_real(f"ic.{key}", ic[key])
+    for key, (parse, within) in _IC_KEYS.items():
+        if key in ic and parse is float:
+            _check_number(f"ic.{key}", ic[key], float, within)
     alpha = ic.get("alpha", ())
     if not isinstance(alpha, (tuple, list)):
         raise ValueError(f"ic.alpha must be a tuple or list of numbers, got {alpha!r}")
     for value in alpha:
-        _check_real("ic.alpha", value)
-    if not 0.0 <= ic["h"] < math.inf:
-        raise ValueError(f"ic.h must be finite and nonnegative, got {ic['h']}")
+        _check_number("ic.alpha", value, float, _IC_KEYS["alpha"][1])
     if kind == "block" and not ic["x_lo"] < ic["x_hi"]:
         raise ValueError(f"ic.x_lo must be below ic.x_hi, got {ic['x_lo']} and {ic['x_hi']}")
-    if len(ic.get("alpha", ())) > N:
-        raise ValueError(f"ic.alpha has {len(ic['alpha'])} entries, more than N = {N}")
-    if not all(math.isfinite(v) for v in (ic.get("u_m", 0.0), *ic.get("alpha", ()))):
-        raise ValueError(f"ic.u_m and ic.alpha must be finite, got {ic.get('u_m')} "
-                         f"and {ic.get('alpha')}")
+    if len(alpha) > N:
+        raise ValueError(f"ic.alpha has {len(alpha)} entries, more than N = {N}")
 
 
-def _check_real(name: str, value) -> None:
-    """Reject a value that is not a real number, or is a bool, naming it."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+def _check_number(name: str, value, parse, within):
+    """value, if it is a number of the parse type (int or float; a bool is
+    neither) in the range within = (text, test), or None for any number;
+    else a ValueError naming name and value. An int comes back as an int (a
+    numpy integer is one too), a float as given, keeping its bits."""
+    if parse is int:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    elif isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
+    if within is not None and not within[1](value):
+        raise ValueError(f"{name} must be {within[0]}, got {value}")
+    return value
 
 
 def _check_friction_params(friction: str, params: dict) -> None:
     """Reject an unknown friction name, a parameter that the name does not
-    read, and a parameter that is not a finite real number."""
+    read, and a parameter that is not a number in its key's range."""
     if friction not in _FRICTION:
         raise ValueError(f"unknown friction model {friction!r}")
+    if not isinstance(params, dict):
+        raise ValueError(f"friction_params must be a dict, got {params!r}")
     reads = _FRICTION[friction][2]
     unknown = ", ".join(repr(key) for key in params if key not in reads)
     if unknown:
         raise ValueError(f"friction model {friction!r} does not read {unknown}; "
                          f"it reads {', '.join(reads)}")
     for key, value in params.items():
-        _check_real(f"model.{key}", value)
-        if not math.isfinite(value):
-            raise ValueError(f"model.{key} must be finite, got {value}")
-        text, within = _PARAM_RANGES[key]
-        if not within(value):
-            raise ValueError(f"model.{key} must be {text}, got {value}")
+        _check_number(f"model.{key}", value, float, _PARAM_RANGES[key])
 
 
 @dataclass(frozen=True)
@@ -150,54 +154,27 @@ class SimConfig:
     h_min: ClassVar[float] = state.H_MIN
 
     def __post_init__(self):
-        # the sizes are ints from here on; a numpy integer is one too
-        for name in ("N", "J", "quad_points", "profile_resolution"):
+        # each number field's type and range, from its row of the file table;
+        # a field whose default is None may be None
+        for _, _, name, parse, within in _FILE_FIELDS:
             value = getattr(self, name)
-            if value is None and name == "profile_resolution":
+            if within is None or (value is None and getattr(SimConfig, name) is None):
                 continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        for name in ("x_a", "x_b", "theta", "H", "L", "g", "rho", "cfl"):
-            _check_real(name, getattr(self, name))
-        if self.rho_s is not None:
-            _check_real("rho_s", self.rho_s)
-        for t in self.snapshot_times:
-            _check_real("snapshot_times", t)
-        if self.J < 3:
-            raise ValueError("J must be at least 3")
-        if not 1 <= self.N <= MAX_ORDER:
-            raise ValueError(f"N must lie in [1, {MAX_ORDER}], got {self.N}")
-        for name in ("x_a", "x_b"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            object.__setattr__(self, name, _check_number(name, value, parse, within))
         if not self.x_a < self.x_b:
             raise ValueError(f"x_a must be below x_b, got {self.x_a} and {self.x_b}")
-        if not 0.0 <= self.theta < math.pi / 2:
-            raise ValueError("theta must lie in [0, pi/2)")
-        for name in ("H", "L", "g", "rho"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
-        if self.rho_s is not None and not 0.0 < self.rho_s < math.inf:
-            raise ValueError(f"rho_s must be None or finite and positive, got {self.rho_s}")
         _check_friction_params(self.friction, self.friction_params)
         if self.mode not in ("explicit", "semi_implicit"):
             raise ValueError(f"unknown stepper mode {self.mode!r}")
-        if not 0.0 < self.cfl <= 1.0:
-            raise ValueError("CFL must lie in (0, 1]")
-        if not 2 <= self.quad_points <= MAX_GAUSS_POINTS:
-            raise ValueError(f"quad_points must lie in [2, {MAX_GAUSS_POINTS}], "
-                             f"got {self.quad_points}")
-        if self.profile_resolution is not None and self.profile_resolution < 2:
-            raise ValueError(f"profile_resolution must be None or >= 2, got {self.profile_resolution}")
         _check_ic(self.ic, self.N)
-        times = tuple(float(t) for t in self.snapshot_times)
-        if not times:
-            raise ValueError("need at least one snapshot time")
-        if not all(math.isfinite(t) for t in times):
-            raise ValueError(f"snapshot_times must be finite, got {times}")
-        if any(t < 0.0 for t in times) or any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("snapshot times must be nonnegative and strictly ascending")
+        times = self.snapshot_times
+        if not isinstance(times, (tuple, list)) or not times:
+            raise ValueError(f"snapshot_times must be a nonempty tuple or list of numbers, "
+                             f"got {times!r}")
+        times = tuple(float(_check_number("snapshot_times", t, float, _NONNEGATIVE))
+                      for t in times)
+        if any(b <= a for a, b in zip(times, times[1:])):
+            raise ValueError(f"snapshot_times must be strictly ascending, got {times}")
         object.__setattr__(self, "snapshot_times", times)
 
     @property
@@ -590,28 +567,36 @@ def _floats(text: str) -> tuple:
     return tuple(float(t) for t in text.replace(",", " ").split())
 
 
-# the file format, one (section, key, SimConfig field, parse) per field; keys
-# are read case-insensitively. The friction parameters and the [ic] entries
-# have their own tables below.
+# the ranges of the numbers, as (text of the error, test)
+_FINITE = ("finite", math.isfinite)
+_POSITIVE = ("finite and positive", lambda v: 0.0 < v < math.inf)
+_NONNEGATIVE = ("finite and nonnegative", lambda v: 0.0 <= v < math.inf)
+_ANGLE = ("in [0, pi/2)", lambda v: 0.0 <= v < math.pi / 2)
+
+# the file format, one (section, key, SimConfig field, parse, range) per
+# field; keys are read case-insensitively, and SimConfig checks a field with
+# a range as a number of its parse type in that range. The friction
+# parameters and the [ic] entries have their own tables below.
 _FILE_FIELDS = (
-    ("model", "N", "N", int),
-    ("model", "theta", "theta", float),
-    ("model", "friction", "friction", str),
-    ("scaling", "H", "H", float),
-    ("scaling", "L", "L", float),
-    ("scaling", "g", "g", float),
-    ("scaling", "rho", "rho", float),
-    ("scaling", "rho_s", "rho_s", float),
-    ("grid", "J", "J", int),
-    ("grid", "x_a", "x_a", float),
-    ("grid", "x_b", "x_b", float),
-    ("grid", "bathymetry", "bathymetry", str),
-    ("stepper", "mode", "mode", str),
-    ("stepper", "cfl", "cfl", float),
-    ("stepper", "quad_points", "quad_points", int),
-    ("output", "times", "snapshot_times", _floats),
-    ("output", "dir", "out_dir", str),
-    ("output", "profile_resolution", "profile_resolution", int),
+    ("model", "N", "N", int, (f"in [1, {MAX_ORDER}]", lambda v: 1 <= v <= MAX_ORDER)),
+    ("model", "theta", "theta", float, _ANGLE),
+    ("model", "friction", "friction", str, None),
+    ("scaling", "H", "H", float, _POSITIVE),
+    ("scaling", "L", "L", float, _POSITIVE),
+    ("scaling", "g", "g", float, _POSITIVE),
+    ("scaling", "rho", "rho", float, _POSITIVE),
+    ("scaling", "rho_s", "rho_s", float, _POSITIVE),
+    ("grid", "J", "J", int, ("at least 3", lambda v: v >= 3)),
+    ("grid", "x_a", "x_a", float, _FINITE),
+    ("grid", "x_b", "x_b", float, _FINITE),
+    ("grid", "bathymetry", "bathymetry", str, None),
+    ("stepper", "mode", "mode", str, None),
+    ("stepper", "cfl", "cfl", float, ("in (0, 1]", lambda v: 0.0 < v <= 1.0)),
+    ("stepper", "quad_points", "quad_points", int,
+     (f"in [2, {MAX_GAUSS_POINTS}]", lambda v: 2 <= v <= MAX_GAUSS_POINTS)),
+    ("output", "times", "snapshot_times", _floats, None),
+    ("output", "dir", "out_dir", str, None),
+    ("output", "profile_resolution", "profile_resolution", int, ("at least 2", lambda v: v >= 2)),
 )
 
 # each friction name's bulk law, bottom law, and the [model] keys that the
@@ -634,17 +619,18 @@ _FRICTION = {
 # sees its scaled group; the laws check their own ranges too, and the
 # relations mu_s < mu_2 (MuI) and delta <= phi_int (build_model)
 _PARAM_RANGES = {
-    **dict.fromkeys(("lambda", "i0", "d_s", "mu_s", "mu_2"), ("positive", lambda v: v > 0.0)),
-    **dict.fromkeys(("eta", "manning_n", "mu"), ("nonnegative", lambda v: v >= 0.0)),
-    **dict.fromkeys(("delta", "phi_int"), ("in [0, pi/2)", lambda v: 0.0 <= v < math.pi / 2)),
+    **dict.fromkeys(("lambda", "i0", "d_s", "mu_s", "mu_2"), _POSITIVE),
+    **dict.fromkeys(("eta", "manning_n", "mu"), _NONNEGATIVE),
+    **dict.fromkeys(("delta", "phi_int"), _ANGLE),
 }
 
-_IC_KEYS = {"kind": str, "h": float, "x_lo": float, "x_hi": float, "u_m": float,
-            "alpha": _floats}
+# each [ic] key's parse and range (None: any number; an alpha entry is finite)
+_IC_KEYS = {"kind": (str, None), "h": (float, _NONNEGATIVE), "x_lo": (float, None),
+            "x_hi": (float, None), "u_m": (float, _FINITE), "alpha": (_floats, _FINITE)}
 
 # every key some reader takes; keys of another friction name than the
 # configured one are accepted, so a file can switch with one key
-_KNOWN_KEYS = ({(section, key.lower()) for section, key, _, _ in _FILE_FIELDS}
+_KNOWN_KEYS = ({(section, key.lower()) for section, key, *_ in _FILE_FIELDS}
                | {("model", key) for _, _, keys in _FRICTION.values() for key in keys}
                | {("ic", key) for key in _IC_KEYS})
 
@@ -652,7 +638,7 @@ _KNOWN_KEYS = ({(section, key.lower()) for section, key, _, _ in _FILE_FIELDS}
 def config_to_mapping(config: SimConfig) -> dict:
     """Flatten a SimConfig into {section: {key: string}} (the file format)."""
     mapping = {}
-    for section, key, name, _ in _FILE_FIELDS:
+    for section, key, name, _, _ in _FILE_FIELDS:
         value = getattr(config, name)
         if value is not None:
             mapping.setdefault(section, {})[key] = _fmt(value)
@@ -683,7 +669,7 @@ def config_from_mapping(mapping: dict) -> SimConfig:
             if (section, key) not in _KNOWN_KEYS:
                 raise ValueError(f"unknown config key {section}.{key}")
     kw = {name: _parse(section, key.lower(), parse, sections[section][key.lower()])
-          for section, key, name, parse in _FILE_FIELDS
+          for section, key, name, parse, _ in _FILE_FIELDS
           if key.lower() in sections.get(section, {})}
     # an unknown friction name reads nothing; SimConfig rejects it by name
     friction = kw.get("friction", SimConfig.friction)
@@ -692,7 +678,7 @@ def config_from_mapping(mapping: dict) -> SimConfig:
                              for key, raw in sections.get("model", {}).items() if key in reads}
     if sections.get("ic"):
         kw["ic"] = {"kind": "block",
-                    **{k: _parse("ic", k, _IC_KEYS[k], v) for k, v in sections["ic"].items()}}
+                    **{k: _parse("ic", k, _IC_KEYS[k][0], v) for k, v in sections["ic"].items()}}
     return SimConfig(**kw)
 
 

@@ -729,11 +729,11 @@ def test_derive_rejects_bad_inputs():
         SimConfig(**dict(SCALES, H=0.0))
     with pytest.raises(ValueError, match="theta"):
         SimConfig(**dict(SCALES, theta=math.pi / 2))
-    with pytest.raises(ValueError, match="^model.d_s must be finite, got nan$"):
+    with pytest.raises(ValueError, match="^model.d_s must be finite and positive, got nan$"):
         SimConfig(**SCALES, friction="mu_i",
                   friction_params=dict(GRAN_PARAMS, d_s=math.nan))
     for d_s in (0.0, -7e-4):
-        with pytest.raises(ValueError, match=f"^model.d_s must be positive, got {d_s}$"):
+        with pytest.raises(ValueError, match=f"^model.d_s must be finite and positive, got {d_s}$"):
             SimConfig(**SCALES, friction="mu_i", friction_params=dict(GRAN_PARAMS, d_s=d_s))
     cfg = SimConfig(**dict(SCALES, rho_s=None), friction="mu_i", friction_params=GRAN_PARAMS)
     with pytest.raises(ValueError, match="^the inertial scaling needs scaling.rho_s$"):

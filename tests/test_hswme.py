@@ -282,7 +282,8 @@ def test_spectral_radius_closed_form_matches_eigvals():
 
 def _system_matrix_entrywise(P, eps, theta, basis):
     """Transport matrices built entry by entry: the reference for the
-    whole-block assignments of system_matrix_batch."""
+    scatter of system_matrix_batch. A coupling off the diagonal whose
+    coefficient is zero stays +0.0."""
     M, N = P.shape[0], basis.N
     h, u_m, a1 = P[:, 0], P[:, 1], P[:, 2]
     A = np.zeros((M, N + 2, N + 2))
@@ -298,15 +299,15 @@ def _system_matrix_entrywise(P, eps, theta, basis):
             A[:, row, 0] -= 2.0 * u_m * a1
             A[:, row, 1] = 2.0 * a1
         for l in range(N):
-            A[:, row, l + 2] = coup[i, l] * a1
             if l == i:
-                A[:, row, l + 2] += u_m
+                A[:, row, l + 2] = coup[i, l] * a1 + u_m
+            elif coup[i, l] != 0.0:
+                A[:, row, l + 2] = coup[i, l] * a1
     return A
 
 
 def test_system_matrix_batch_equals_entrywise_build():
-    # the same bytes: array_equal would take -0.0 == 0.0, and a zero coupling
-    # times a negative alpha_1 gives -0.0
+    # the same bytes: array_equal would take -0.0 == 0.0
     rng = np.random.default_rng(41)
     for N in range(1, 13):
         P = random_wet_primitive(rng, N, 100, h_range=(1e-6, 0.1))
@@ -314,5 +315,4 @@ def test_system_matrix_batch_equals_entrywise_build():
         expected = _system_matrix_entrywise(P, EPS, THETA, _basis(N))
         got = system_matrix_batch(P, EPS, THETA, _basis(N))
         assert got.shape == expected.shape
-        assert np.ascontiguousarray(got).tobytes() == expected.tobytes(), f"N={N}"
-        assert np.any((expected == 0.0) & np.signbit(expected)), f"N={N}"
+        assert got.tobytes() == expected.tobytes(), f"N={N}"

@@ -5,7 +5,7 @@ import pytest
 
 from dataclasses import replace
 
-from swmoment.basis import MAX_ORDER, build_basis, gauss_rule
+from swmoment.basis import MAX_ORDER, build_basis, gauss_rule, reconstruct_velocity
 from swmoment.friction import (
     ConstantCoulomb,
     CoulombBottom,
@@ -211,6 +211,46 @@ def test_dry_threshold_is_read_at_call_time(monkeypatch):
     assert not _dry_after_transport(h, np.zeros(8, dtype=bool)).any()
     snap = run(preset(1, J=8, snapshot_times=(0.0,), ic={"kind": "uniform", "h": 5e-3}))
     assert front_position(snap.snapshots[0]) == -math.inf
+
+
+def test_rewetting_margin_decides_whether_a_dry_cell_rewets():
+    # a cell dry before the step rewets only on a transported depth above 50
+    # H_MIN; a cell wet before it stays wet on any depth above H_MIN
+    margin = 50.0 * H_MIN
+    h = np.array([[margin * (1.0 - 1e-12)], [margin], [margin * (1.0 + 1e-12)], [2.0 * H_MIN]])
+    assert _dry_after_transport(h, np.ones(4, dtype=bool)).tolist() == [True, True, False, True]
+    assert not _dry_after_transport(h, np.zeros(4, dtype=bool)).any()
+
+
+@pytest.mark.parametrize("N", [1, 2, 5])
+def test_limited_source_gamma_minimizes_the_profile_energy(N):
+    # the friction rows of a row are scaled by gamma: where the friction
+    # increment dv lowers the energy, gamma is the value in [0, 1] that
+    # minimizes the energy of v + gamma dv, the integral of u^2 over the
+    # depth of its reconstructed profile. W is that energy's matrix, by
+    # quadrature of the profiles of the unit vectors (u_m, alpha_1..alpha_N)
+    basis = build_basis(N)
+    zeta, weights = gauss_rule(N + 1)
+    profiles = [reconstruct_velocity(basis, e[0], e[1:], zeta) for e in np.eye(N + 1)]
+    W = np.einsum("k,ik,jk->ij", weights, profiles, profiles)
+    rng = np.random.default_rng(19)
+    P = random_wet_primitive(rng, N, 400, h_range=(1e-4, 0.1))
+    dbdx = np.zeros(len(P))
+    dt = 1e-4
+    _, S_fric = source_split_batch(P, MODEL, EPS, THETA, dbdx, basis)
+    S = scheme._limited_source(P, dt, MODEL, EPS, THETA, dbdx, basis)
+    # the moment rows have no driving part, so S there is gamma * S_fric
+    gamma = S[:, 2] / S_fric[:, 2]
+    v = P[:, 1:]
+    dv = dt * S_fric[:, 1:] / P[:, :1]
+    lowers = np.einsum("mi,ij,mj->m", v, W, dv)
+    assert np.all(lowers < 0.0)
+    best = np.minimum(1.0, -lowers / np.einsum("mi,ij,mj->m", dv, W, dv))
+    # both branches: cells that the step resolves, and cells it would overshoot
+    assert np.any(best == 1.0) and np.any(best < 0.5)
+    np.testing.assert_allclose(gamma, best, rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(S[:, 2:], gamma[:, None] * S_fric[:, 2:], rtol=1e-14, atol=0.0)
+
 
 
 def test_grid_rejects_stored_of_wrong_shape_or_type():

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -131,7 +132,7 @@ def test_config_validation():
     # a file gets the stepper checks too (test_scheme.py::test_stepper_config_validation), before any run builds the basis or grid
     mapping = config_to_mapping(preset(1))
     mapping["stepper"]["cfl"] = "0"
-    with pytest.raises(ValueError, match="CFL"):
+    with pytest.raises(ValueError, match=r"^cfl must be in \(0, 1\], got 0.0$"):
         config_from_mapping(mapping)
     # the numeric stepper and output options, each named in its error, as a
     # SimConfig and from a file, before a run solves anything
@@ -159,17 +160,28 @@ def test_config_validation():
     assert preset(4, quad_points=MAX_GAUSS_POINTS).quad_points == MAX_GAUSS_POINTS
 
 
-# a domain or moment order that the run cannot build, as (field, value, file
-# key, start of the error); before, each built a config and failed in
-# make_grid or build_basis, naming no key (x_b = inf with an error about
-# ic.x_lo, ic.x_hi)
+# a domain, moment order or other setting that the run cannot build or
+# step, as (field, value, file key, start of the error); before, the domain
+# and order cases each built a config and failed in make_grid or
+# build_basis, naming no key (x_b = inf with an error about ic.x_lo, ic.x_hi)
 BAD_DOMAIN = {
     "x_b_inf": ("x_b", math.inf, "grid.x_b", "x_b must be finite"),
     "x_a_minus_inf": ("x_a", -math.inf, "grid.x_a", "x_a must be finite"),
     "x_a_nan": ("x_a", math.nan, "grid.x_a", "x_a must be finite"),
     "x_a_at_x_b": ("x_a", 1.0, "grid.x_a", "x_a must be below x_b"),
     "x_b_below_x_a": ("x_b", -0.5, "grid.x_b", "x_a must be below x_b"),
-    "N_above_max_order": ("N", 13, "model.n", "N must lie in [1, 12]"),
+    "N_above_max_order": ("N", 13, "model.n", "N must be in [1, 12], got 13"),
+    "N_zero": ("N", 0, "model.n", "N must be in [1, 12], got 0"),
+    "J_below_3": ("J", 2, "grid.j", "J must be at least 3, got 2"),
+    "theta_at_right_angle": ("theta", math.pi / 2, "model.theta",
+                             f"theta must be in [0, pi/2), got {math.pi / 2}"),
+    "theta_negative": ("theta", -0.1, "model.theta", "theta must be in [0, pi/2), got -0.1"),
+    "cfl_above_1": ("cfl", 1.5, "stepper.cfl", "cfl must be in (0, 1], got 1.5"),
+    "quad_points_above_max": ("quad_points", MAX_GAUSS_POINTS + 1, "stepper.quad_points",
+                              f"quad_points must be in [2, {MAX_GAUSS_POINTS}], got "
+                              f"{MAX_GAUSS_POINTS + 1}"),
+    "profile_resolution_1": ("profile_resolution", 1, "output.profile_resolution",
+                             "profile_resolution must be at least 2, got 1"),
 }
 
 
@@ -207,18 +219,22 @@ def test_config_accepts_numpy_integer_sizes(tmp_path):
     assert "output.profile_resolution = 4\n" in (tmp_path / "summary.txt").read_text()
 
 
-@pytest.mark.parametrize("name, value", [
+BAD_SCALES = [
     (name, value) for name in ("H", "L", "g", "rho") for value in (0.0, -1.0, math.nan, math.inf)
-] + [("rho_s", value) for value in (0.0, -5.0, math.nan, math.inf)])
+] + [("rho_s", value) for value in (0.0, -5.0, math.nan, math.inf)]
+
+
+@pytest.mark.parametrize("name, value", BAD_SCALES)
 def test_config_rejects_bad_scales(name, value):
     # before, rho = 0 and rho_s = 0 failed in build_model with ZeroDivisionError,
     # rho_s < 0 with "math domain error", and g = nan built a model with nu = nan
     example = 4 if name == "rho_s" else 1
-    with pytest.raises(ValueError, match=f"^{name} must"):
+    error = f"^{name} must be finite and positive, got {value}$"
+    with pytest.raises(ValueError, match=error):
         preset(example, **{name: value})
     mapping = config_to_mapping(preset(example))
     mapping["scaling"][name] = str(value)
-    with pytest.raises(ValueError, match=f"^{name} must"):
+    with pytest.raises(ValueError, match=error):
         config_from_mapping(mapping)
 
 
@@ -233,6 +249,17 @@ def test_config_rejects_float_field_that_is_not_a_number(name, value):
         SimConfig(**{name: value})
     # a numpy float is a real number
     SimConfig(**{name: (np.float64(0.1),) if name == "snapshot_times" else np.float64(0.5)})
+
+
+@pytest.mark.parametrize("name, value, kind", [
+    ("snapshot_times", 0.1, "a nonempty tuple or list of numbers"),
+    ("snapshot_times", "0.1 0.2", "a nonempty tuple or list of numbers"),
+    ("friction_params", None, "a dict"), ("ic", None, "a dict")])
+def test_config_rejects_container_field_of_another_type(name, value, kind):
+    # before, 0.1 and each None raised "TypeError: ... is not iterable", naming
+    # no field, and the str failed on its first character
+    with pytest.raises(ValueError, match=f"^{name} must be {kind}, got {re.escape(repr(value))}$"):
+        SimConfig(**{name: value})
 
 
 @pytest.mark.parametrize("example, overrides, key", [
@@ -297,7 +324,7 @@ def _readme_friction_table() -> dict:
 
 def test_readme_units_table_covers_every_scale_and_friction_key():
     # a friction parameter or a scale without a row in the table has no stated unit
-    wanted = ({f"scaling.{key.lower()}" for section, key, _, _ in sim._FILE_FIELDS
+    wanted = ({f"scaling.{key.lower()}" for section, key, *_ in sim._FILE_FIELDS
                if section == "scaling"}
               | {f"model.{key}" for _, _, keys in sim._FRICTION.values() for key in keys})
     table = _readme_units_keys()
@@ -827,9 +854,17 @@ def test_config_mapping_round_trip(example, kwargs):
 
 def test_config_file_table_covers_every_field():
     # a SimConfig field without a file key would be lost in the round trip
-    table = {name for _, _, name, _ in sim._FILE_FIELDS}
+    table = {name: (parse, within) for _, _, name, parse, within in sim._FILE_FIELDS}
     assert len(table) == len(sim._FILE_FIELDS)
-    assert {f.name for f in dataclasses.fields(SimConfig)} == table | {"friction_params", "ic"}
+    assert {f.name for f in dataclasses.fields(SimConfig)} == set(table) | {"friction_params", "ic"}
+    # a number field without a range in its row would go unchecked, and one
+    # without a case in the range tests above would be checked untested
+    numbers = {f.name for f in dataclasses.fields(SimConfig)
+               if {int, float} & {f.type, *typing.get_args(f.type)}}
+    assert numbers == {name for name, (parse, _) in table.items() if parse in (int, float)}
+    assert not [name for name in numbers if table[name][1] is None]
+    tested = {name for name, *_ in BAD_DOMAIN.values()} | {name for name, _ in BAD_SCALES}
+    assert numbers == tested, f"no out-of-range case for {sorted(numbers - tested)}"
 
 
 def test_config_unknown_key_raises():
@@ -1000,7 +1035,7 @@ def test_config_rejects_non_finite_friction_parameter(case):
     cfg = config_from_mapping(_friction_mapping(case))
     for key in sorted(MISSING_KEY_CASES[case]):
         for value in (math.nan, math.inf, -math.inf):
-            error = f"^model.{key} must be finite, got {value}$"
+            error = f"^model.{key} must be {re.escape(OUT_OF_RANGE[key][2])}, got {value}$"
             with pytest.raises(ValueError, match=error):
                 dataclasses.replace(cfg, friction_params=dict(cfg.friction_params, **{key: value}))
             mapping = _friction_mapping(case)
@@ -1064,16 +1099,16 @@ def test_cli_missing_friction_parameter_names_key(case, tmp_path, capsys):
 # a value out of range for each [model] key, under a friction name that
 # reads it, and the range its error names
 OUT_OF_RANGE = {
-    "lambda": ("newtonian_slip", 0.0, "positive"),
-    "eta": ("newtonian_slip", -1.0, "nonnegative"),
-    "manning_n": ("newtonian_manning", -0.0165, "nonnegative"),
-    "mu": ("coulomb", -0.4, "nonnegative"),
+    "lambda": ("newtonian_slip", 0.0, "finite and positive"),
+    "eta": ("newtonian_slip", -1.0, "finite and nonnegative"),
+    "manning_n": ("newtonian_manning", -0.0165, "finite and nonnegative"),
+    "mu": ("coulomb", -0.4, "finite and nonnegative"),
     "delta": ("coulomb", -0.1, "in [0, pi/2)"),
     "phi_int": ("savage_hutter", math.pi / 2, "in [0, pi/2)"),
-    "mu_s": ("mu_i", 0.0, "positive"),
-    "mu_2": ("mu_i", -0.73, "positive"),
-    "i0": ("mu_i", -0.279, "positive"),
-    "d_s": ("mu_i", -7e-4, "positive"),
+    "mu_s": ("mu_i", 0.0, "finite and positive"),
+    "mu_2": ("mu_i", -0.73, "finite and positive"),
+    "i0": ("mu_i", -0.279, "finite and positive"),
+    "d_s": ("mu_i", -7e-4, "finite and positive"),
 }
 
 
