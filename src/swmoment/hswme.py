@@ -95,11 +95,17 @@ def system_matrix_batch(P: np.ndarray, eps: float, theta: float, basis: MomentBa
     return entry_matrices(index, E, basis.N + 2)
 
 
-def _friction_factors(N: int, theta: float) -> list:
-    """-(2i+1) cos(theta), i = 0..N: the factor of tau_b (+ T_i for i >= 1)
-    in velocity component i+1 of the friction source."""
-    cos_t = math.cos(theta)
-    return [-(2 * i + 1) * cos_t for i in range(N + 1)]
+def _friction_components(tau_b: np.ndarray, T: np.ndarray, theta: float) -> np.ndarray:
+    """The velocity components of the friction source of stresses (tau_b, T),
+    shapes (M,) and (M, N), component-major (N+1, M): f_0 tau_b and
+    f_i (tau_b + T_i) for i >= 1, with f_i = -(2i+1) cos(theta)."""
+    N = T.shape[1]
+    factors = -(2.0 * np.arange(N + 1) + 1.0) * math.cos(theta)
+    F = np.empty((N + 1, len(tau_b)))
+    F[0] = tau_b
+    np.add(tau_b, T.T, out=F[1:])
+    F *= factors[:, None]
+    return F
 
 
 def source_split_batch(P: np.ndarray, model, eps: float, theta: float,
@@ -110,23 +116,24 @@ def source_split_batch(P: np.ndarray, model, eps: float, theta: float,
     sin(theta) h - cos(theta) eps h db/dx and the moment components are zero.
     The friction part holds the bottom stress and bulk friction, the
     velocity-damping (possibly stiff) contributions: component 2 is
-    -cos(theta) tau_b and moment component i+2 is -(2i+1) cos(theta)(tau_b + T_i).
+    -cos(theta) tau_b and moment component i+2 is -(2i+1) cos(theta)(tau_b + T_i)
+    (_friction_components).
     Component 1 is zero in both; the free surface carries no stress.
     """
     P = np.asarray(P, dtype=float)
     M = P.shape[0]
     N = basis.N
     tau_b, T = model.stresses(P, basis)
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
-    topo = eps * P[:, 0] * np.asarray(dbdx, dtype=float)
     drive = np.zeros((M, N + 2))
     fric = np.zeros((M, N + 2))
-    drive[:, 1] = sin_t * P[:, 0] - cos_t * topo
-    factors = _friction_factors(N, theta)
-    fric[:, 1] = factors[0] * tau_b
-    for i in range(1, N + 1):
-        fric[:, i + 1] = factors[i] * (tau_b + T[:, i - 1])
+    drive[:, 1] = _drive(P[:, 0], dbdx, eps, theta)
+    fric[:, 1:] = _friction_components(tau_b, T, theta).T
     return drive, fric
+
+
+def _drive(h: np.ndarray, dbdx: np.ndarray, eps: float, theta: float) -> np.ndarray:
+    """sin(theta) h - cos(theta) eps h db/dx, the drive of the mean velocity."""
+    return math.sin(theta) * h - math.cos(theta) * (eps * h * np.asarray(dbdx, dtype=float))
 
 
 def linear_source_batch(h: np.ndarray, dbdx: np.ndarray, model, eps: float, theta: float,
@@ -135,18 +142,21 @@ def linear_source_batch(h: np.ndarray, dbdx: np.ndarray, model, eps: float, thet
     the velocity components v = (u_m, alpha_1..alpha_N) of wet rows of depth
     h (M,): the drive d (M, N+1) and the friction matrix K (M, N+1, N+1).
 
-    A linear law vanishes at v = 0, so the friction part of
-    source_split_batch at the unit velocity e_k is column k of K. One call
-    evaluates the N+1 blocks of rows (h, e_k); the drive does not depend on v,
-    and d is that of the first block.
+    A linear law vanishes at v = 0, so the friction at the unit velocity e_k
+    is column k of K. One model.stresses call evaluates the N+1 blocks of
+    rows (h, e_k), and _friction_components of that call, reshaped, is
+    K[i, k, m]. d and K are transposed views of arrays that hold one (M,)
+    vector per entry: d.T (N+1, M) and K.transpose(1, 2, 0) (N+1, N+1, M).
     """
     M, n = len(h), basis.N + 1
     P = np.zeros((n, M, n + 1))
     P[:, :, 0] = h
     P[np.arange(n), :, 1 + np.arange(n)] = 1.0
-    drive, fric = source_split_batch(P.reshape(n * M, n + 1), model, eps, theta,
-                                     np.tile(dbdx, n), basis)
-    return drive[:M, 1:], fric.reshape(n, M, n + 1)[:, :, 1:].transpose(1, 2, 0)
+    tau_b, T = model.stresses(P.reshape(n * M, n + 1), basis)
+    K = _friction_components(tau_b, T, theta).reshape(n, n, M)
+    d = np.zeros((n, M))
+    d[0] = _drive(h, dbdx, eps, theta)
+    return d.T, K.transpose(2, 0, 1)
 
 
 def source_batch(P: np.ndarray, model, eps: float, theta: float, dbdx: np.ndarray,

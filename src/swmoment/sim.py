@@ -3,6 +3,7 @@
 import configparser
 import math
 import numbers
+import operator
 import os
 from dataclasses import dataclass, field, replace
 from typing import ClassVar
@@ -106,7 +107,8 @@ def _check_number(name: str, value, parse, within):
 
 def _check_friction_params(friction: str, params: dict) -> None:
     """Reject an unknown friction name, a parameter that the name does not
-    read, and a parameter that is not a number in its key's range."""
+    read, a parameter that is not a number in its key's range, and a pair of
+    parameters that breaks its relation (_PARAM_RELATIONS)."""
     if friction not in _FRICTION:
         raise ValueError(f"unknown friction model {friction!r}")
     if not isinstance(params, dict):
@@ -118,6 +120,10 @@ def _check_friction_params(friction: str, params: dict) -> None:
                          f"it reads {', '.join(reads)}")
     for key, value in params.items():
         _check_number(f"model.{key}", value, float, _PARAM_RANGES[key])
+    for low, text, high, holds in _PARAM_RELATIONS:
+        if low in params and high in params and not holds(params[low], params[high]):
+            raise ValueError(f"model.{low} must be {text} model.{high}, "
+                             f"got {params[low]} and {params[high]}")
 
 
 @dataclass(frozen=True)
@@ -294,8 +300,6 @@ def build_model(config: SimConfig):
     missing = [f"model.{key}" for key in reads if key not in p]
     if missing:
         raise ValueError(f"friction model {config.friction!r} needs {', '.join(missing)}")
-    if "phi_int" in reads and not 0.0 <= p["delta"] <= p["phi_int"] < math.pi / 2:
-        raise ValueError("require 0 <= delta <= phi_int < pi/2")
     H, L, g, rho = config.H, config.L, config.g, config.rho
     cos_t = math.cos(config.theta)
     U = math.sqrt(g * L)
@@ -616,13 +620,17 @@ _FRICTION = {
     "mu_i": (MuI, MuIBottom, _MU_I_KEYS),
 }
 # the range of each [model] key, checked with the key's name before any law
-# sees its scaled group; the laws check their own ranges too, and the
-# relations mu_s < mu_2 (MuI) and delta <= phi_int (build_model)
+# sees its scaled group; the laws check their own ranges too
 _PARAM_RANGES = {
     **dict.fromkeys(("lambda", "i0", "d_s", "mu_s", "mu_2"), _POSITIVE),
     **dict.fromkeys(("eta", "manning_n", "mu"), _NONNEGATIVE),
     **dict.fromkeys(("delta", "phi_int"), _ANGLE),
 }
+# the relations between two [model] keys of one friction name, checked when
+# both are given: the mu(I) rate rises from mu_s to mu_2, and the
+# Savage-Hutter bed angle does not exceed the internal one
+_PARAM_RELATIONS = (("mu_s", "below", "mu_2", operator.lt),
+                    ("delta", "at most", "phi_int", operator.le))
 
 # each [ic] key's parse and range (None: any number; an alpha entry is finite)
 _IC_KEYS = {"kind": (str, None), "h": (float, _NONNEGATIVE), "x_lo": (float, None),

@@ -15,7 +15,7 @@ from swmoment.friction import (
     Newtonian,
     SlipBottom,
 )
-from swmoment import hswme, scheme, sim, state
+from swmoment import scheme, sim, state
 from swmoment.hswme import (
     linear_source_batch,
     source_batch,
@@ -847,34 +847,35 @@ def test_semi_implicit_newton_matches_full_jacobian_reference(name, basis1, basi
 
 @pytest.mark.parametrize("law", ["slip", "manning"])
 def test_semi_implicit_source_rows_per_step(law, basis2, monkeypatch):
-    # slip + Newtonian is linear in v: one source_split_batch call on the N+1
-    # unit-velocity copies of each wet row gives its drive and matrix, and
-    # the source is never evaluated at the state. Manning evaluates the
-    # residual of the rows still iterating, then the central-difference batch
-    # of 2n copies of each row whose residual is not yet below NEWTON_TOL
+    # slip + Newtonian is linear in v: one stresses call on the N+1
+    # unit-velocity copies of each wet row gives its matrix, and the source
+    # is never evaluated at the state. Manning evaluates the residual of the
+    # rows still iterating, then the central-difference batch of 2n copies of
+    # each row whose residual is not yet below NEWTON_TOL
     model = MODEL if law == "slip" else build_model(preset(2, law="manning"))
     assert model.linear_in_velocity == (law == "slip")
     grid = _patch_grid(2, patches=[(2, 15), (22, 38)], J=40, seed=1)
     cfg = SimConfig(mode="semi_implicit")
     dt = 0.5 * cfl_dt(grid, cfg, basis2)
-    calls, split_calls = [], []
+    calls, stress_calls = [], []
+    stresses = type(model).stresses
 
     def counted(P, *args):
         calls.append(len(P))
         return source_batch(P, *args)
 
-    def counted_split(P, *args):
-        split_calls.append(len(P))
-        return source_split_batch(P, *args)
+    def counted_stresses(self, P, basis):
+        stress_calls.append(len(P))
+        return stresses(self, P, basis)
 
     monkeypatch.setattr(scheme, "source_batch", counted)
-    monkeypatch.setattr(hswme, "source_split_batch", counted_split)
+    monkeypatch.setattr(type(model), "stresses", counted_stresses)
     _, info = step_semi_implicit(grid, dt, model, basis2, cfg)
     wet = len(grid.x) - info["dry_cells"]
     assert info["newton_iters_total"] > 0
     if law == "slip":
         assert calls == []
-        assert split_calls == [(basis2.N + 1) * wet]
+        assert stress_calls == [(basis2.N + 1) * wet]
         assert (info["newton_iters_total"], info["newton_iters_max"]) == (wet, 1)
     else:
         # wet, then per update 2n * active and the residual of those active rows
@@ -883,7 +884,7 @@ def test_semi_implicit_source_rows_per_step(law, basis2, monkeypatch):
         assert calls[1::2] == [2 * (basis2.N + 1) * k for k in active]
         assert len(active) == info["newton_iters_max"] > 1
         assert sum(active) == info["newton_iters_total"]
-        assert split_calls == calls
+        assert stress_calls == calls
 
 
 @pytest.mark.parametrize("h_range", [(1e-2, 0.1), (1e-5, 1e-3)], ids=["deep", "thin"])
@@ -934,6 +935,10 @@ def test_exact_jacobian_on_films_thinner_than_sqrt_h_min(basis2):
 
 
 def test_singular_newton_jacobian_reports_cell(basis2, monkeypatch):
+    # Manning is not linear in v, so its stage is the Newton path, whose
+    # finite-difference Jacobian is solved by np.linalg.solve
+    model = build_model(preset(2, law="manning"))
+    assert not model.linear_in_velocity
     grid = _uniform_grid(10, 2, h=0.08)
 
     def singular(a, b):
@@ -941,5 +946,60 @@ def test_singular_newton_jacobian_reports_cell(basis2, monkeypatch):
 
     monkeypatch.setattr(scheme.np.linalg, "solve", singular)
     with pytest.raises(RuntimeError, match="singular Newton Jacobian in cell 1"):
-        step_semi_implicit(grid, 1e-3, MODEL, basis2,
+        step_semi_implicit(grid, 1e-3, model, basis2,
                            SimConfig(mode="semi_implicit"))
+
+
+def test_zero_pivot_of_the_linear_stage_reports_cell(basis2, monkeypatch):
+    # K = I / (dt kappa) in one cell makes its system I - dt kappa K zero;
+    # h = 1/8 and dt = 2^-10 keep dt kappa = 2^-7 and its inverse exact
+    grid = _uniform_grid(10, 2, h=0.125)
+    dt = 2.0 ** -10
+    assert dt * state.desingularization_factor(0.125) * 2.0 ** 7 == 1.0
+
+    def singular_in_cell_4(h, dbdx, model, eps, theta, basis):
+        d, K = linear_source_batch(h, dbdx, model, eps, theta, basis)
+        K[3] = np.eye(basis.N + 1) * 2.0 ** 7
+        return d, K
+
+    monkeypatch.setattr(scheme, "linear_source_batch", singular_in_cell_4)
+    with pytest.raises(RuntimeError, match="singular linear source system in cell 4$"):
+        step_semi_implicit(grid, dt, MODEL, basis2, SimConfig(mode="semi_implicit"))
+
+
+@pytest.mark.parametrize("N", range(1, 13))
+def test_linear_stage_equals_a_per_row_lapack_solve(N):
+    # elimination without pivoting against a per-row np.linalg.solve (with
+    # pivoting) of the same system (I - dt kappa K) q = q_check + dt d, on wet
+    # rows whose depths lie on both sides of sqrt(H_MIN), above which kappa(h)
+    # is 1/h; the rows outside rows and the depths stay untouched
+    basis = build_basis(N)
+    rng = np.random.default_rng(70 + N)
+    M, dt = 40, 2e-3
+    P = random_wet_primitive(rng, N, M, h_range=(1e-5, 0.1))
+    h = P[:, 0]
+    assert np.any(h * h < H_MIN) and np.any(h * h > H_MIN)
+    dbdx = rng.uniform(-0.5, 0.5, M)
+    rows = np.arange(3, 3 + M)
+    for model in (Newtonian(nu=1.19e-3, bottom_law=SlipBottom(nu=1.19e-3, lam=1e-4)),
+                  Newtonian(nu=0.02, bottom_law=SlipBottom(nu=3e-3, lam=0.05))):
+        U = np.zeros((M + 6, N + 2))
+        U[rows] = to_conservative(P)
+        full_dbdx = np.zeros(M + 6)
+        full_dbdx[rows] = dbdx
+        d, K = linear_source_batch(h, dbdx, model, EPS, THETA, basis)
+        scale = dt * state.desingularization_factor(h)
+        expected = [np.linalg.solve(np.eye(N + 1) - scale[m] * K[m], U[rows[m], 1:] + dt * d[m])
+                    for m in range(M)]
+        U_before = U.copy()
+        assert scheme._linear_source_solve(U, rows, dt, full_dbdx, model, EPS, THETA,
+                                           basis) == (M, 1)
+        # relative to each row's largest component: a small component may
+        # come from cancellation, in both solves alike
+        expected = np.array(expected)
+        err = np.max(np.abs(U[rows, 1:] - expected), axis=1)
+        assert np.all(err <= 1e-12 * np.max(np.abs(expected), axis=1))
+        keep = np.ones(len(U), dtype=bool)
+        keep[rows] = False
+        assert np.array_equal(U[keep], U_before[keep])
+        assert np.array_equal(U[:, 0], U_before[:, 0])

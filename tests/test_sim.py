@@ -1125,6 +1125,45 @@ def test_config_rejects_out_of_range_friction_parameter(key):
         config_from_mapping(mapping)
 
 
+# a pair of [model] values that breaks its relation, under a friction name
+# that reads both, and the error that names both keys
+RELATION_CASES = {
+    "delta_above_phi_int": ("savage_hutter", {"delta": "0.4", "phi_int": "0.35"},
+                            "model.delta must be at most model.phi_int, got 0.4 and 0.35"),
+    "mu_s_above_mu_2": ("mu_i", {"mu_s": "0.8", "mu_2": "0.73"},
+                        "model.mu_s must be below model.mu_2, got 0.8 and 0.73"),
+    "mu_s_equal_mu_2": ("mu_i_coulomb", {"mu_s": "0.73", "mu_2": "0.73"},
+                        "model.mu_s must be below model.mu_2, got 0.73 and 0.73"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RELATION_CASES))
+def test_config_rejects_friction_parameters_that_break_their_relation(case):
+    # before, SimConfig took these and build_model or the law raised later,
+    # naming no key ("require 0 <= delta <= phi_int < pi/2")
+    friction, values, error = RELATION_CASES[case]
+    mapping = _friction_mapping(friction)
+    mapping["model"].update(values)
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        config_from_mapping(mapping)
+    params = {k: float(v) for k, v in mapping["model"].items() if k != "friction"}
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        SimConfig(friction=friction, friction_params=params)
+
+
+def test_preset_rejects_friction_parameters_that_break_their_relation():
+    error = (f"model.delta must be at most model.phi_int, got {math.radians(25.0)} "
+             f"and {math.radians(20.0)}")
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        preset(3, delta_deg=25.0)
+    with pytest.raises(ValueError, match="^model.mu_s must be below model.mu_2, got 0.8 and 0.73$"):
+        preset(4, friction_params=dict(preset(4).friction_params, mu_s=0.8))
+    # equal angles are allowed, and a relation is checked only when both keys
+    # are given (build_model names a missing one)
+    assert preset(3, delta_deg=20.0).friction_params["delta"] == math.radians(20.0)
+    SimConfig(friction="savage_hutter", friction_params={"delta": 1.0})
+
+
 @pytest.mark.parametrize("value", ["1e-5", True])
 def test_config_rejects_friction_parameter_that_is_not_a_number(value):
     # before, a str raised "TypeError: must be real number, not str" naming no
